@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check check-nightly cover fuzz-smoke docs bench serve
+.PHONY: build test race vet check check-nightly cover fuzz-smoke docs bench bench-diff serve
 
 # COVER_FLOOR is the minimum acceptable total statement coverage, in
 # percent. The suite currently sits well above this; the floor exists to
@@ -84,6 +84,10 @@ fuzz-smoke:
 # dataset and run one query, drive stingest's full tail-append-compact
 # loop in-process, and bring up a 2-shard fleet plus router on loopback
 # and check a pruned query scatters to fewer shards than the map holds.
+# Last, the benchmark module's own suite (benchmark/ is a separate Go
+# module, so ./... above does not reach it): its smoke runs every workload
+# small and verifies every reply, subscriber stream and ingest_live read
+# against the brute-force oracle.
 check:
 	$(GO) vet ./...
 	$(MAKE) docs
@@ -96,6 +100,7 @@ check:
 	$(GO) test -race -count=1 -run TestClusterSmoke ./cmd/strouter
 	$(GO) test -race -count=1 -run TestApproxBytesSmoke ./internal/bench
 	$(GO) test -race -count=1 -run TestPointPatSmoke ./internal/pointpat
+	(cd benchmark && $(GO) test ./...)
 
 # check-nightly is the long gate: the entire suite, full-length and
 # uncached, under the race detector. It subsumes `make race` (which
@@ -106,8 +111,16 @@ check:
 check-nightly:
 	$(GO) test -race -count=1 -timeout 30m ./...
 
+# bench runs the benchmark spine (benchmark/BENCHMARK.md): every workload,
+# one process, one line per run appended to benchmark/out/runs.jsonl.
 bench:
-	$(GO) run ./cmd/stbench -exp all
+	bash benchmark/run.sh --workload all
+
+# bench-diff compares two sets of spine runs, per workload x end-to-end
+# metric: make bench-diff A=before.jsonl B=after.jsonl (run `make bench`
+# first; it builds the binary this uses).
+bench-diff:
+	benchmark/out/stbenchmark -compare $(A) $(B)
 
 # serve boots the feature-serving daemon on a generated demo dataset.
 serve:

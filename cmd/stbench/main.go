@@ -55,17 +55,13 @@ func main() {
 		tr = trace.New()
 		cfg.Tracer = tr
 	}
-	var jsonOut *os.File
-	if *jsonFile != "" {
-		f, err := os.OpenFile(*jsonFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stbench:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		jsonOut = f
+	jsonOut, closeJSON, err := openJSON(*jsonFile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stbench:", err)
+		os.Exit(1)
 	}
-	err := run(*exp, cfg, bench.Scale{
+	defer closeJSON()
+	err = run(*exp, cfg, bench.Scale{
 		Events: *events, Trajs: *trajs, POIs: *pois, Areas: *areas, AirSta: *airSta,
 	}, *windows, *clients, *workdir, jsonOut)
 	if err == nil && *traceFile != "" {
@@ -75,6 +71,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stbench:", err)
 		os.Exit(1)
 	}
+}
+
+// openJSON opens the -json row sink for appending. Without a path the sink
+// is a nil io.Writer — a nil interface, which run reads as "no sink"; a nil
+// *os.File wrapped in the interface would not be nil and would fail the
+// first row written to it.
+func openJSON(path string) (io.Writer, func() error, error) {
+	if path == "" {
+		return nil, func() error { return nil }, nil
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, f.Close, nil
 }
 
 // writeTrace dumps the tracer's spans as a Chrome trace file.

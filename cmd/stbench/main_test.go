@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -48,6 +49,46 @@ func TestRunSingleExperiments(t *testing.T) {
 	}
 	if err := run("serve", engine.Config{Slots: 2}, bench.Scale{Events: 4_000}, 2, 3, t.TempDir(), nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunRowsWithAndWithoutJSON drives a multi-row experiment through the
+// sink main builds from -json: absent, every row must still print (the
+// sink is a nil interface, not a nil file that fails the first write);
+// present, every row lands in the file.
+func TestRunRowsWithAndWithoutJSON(t *testing.T) {
+	scale := bench.Scale{Events: 4_000}
+	out, closeJSON, err := openJSON("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != nil {
+		t.Fatalf("no -json built a non-nil sink %#v", out)
+	}
+	if err := run("approx", engine.Config{Slots: 2}, scale, 1, 2, t.TempDir(), out); err != nil {
+		t.Fatalf("without -json: %v", err)
+	}
+	if err := closeJSON(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "rows.jsonl")
+	out, closeJSON, err = openJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run("approx", engine.Config{Slots: 2}, scale, 1, 2, t.TempDir(), out); err != nil {
+		t.Fatalf("with -json: %v", err)
+	}
+	if err := closeJSON(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := strings.Count(string(b), `"exp":"approx"`); rows < 2 {
+		t.Fatalf("-json file holds %d approx rows, want every row", rows)
 	}
 }
 

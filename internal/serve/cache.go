@@ -152,13 +152,20 @@ func (c *Cache) GetOrLoad(key string, load func() (val any, bytes int64, err err
 // DropPrefix removes every entry whose key starts with prefix — the eager
 // invalidation path when a dataset's metadata generation changes.
 func (c *Cache) DropPrefix(prefix string) int {
+	return c.DropPrefixExcept(prefix, nil)
+}
+
+// DropPrefixExcept removes every entry whose key starts with prefix and is
+// not in keep — how a generation change drops only the partition files
+// the new view no longer references.
+func (c *Cache) DropPrefixExcept(prefix string, keep map[string]bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dropped := 0
 	for el := c.order.Front(); el != nil; {
 		next := el.Next()
 		ent := el.Value.(*cacheEntry)
-		if strings.HasPrefix(ent.key, prefix) {
+		if strings.HasPrefix(ent.key, prefix) && !keep[ent.key] {
 			c.order.Remove(el)
 			delete(c.items, ent.key)
 			c.used -= ent.bytes

@@ -16,9 +16,11 @@ import (
 // dataset it pins the metadata.json partition index in memory behind an
 // RWMutex, so the paper's §4.1 on-disk index is read once and amortized
 // across every query instead of being re-parsed per request. The pin is
-// validated against the file's mtime on each access; a reload bumps the
-// dataset's generation, which invalidates its cached partitions and
-// results (their cache keys embed the generation).
+// revalidated on each access; a reload bumps the dataset's generation,
+// which invalidates its cached results (their keys embed the generation)
+// and the cached partition files the new view no longer references.
+// Partition files themselves are keyed by name plus the ingest epoch,
+// which moves only when metadata.json itself is replaced.
 type Catalog struct {
 	mu       sync.RWMutex
 	datasets map[string]*Dataset
@@ -38,7 +40,7 @@ func (c *Catalog) Register(name, schemaName, dir string) (*Dataset, error) {
 		return nil, fmt.Errorf("serve: unknown schema %q (have %v)", schemaName, stdata.SchemaNames())
 	}
 	d := &Dataset{Name: name, Dir: dir, Schema: sch}
-	if _, _, err := d.Meta(); err != nil {
+	if _, err := d.revalidate(); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -88,17 +90,28 @@ type DatasetInfo struct {
 }
 
 // Dataset is one served dataset: its directory, decoding schema, and the
-// pinned, mtime-validated metadata handle.
+// pinned, revalidated metadata handle.
 type Dataset struct {
 	Name   string
 	Dir    string
 	Schema stdata.Schema
 
 	mu    sync.RWMutex
-	meta  *storage.Metadata
+	cur   view
 	mtime time.Time
 	mgen  int64
-	gen   int64
+}
+
+// view is one pinned state of a dataset: the merged metadata, the catalog
+// generation (bumped on every reload) and the ingest epoch (bumped only
+// when metadata.json itself was replaced).
+type view struct {
+	meta *storage.Metadata
+	gen  int64
+	// epoch qualifies partition file names in cache keys: base and delta
+	// files are immutable and compaction writes fresh names, but a
+	// re-ingest into the same directory rewrites part-NNNNN.stp in place.
+	epoch int64
 }
 
 // Meta returns the pinned metadata handle and its generation, reloading
@@ -108,40 +121,64 @@ type Dataset struct {
 // rewrite partitions in place and never touch metadata.json — and an
 // mtime-only probe would also miss a rewrite landing within one timestamp
 // granule). The catalog generation increments on every reload, which is
-// what invalidates cached partitions and results for this dataset.
+// what invalidates cached results for this dataset.
 func (d *Dataset) Meta() (*storage.Metadata, int64, error) {
+	v, err := d.revalidate()
+	return v.meta, v.gen, err
+}
+
+// revalidate is Meta returning the whole view, ingest epoch included.
+func (d *Dataset) revalidate() (view, error) {
 	path := filepath.Join(d.Dir, storage.MetadataFile)
 	st, err := os.Stat(path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: dataset %s: %w", d.Name, err)
+		return view{}, fmt.Errorf("serve: dataset %s: %w", d.Name, err)
 	}
 	mgen, err := storage.ManifestGeneration(d.Dir)
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: dataset %s: %w", d.Name, err)
+		return view{}, fmt.Errorf("serve: dataset %s: %w", d.Name, err)
 	}
 	d.mu.RLock()
-	if d.meta != nil && st.ModTime().Equal(d.mtime) && mgen == d.mgen {
-		meta, gen := d.meta, d.gen
+	if d.cur.meta != nil && st.ModTime().Equal(d.mtime) && mgen == d.mgen {
+		v := d.cur
 		d.mu.RUnlock()
-		return meta, gen, nil
+		return v, nil
 	}
 	d.mu.RUnlock()
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// Another query may have refreshed while we waited for the write lock.
-	if d.meta != nil && st.ModTime().Equal(d.mtime) && mgen == d.mgen {
-		return d.meta, d.gen, nil
+	if d.cur.meta != nil && st.ModTime().Equal(d.mtime) && mgen == d.mgen {
+		return d.cur, nil
 	}
 	meta, err := storage.ReadMetadata(d.Dir)
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: dataset %s: %w", d.Name, err)
+		return view{}, fmt.Errorf("serve: dataset %s: %w", d.Name, err)
 	}
-	d.meta = meta
+	// A metadata.json replaced between the probe and the read carries a new
+	// mtime too: whichever file was read, it may not be the pinned epoch's.
+	after, err := os.Stat(path)
+	if err != nil {
+		return view{}, fmt.Errorf("serve: dataset %s: %w", d.Name, err)
+	}
+	if d.cur.meta == nil || !st.ModTime().Equal(d.mtime) || !after.ModTime().Equal(st.ModTime()) {
+		d.cur.epoch++
+	}
+	d.cur.meta = meta
+	d.cur.gen++
 	d.mtime = st.ModTime()
 	d.mgen = meta.Generation
-	d.gen++
-	return d.meta, d.gen, nil
+	return d.cur, nil
+}
+
+// pinned returns the metadata as last revalidated, without probing the
+// disk — for readers that only need what a commit cannot change (the
+// dataset's encoding flags).
+func (d *Dataset) pinned() *storage.Metadata {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.cur.meta
 }
 
 // Info summarizes the dataset for /datasets.

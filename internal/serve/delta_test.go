@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,7 +86,10 @@ func TestCatalogDetectsInPlaceRewrite(t *testing.T) {
 // it, without a restart: concurrent full-extent queries must never see a
 // torn state — observed counts only grow (appends) and never regress
 // (compaction preserves the record set) — and the final count equals the
-// full corpus.
+// full corpus. Growth is checked in real-time order, across clients: a
+// request sent after any reply arrived must count at least that reply's
+// records. (Two requests in flight together may finish in either order,
+// so the order replies arrive in proves nothing by itself.)
 func TestServedAcrossConcurrentCompaction(t *testing.T) {
 	ctx := engine.New(engine.Config{Slots: 4})
 	dir := ingestNYC(t, ctx, 3000)
@@ -101,22 +105,30 @@ func TestServedAcrossConcurrentCompaction(t *testing.T) {
 		t.Fatalf("warmup: code=%d res=%+v", code, res)
 	}
 
+	// observed is one reply: when its request was sent, when the reply
+	// arrived, and the count it carried.
+	type observed struct {
+		sent, replied time.Time
+		count         int64
+	}
 	var stopFlag atomic.Bool
 	var mu sync.Mutex
-	var counts []int64
+	var seen []observed
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !stopFlag.Load() {
+				sent := time.Now()
 				res, code := postQuery(t, ts.URL, req)
+				replied := time.Now()
 				if code != 200 {
 					t.Errorf("query failed with status %d", code)
 					return
 				}
 				mu.Lock()
-				counts = append(counts, res.Stats.SelectedRecords)
+				seen = append(seen, observed{sent, replied, res.Stats.SelectedRecords})
 				mu.Unlock()
 			}
 		}()
@@ -142,16 +154,26 @@ func TestServedAcrossConcurrentCompaction(t *testing.T) {
 	stopFlag.Store(true)
 	wg.Wait()
 
-	// No torn states: counts only ever grow, in batch-of-200 steps.
-	last := int64(0)
-	for i, c := range counts {
-		if c < last {
-			t.Fatalf("observed count regressed at %d: %d -> %d", i, last, c)
+	// No torn states: counts come in batch-of-200 steps and never fall
+	// below a count some earlier reply already showed. byReply[i] is the
+	// i-th reply to arrive; maxBefore[i] the largest count among the first
+	// i of them.
+	byReply := append([]observed(nil), seen...)
+	sort.Slice(byReply, func(i, j int) bool { return byReply[i].replied.Before(byReply[j].replied) })
+	maxBefore := make([]int64, len(byReply)+1)
+	for i, o := range byReply {
+		if (o.count-3000)%200 != 0 {
+			t.Fatalf("observed count %d is not base + whole batches", o.count)
 		}
-		if (c-3000)%200 != 0 {
-			t.Fatalf("observed count %d is not base + whole batches", c)
+		maxBefore[i+1] = max(maxBefore[i], o.count)
+	}
+	for _, o := range seen {
+		// Replies that had arrived before this request was sent.
+		n := sort.Search(len(byReply), func(i int) bool { return !byReply[i].replied.Before(o.sent) })
+		if o.count < maxBefore[n] {
+			t.Fatalf("count regressed: a request sent after a reply of %d records got %d",
+				maxBefore[n], o.count)
 		}
-		last = c
 	}
 	// And the settled daemon serves the full corpus with zero live deltas.
 	res, code := postQuery(t, ts.URL, req)

@@ -5,12 +5,14 @@
 // amortizes all of that across requests:
 //
 //   - a Catalog pins each dataset's partition metadata in memory behind an
-//     RWMutex, revalidated by file mtime (a re-ingest is picked up without
-//     a restart and bumps the dataset generation);
-//   - a byte-budgeted LRU Cache holds decoded partitions — each pinned
-//     together with its 3-d R-tree, built lazily on first touch — and
-//     marshaled query results, so hot windows skip disk (and the engine)
-//     entirely;
+//     RWMutex, revalidated by file mtime and manifest generation (appends,
+//     compactions and re-ingests are picked up without a restart and bump
+//     the dataset generation);
+//   - a byte-budgeted LRU Cache holds decoded partition files — each base
+//     pinned together with a 3-d R-tree over its records, built lazily on
+//     first touch, each delta with its records' boxes, all keyed
+//     by file name so an append evicts nothing — and marshaled query
+//     results, so hot windows skip disk (and the engine) entirely;
 //   - every query executes as engine tasks on one shared engine.Context,
 //     exercising the engine's multi-job concurrency, retries included;
 //   - an Admission controller bounds in-flight queries and queue depth and

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"st4ml/internal/engine"
@@ -181,11 +182,11 @@ func (s *Server) runQuery(reqCtx context.Context, req QueryRequest) (stdata.Quer
 		return stdata.QueryResult{}, "", nil, http.StatusNotFound,
 			fmt.Errorf("unknown dataset %q", req.Dataset)
 	}
-	meta, gen, err := d.Meta()
+	v, err := d.revalidate()
 	if err != nil {
 		return stdata.QueryResult{}, "", nil, http.StatusInternalServerError, err
 	}
-	s.noteGeneration(req.Dataset, gen)
+	s.noteGeneration(d, v)
 
 	// Per-request tracing: an explain request gets its own Tracer, scoped
 	// onto the shared engine via a trace-scoped Context copy. Untraced
@@ -196,15 +197,15 @@ func (s *Server) runQuery(reqCtx context.Context, req QueryRequest) (stdata.Quer
 	}
 	root := tr.StartSpan(0, "query", trace.Str("dataset", req.Dataset))
 
-	key := req.resultKey(gen)
+	key := req.resultKey(v.gen)
 	if !req.NoCache {
 		lsp := root.Child(trace.SpanResultLookup)
-		v, ok := s.cache.Get(key)
+		hit, ok := s.cache.Get(key)
 		lsp.End(trace.Bool("hit", ok))
 		if ok {
 			s.resultHits.Add(1)
 			root.End()
-			return v.(stdata.QueryResult), "hit", trace.Build(tr.Snapshot()), http.StatusOK, nil
+			return hit.(stdata.QueryResult), "hit", trace.Build(tr.Snapshot()), http.StatusOK, nil
 		}
 	}
 	s.resultMisses.Add(1)
@@ -237,7 +238,7 @@ func (s *Server) runQuery(reqCtx context.Context, req QueryRequest) (stdata.Quer
 	done := make(chan outcome, 1)
 	go func() {
 		defer release()
-		res, err := d.Schema.ServeQuery(ectx, d.Dir, meta, s.fetcher(d, meta, gen, ectx), req.Window(),
+		res, err := d.Schema.ServeQuery(ectx, d.Dir, v.meta, s.fetcher(d, v, ectx), req.Window(),
 			stdata.QueryOptions{Records: req.Records, Limit: req.Limit})
 		if err == nil && !req.NoCache {
 			s.cache.Put(key, res, resultBytes(res))
@@ -259,50 +260,91 @@ func (s *Server) runQuery(reqCtx context.Context, req QueryRequest) (stdata.Quer
 	}
 }
 
-// fetcher returns the cache-aware partition loader for one query: hits
-// return the pinned partition (records + R-tree), misses read the disk
-// exactly once per key even under concurrent identical queries. ectx
-// carries the request's trace scope.
-func (s *Server) fetcher(d *Dataset, meta *storage.Metadata, gen int64, ectx *engine.Context) func(id int) (stdata.Partition, error) {
+// fetcher returns the cache-aware partition loader for one query. A
+// partition's live view is assembled from cached files: the base (records +
+// R-tree) and each attached delta (records + boxes), each keyed by its file
+// name, so an append costs a read of only the deltas it wrote and a
+// compaction only the bases it rewrote. Misses read the disk exactly once
+// per file even under concurrent identical queries. ectx carries the
+// request's trace scope.
+func (s *Server) fetcher(d *Dataset, v view, ectx *engine.Context) func(id int) (stdata.Partition, error) {
 	return func(id int) (stdata.Partition, error) {
 		fsp := ectx.StartSpan(trace.SpanPartitionFetch, trace.Int("partition", int64(id)))
-		key := fmt.Sprintf("part|%s|%d|%d", d.Name, gen, id)
-		v, err := s.cache.GetOrLoad(key, func() (any, int64, error) {
-			lsp := ectx.StartSpan(trace.SpanPartitionLoad, trace.Int("partition", int64(id)))
-			s.partitionLoads.Add(1)
-			p, rst, err := d.Schema.LoadPartition(d.Dir, meta, id)
-			if err != nil {
-				lsp.End(trace.Str("error", err.Error()))
-				return nil, 0, err
-			}
-			ectx.Metrics.AddBlockRead(int64(rst.BlocksScanned), int64(rst.BlocksPruned), rst.RawBytes)
-			if rst.RecordsPruned > 0 {
-				ectx.Metrics.AddRecordsPruned(rst.RecordsPruned)
-			}
-			if rst.DeltaFiles > 0 {
-				ectx.Metrics.AddDeltaRead(int64(rst.DeltasRead), rst.DeltaRecords)
-				dsp := ectx.StartSpan(trace.SpanDeltaRead,
-					trace.Int("partition", int64(id)),
-					trace.Int("files", int64(rst.DeltasRead)),
-					trace.Int("pruned", int64(rst.DeltasPruned)),
-					trace.Int("records", rst.DeltaRecords))
-				dsp.End()
-			}
-			lsp.End(trace.Int("records", int64(p.Len())), trace.Int("bytes", p.SizeBytes()),
-				trace.Int("blocks", int64(rst.Blocks)),
-				trace.Int("blocks_scanned", int64(rst.BlocksScanned)),
-				trace.Int("blocks_pruned", int64(rst.BlocksPruned)),
-				trace.Int("raw_bytes", rst.RawBytes),
-				trace.Int("records_pruned", rst.RecordsPruned))
-			return p, p.SizeBytes(), nil
-		})
+		p, err := s.fetchLive(d, v, ectx, id)
 		if err != nil {
 			fsp.End(trace.Str("error", err.Error()))
 			return nil, err
 		}
 		fsp.End()
-		return v.(stdata.Partition), nil
+		return p, nil
 	}
+}
+
+// fetchLive assembles partition id's live view. A base miss is one
+// partition:load span; the deltas that missed are summed into one
+// delta:read span, so explain and the engine counters see the same reads.
+func (s *Server) fetchLive(d *Dataset, v view, ectx *engine.Context, id int) (stdata.Partition, error) {
+	base, err := s.cache.GetOrLoad(partKey(d.Name, v.epoch, v.meta.Partitions[id].File), func() (any, int64, error) {
+		lsp := ectx.StartSpan(trace.SpanPartitionLoad, trace.Int("partition", int64(id)))
+		s.partitionLoads.Add(1)
+		p, rst, err := d.Schema.LoadBase(d.Dir, v.meta, id)
+		if err != nil {
+			lsp.End(trace.Str("error", err.Error()))
+			return nil, 0, err
+		}
+		ectx.Metrics.AddBlockRead(int64(rst.BlocksScanned), int64(rst.BlocksPruned), rst.RawBytes)
+		if rst.RecordsPruned > 0 {
+			ectx.Metrics.AddRecordsPruned(rst.RecordsPruned)
+		}
+		lsp.End(trace.Int("records", int64(p.Len())), trace.Int("bytes", p.SizeBytes()),
+			trace.Int("blocks", int64(rst.Blocks)),
+			trace.Int("blocks_scanned", int64(rst.BlocksScanned)),
+			trace.Int("blocks_pruned", int64(rst.BlocksPruned)),
+			trace.Int("raw_bytes", rst.RawBytes),
+			trace.Int("records_pruned", rst.RecordsPruned))
+		return p, p.SizeBytes(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	deltas := v.meta.Deltas(id)
+	if len(deltas) == 0 {
+		return base.(stdata.Partition), nil
+	}
+	segs := make([]stdata.Partition, len(deltas))
+	var read storage.ReadStats // the delta files this fetch read from disk
+	for i, dm := range deltas {
+		seg, err := s.cache.GetOrLoad(partKey(d.Name, v.epoch, dm.File), func() (any, int64, error) {
+			p, rst, err := d.Schema.LoadDelta(d.Dir, v.meta, dm)
+			if err != nil {
+				return nil, 0, err
+			}
+			read.Add(rst)
+			return p, p.SizeBytes(), nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		segs[i] = seg.(stdata.Partition)
+	}
+	if read.DeltasRead > 0 {
+		ectx.Metrics.AddBlockRead(int64(read.BlocksScanned), int64(read.BlocksPruned), read.RawBytes)
+		ectx.Metrics.AddDeltaRead(int64(read.DeltasRead), read.DeltaRecords)
+		ectx.StartSpan(trace.SpanDeltaRead,
+			trace.Int("partition", int64(id)),
+			trace.Int("files", int64(read.DeltasRead)),
+			trace.Int("records", read.DeltaRecords),
+			trace.Int("blocks_scanned", int64(read.BlocksScanned)),
+			trace.Int("blocks_pruned", int64(read.BlocksPruned)),
+			trace.Int("raw_bytes", read.RawBytes)).End()
+	}
+	return d.Schema.LiveView(base.(stdata.Partition), segs)
+}
+
+// partKey is the cache key of one decoded partition file, base or delta,
+// of dataset name at an ingest epoch.
+func partKey(name string, epoch int64, file string) string {
+	return "part|" + name + "|" + strconv.FormatInt(epoch, 10) + "|" + file
 }
 
 // resultBytes estimates a cached result's resident size.
@@ -323,11 +365,11 @@ func (s *Server) runApprox(reqCtx context.Context, req QueryRequest) (*summary.R
 	if !ok {
 		return nil, "", nil, http.StatusNotFound, fmt.Errorf("unknown dataset %q", req.Dataset)
 	}
-	meta, gen, err := d.Meta()
+	v, err := d.revalidate()
 	if err != nil {
 		return nil, "", nil, http.StatusInternalServerError, err
 	}
-	s.noteGeneration(req.Dataset, gen)
+	s.noteGeneration(d, v)
 
 	var tr *trace.Tracer
 	if req.Explain {
@@ -335,15 +377,15 @@ func (s *Server) runApprox(reqCtx context.Context, req QueryRequest) (*summary.R
 	}
 	root := tr.StartSpan(0, "query", trace.Str("dataset", req.Dataset))
 
-	key := req.resultKey(gen)
+	key := req.resultKey(v.gen)
 	if !req.NoCache {
 		lsp := root.Child(trace.SpanResultLookup)
-		v, ok := s.cache.Get(key)
+		hit, ok := s.cache.Get(key)
 		lsp.End(trace.Bool("hit", ok))
 		if ok {
 			s.resultHits.Add(1)
 			root.End()
-			return v.(*summary.Result), "hit", trace.Build(tr.Snapshot()), http.StatusOK, nil
+			return hit.(*summary.Result), "hit", trace.Build(tr.Snapshot()), http.StatusOK, nil
 		}
 	}
 	s.resultMisses.Add(1)
@@ -371,7 +413,7 @@ func (s *Server) runApprox(reqCtx context.Context, req QueryRequest) (*summary.R
 	done := make(chan outcome, 1)
 	go func() {
 		defer release()
-		res, _, err := d.Schema.ApproxQuery(ectx, d.Dir, meta, req.Window(), stdata.ApproxRequest{
+		res, _, err := d.Schema.ApproxQuery(ectx, d.Dir, v.meta, req.Window(), stdata.ApproxRequest{
 			Agg: req.Agg, Q: req.Q, Res: req.Res, ScanBoundary: req.ApproxScan,
 		})
 		if err == nil && !req.NoCache {
@@ -399,24 +441,35 @@ func approxBytes(cells []summary.Cell, parts int) int64 {
 	return 256 + int64(len(cells))*72 + int64(parts)*56
 }
 
-// noteGeneration eagerly drops a dataset's cached partitions and results
-// when its catalog generation moves (a re-ingest, delta append, or
-// compaction was detected); without this, stale entries would linger in
-// the budget until LRU aged them out.
-func (s *Server) noteGeneration(name string, gen int64) {
+// noteGeneration eagerly drops a dataset's stale cache entries when its
+// catalog generation moves (a re-ingest, delta append, or compaction was
+// detected): every cached result, and every cached partition file the new
+// view no longer references — folded-in deltas, superseded bases, anything
+// from an older ingest epoch. Files the view still references stay, so an
+// append evicts nothing. Without the drop, stale entries would linger in
+// the budget until LRU aged them out. A view older than one already noted
+// is ignored.
+func (s *Server) noteGeneration(d *Dataset, v view) {
 	s.genMu.Lock()
-	last := s.lastGen[name]
-	if last == gen {
-		s.genMu.Unlock()
+	defer s.genMu.Unlock()
+	last := s.lastGen[d.Name]
+	if v.gen <= last {
 		return
 	}
-	s.lastGen[name] = gen
-	s.genMu.Unlock()
-	if last != 0 {
-		s.cache.DropPrefix("part|" + name + "|")
-		s.cache.DropPrefix("res|" + name + "|")
-		s.cache.DropPrefix("sub|" + name + "|")
+	s.lastGen[d.Name] = v.gen
+	if last == 0 {
+		return
 	}
+	s.cache.DropPrefix("res|" + d.Name + "|")
+	s.cache.DropPrefix("sub|" + d.Name + "|")
+	live := make(map[string]bool, len(v.meta.Partitions)+v.meta.DeltaCount())
+	for i, p := range v.meta.Partitions {
+		live[partKey(d.Name, v.epoch, p.File)] = true
+		for _, dm := range v.meta.Deltas(i) {
+			live[partKey(d.Name, v.epoch, dm.File)] = true
+		}
+	}
+	s.cache.DropPrefixExcept("part|"+d.Name+"|", live)
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {

@@ -113,11 +113,12 @@ func (s *Server) runSubquery(reqCtx context.Context, req SubQueryRequest) (SubQu
 		return SubQueryResponse{}, http.StatusNotFound,
 			fmt.Errorf("unknown dataset %q", req.Dataset)
 	}
-	meta, gen, err := d.Meta()
+	v, err := d.revalidate()
 	if err != nil {
 		return SubQueryResponse{}, http.StatusInternalServerError, err
 	}
-	s.noteGeneration(req.Dataset, gen)
+	s.noteGeneration(d, v)
+	meta := v.meta
 	if meta.Generation != req.Gen || meta.TotalCount != req.Count {
 		s.genConflicts.Add(1)
 		return SubQueryResponse{}, http.StatusConflict,
@@ -135,19 +136,19 @@ func (s *Server) runSubquery(reqCtx context.Context, req SubQueryRequest) (SubQu
 		trace.Int("partitions", int64(len(req.Partitions))))
 	resp := SubQueryResponse{Shard: s.shardName, Gen: meta.Generation, Count: meta.TotalCount}
 
-	key := req.subKey(gen)
+	key := req.subKey(v.gen)
 	if !req.NoCache {
 		lsp := root.Child(trace.SpanResultLookup)
-		v, ok := s.cache.Get(key)
+		hit, ok := s.cache.Get(key)
 		lsp.End(trace.Bool("hit", ok))
 		if ok {
 			s.resultHits.Add(1)
 			root.End()
 			resp.Cache = "hit"
 			if req.Approx {
-				resp.Approx = v.(*summary.Partial)
+				resp.Approx = hit.(*summary.Partial)
 			} else {
-				resp.Parts = v.([]stdata.PartResult)
+				resp.Parts = hit.([]stdata.PartResult)
 			}
 			resp.Spans = trace.ToWire(tr.Snapshot())
 			return resp, http.StatusOK, nil
@@ -194,7 +195,7 @@ func (s *Server) runSubquery(reqCtx context.Context, req SubQueryRequest) (SubQu
 			done <- outcome{approx: p, err: err}
 			return
 		}
-		res, err := d.Schema.ServeQuery(ectx, d.Dir, meta, s.fetcher(d, meta, gen, ectx), req.Window(),
+		res, err := d.Schema.ServeQuery(ectx, d.Dir, meta, s.fetcher(d, v, ectx), req.Window(),
 			stdata.QueryOptions{Records: req.Records, Limit: req.Limit,
 				Partitions: parts, PerPartition: true})
 		if err == nil && !req.NoCache {

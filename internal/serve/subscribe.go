@@ -20,8 +20,9 @@ import (
 // window as a standing subscription on the server's hub and streams the
 // hub's updates back over Server-Sent Events. Commits reach the hub
 // synchronously through the storage OnCommit hook AddDataset registers
-// (in-process writers: stingest -demo loops, tests, benches) and through
-// the hub's manifest poll (writers in other processes).
+// (in-process writers: stingest -demo loops, tests, benches), whose event
+// carries the committed deltas themselves, and through the hub's manifest
+// poll (writers in other processes).
 
 // subKeepAlive is how often an idle SSE stream emits a comment frame so
 // clients and intermediaries can distinguish quiet from dead.
@@ -38,9 +39,9 @@ type subSnapshot struct {
 }
 
 // subSource adapts one catalog dataset to the hub's Source: manifests come
-// straight from disk (the notifier's cursor must see every commit), delta
-// reads go through the schema, and snapshots run the ordinary cached
-// ServeQuery path in per-partition mode.
+// straight from disk (the notifier's fallback cursor must see every
+// commit), delta reads go through the schema with the pinned metadata, and
+// snapshots run the ordinary cached ServeQuery path in per-partition mode.
 type subSource struct {
 	s *Server
 	d *Dataset
@@ -50,38 +51,37 @@ func (src subSource) Manifest() (*storage.Manifest, error) {
 	return storage.ReadManifest(src.d.Dir)
 }
 
+// ReadDelta decodes a delta with the pinned metadata: a delta file is
+// self-describing but for the dataset's compression flag, which only a
+// re-ingest changes, so it needs no revalidation per delta.
 func (src subSource) ReadDelta(dm storage.DeltaMeta) ([]index.Box, []json.RawMessage, error) {
-	meta, _, err := src.d.Meta()
-	if err != nil {
-		return nil, nil, err
-	}
-	return src.d.Schema.ReadDelta(src.d.Dir, meta, dm)
+	return src.d.Schema.ReadDelta(src.d.Dir, src.d.pinned(), dm)
 }
 
 func (src subSource) Snapshot(w selection.Window, limit int) ([]stdata.PartResult, int64, int64, error) {
 	d := src.d
-	meta, gen, err := d.Meta()
+	v, err := d.revalidate()
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	src.s.noteGeneration(d.Name, gen)
-	key := fmt.Sprintf("sub|%s|%d|%v,%v,%v,%v|%d,%d|%d", d.Name, gen,
+	src.s.noteGeneration(d, v)
+	key := fmt.Sprintf("sub|%s|%d|%v,%v,%v,%v|%d,%d|%d", d.Name, v.gen,
 		w.Space.MinX, w.Space.MinY, w.Space.MaxX, w.Space.MaxY,
 		w.Time.Start, w.Time.End, limit)
-	v, err := src.s.cache.GetOrLoad(key, func() (any, int64, error) {
-		res, err := d.Schema.ServeQuery(src.s.ctx, d.Dir, meta,
-			src.s.fetcher(d, meta, gen, src.s.ctx), w,
+	got, err := src.s.cache.GetOrLoad(key, func() (any, int64, error) {
+		res, err := d.Schema.ServeQuery(src.s.ctx, d.Dir, v.meta,
+			src.s.fetcher(d, v, src.s.ctx), w,
 			stdata.QueryOptions{Records: true, Limit: limit, PerPartition: true})
 		if err != nil {
 			return nil, 0, err
 		}
-		sn := subSnapshot{parts: res.Parts, gen: meta.Generation, nextSeq: meta.NextSeq}
+		sn := subSnapshot{parts: res.Parts, gen: v.meta.Generation, nextSeq: v.meta.NextSeq}
 		return sn, snapshotBytes(sn.parts), nil
 	})
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	sn := v.(subSnapshot)
+	sn := got.(subSnapshot)
 	return sn.parts, sn.gen, sn.nextSeq, nil
 }
 
@@ -102,13 +102,13 @@ func snapshotBytes(parts []stdata.PartResult) int64 {
 func (s *Server) Hub() *subscribe.Hub { return s.hub }
 
 // attachSubscriptions wires a registered dataset into the online path: the
-// hub learns the dataset, and the storage commit hook pokes the hub
-// synchronously on every in-process append or compaction.
+// hub learns the dataset, and the storage commit hook hands the hub every
+// in-process append or compaction synchronously, event and all.
 func (s *Server) attachSubscriptions(d *Dataset) {
 	s.hub.Attach(d.Name, subSource{s: s, d: d})
 	name := d.Name
-	cancel := storage.OnCommit(d.Dir, func(storage.CommitEvent) error {
-		return s.hub.Poke(name)
+	cancel := storage.OnCommit(d.Dir, func(ev storage.CommitEvent) error {
+		return s.hub.Notify(name, ev)
 	})
 	s.hookMu.Lock()
 	s.hookCancels = append(s.hookCancels, cancel)

@@ -214,7 +214,7 @@ func (s schema[T]) approxPartition(
 		if dm.Count == 0 || !dm.Box().Intersects(wb) {
 			continue // manifest bounds prove no record can match
 		}
-		recs, err := storage.ReadDelta(dir, meta.Compressed, dm, s.spec.Codec)
+		recs, _, err := storage.ReadDelta(dir, meta.Compressed, dm, s.spec.Codec)
 		if err != nil {
 			acc.EndPartition(nil)
 			return err

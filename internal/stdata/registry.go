@@ -83,8 +83,8 @@ type PartResult struct {
 	Records  []json.RawMessage `json:"records,omitempty"`
 }
 
-// Partition is a decoded partition pinned in memory together with its 3-d
-// R-tree — the unit the serving daemon's cache holds.
+// Partition is a decoded partition file pinned in memory together with its
+// index — the unit the serving daemon's cache holds.
 type Partition interface {
 	// Len is the record count.
 	Len() int
@@ -134,15 +134,31 @@ type Schema interface {
 	// Compact runs one compaction pass over the dataset at dir, folding
 	// delta files back into rewritten base partitions.
 	Compact(dir string, opts storage.CompactOptions) (storage.CompactStats, error)
-	// LoadPartition reads and decodes partition id of the dataset at dir,
-	// returning a pinned handle with an R-tree over its records plus the
-	// storage layer's block-granularity read accounting.
+	// LoadPartition reads and decodes partition id of the dataset at dir as
+	// its live view — LiveView over LoadBase and a LoadDelta per attached
+	// delta, uncached — plus the storage layer's block-granularity read
+	// accounting summed over every file it read.
 	LoadPartition(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error)
+	// LoadBase reads and decodes partition id's base file alone, pinned
+	// with an R-tree over its records. Base files are immutable, so
+	// the serving cache keys the handle by file name and appends never
+	// evict it.
+	LoadBase(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error)
+	// LoadDelta decodes one committed delta file, pinned with its records'
+	// boxes (one append's share of a partition: a linear scan is its index).
+	LoadDelta(dir string, meta *storage.Metadata, dm storage.DeltaMeta) (Partition, storage.ReadStats, error)
+	// LiveView composes a handle from LoadBase and that partition's deltas
+	// from LoadDelta, in manifest order, into the live partition ServeQuery
+	// searches: base hits in ascending record order, then each delta's hits
+	// in file order — exactly ReadPartitionPruned's merge order. It copies
+	// no records; with no deltas the base itself is the view.
+	LiveView(base Partition, deltas []Partition) (Partition, error)
 	// ServeQuery is the daemon's selection path: partitions surviving the
 	// metadata prune are fetched through fetch — the serving cache's
-	// get-or-load hook, whose misses call LoadPartition — and searched via
-	// their pinned R-trees, one engine task per partition on the shared
-	// context. A nil fetch loads every partition from disk.
+	// get-or-load hook, which returns a LiveView over cached segments — and
+	// searched through the base R-tree and the delta boxes, one engine task
+	// per partition on the shared context. A nil fetch loads every
+	// partition from disk with LoadPartition.
 	ServeQuery(ctx *engine.Context, dir string, meta *storage.Metadata,
 		fetch func(id int) (Partition, error), w selection.Window,
 		opts QueryOptions) (QueryResult, error)
@@ -248,22 +264,19 @@ func (s schema[T]) Append(recs any, dir, batchID string) (int64, error) {
 func (s schema[T]) ReadDelta(
 	dir string, meta *storage.Metadata, dm storage.DeltaMeta,
 ) ([]index.Box, []json.RawMessage, error) {
-	compressed := meta != nil && meta.Compressed
-	recs, err := storage.ReadDelta(dir, compressed, dm, s.spec.Codec)
+	d, _, err := s.loadDelta(dir, meta, dm)
 	if err != nil {
 		return nil, nil, err
 	}
-	boxes := make([]index.Box, len(recs))
-	raw := make([]json.RawMessage, len(recs))
-	for i, rec := range recs {
-		boxes[i] = s.spec.BoxOf(rec)
+	raw := make([]json.RawMessage, len(d.recs))
+	for i, rec := range d.recs {
 		b, err := json.Marshal(rec)
 		if err != nil {
 			return nil, nil, fmt.Errorf("stdata: schema %s: marshal record: %w", s.spec.Name, err)
 		}
 		raw[i] = b
 	}
-	return boxes, raw, nil
+	return d.boxes, raw, nil
 }
 
 func (s schema[T]) SelectPoints(
@@ -293,9 +306,9 @@ func (s schema[T]) ReadCSV(r io.Reader) (any, error) {
 	return s.spec.CSV(r)
 }
 
-// partData is the pinned form of one decoded partition: its records plus a
-// bulk-loaded R-tree over record indexes (record order is preserved by
-// searches, so served results match a direct linear selection).
+// partData is the pinned form of one decoded base file: its records in
+// file order plus a bulk-loaded R-tree over record indexes (searches return
+// hits in record order, so served results match a direct linear selection).
 type partData[T any] struct {
 	recs  []T
 	tree  *index.RTree[int]
@@ -305,37 +318,116 @@ type partData[T any] struct {
 func (p *partData[T]) Len() int         { return len(p.recs) }
 func (p *partData[T]) SizeBytes() int64 { return p.bytes }
 
-// search returns the indexes of records intersecting w, ascending.
-func (p *partData[T]) search(w selection.Window) []int {
+func (p *partData[T]) appendMatches(q index.Box, out []T) []T {
 	hit := make([]bool, len(p.recs))
-	n := 0
-	p.tree.SearchFunc(w.Box(), func(i int, _ index.Box) bool {
-		if !hit[i] {
-			hit[i] = true
-			n++
-		}
+	p.tree.SearchFunc(q, func(i int, _ index.Box) bool {
+		hit[i] = true
 		return true
 	})
-	out := make([]int, 0, n)
 	for i, h := range hit {
 		if h {
-			out = append(out, i)
+			out = append(out, p.recs[i])
 		}
 	}
 	return out
 }
 
+// deltaData is the pinned form of one decoded delta file: its records in
+// file order and their boxes, scanned linearly with the R-tree's own
+// intersection test.
+type deltaData[T any] struct {
+	recs  []T
+	boxes []index.Box
+	bytes int64
+}
+
+func (d *deltaData[T]) Len() int         { return len(d.recs) }
+func (d *deltaData[T]) SizeBytes() int64 { return d.bytes }
+
+// liveData is a partition's live view: a pinned base followed by its pinned
+// deltas in manifest order. It shares, never copies, their records.
+type liveData[T any] struct {
+	base   *partData[T]
+	deltas []*deltaData[T]
+}
+
+func (v *liveData[T]) Len() int {
+	n := v.base.Len()
+	for _, d := range v.deltas {
+		n += d.Len()
+	}
+	return n
+}
+
+func (v *liveData[T]) SizeBytes() int64 {
+	n := v.base.SizeBytes()
+	for _, d := range v.deltas {
+		n += d.SizeBytes()
+	}
+	return n
+}
+
+func (v *liveData[T]) appendMatches(q index.Box, out []T) []T {
+	out = v.base.appendMatches(q, out)
+	for _, d := range v.deltas {
+		for i, b := range d.boxes {
+			if b.Intersects(q) {
+				out = append(out, d.recs[i])
+			}
+		}
+	}
+	return out
+}
+
+// matcher is the searchable form of a fetched partition: a base alone or a
+// live view over it.
+type matcher[T any] interface {
+	Partition
+	// appendMatches appends the records intersecting q to out in the
+	// merge-on-read order.
+	appendMatches(q index.Box, out []T) []T
+}
+
 // pinOverheadBytes approximates the per-record cost of the pinned slice and
-// R-tree beyond the encoded payload.
+// its index (an R-tree entry, or a delta box) beyond the encoded payload.
 const pinOverheadBytes = 64
 
 func (s schema[T]) LoadPartition(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error) {
-	// The pinned handle serves arbitrary later windows, so the whole
-	// partition is decoded (nil windows — no block pruning); the stats still
-	// report the block and byte volume the load cost.
-	recs, rst, err := storage.ReadPartitionPruned(dir, meta, id, s.spec.Codec, nil)
+	base, st, err := s.loadBase(dir, meta, id)
 	if err != nil {
-		return nil, rst, err
+		return nil, st, err
+	}
+	deltas := meta.Deltas(id)
+	if len(deltas) == 0 {
+		return base, st, nil
+	}
+	v := &liveData[T]{base: base, deltas: make([]*deltaData[T], len(deltas))}
+	for i, dm := range deltas {
+		d, dst, err := s.loadDelta(dir, meta, dm)
+		if err != nil {
+			return nil, st, err
+		}
+		st.Add(dst)
+		v.deltas[i] = d
+	}
+	return v, st, nil
+}
+
+func (s schema[T]) LoadBase(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error) {
+	p, st, err := s.loadBase(dir, meta, id)
+	if err != nil {
+		return nil, st, err
+	}
+	return p, st, nil
+}
+
+func (s schema[T]) loadBase(dir string, meta *storage.Metadata, id int) (*partData[T], storage.ReadStats, error) {
+	// The pinned handle serves arbitrary later windows, so the whole file is
+	// decoded (nil windows — no block pruning); the stats still report the
+	// block and byte volume the load cost.
+	recs, st, err := storage.ReadBase(dir, meta, id, s.spec.Codec, nil)
+	if err != nil {
+		return nil, st, err
 	}
 	items := make([]index.Item[int], len(recs))
 	for i, rec := range recs {
@@ -344,8 +436,50 @@ func (s schema[T]) LoadPartition(dir string, meta *storage.Metadata, id int) (Pa
 	return &partData[T]{
 		recs:  recs,
 		tree:  index.BulkLoadSTR(items, 16),
-		bytes: meta.PartitionBytes(id) + int64(len(recs))*pinOverheadBytes,
-	}, rst, nil
+		bytes: meta.Partitions[id].Bytes + int64(len(recs))*pinOverheadBytes,
+	}, st, nil
+}
+
+func (s schema[T]) LoadDelta(dir string, meta *storage.Metadata, dm storage.DeltaMeta) (Partition, storage.ReadStats, error) {
+	d, st, err := s.loadDelta(dir, meta, dm)
+	if err != nil {
+		return nil, st, err
+	}
+	return d, st, nil
+}
+
+func (s schema[T]) loadDelta(dir string, meta *storage.Metadata, dm storage.DeltaMeta) (*deltaData[T], storage.ReadStats, error) {
+	compressed := meta != nil && meta.Compressed
+	recs, st, err := storage.ReadDelta(dir, compressed, dm, s.spec.Codec)
+	if err != nil {
+		return nil, st, err
+	}
+	boxes := make([]index.Box, len(recs))
+	for i, rec := range recs {
+		boxes[i] = s.spec.BoxOf(rec)
+	}
+	return &deltaData[T]{
+		recs:  recs,
+		boxes: boxes,
+		bytes: dm.Bytes + int64(len(recs))*pinOverheadBytes,
+	}, st, nil
+}
+
+func (s schema[T]) LiveView(base Partition, deltas []Partition) (Partition, error) {
+	b, ok := base.(*partData[T])
+	if !ok {
+		return nil, fmt.Errorf("stdata: schema %s: live view over a %T base", s.spec.Name, base)
+	}
+	if len(deltas) == 0 {
+		return b, nil
+	}
+	v := &liveData[T]{base: b, deltas: make([]*deltaData[T], len(deltas))}
+	for i, p := range deltas {
+		if v.deltas[i], ok = p.(*deltaData[T]); !ok {
+			return nil, fmt.Errorf("stdata: schema %s: live view over a %T delta", s.spec.Name, p)
+		}
+	}
+	return v, nil
 }
 
 func (s schema[T]) ServeQuery(
@@ -403,9 +537,10 @@ func (s schema[T]) ServeQuery(
 	}
 
 	// One engine task per surviving partition: fetch the pinned handle and
-	// search its R-tree. Fetch failures surface as task errors through the
-	// engine's retry machinery. The stage is traced under the select span.
+	// search it. Fetch failures surface as task errors through the engine's
+	// retry machinery. The stage is traced under the select span.
 	sctx := ctx.WithSpan(sp)
+	q := w.Box()
 	matched := make([][]T, len(ids))
 	err := engine.Try(func() {
 		rdd := engine.Generate(sctx, "serve:"+meta.Name, len(ids), func(p int) []T {
@@ -413,15 +548,11 @@ func (s schema[T]) ServeQuery(
 			if err != nil {
 				panic(err)
 			}
-			pd, ok := part.(*partData[T])
+			m, ok := part.(matcher[T])
 			if !ok {
 				panic(fmt.Sprintf("stdata: schema %s: cached partition has type %T", s.spec.Name, part))
 			}
-			out := make([]T, 0, 16)
-			for _, i := range pd.search(w) {
-				out = append(out, pd.recs[i])
-			}
-			return out
+			return m.appendMatches(q, make([]T, 0, 16))
 		})
 		rdd.ForeachPartition(func(p int, in []T) { matched[p] = in })
 	})

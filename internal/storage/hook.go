@@ -8,11 +8,12 @@ import (
 
 // Commit hooks are the bridge from the delta layer's commit point to the
 // online subscription path: the subscribe notifier registers one per served
-// dataset directory and gets poked synchronously after every manifest swap,
-// so in-process ingest (stingest, stserved -demo, the benches) pushes
-// updates without polling. Cross-process commits are still picked up by the
-// notifier's manifest poll — hooks are an optimization plus an error
-// surface, not the only delivery channel.
+// dataset directory and is handed every manifest swap synchronously, so
+// in-process ingest (stingest, stserved -demo, the benches) pushes the
+// batch it just wrote without polling or re-reading the manifest.
+// Cross-process commits are still picked up by the notifier's manifest
+// poll — hooks are an optimization plus an error surface, not the only
+// delivery channel.
 
 // CommitKind distinguishes the two operations that swap the manifest.
 type CommitKind int
@@ -82,10 +83,14 @@ type commitHook struct {
 // a cancel func that unregisters it. Hooks run after the directory's
 // writer lock is released, so a hook may read the dataset — and may even
 // observe a manifest newer than the event's generation if another writer
-// committed in between; consumers should treat the event as "something
-// committed" and re-read the manifest for truth. Hooks must be brief; a
-// hook error aborts later hooks and is returned to the committing writer
-// wrapped in *HookError.
+// committed in between, or receive two events out of generation order.
+// An append event's Deltas are authoritative for its generation: a
+// consumer whose cursor sits at Generation-1, and whose next sequence
+// number is the first delta's Seq, has seen everything before this commit
+// and can apply ev.Deltas without reading the manifest. Any other event —
+// a compaction, or a generation gap — means "something committed" and the
+// manifest is the truth. Hooks must be brief; a hook error aborts later
+// hooks and is returned to the committing writer wrapped in *HookError.
 func OnCommit(dir string, fn func(CommitEvent) error) (cancel func()) {
 	h := &commitHook{fn: fn}
 	key := filepath.Clean(dir)

@@ -588,14 +588,19 @@ type ReadStats struct {
 	DeltaRecords int64
 }
 
-// add folds another read's accounting into s (base + delta segments).
-func (s *ReadStats) add(o ReadStats) {
+// Add folds another read's accounting into s — how a partition's live view
+// sums its base read and its delta reads.
+func (s *ReadStats) Add(o ReadStats) {
 	s.Blocks += o.Blocks
 	s.BlocksScanned += o.BlocksScanned
 	s.BlocksPruned += o.BlocksPruned
 	s.BytesRead += o.BytesRead
 	s.RawBytes += o.RawBytes
 	s.RecordsPruned += o.RecordsPruned
+	s.DeltaFiles += o.DeltaFiles
+	s.DeltasRead += o.DeltasRead
+	s.DeltasPruned += o.DeltasPruned
+	s.DeltaRecords += o.DeltaRecords
 }
 
 // ReadPartition decodes one partition file in full. Framed datasets verify
@@ -621,6 +626,33 @@ func ReadPartition[T any](dir string, meta *Metadata, i int, c codec.Codec[T]) (
 func ReadPartitionPruned[T any](
 	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box,
 ) ([]T, ReadStats, error) {
+	out, st, err := ReadBase(dir, meta, i, c, windows)
+	if err != nil {
+		return nil, ReadStats{}, err
+	}
+	for _, dm := range meta.Deltas(i) {
+		if windows != nil && !boxIntersectsAny(dm.Box(), windows) {
+			st.DeltaFiles++
+			st.DeltasPruned++
+			continue
+		}
+		drecs, dst, err := readDelta(dir, meta.Compressed, dm, c, windows)
+		if err != nil {
+			return nil, ReadStats{}, err
+		}
+		st.Add(dst)
+		out = append(out, drecs...)
+	}
+	return out, st, nil
+}
+
+// ReadBase decodes partition i's base file alone, without the delta files
+// the manifest attaches to it — the immutable half of the live view, which
+// the serving cache pins under the file's name so appends never evict it.
+// windows prune blocks exactly as in ReadPartitionPruned.
+func ReadBase[T any](
+	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box,
+) ([]T, ReadStats, error) {
 	if i < 0 || i >= len(meta.Partitions) {
 		return nil, ReadStats{}, fmt.Errorf(
 			"storage: partition %d out of range [0,%d)", i, len(meta.Partitions))
@@ -630,7 +662,7 @@ func ReadPartitionPruned[T any](
 	if pm.Format != 0 {
 		version = pm.Format
 	}
-	out, st, err := readWithRetry(pm.File, func() ([]T, ReadStats, error) {
+	return readWithRetry(pm.File, func() ([]T, ReadStats, error) {
 		switch {
 		case version >= 3:
 			return readPartitionV3Once[T](dir, pm, c, windows, nil)
@@ -640,59 +672,41 @@ func ReadPartitionPruned[T any](
 			return readPartitionOnce[T](dir, meta, pm, c)
 		}
 	})
-	if err != nil {
-		return nil, ReadStats{}, err
-	}
-	deltas := meta.Deltas(i)
-	st.DeltaFiles = len(deltas)
-	for _, dm := range deltas {
-		if windows != nil && !boxIntersectsAny(dm.Box(), windows) {
-			st.DeltasPruned++
-			continue
-		}
-		dpm := dm.PartitionMeta
-		// Delta files carry their own format: v2 from manifests committed
-		// before the columnar layout existed (absent Format means v2 —
-		// deltas were always block-layout), v3 afterwards.
-		dver := dpm.Format
-		if dver == 0 {
-			dver = 2
-		}
-		drecs, dst, err := readWithRetry(dpm.File, func() ([]T, ReadStats, error) {
-			if dver >= 3 {
-				return readPartitionV3Once[T](dir, dpm, c, windows, nil)
-			}
-			return readPartitionV2Once[T](dir, meta.Compressed, dpm, c, windows, nil)
-		})
-		if err != nil {
-			return nil, ReadStats{}, err
-		}
-		st.DeltasRead++
-		st.DeltaRecords += int64(len(drecs))
-		st.add(dst)
-		out = append(out, drecs...)
-	}
-	return out, st, nil
 }
 
 // ReadDelta decodes one committed delta file in full, in file order — the
-// unit the subscription notifier routes through its window index and
-// pushes to matching subscribers. It dispatches on the delta's recorded
-// format exactly like the merge-on-read path, so a pushed record is byte-
-// identical to the same record surfaced by a batch query.
-func ReadDelta[T any](dir string, compressed bool, dm DeltaMeta, c codec.Codec[T]) ([]T, error) {
+// unit the subscription notifier routes through its window index and the
+// serving cache pins under the file's name. It dispatches on the delta's
+// recorded format exactly like the merge-on-read path, so a pushed record
+// is byte-identical to the same record surfaced by a batch query. The
+// stats count the file as one delta read.
+func ReadDelta[T any](dir string, compressed bool, dm DeltaMeta, c codec.Codec[T]) ([]T, ReadStats, error) {
+	return readDelta(dir, compressed, dm, c, nil)
+}
+
+// readDelta decodes one delta file, pruning blocks against windows.
+func readDelta[T any](
+	dir string, compressed bool, dm DeltaMeta, c codec.Codec[T], windows []index.Box,
+) ([]T, ReadStats, error) {
 	dpm := dm.PartitionMeta
+	// Delta files carry their own format: v2 from manifests committed
+	// before the columnar layout existed (absent Format means v2 — deltas
+	// were always block-layout), v3 afterwards.
 	dver := dpm.Format
 	if dver == 0 {
-		dver = 2 // pre-columnar manifests: deltas were always block-layout
+		dver = 2
 	}
-	recs, _, err := readWithRetry(dpm.File, func() ([]T, ReadStats, error) {
+	recs, st, err := readWithRetry(dpm.File, func() ([]T, ReadStats, error) {
 		if dver >= 3 {
-			return readPartitionV3Once[T](dir, dpm, c, nil, nil)
+			return readPartitionV3Once[T](dir, dpm, c, windows, nil)
 		}
-		return readPartitionV2Once[T](dir, compressed, dpm, c, nil, nil)
+		return readPartitionV2Once[T](dir, compressed, dpm, c, windows, nil)
 	})
-	return recs, err
+	if err != nil {
+		return nil, ReadStats{}, err
+	}
+	st.DeltaFiles, st.DeltasRead, st.DeltaRecords = 1, 1, int64(len(recs))
+	return recs, st, nil
 }
 
 // boxIntersectsAny reports whether b intersects at least one window.

@@ -16,11 +16,13 @@ import (
 
 // Hub is the fan-out core: it owns, per attached dataset, the inverted
 // window index and the live subscriber set, and turns committed delta
-// batches into per-subscriber updates. Commits reach it two ways — a
-// synchronous poke from the storage layer's OnCommit hook for in-process
-// writers, and a manifest poll (StartPolling) that catches commits from
-// other processes — both funnel into one generation-diffing notifier, so
-// duplicated triggers are harmless.
+// batches into per-subscriber updates. Commits reach it two ways — the
+// storage layer's OnCommit event for in-process writers (Notify), and a
+// manifest poll (StartPolling) that catches commits from other processes
+// (Poke) — both funnel into one generation-tracking notifier, so
+// duplicated triggers are harmless. An append event that directly follows
+// the notifier's cursor is pushed from the event's own delta list; every
+// other trigger diffs the manifest.
 type Hub struct {
 	queue  int
 	tracer *trace.Tracer
@@ -136,7 +138,7 @@ func (h *Hub) Subscribe(name string, w selection.Window, opts Options) (*Subscri
 		pending:  true,
 	}
 	ds.notifyMu.Lock()
-	if err := h.processLocked(ds); err != nil {
+	if err := h.processLocked(ds, nil); err != nil {
 		ds.notifyMu.Unlock()
 		return nil, err
 	}
@@ -209,17 +211,29 @@ func (h *Hub) CloseAll() {
 }
 
 // Poke processes any commits to dataset name that the notifier has not
-// seen yet. It is the OnCommit hook target; an error means matching or
+// seen yet, found by diffing the dataset's manifest — the poll's trigger.
+func (h *Hub) Poke(name string) error {
+	return h.notify(name, nil)
+}
+
+// Notify processes one committed manifest swap of dataset name. It is the
+// OnCommit hook target: an append that directly follows the notifier's
+// cursor is pushed from ev.Deltas without reading the manifest; any other
+// event falls back to Poke's manifest diff. An error means matching or
 // delta reading failed and surfaces to the committing writer as a
 // *storage.HookError.
-func (h *Hub) Poke(name string) error {
+func (h *Hub) Notify(name string, ev storage.CommitEvent) error {
+	return h.notify(name, &ev)
+}
+
+func (h *Hub) notify(name string, ev *storage.CommitEvent) error {
 	ds := h.dataset(name)
 	if ds == nil {
 		return nil // dataset detached; the commit is nobody's business
 	}
 	ds.notifyMu.Lock()
 	defer ds.notifyMu.Unlock()
-	return h.processLocked(ds)
+	return h.processLocked(ds, ev)
 }
 
 // PokeAll polls every attached dataset once, returning the first error.
@@ -275,12 +289,24 @@ func (h *Hub) StopPolling() {
 	h.pollStop, h.pollDone = nil, nil
 }
 
-// processLocked advances the notifier cursor to the current manifest:
-// unseen deltas are matched and pushed in sequence order; a changed
+// processLocked advances the notifier cursor past every commit it has not
+// seen: unseen deltas are matched and pushed in sequence order; a changed
 // rewrite set (compaction) schedules a resync for every subscriber
 // instead, because rewritten base files may order records differently
-// than anything already delivered. Caller holds ds.notifyMu.
-func (h *Hub) processLocked(ds *hubDataset) error {
+// than anything already delivered. The unseen deltas come from ev when it
+// is an append directly on top of the cursor — exactly the deltas a
+// manifest diff would find, at O(the batch) — and from a diff of the
+// current manifest otherwise: no event (the poll), a compaction, a
+// generation or sequence gap, or first sight of the dataset. Caller holds
+// ds.notifyMu.
+func (h *Hub) processLocked(ds *hubDataset, ev *storage.CommitEvent) error {
+	if ds.inited && follows(ev, ds.lastGen, ds.nextSeq) {
+		if err := h.pushFresh(ds, ev.Generation, ev.Deltas); err != nil {
+			return err
+		}
+		ds.lastGen = ev.Generation
+		return nil
+	}
 	mf, err := ds.src.Manifest()
 	if err != nil {
 		return err
@@ -322,13 +348,38 @@ func (h *Hub) processLocked(ds *hubDataset) error {
 		h.resyncAll(ds)
 		return nil
 	}
+	if err := h.pushFresh(ds, mf.Generation, fresh); err != nil {
+		return err
+	}
+	advance()
+	return nil
+}
+
+// follows reports whether ev is an append committed directly on top of the
+// notifier cursor: generation lastGen+1, delta sequence numbers running
+// from nextSeq without a gap. Appends never touch the rewrite set, so such
+// an event's deltas are the whole difference between the two manifests.
+func follows(ev *storage.CommitEvent, lastGen, nextSeq int64) bool {
+	if ev == nil || ev.Kind != storage.CommitAppend || ev.Generation != lastGen+1 {
+		return false
+	}
+	for i, dm := range ev.Deltas {
+		if dm.Seq != nextSeq+int64(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// pushFresh pushes unseen deltas in sequence order, moving the cursor's
+// sequence past each one as it lands.
+func (h *Hub) pushFresh(ds *hubDataset, gen int64, fresh []storage.DeltaMeta) error {
 	for _, dm := range fresh {
-		if err := h.pushDelta(ds, mf.Generation, dm); err != nil {
+		if err := h.pushDelta(ds, gen, dm); err != nil {
 			return err
 		}
 		ds.nextSeq = dm.Seq + 1
 	}
-	advance()
 	return nil
 }
 

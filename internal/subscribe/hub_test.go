@@ -39,20 +39,22 @@ func (r fakeRec) raw() json.RawMessage {
 // the generation exactly like the delta layer, snapshots filter everything
 // committed so far.
 type fakeSource struct {
-	mu      sync.Mutex
-	mf      storage.Manifest
-	deltas  map[int64][]fakeRec
-	all     []fakeRec
-	snapErr error
-	snaps   int
+	mu        sync.Mutex
+	mf        storage.Manifest
+	deltas    map[int64][]fakeRec
+	all       []fakeRec
+	snapErr   error
+	snaps     int
+	manifests int // Manifest calls: the notifier's fallback diffs
 }
 
 func newFakeSource() *fakeSource {
 	return &fakeSource{deltas: map[int64][]fakeRec{}}
 }
 
-// commit appends one delta batch to partition part.
-func (f *fakeSource) commit(part int, recs ...fakeRec) {
+// commit appends one delta batch to partition part and returns the commit
+// event the storage layer would hand its OnCommit hooks.
+func (f *fakeSource) commit(part int, recs ...fakeRec) storage.CommitEvent {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	seq := f.mf.NextSeq
@@ -70,11 +72,13 @@ func (f *fakeSource) commit(part int, recs ...fakeRec) {
 	f.mf.Deltas = append(f.mf.Deltas, dm)
 	f.deltas[seq] = recs
 	f.all = append(f.all, recs...)
+	return storage.CommitEvent{Kind: storage.CommitAppend, Generation: f.mf.Generation,
+		Deltas: []storage.DeltaMeta{dm}}
 }
 
 // compact simulates a compaction commit: deltas fold away and the rewrite
 // set changes (generation-suffixed file names, like the real compactor).
-func (f *fakeSource) compact() {
+func (f *fakeSource) compact() storage.CommitEvent {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.mf.Generation++
@@ -83,6 +87,7 @@ func (f *fakeSource) compact() {
 	}
 	f.mf.Rewrites[0] = storage.PartitionMeta{File: fmt.Sprintf("part-00000-g%d.col", f.mf.Generation)}
 	f.mf.Deltas = nil
+	return storage.CommitEvent{Kind: storage.CommitCompact, Generation: f.mf.Generation}
 }
 
 // dropDelta removes one live delta without touching the rewrite set — the
@@ -103,6 +108,7 @@ func (f *fakeSource) dropDelta(seq int64) {
 func (f *fakeSource) Manifest() (*storage.Manifest, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.manifests++
 	mf := f.mf
 	mf.Deltas = append([]storage.DeltaMeta(nil), f.mf.Deltas...)
 	return &mf, nil

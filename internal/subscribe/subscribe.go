@@ -90,7 +90,9 @@ type Options struct {
 // Source is the hub's read-only view of one dataset, implemented by the
 // serving tier over its catalog and cache.
 type Source interface {
-	// Manifest returns the dataset's current delta manifest.
+	// Manifest returns the dataset's current delta manifest — read by the
+	// notifier only when a commit cannot be taken from its event (polls,
+	// gaps, compactions, first sight).
 	Manifest() (*storage.Manifest, error)
 	// ReadDelta decodes one committed delta file into record boxes and the
 	// records' JSON wire forms, in file order.

@@ -22,7 +22,8 @@ const (
 	// SpanPartitionRead is one storage partition decoded from disk.
 	SpanPartitionRead = "partition:read"
 	// SpanPartitionFetch is one partition consulted through the serving
-	// cache; SpanPartitionLoad is the subset that missed and hit the disk.
+	// cache; SpanPartitionLoad is the subset whose base file missed and hit
+	// the disk.
 	SpanPartitionFetch = "partition:fetch"
 	SpanPartitionLoad  = "partition:load"
 	// SpanResultLookup is the serving tier's result-cache probe.
@@ -35,6 +36,8 @@ const (
 	// SpanDeltaRead marks a partition read that unioned delta files into
 	// the base (merge-on-read): attrs carry how many delta files were read
 	// versus pruned by manifest bounds and the records they contributed.
+	// The serving cache reads delta files apart from the base, so its
+	// delta:read spans also carry the block attrs of those files.
 	SpanDeltaRead = "delta:read"
 	// SpanCompact is one partition rewrite by the background compactor.
 	SpanCompact = "compact:partition"
@@ -281,6 +284,7 @@ func Build(spans []SpanRecord) *Explain {
 		case s.Name == SpanRTreeBuild:
 			e.RTreeBuilds++
 		case s.Name == SpanDeltaRead:
+			e.addBlockAttrs(s)
 			if v, ok := s.Int("files"); ok {
 				e.DeltaFilesRead += v
 			}
