@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check check-nightly cover fuzz-smoke docs bench bench-diff serve
+.PHONY: build test race vet check check-nightly cover fuzz-smoke docs bench bench-diff paper serve
 
 # COVER_FLOOR is the minimum acceptable total statement coverage, in
 # percent. The suite currently sits well above this; the floor exists to
@@ -98,7 +98,7 @@ check:
 	$(GO) test -race -count=1 -run TestServedSmoke ./cmd/stserved
 	$(GO) test -race -count=1 -run TestIngestSmoke ./cmd/stingest
 	$(GO) test -race -count=1 -run TestClusterSmoke ./cmd/strouter
-	$(GO) test -race -count=1 -run TestApproxBytesSmoke ./internal/bench
+	$(GO) test -race -count=1 -run TestApproxBytesSmoke ./internal/stdata
 	$(GO) test -race -count=1 -run TestPointPatSmoke ./internal/pointpat
 	(cd benchmark && $(GO) test ./...)
 
@@ -121,6 +121,11 @@ bench:
 # first; it builds the binary this uses).
 bench-diff:
 	benchmark/out/stbenchmark -compare $(A) $(B)
+
+# paper regenerates every table and figure of the paper's evaluation at the
+# scale EXPERIMENTS.md reports (a few minutes).
+paper:
+	$(GO) run ./cmd/stbench -exp all -events 200000 -trajs 20000 -pois 100000 -windows 5
 
 # serve boots the feature-serving daemon on a generated demo dataset.
 serve:

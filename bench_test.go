@@ -213,7 +213,7 @@ func BenchmarkFig9_CaseStudy(b *testing.B) {
 }
 
 // BenchmarkAblations measures the isolated design choices of DESIGN.md:
-// shuffle idiom, selection indexing, compression, and R-tree build mode.
+// shuffle idiom, selection indexing, and R-tree build mode.
 func BenchmarkAblations(b *testing.B) {
 	env := sharedEnv(b)
 	b.Run("reduce-vs-group", func(b *testing.B) {

@@ -6,14 +6,12 @@
 // Usage:
 //
 //	stload -dataset nyc -n 500000 -out /data/nyc -gt 16 -gs 8
-//	stload -dataset porto -n 50000 -out /data/porto -compress
+//	stload -dataset porto -n 50000 -out /data/porto -block-records 256
 //	stload -dataset nyc -input events.csv -out /data/mine
 //	stload -dataset nyc -input more.csv -out /data/mine -append
-//	stload -dataset nyc -n 500000 -out /data/nyc2 -format v2 -compress
 //
-// -format selects the on-disk partition layout: v3 (default) lays blocks
-// out as delta-compressed column streams, v2 is the row-major gzip-able
-// block layout, v1 the legacy monolithic file.
+// Partitions are written in the current storage format (v3): blocks laid
+// out as delta-compressed column streams.
 //
 // -input ingests external CSV data in the standard schemas (see package
 // stdata): events as `id,lon,lat,time[,aux]`, trajectories as
@@ -23,7 +21,8 @@
 // delta layer instead of rebuilding it: small immutable delta files beside
 // the base partitions, committed by an atomic manifest swap, merged on
 // read and folded back in by compaction (see cmd/stingest for the
-// continuous form).
+// continuous form). It cannot be combined with -trace: an append runs
+// outside the engine, so there would be no spans to dump.
 package main
 
 import (
@@ -50,10 +49,7 @@ func main() {
 		gt        = flag.Int("gt", 16, "T-STR temporal granularity")
 		gs        = flag.Int("gs", 8, "T-STR spatial granularity")
 		seed      = flag.Int64("seed", 1, "generator seed")
-		compress  = flag.Bool("compress", false, "gzip partition data (per block on the v2 layout; ignored by v3)")
 		blockRecs = flag.Int("block-records", 0, "records per storage block (0 = format default; smaller blocks prune harder on narrow queries)")
-		v1        = flag.Bool("v1", false, "write the legacy v1 monolithic partition layout (shorthand for -format=v1)")
-		formatF   = flag.String("format", "", "storage format: v1|v2|v3 (default: current, v3 columnar)")
 		noCluster = flag.Bool("no-cluster", false, "skip the in-partition Z-order sort (blocks keep arrival order; pruning degrades)")
 		slots     = flag.Int("slots", 0, "executor slots (0 = GOMAXPROCS)")
 		traceFile = flag.String("trace", "", "write a Chrome trace-event dump of the ingest to this file")
@@ -71,29 +67,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "stload: unknown dataset %q\n", *dataset)
 		os.Exit(2)
 	}
+	if *appendTo && *traceFile != "" {
+		fmt.Fprintln(os.Stderr, "stload: -trace cannot be combined with -append (an append runs outside the engine)")
+		os.Exit(2)
+	}
 	var tr *trace.Tracer
 	if *traceFile != "" {
 		tr = trace.New()
 	}
 	ctx := engine.New(engine.Config{Slots: *slots, Tracer: tr})
 	opts := selection.IngestOptions{
-		Name: *dataset, Compress: *compress, SampleFrac: 0.02, Seed: *seed,
+		Name: *dataset, SampleFrac: 0.02, Seed: *seed,
 		BlockRecords: *blockRecs, NoCluster: *noCluster,
-	}
-	if *v1 {
-		opts.Version = 1
-	}
-	switch *formatF {
-	case "":
-	case "v1":
-		opts.Version = 1
-	case "v2":
-		opts.Version = 2
-	case "v3":
-		opts.Version = 3
-	default:
-		fmt.Fprintf(os.Stderr, "stload: unknown -format %q (want v1, v2 or v3)\n", *formatF)
-		os.Exit(2)
 	}
 	var (
 		recs any
@@ -134,12 +119,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stload:", err)
 		os.Exit(1)
 	}
-	format := "v1"
-	if meta.Version >= 2 {
-		format = fmt.Sprintf("v%d, %d records/block", meta.Version, meta.BlockRecords)
-	}
-	fmt.Printf("stload: wrote %d records in %d partitions to %s (%s)\n",
-		meta.TotalCount, meta.NumPartitions(), *out, format)
+	fmt.Printf("stload: wrote %d records in %d partitions to %s (v%d, %d records/block)\n",
+		meta.TotalCount, meta.NumPartitions(), *out, meta.Version, meta.BlockRecords)
 	if *summaries {
 		buildSummaries(sch, *out)
 	}

@@ -10,7 +10,6 @@ import (
 	"st4ml/internal/index"
 	"st4ml/internal/selection"
 	"st4ml/internal/stdata"
-	"st4ml/internal/storage"
 )
 
 // Ablation experiments isolating individual design choices (DESIGN.md's
@@ -66,42 +65,6 @@ func AblationSelectorIndex(env *Env, numWindows int) (indexedMs, scanMs float64)
 	return run(true), run(false)
 }
 
-// AblationCompression compares reading a dataset stored plain against
-// gzip-compressed, returning times and on-disk bytes.
-func AblationCompression(env *Env, dir string) (plainMs, gzipMs float64, plainBytes, gzipBytes int64) {
-	recs := env.Events
-	r := engine.Parallelize(env.Ctx, recs, 0)
-	plainDir, gzipDir := dir+"/abl-plain", dir+"/abl-gzip"
-	// Pinned to v2: the gzip-vs-plain ablation is about the v2 layout's
-	// Compress flag; v3 never gzips.
-	mp, err := selection.IngestUnpartitioned(r, plainDir, stdata.EventRecC, stdata.EventRec.Box,
-		selection.IngestOptions{Name: "plain", Version: 2})
-	if err != nil {
-		panic(err)
-	}
-	mg, err := selection.IngestUnpartitioned(r, gzipDir, stdata.EventRecC, stdata.EventRec.Box,
-		selection.IngestOptions{Name: "gzip", Version: 2, Compress: true})
-	if err != nil {
-		panic(err)
-	}
-	for _, p := range mp.Partitions {
-		plainBytes += p.Bytes
-	}
-	for _, p := range mg.Partitions {
-		gzipBytes += p.Bytes
-	}
-	readAll := func(d string, meta *storage.Metadata) float64 {
-		t0 := time.Now()
-		for i := 0; i < meta.NumPartitions(); i++ {
-			if _, err := storage.ReadPartition(d, meta, i, stdata.EventRecC); err != nil {
-				panic(err)
-			}
-		}
-		return msSince(t0)
-	}
-	return readAll(plainDir, mp), readAll(gzipDir, mg), plainBytes, gzipBytes
-}
-
 // AblationRTreeBuild compares STR bulk loading against one-by-one Guttman
 // insertion for the throwaway per-partition selection indexes.
 func AblationRTreeBuild(n int) (bulkMs, insertMs float64) {
@@ -124,7 +87,7 @@ func AblationRTreeBuild(n int) (bulkMs, insertMs float64) {
 }
 
 // AblationTable formats ablation results.
-func AblationTable(env *Env, workDir string) *Table {
+func AblationTable(env *Env) *Table {
 	t := NewTable("Ablations: individual design choices",
 		"choice", "optimized_ms", "baseline_ms", "ratio", "note")
 	rMs, gMs, rShuf, gShuf := AblationShuffle(env.Ctx, 200_000, 64)
@@ -132,8 +95,6 @@ func AblationTable(env *Env, workDir string) *Table {
 		formatShuffle(rShuf, gShuf))
 	iMs, sMs := AblationSelectorIndex(env, 10)
 	t.Add("per-partition R-tree vs scan", iMs, sMs, ratio(sMs, iMs), "10 windows/load")
-	pMs, zMs, pB, zB := AblationCompression(env, workDir)
-	t.Add("plain vs gzip read", pMs, zMs, ratio(zMs, pMs), formatBytes(pB, zB))
 	bMs, insMs := AblationRTreeBuild(50_000)
 	t.Add("STR bulk vs insert build", bMs, insMs, ratio(insMs, bMs), "50k boxes")
 	return t
@@ -141,8 +102,4 @@ func AblationTable(env *Env, workDir string) *Table {
 
 func formatShuffle(r, g int64) string {
 	return fmt.Sprintf("shuffled %d vs %d records", r, g)
-}
-
-func formatBytes(p, z int64) string {
-	return fmt.Sprintf("%d vs %d bytes", p, z)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -46,19 +45,6 @@ func EngineCountersTable(s engine.Snapshot) *Table {
 		float64(s.ShuffleBytes)/(1<<20), s.TaskTime,
 		s.TaskRetries, s.SpeculativeLaunched, s.SpeculativeWins, s.CorruptRereads)
 	return t
-}
-
-// WriteJSONRow writes row as a single-line JSON object tagged with the
-// experiment name — the machine-readable twin of the text tables, so
-// successive runs can be appended to a .jsonl file and the perf trajectory
-// tracked across commits.
-func WriteJSONRow(w io.Writer, exp string, row any) error {
-	b, err := json.Marshal(row)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "{\"exp\":%q,\"data\":%s}\n", exp, b)
-	return err
 }
 
 // Fprint writes the table with aligned columns.

@@ -12,21 +12,16 @@ import (
 type IngestOptions struct {
 	// Name labels the dataset metadata.
 	Name string
-	// Compress gzips partition data (per block on v2 layouts).
-	Compress bool
 	// SampleFrac is the partition-planning sample fraction (0 = 1%).
 	SampleFrac float64
 	// Seed fixes sampling randomness.
 	Seed int64
 	// Duplicate stores records in every partition they overlap.
 	Duplicate bool
-	// BlockRecords is the records-per-block target of the v2 file layout
-	// (0 = storage.DefaultBlockRecords). Smaller blocks prune harder on
+	// BlockRecords is the records-per-block target of the file layout
+	// (0 = storage.DefaultBlockRecordsV3). Smaller blocks prune harder on
 	// narrow queries but cost more framing overhead.
 	BlockRecords int
-	// Version pins the storage format (0 = latest). Version 1 writes the
-	// legacy monolithic layout for compatibility experiments.
-	Version int
 	// NoCluster skips the in-partition Z-order sort. Blocks then inherit
 	// arrival order and their ST bounds overlap heavily, so intra-partition
 	// pruning degrades to whole-partition reads.
@@ -34,15 +29,10 @@ type IngestOptions struct {
 }
 
 func (o IngestOptions) writeOptions() storage.WriteOptions {
-	return storage.WriteOptions{
-		Name:         o.Name,
-		Compress:     o.Compress,
-		BlockRecords: o.BlockRecords,
-		Version:      o.Version,
-	}
+	return storage.WriteOptions{Name: o.Name, BlockRecords: o.BlockRecords}
 }
 
-// clusterPartitions Z-orders each partition's records so the v2 block
+// clusterPartitions Z-orders each partition's records so the block
 // layout's record ranges cover small, mostly disjoint ST boxes. The sort
 // itself lives in storage.ZCluster, shared with the delta layer's appends
 // and compactions so all three write paths produce equivalently clustered

@@ -69,17 +69,18 @@ func plannerLayout(name string, p partition.Planner, mod func(*IngestOptions)) m
 // metaLayouts covers ST-aware partitioners at two granularities, a purely
 // spatial partitioner, the ST-oblivious hash layout a plain pipeline would
 // produce (partition bounds then come solely from storage.Write's
-// per-partition record-box union), and storage-format variants: tiny and
-// single-record blocks, compressed blocks, unclustered blocks (worst-case
-// footer bounds), and the legacy v1 monolithic layout.
+// per-partition record-box union), and block-layout variants: tiny and
+// single-record blocks and unclustered blocks (worst-case footer bounds).
+// Every layout is the columnar v3 format, run through evC's Columnar
+// schema, so the per-record predicate is active across the whole suite;
+// the v1/v2 read paths are swept by the storage package's format suite.
 func metaLayouts() []metaLayout {
 	return []metaLayout{
 		plannerLayout("tstr4x4", partition.TSTR{GT: 4, GS: 4}, nil),
 		plannerLayout("tstr2x8", partition.TSTR{GT: 2, GS: 8}, nil),
 		plannerLayout("str2d9", partition.STR2D{N: 9}, nil),
-		plannerLayout("tstr4x4-b16gz", partition.TSTR{GT: 4, GS: 4}, func(o *IngestOptions) {
+		plannerLayout("tstr4x4-b16", partition.TSTR{GT: 4, GS: 4}, func(o *IngestOptions) {
 			o.BlockRecords = 16
-			o.Compress = true
 		}),
 		plannerLayout("str2d9-b1", partition.STR2D{N: 9}, func(o *IngestOptions) {
 			o.BlockRecords = 1
@@ -87,23 +88,6 @@ func metaLayouts() []metaLayout {
 		plannerLayout("tstr4x4-nocluster", partition.TSTR{GT: 4, GS: 4}, func(o *IngestOptions) {
 			o.BlockRecords = 32
 			o.NoCluster = true
-		}),
-		plannerLayout("tstr4x4-v1", partition.TSTR{GT: 4, GS: 4}, func(o *IngestOptions) {
-			o.Version = 1
-			o.Compress = true
-		}),
-		// Explicit format pins: the row-major v2 layout and the columnar v3
-		// layout at single-record block granularity. (Unpinned layouts above
-		// already run v3 — the default — through evC's Columnar schema, so
-		// the per-record predicate is active across the whole suite.)
-		plannerLayout("tstr4x4-v2gz", partition.TSTR{GT: 4, GS: 4}, func(o *IngestOptions) {
-			o.Version = 2
-			o.Compress = true
-			o.BlockRecords = 32
-		}),
-		plannerLayout("str2d9-v3b1", partition.STR2D{N: 9}, func(o *IngestOptions) {
-			o.Version = 3
-			o.BlockRecords = 1
 		}),
 		{name: "hash6", ingest: func(t *testing.T, ctx *engine.Context, dir string, data []ev, seed int64) {
 			t.Helper()
@@ -164,12 +148,11 @@ func metamorphicWindows(rng *rand.Rand, data []ev, kind int) []Window {
 	}
 }
 
-// TestMetamorphicPrunedEqualsFull is the suite entry point: 10 layouts
-// (spanning v1, v2, and v3 columnar formats) x 2 index modes x 8 seeded
-// window sets = 160 combos, each asserting the byte-for-byte multiset
-// identity SelectPruned(w) == Select(w), plus the structural invariants
-// pruning promises (never loads more than the full scan; empty window
-// sets load nothing).
+// TestMetamorphicPrunedEqualsFull is the suite entry point: 7 layouts x 2
+// index modes x 8 seeded window sets = 112 combos, each asserting the
+// byte-for-byte multiset identity SelectPruned(w) == Select(w), plus the
+// structural invariants pruning promises (never loads more than the full
+// scan; empty window sets load nothing).
 func TestMetamorphicPrunedEqualsFull(t *testing.T) {
 	ctx := engine.New(engine.Config{Slots: 4})
 	combos := 0
@@ -237,8 +220,8 @@ func TestMetamorphicPrunedEqualsFull(t *testing.T) {
 			}
 		}
 	}
-	if combos < 128 {
-		t.Fatalf("metamorphic suite ran %d combos, want >= 128", combos)
+	if combos < 112 {
+		t.Fatalf("metamorphic suite ran %d combos, want >= 112", combos)
 	}
 	t.Logf("metamorphic suite: %d combos", combos)
 }

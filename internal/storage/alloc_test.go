@@ -58,7 +58,7 @@ func flatDataset(t testing.TB, dir string, c codec.Codec[flatRec], version int, 
 	for i := range part {
 		part[i] = flatRec{X: rng.Float64() * 100, Y: rng.Float64() * 100, T: int64(i)}
 	}
-	meta, err := Write(dir, c, [][]flatRec{part}, flatBox, WriteOptions{
+	meta, err := WriteLegacy(dir, c, [][]flatRec{part}, flatBox, LegacyOptions{
 		Name: "alloc", Version: version, Compress: compress, BlockRecords: blockRecords,
 	})
 	if err != nil {

@@ -47,15 +47,14 @@ const (
 )
 
 // FormatVersion is the version number written into new dataset metadata:
-// the columnar v3 layout of blockv3.go. v1 and v2 datasets stay readable
-// through their legacy paths.
+// the columnar v3 layout of blockv3.go, the only format Write produces.
+// v1 and v2 datasets stay readable through their legacy paths.
 const FormatVersion = 3
 
-// DefaultBlockRecords is the record count per block when WriteOptions
-// does not specify one, for v2 files. Small enough that a
-// city-block-sized query decompresses a few blocks, large enough that
-// framing overhead and the footer stay negligible. v3 files default to
-// the finer DefaultBlockRecordsV3.
+// DefaultBlockRecords was the v2 layout's records-per-block default. Appends
+// and compactions still use it on datasets whose metadata records no block
+// size (v1), so files they add keep the granularity those datasets always
+// had. New datasets default to the finer DefaultBlockRecordsV3.
 const DefaultBlockRecords = 4096
 
 // BlockMeta describes one block of a v2 partition file, as recorded in
@@ -134,9 +133,8 @@ func decodeFooter(payload []byte, blockRegionEnd int64) []BlockMeta {
 	return blocks
 }
 
-// Gzip codecs are pooled: Reset-able and expensive to construct (the
-// writer allocates its full deflate state, the reader its window).
-var gzWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+// Gzip readers are pooled: Reset-able and expensive to construct (each
+// allocates its window).
 var gzReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
 // gunzipInto decompresses src into a pooled buffer of exactly rawLen

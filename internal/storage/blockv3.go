@@ -83,11 +83,14 @@ func writePartitionV3[T any](
 	return writePartitionV3File(dir, partitionFileName(i), c, part, boxOf, blockRecords, false)
 }
 
-// writePartitionV3File is the v3 analogue of writePartitionV2File: the
-// shared writer behind base partitions, delta files, and compaction
-// rewrites. Codecs carrying a Columnar schema get native column streams;
-// any other codec gets the generic layout (one frame of row encodings per
-// block), so v3 never requires schema cooperation.
+// writePartitionV3File writes one partition file under an explicit name —
+// the shared writer behind base partitions, delta files, and compaction
+// rewrites. sync forces the file to stable storage before returning; the
+// delta layer requires it, because the manifest swap that makes a file
+// visible must never commit a file the disk does not yet hold. Codecs
+// carrying a Columnar schema get native column streams; any other codec
+// gets the generic layout (one frame of row encodings per block), so v3
+// never requires schema cooperation.
 func writePartitionV3File[T any](
 	dir, name string, c codec.Codec[T], part []T,
 	boxOf func(T) index.Box, blockRecords int, sync bool,

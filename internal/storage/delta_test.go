@@ -110,7 +110,7 @@ func TestCompactFoldsDeltas(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	parts := makeParts(rng, 2, 60)
 	dir := t.TempDir()
-	if _, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "c", BlockRecords: 16, Compress: true}); err != nil {
+	if _, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "c", BlockRecords: 16}); err != nil {
 		t.Fatal(err)
 	}
 	var combined []rec
@@ -194,7 +194,7 @@ func TestCompactV1Dataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	parts := makeParts(rng, 3, 50)
 	dir := t.TempDir()
-	if _, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "v1", Version: 1}); err != nil {
+	if _, err := WriteLegacy(dir, recC, parts, recBox, LegacyOptions{Name: "v1", Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var combined []rec
@@ -260,7 +260,7 @@ func TestMetamorphicDeltaEquivalence(t *testing.T) {
 
 				deltaDir := t.TempDir()
 				if _, err := Write(deltaDir, recC, parts, recBox, WriteOptions{
-					Name: lay.name, Compress: lay.compress, BlockRecords: bs,
+					Name: lay.name, BlockRecords: bs,
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -277,7 +277,7 @@ func TestMetamorphicDeltaEquivalence(t *testing.T) {
 				rebuildDir := t.TempDir()
 				rebuilt := [][]rec{combined}
 				if _, err := Write(rebuildDir, recC, rebuilt, recBox, WriteOptions{
-					Name: lay.name, Compress: lay.compress, BlockRecords: bs,
+					Name: lay.name, BlockRecords: bs,
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -327,7 +327,7 @@ func TestDeltaCrossFormatMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	parts := makeParts(rng, 3, 60)
 	dir := t.TempDir()
-	if _, err := Write(dir, recC, parts, recBox, WriteOptions{
+	if _, err := WriteLegacy(dir, recC, parts, recBox, LegacyOptions{
 		Name: "xfmt", Version: 2, Compress: true, BlockRecords: 16,
 	}); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func writeFuzzSeed(t testing.TB, version int, compress bool, blockRecords int) (
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(99))
 	parts := makeParts(rng, 1, 50)
-	meta, err := Write(dir, recC, parts, recBox, WriteOptions{
+	meta, err := WriteLegacy(dir, recC, parts, recBox, LegacyOptions{
 		Name: "fuzz", Version: version, Compress: compress, BlockRecords: blockRecords,
 	})
 	if err != nil {
@@ -187,7 +187,7 @@ func TestV3EveryByteFlipDetected(t *testing.T) {
 		dir := t.TempDir()
 		rng := rand.New(rand.NewSource(99))
 		parts := makeParts(rng, 1, 50)
-		meta, err := Write(dir, c, parts, recBox, WriteOptions{Name: "fuzz", Version: 3, BlockRecords: 8})
+		meta, err := Write(dir, c, parts, recBox, WriteOptions{Name: "fuzz", BlockRecords: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestV3SchemaMismatchErrors(t *testing.T) {
 	parts := makeParts(rng, 1, 30)
 
 	nativeDir := t.TempDir()
-	nm, err := Write(nativeDir, recC, parts, recBox, WriteOptions{Version: 3, BlockRecords: 8})
+	nm, err := Write(nativeDir, recC, parts, recBox, WriteOptions{BlockRecords: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestV3SchemaMismatchErrors(t *testing.T) {
 	}
 
 	genericDir := t.TempDir()
-	gm, err := Write(genericDir, recRowC, parts, recBox, WriteOptions{Version: 3, BlockRecords: 8})
+	gm, err := Write(genericDir, recRowC, parts, recBox, WriteOptions{BlockRecords: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,9 +56,9 @@ func TestGoldenV1DatasetStillReads(t *testing.T) {
 		}
 		// Version 1 pins the legacy monolithic layout — the whole point is
 		// that files written before the block format keep working.
-		_, err := storage.Write(goldenDir, stdata.EventRecC, parts,
+		_, err := storage.WriteLegacy(goldenDir, stdata.EventRecC, parts,
 			stdata.EventRec.Box,
-			storage.WriteOptions{Name: "v1-golden", Compress: true, Version: 1})
+			storage.LegacyOptions{Name: "v1-golden", Compress: true, Version: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,14 +104,16 @@ func TestGoldenV1DatasetStillReads(t *testing.T) {
 	}
 }
 
-// writeGolden (re)generates one golden dataset directory for -update.
-func writeGolden(t *testing.T, dir string, opts storage.WriteOptions) {
+// writeGolden (re)generates one golden dataset directory for -update. The
+// legacy generations come from the fixture writer; Version 3 goes through
+// storage.Write, so the v3 golden pins what the product writes.
+func writeGolden(t *testing.T, dir string, opts storage.LegacyOptions) {
 	t.Helper()
 	parts := goldenRecords()
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storage.Write(dir, stdata.EventRecC, parts, stdata.EventRec.Box, opts); err != nil {
+	if _, err := storage.WriteLegacy(dir, stdata.EventRecC, parts, stdata.EventRec.Box, opts); err != nil {
 		t.Fatal(err)
 	}
 	b, err := json.MarshalIndent(parts, "", " ")
@@ -161,7 +163,7 @@ func readGolden(t *testing.T, dir string, wantVersion int) [][]stdata.EventRec {
 // every future reader, including through block-level pruning.
 func TestGoldenV2DatasetStillReads(t *testing.T) {
 	if *updateGolden {
-		writeGolden(t, goldenV2Dir, storage.WriteOptions{
+		writeGolden(t, goldenV2Dir, storage.LegacyOptions{
 			Name: "v2-golden", Compress: true, Version: 2, BlockRecords: 16,
 		})
 	}
@@ -173,7 +175,7 @@ func TestGoldenV2DatasetStillReads(t *testing.T) {
 // decoding to the recorded records.
 func TestGoldenV3DatasetStillReads(t *testing.T) {
 	if *updateGolden {
-		writeGolden(t, goldenV3Dir, storage.WriteOptions{
+		writeGolden(t, goldenV3Dir, storage.LegacyOptions{
 			Name: "v3-golden", Version: 3, BlockRecords: 16,
 		})
 	}

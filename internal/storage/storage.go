@@ -1,15 +1,15 @@
 // Package storage implements ST4ML's persistent partitioned store: the
 // stand-in for Parquet-on-HDFS. A dataset is a directory of per-partition
-// binary files (records encoded back-to-back with a codec, optionally
-// gzip-compressed) plus a metadata.json indexing every partition with its
-// ST bounds — the on-disk indexing with metadata of §4.1.
+// binary files (blocks of codec-encoded records, laid out as column
+// streams) plus a metadata.json indexing every partition with its ST
+// bounds — the on-disk indexing with metadata of §4.1. Datasets written in
+// the earlier v1 and v2 layouts stay readable.
 //
 // The selection stage reads the metadata, prunes partitions whose bounds
 // miss the query window, and loads only the survivors (Fig. 4).
 package storage
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
@@ -209,24 +209,16 @@ func (m *Metadata) Prune(space geom.MBR, dur tempo.Duration) []int {
 type WriteOptions struct {
 	// Name labels the dataset in its metadata.
 	Name string
-	// Compress gzips partition data (per block in v2, whole-file in v1).
-	// v3 files ignore it: their column streams are delta-compressed
-	// natively and never gzipped.
-	Compress bool
-	// BlockRecords is the records-per-block target for v2/v3 files;
-	// 0 means the format's default (DefaultBlockRecords for v2,
-	// DefaultBlockRecordsV3 for v3).
+	// BlockRecords is the records-per-block target; 0 means
+	// DefaultBlockRecordsV3.
 	BlockRecords int
-	// Version pins the file format: 0 means latest (FormatVersion); 1 and
-	// 2 force the earlier layouts — kept so compat tests and benchmarks
-	// can produce legacy datasets on demand.
-	Version int
 }
 
-// Write persists partitioned records under dir, computing per-partition ST
-// bounds with boxOf, and returns the metadata it wrote. dir is created if
-// missing; an existing metadata file is overwritten (a dataset rewrite),
-// but stale partition files from a previous larger layout are not removed.
+// Write persists partitioned records under dir in the current format
+// (FormatVersion), computing per-partition ST bounds with boxOf, and
+// returns the metadata it wrote. dir is created if missing; an existing
+// metadata file is overwritten (a dataset rewrite), but stale partition
+// files from a previous larger layout are not removed.
 func Write[T any](
 	dir string,
 	c codec.Codec[T],
@@ -237,34 +229,13 @@ func Write[T any](
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create dataset dir: %w", err)
 	}
-	version := opts.Version
-	if version == 0 {
-		version = FormatVersion
-	}
 	blockRecords := opts.BlockRecords
 	if blockRecords <= 0 {
-		if version >= 3 {
-			blockRecords = DefaultBlockRecordsV3
-		} else {
-			blockRecords = DefaultBlockRecords
-		}
+		blockRecords = DefaultBlockRecordsV3
 	}
-	meta := &Metadata{Name: opts.Name, Compressed: opts.Compress, Framed: true}
-	if version >= 2 {
-		meta.Version = version
-		meta.BlockRecords = blockRecords
-	}
+	meta := &Metadata{Name: opts.Name, Framed: true, Version: FormatVersion, BlockRecords: blockRecords}
 	for i, part := range parts {
-		var pm PartitionMeta
-		var err error
-		switch {
-		case version >= 3:
-			pm, err = writePartitionV3(dir, i, c, part, boxOf, blockRecords)
-		case version == 2:
-			pm, err = writePartitionV2(dir, i, c, part, boxOf, opts.Compress, blockRecords)
-		default:
-			pm, err = writePartition(dir, i, c, part, boxOf, opts.Compress)
-		}
+		pm, err := writePartitionV3(dir, i, c, part, boxOf, blockRecords)
 		if err != nil {
 			return nil, err
 		}
@@ -278,202 +249,6 @@ func Write[T any](
 }
 
 func partitionFileName(i int) string { return fmt.Sprintf("part-%05d.stp", i) }
-
-func writePartition[T any](
-	dir string, i int, c codec.Codec[T], part []T,
-	boxOf func(T) index.Box, compress bool,
-) (PartitionMeta, error) {
-	name := partitionFileName(i)
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: create partition: %w", err)
-	}
-	defer f.Close()
-
-	var out io.Writer = f
-	var gz *gzip.Writer
-	if compress {
-		gz = gzip.NewWriter(f)
-		out = gz
-	}
-	// Records accumulate in w and flush as integrity frames (length +
-	// CRC32C + payload) at record boundaries, so a reader can verify each
-	// chunk before decoding it.
-	w := codec.NewWriter(64 * 1024)
-	fw := codec.NewWriter(64 * 1024)
-	flush := func() error {
-		if w.Len() == 0 {
-			return nil
-		}
-		fw.Reset()
-		fw.PutFrame(w.Bytes())
-		if _, err := out.Write(fw.Bytes()); err != nil {
-			return fmt.Errorf("storage: write partition: %w", err)
-		}
-		w.Reset()
-		return nil
-	}
-	bounds := index.EmptyBox()
-	for _, rec := range part {
-		c.Enc(w, rec)
-		bounds = bounds.Union(boxOf(rec))
-		if w.Len() >= 1<<20 {
-			if err := flush(); err != nil {
-				return PartitionMeta{}, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return PartitionMeta{}, err
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			return PartitionMeta{}, fmt.Errorf("storage: close gzip: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: close partition: %w", err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return PartitionMeta{}, err
-	}
-	pm := PartitionMeta{File: name, Count: int64(len(part)), Bytes: st.Size()}
-	pm.setBounds(bounds)
-	return pm, nil
-}
-
-// writePartitionV2 writes one partition in the block layout: a header
-// magic, then frames of BlockRecords-record chunks (each gzipped
-// independently when compress is set), a framed footer indexing every
-// block's byte range, count, and ST bounds, and a fixed trailer pointing
-// at the footer. Scratch buffers come from the codec pools so a bulk
-// ingest reuses, rather than reallocates, its per-block encodings.
-func writePartitionV2[T any](
-	dir string, i int, c codec.Codec[T], part []T,
-	boxOf func(T) index.Box, compress bool, blockRecords int,
-) (PartitionMeta, error) {
-	return writePartitionV2File(dir, partitionFileName(i), c, part, boxOf, compress, blockRecords, false)
-}
-
-// writePartitionV2File is writePartitionV2 against an explicit file name —
-// the shared writer behind base partitions, delta files, and compaction
-// rewrites. sync forces the file to stable storage before returning; the
-// delta layer requires it, because the manifest swap that makes a file
-// visible must never commit a file the disk does not yet hold.
-func writePartitionV2File[T any](
-	dir, name string, c codec.Codec[T], part []T,
-	boxOf func(T) index.Box, compress bool, blockRecords int, sync bool,
-) (PartitionMeta, error) {
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: create partition: %w", err)
-	}
-	defer f.Close()
-	out := bufio.NewWriterSize(f, 256<<10)
-	if _, err := out.WriteString(v2Magic); err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: write partition: %w", err)
-	}
-	off := int64(v2HeaderLen)
-
-	recW := codec.GetWriter()   // raw record encodings for the current block
-	gzW := codec.GetWriter()    // compressed payload scratch
-	frameW := codec.GetWriter() // framed output scratch
-	defer func() {
-		codec.PutWriter(recW)
-		codec.PutWriter(gzW)
-		codec.PutWriter(frameW)
-	}()
-
-	var blocks []BlockMeta
-	bounds := index.EmptyBox()
-	flush := func(blockBounds index.Box, count int64) error {
-		payload := recW.Bytes()
-		raw := int64(len(payload))
-		if compress {
-			gzW.Reset()
-			gz := gzWriterPool.Get().(*gzip.Writer)
-			gz.Reset(gzW)
-			_, werr := gz.Write(payload)
-			if cerr := gz.Close(); werr == nil {
-				werr = cerr
-			}
-			gzWriterPool.Put(gz)
-			if werr != nil {
-				return fmt.Errorf("storage: compress block: %w", werr)
-			}
-			payload = gzW.Bytes()
-		}
-		frameW.Reset()
-		frameW.PutFrame(payload)
-		if _, err := out.Write(frameW.Bytes()); err != nil {
-			return fmt.Errorf("storage: write block: %w", err)
-		}
-		blocks = append(blocks, BlockMeta{
-			Offset: off, Stored: int64(frameW.Len()), Raw: raw,
-			Count: count, Bounds: blockBounds,
-		})
-		off += int64(frameW.Len())
-		recW.Reset()
-		return nil
-	}
-	blockBounds := index.EmptyBox()
-	var blockCount int64
-	for _, rec := range part {
-		c.Enc(recW, rec)
-		b := boxOf(rec)
-		blockBounds = blockBounds.Union(b)
-		bounds = bounds.Union(b)
-		blockCount++
-		if blockCount >= int64(blockRecords) {
-			if err := flush(blockBounds, blockCount); err != nil {
-				return PartitionMeta{}, err
-			}
-			blockBounds = index.EmptyBox()
-			blockCount = 0
-		}
-	}
-	if blockCount > 0 {
-		if err := flush(blockBounds, blockCount); err != nil {
-			return PartitionMeta{}, err
-		}
-	}
-
-	footerOff := off
-	recW.Reset()
-	encodeFooter(recW, blocks)
-	frameW.Reset()
-	frameW.PutFrame(recW.Bytes())
-	if _, err := out.Write(frameW.Bytes()); err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: write footer: %w", err)
-	}
-	var trailer [v2TrailerLen]byte
-	binary.LittleEndian.PutUint64(trailer[:8], uint64(footerOff))
-	copy(trailer[8:], v2TrailerMagic)
-	if _, err := out.Write(trailer[:]); err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: write trailer: %w", err)
-	}
-	if err := out.Flush(); err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: flush partition: %w", err)
-	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			return PartitionMeta{}, fmt.Errorf("storage: sync partition: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: close partition: %w", err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return PartitionMeta{}, err
-	}
-	pm := PartitionMeta{File: name, Count: int64(len(part)), Bytes: st.Size()}
-	pm.setBounds(bounds)
-	return pm, nil
-}
 
 func writeMetadata(dir string, meta *Metadata) error {
 	b, err := json.MarshalIndent(meta, "", "  ")
@@ -653,25 +428,44 @@ func ReadPartitionPruned[T any](
 func ReadBase[T any](
 	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box,
 ) ([]T, ReadStats, error) {
+	return readBase(dir, meta, i, c, windows, nil)
+}
+
+// readBase is the one format switch over base files: it reads partition
+// i's base file, pruning blocks against windows, or — when blockSet is
+// non-nil — reading exactly the blocks it lists (the monolithic v1 file
+// is block 0).
+func readBase[T any](
+	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box, blockSet map[int]bool,
+) ([]T, ReadStats, error) {
 	if i < 0 || i >= len(meta.Partitions) {
 		return nil, ReadStats{}, fmt.Errorf(
 			"storage: partition %d out of range [0,%d)", i, len(meta.Partitions))
 	}
 	pm := meta.Partitions[i]
-	version := meta.Version
-	if pm.Format != 0 {
-		version = pm.Format
-	}
+	version := meta.partitionFormat(i)
 	return readWithRetry(pm.File, func() ([]T, ReadStats, error) {
 		switch {
 		case version >= 3:
-			return readPartitionV3Once[T](dir, pm, c, windows, nil)
+			return readPartitionV3Once[T](dir, pm, c, windows, blockSet)
 		case version == 2:
-			return readPartitionV2Once[T](dir, meta.Compressed, pm, c, windows, nil)
+			return readPartitionV2Once[T](dir, meta.Compressed, pm, c, windows, blockSet)
 		default:
+			if blockSet != nil && !blockSet[0] {
+				return nil, ReadStats{}, nil
+			}
 			return readPartitionOnce[T](dir, meta, pm, c)
 		}
 	})
+}
+
+// partitionFormat returns the file format of partition i's base file: its
+// own Format when a compaction rewrote it, else the dataset's Version.
+func (m *Metadata) partitionFormat(i int) int {
+	if f := m.Partitions[i].Format; f != 0 {
+		return f
+	}
+	return m.Version
 }
 
 // ReadDelta decodes one committed delta file in full, in file order — the

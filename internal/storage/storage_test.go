@@ -65,33 +65,32 @@ func makeParts(rng *rand.Rand, nParts, perPart int) [][]rec {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		dir := t.TempDir()
-		rng := rand.New(rand.NewSource(1))
-		parts := makeParts(rng, 4, 100)
-		meta, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "test", Compress: compress})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if meta.TotalCount != 400 || meta.NumPartitions() != 4 {
-			t.Fatalf("meta = %+v", meta)
-		}
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(1))
+	parts := makeParts(rng, 4, 100)
+	meta, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.TotalCount != 400 || meta.NumPartitions() != 4 {
+		t.Fatalf("meta = %+v", meta)
+	}
 
-		loaded, err := ReadMetadata(dir)
+	loaded, err := ReadMetadata(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.TotalCount != 400 || loaded.Version != FormatVersion ||
+		loaded.BlockRecords != DefaultBlockRecordsV3 || loaded.Compressed || !loaded.Framed {
+		t.Fatalf("loaded meta = %+v", loaded)
+	}
+	for i := range parts {
+		got, err := ReadPartition(dir, loaded, i, recC)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("partition %d: %v", i, err)
 		}
-		if loaded.TotalCount != 400 || loaded.Compressed != compress {
-			t.Fatalf("loaded meta = %+v", loaded)
-		}
-		for i := range parts {
-			got, err := ReadPartition(dir, loaded, i, recC)
-			if err != nil {
-				t.Fatalf("partition %d: %v", i, err)
-			}
-			if !reflect.DeepEqual(got, parts[i]) {
-				t.Fatalf("partition %d mismatch (compress=%v)", i, compress)
-			}
+		if !reflect.DeepEqual(got, parts[i]) {
+			t.Fatalf("partition %d mismatch", i)
 		}
 	}
 }
@@ -255,13 +254,13 @@ func TestCompressionShrinksRedundantData(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	parts := makeParts(rng, 1, 2000)
 	dirPlain, dirGz := t.TempDir(), t.TempDir()
-	// Pinned to v2: the Compress flag is a v1/v2 concern (v3 column
-	// streams are delta-compressed natively and never gzipped).
-	mp, err := Write(dirPlain, recC, parts, recBox, WriteOptions{Version: 2})
+	// Gzip is a v1/v2 concern (v3 column streams are delta-compressed
+	// natively and never gzipped), so both sides are fixture-written v2.
+	mp, err := WriteLegacy(dirPlain, recC, parts, recBox, LegacyOptions{Version: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg, err := Write(dirGz, recC, parts, recBox, WriteOptions{Version: 2, Compress: true})
+	mg, err := WriteLegacy(dirGz, recC, parts, recBox, LegacyOptions{Version: 2, Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}

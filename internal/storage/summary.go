@@ -87,10 +87,7 @@ func ReadSummary(dir string, sm SummaryMeta) (*summary.PartitionSummary, error) 
 // a non-uniform layout no summary can mirror.
 func baseBlockRecords(dir string, meta *Metadata, i int) (int, error) {
 	pm := meta.Partitions[i]
-	version := meta.Version
-	if pm.Format != 0 {
-		version = pm.Format
-	}
+	version := meta.partitionFormat(i)
 	if version < 2 {
 		return 0, nil
 	}
@@ -134,39 +131,11 @@ func baseBlockRecords(dir string, meta *Metadata, i int) (int, error) {
 func ReadPartitionBlocks[T any](
 	dir string, meta *Metadata, i int, c codec.Codec[T], want map[int]bool,
 ) ([]T, ReadStats, error) {
-	if i < 0 || i >= len(meta.Partitions) {
-		return nil, ReadStats{}, fmt.Errorf(
-			"storage: partition %d out of range [0,%d)", i, len(meta.Partitions))
-	}
-	if len(want) == 0 {
+	if len(want) == 0 && i >= 0 && i < len(meta.Partitions) {
 		return nil, ReadStats{}, nil
 	}
-	return readBase(dir, meta, i, c, want)
-}
-
-// readBase reads partition i's base file only (no deltas), optionally
-// restricted to the blocks in blockSet (nil means all).
-func readBase[T any](
-	dir string, meta *Metadata, i int, c codec.Codec[T], blockSet map[int]bool,
-) ([]T, ReadStats, error) {
-	pm := meta.Partitions[i]
-	version := meta.Version
-	if pm.Format != 0 {
-		version = pm.Format
-	}
-	return readWithRetry(pm.File, func() ([]T, ReadStats, error) {
-		switch {
-		case version >= 3:
-			return readPartitionV3Once[T](dir, pm, c, nil, blockSet)
-		case version == 2:
-			return readPartitionV2Once[T](dir, meta.Compressed, pm, c, nil, blockSet)
-		default:
-			if blockSet != nil && !blockSet[0] {
-				return nil, ReadStats{}, nil
-			}
-			return readPartitionOnce[T](dir, meta, pm, c)
-		}
-	})
+	// An out-of-range i falls through to readBase's range error.
+	return readBase(dir, meta, i, c, nil, want)
 }
 
 // BuildSummaries builds and commits summary sidecars for every base
@@ -202,7 +171,7 @@ func BuildSummaries[T any](
 		if err != nil {
 			return built, err
 		}
-		recs, _, err := readBase(dir, meta, i, c, nil)
+		recs, _, err := ReadBase(dir, meta, i, c, nil)
 		if err != nil {
 			return built, err
 		}

@@ -25,8 +25,8 @@ func TestBuildSummaries(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		parts := makeParts(rng, 3, 90)
 		dir := t.TempDir()
-		if _, err := Write(dir, recC, parts, recBox,
-			WriteOptions{Name: "d", BlockRecords: 16, Version: version}); err != nil {
+		if _, err := WriteLegacy(dir, recC, parts, recBox,
+			LegacyOptions{Name: "d", BlockRecords: 16, Version: version}); err != nil {
 			t.Fatal(err)
 		}
 		n, err := BuildSummaries(dir, recC, recBox, recVal, recID, summary.Config{})

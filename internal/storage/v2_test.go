@@ -104,7 +104,7 @@ func TestMetamorphicBlockPrunedEqualsFull(t *testing.T) {
 				rng := rand.New(rand.NewSource(lay.seed))
 				parts := makeParts(rng, lay.nParts, lay.perPart)
 				dir := t.TempDir()
-				meta, err := Write(dir, fm.c, parts, recBox, WriteOptions{
+				meta, err := WriteLegacy(dir, fm.c, parts, recBox, LegacyOptions{
 					Name: lay.name, Version: fm.version, Compress: lay.compress, BlockRecords: bs,
 				})
 				if err != nil {
@@ -249,7 +249,7 @@ func TestV2PrunedReadSkipsBytes(t *testing.T) {
 	sort.Slice(parts[0], func(i, j int) bool { return parts[0][i].T < parts[0][j].T })
 	dir := t.TempDir()
 	meta, err := Write(dir, recC, parts, recBox, WriteOptions{
-		Name: "skip", Compress: true, BlockRecords: 256,
+		Name: "skip", BlockRecords: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,22 +272,26 @@ func TestV2PrunedReadSkipsBytes(t *testing.T) {
 	}
 }
 
-// TestV1OptionStillWritesLegacyLayout pins the Version escape hatch: a
-// Version-1 write produces a dataset the reader handles via the legacy
-// path, returning identical records and whole-file stats.
+// TestV1OptionStillWritesLegacyLayout pins the legacy read path: a v1
+// dataset from the fixture writer's Version-1 option, plain or whole-file
+// gzip, reads back identical records with whole-file stats, and its
+// reader ignores windows because a monolithic file has no blocks to prune.
 func TestV1OptionStillWritesLegacyLayout(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(31))
 		parts := makeParts(rng, 2, 120)
 		dir := t.TempDir()
-		meta, err := Write(dir, recC, parts, recBox, WriteOptions{
+		if _, err := WriteLegacy(dir, recC, parts, recBox, LegacyOptions{
 			Name: "v1", Compress: compress, Version: 1,
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		meta, err := ReadMetadata(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.Version != 0 || meta.BlockRecords != 0 {
-			t.Fatalf("v1 metadata carries v2 fields: %+v", meta)
+		if meta.Version != 0 || meta.BlockRecords != 0 || meta.Compressed != compress {
+			t.Fatalf("v1 metadata: %+v", meta)
 		}
 		for i := range parts {
 			got, st, err := ReadPartitionPruned(dir, meta, i, recC, []index.Box{{
