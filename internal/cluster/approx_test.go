@@ -13,6 +13,7 @@ import (
 	"st4ml/internal/serve"
 	"st4ml/internal/stdata"
 	"st4ml/internal/summary"
+	"st4ml/internal/trace"
 )
 
 // approxSingle asks the baseline daemon for the reference approx envelope.
@@ -37,6 +38,13 @@ func (tc *testCluster) approxSingle(t *testing.T, req serve.QueryRequest) *summa
 	return out.Approx
 }
 
+// routeApprox is routeQuery for approx requests: the finalized envelope,
+// cache disposition, explain, status and error.
+func routeApprox(r *Router, q serve.QueryRequest) (*summary.Result, string, *trace.Explain, int, error) {
+	resp, err := r.Query(context.Background(), q)
+	return resp.Approx, resp.Cache, resp.Explain, serve.StatusOf(err), err
+}
+
 // TestRouterApproxMatchesSingleNode: across shard counts and aggregates, a
 // routed approximate query merges shard partials into the same envelope a
 // single node produces — integer envelopes identical, float estimates
@@ -52,7 +60,7 @@ func TestRouterApproxMatchesSingleNode(t *testing.T) {
 	preReq := seededWindows(9, 1)[0]
 	preReq.Records = false
 	preReq.Approx = true
-	pre, _, _, status, err := r0.QueryApprox(context.Background(), preReq)
+	pre, _, _, status, err := routeApprox(r0, preReq)
 	if err != nil {
 		t.Fatalf("pre-summary approx: status %d: %v", status, err)
 	}
@@ -96,7 +104,7 @@ func TestRouterApproxMatchesSingleNode(t *testing.T) {
 				req.Records, req.Limit = false, 0
 				req.Approx, req.Agg, req.Q, req.Res = true, agg, 0.9, 2
 				single := tc.approxSingle(t, req)
-				routed, _, _, status, err := r.QueryApprox(context.Background(), req)
+				routed, _, _, status, err := routeApprox(r, req)
 				if err != nil {
 					t.Fatalf("k=%d w%d %s: status %d: %v", k, wi, agg, status, err)
 				}

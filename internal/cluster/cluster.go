@@ -21,9 +21,12 @@
 //
 //   - Gathering is exactly-once. Shards answer per-partition chunks keyed
 //     by partition id; the merge drops duplicate ids (a chunk that raced in
-//     from a losing hedge), reassembles chunks in ascending partition
-//     order, and truncates at the query limit — the order a single node
-//     marshals in, which is what makes the merged bytes identical.
+//     from a losing hedge) and flattens the rest in ascending partition
+//     order, cut at the query limit — stdata.Flatten, the same function a
+//     single node builds its records with, which is what makes the merged
+//     bytes identical. Approx queries gather shard partial envelopes
+//     instead and merge them; that gather is the only step the two kinds
+//     do not share (one replan loop, one scatter, one result cache).
 //
 //   - Consistency is fenced, not locked. Every sub-query carries the
 //     dataset generation the router planned at; a shard whose view moved (a
@@ -85,10 +88,8 @@ type Router struct {
 	maxAttempts  int
 	maxReplans   int
 	started      time.Time
-	draining     atomic.Bool
 
-	queries      atomic.Int64
-	queryErrors  atomic.Int64
+	serve.Front
 	resultHits   atomic.Int64
 	resultMisses atomic.Int64
 	rpcs         atomic.Int64
@@ -168,13 +169,6 @@ func (r *Router) AddDataset(name, schemaName, dir string) error {
 	return err
 }
 
-// SetDraining marks the router as draining: readiness turns 503 and new
-// queries are refused while in-flight scatters finish.
-func (r *Router) SetDraining(v bool) { r.draining.Store(v) }
-
-// Draining reports whether the router is draining.
-func (r *Router) Draining() bool { return r.draining.Load() }
-
 // RouterStats is the /metrics wire form of the router counters.
 type RouterStats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -198,12 +192,13 @@ type RouterStats struct {
 
 // Stats returns a snapshot of the router counters.
 func (r *Router) Stats() RouterStats {
+	queries, queryErrors := r.Counts()
 	return RouterStats{
 		UptimeSeconds: time.Since(r.started).Seconds(),
-		Draining:      r.draining.Load(),
+		Draining:      r.Draining(),
 		Shards:        len(r.shards.Shards),
-		Queries:       r.queries.Load(),
-		QueryErrors:   r.queryErrors.Load(),
+		Queries:       queries,
+		QueryErrors:   queryErrors,
 		ResultHits:    r.resultHits.Load(),
 		ResultMisses:  r.resultMisses.Load(),
 		RPCs:          r.rpcs.Load(),

@@ -17,124 +17,105 @@ import (
 	"st4ml/internal/serve"
 	"st4ml/internal/stdata"
 	"st4ml/internal/storage"
+	"st4ml/internal/summary"
 	"st4ml/internal/trace"
 )
 
-// genConflictError is a shard's 409: its dataset generation moved away from
-// the fence the scatter was planned at. It is permanent for the RPC (another
-// replica of the same dataset will refuse the same fence) but retryable for
-// the query — the router replans from fresh metadata.
-type genConflictError struct {
-	shard string
-	msg   string
-}
-
-func (e *genConflictError) Error() string {
-	return fmt.Sprintf("cluster: shard %s: %s", e.shard, e.msg)
-}
-
-// resultKey is the merged-result cache key: dataset identity, the catalog
-// generation (bumped on any observed reload), the planning fence, and
-// everything that shapes the response body. Embedding both generations is
-// the regression fix for mid-scatter compaction: a shard that compacts can
-// never leave a mixed-generation entry behind, and a replan stores under
-// the new fence.
-func resultKey(req serve.QueryRequest, gen, fenceGen, fenceCount int64) string {
-	key := fmt.Sprintf("rq|%s|%d|%d,%d|%v,%v,%v,%v|%d,%d|%t,%d",
-		req.Dataset, gen, fenceGen, fenceCount,
-		req.MinX, req.MinY, req.MaxX, req.MaxY, req.TStart, req.TEnd,
-		req.Records, req.Limit)
-	if req.Approx {
-		key += fmt.Sprintf("|approx:%s,%v,%d,%t", req.Agg, req.Q, req.Res, req.ApproxScan)
-	}
-	return key
-}
-
-// Query routes one window query: plan against the pinned metadata, scatter
-// sub-queries over the owning shards, gather and merge. It returns the
-// merged result, the cache disposition, the stitched execution report when
-// the request asked for one, and on failure an HTTP status.
-func (r *Router) Query(reqCtx context.Context, req serve.QueryRequest) (stdata.QueryResult, string, *trace.Explain, int, error) {
+// Query routes one /query, exact or approx: plan against the pinned
+// metadata, scatter sub-queries over the owning shards, gather. Both kinds
+// share everything but the gather — the replan loop, the result cache, the
+// deadline and the status mapping. The returned error carries the HTTP
+// status (serve.StatusOf): a shard's 4xx comes back unchanged.
+func (r *Router) Query(ctx context.Context, req serve.QueryRequest) (serve.QueryResponse, error) {
 	d, ok := r.catalog.Get(req.Dataset)
 	if !ok {
-		return stdata.QueryResult{}, "", nil, http.StatusNotFound,
-			fmt.Errorf("unknown dataset %q", req.Dataset)
+		return serve.QueryResponse{}, serve.Errorf(http.StatusNotFound, "unknown dataset %q", req.Dataset)
 	}
-
+	if err := req.Validate(); err != nil {
+		return serve.QueryResponse{}, err
+	}
 	var tr *trace.Tracer
 	if req.Explain {
 		tr = trace.New()
 	}
 	root := tr.StartSpan(0, "query", trace.Str("dataset", req.Dataset))
+	resp, cache, err := r.route(ctx, d, req, root)
+	if err != nil {
+		root.End(trace.Str("error", err.Error()))
+		return serve.QueryResponse{}, err
+	}
+	root.End()
+	resp.Dataset, resp.Cache, resp.Explain = req.Dataset, cache, trace.Build(tr.Snapshot())
+	return resp, nil
+}
 
+// route is the replan loop under the query deadline: each round plans at
+// the current metadata generation and scatters under that fence. A
+// generation conflict — some shard saw a compaction or append commit
+// mid-scatter — discards the round and replans from fresh metadata,
+// bounded by maxReplans. The merged-result cache key embeds the catalog
+// generation and the round's fence, so a shard that compacts can never
+// leave a mixed-generation entry behind and a replan stores under the new
+// fence.
+func (r *Router) route(reqCtx context.Context, d *serve.Dataset, req serve.QueryRequest, root *trace.Span) (serve.QueryResponse, string, error) {
 	ctx, cancel := context.WithTimeout(reqCtx, r.timeout)
 	defer cancel()
-
-	// Replan loop: each round plans at the current metadata generation and
-	// scatters under that fence. A generation conflict — some shard saw a
-	// compaction or append commit mid-scatter — discards the round and
-	// replans from fresh metadata, bounded by maxReplans.
 	for replan := 0; ; replan++ {
 		meta, gen, err := d.Meta()
 		if err != nil {
-			root.End(trace.Str("error", err.Error()))
-			return stdata.QueryResult{}, "", nil, http.StatusInternalServerError, err
+			return serve.QueryResponse{}, "", err
 		}
-
-		key := resultKey(req, gen, meta.Generation, meta.TotalCount)
+		plan := serve.SubQueryRequest{QueryRequest: req, Gen: meta.Generation, Count: meta.TotalCount}
+		key := plan.CacheKey("rq", gen)
 		if !req.NoCache {
 			lsp := root.Child(trace.SpanResultLookup)
 			v, ok := r.cache.Get(key)
 			lsp.End(trace.Bool("hit", ok))
 			if ok {
 				r.resultHits.Add(1)
-				root.End()
-				return v.(stdata.QueryResult), "hit", trace.Build(tr.Snapshot()), http.StatusOK, nil
+				return v.(serve.QueryResponse), "hit", nil
 			}
 		}
 		r.resultMisses.Add(1)
 
-		res, conflict, status, err := r.scatter(ctx, d, meta, req, root, replan)
-		if conflict {
+		resp, err := r.scatter(ctx, meta, plan, root, replan)
+		if serve.StatusOf(err) == http.StatusConflict {
 			r.replans.Add(1)
 			if replan+1 < r.maxReplans {
 				continue
 			}
-			err = fmt.Errorf("cluster: generation moved %d times during one query: %w", replan+1, err)
-			root.End(trace.Str("error", err.Error()))
-			return stdata.QueryResult{}, "", nil, http.StatusConflict, err
+			return serve.QueryResponse{}, "", serve.Errorf(http.StatusConflict,
+				"cluster: generation moved %d times during one query: %w", replan+1, err)
+		}
+		if errors.Is(err, context.DeadlineExceeded) {
+			r.timeouts.Add(1)
+			err = &serve.StatusError{Status: http.StatusGatewayTimeout, Err: err}
 		}
 		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				r.timeouts.Add(1)
-				status = http.StatusGatewayTimeout
-			}
-			root.End(trace.Str("error", err.Error()))
-			return stdata.QueryResult{}, "", nil, status, err
+			return serve.QueryResponse{}, "", err
 		}
 		if !req.NoCache {
-			r.cache.Put(key, res, mergedBytes(res))
+			r.cache.Put(key, resp, resp.ResidentBytes())
 		}
-		root.End()
-		return res, "miss", trace.Build(tr.Snapshot()), http.StatusOK, nil
+		return resp, "miss", nil
 	}
 }
 
 // shardOutcome is one shard RPC's gathered result.
 type shardOutcome struct {
-	shard    int
-	resp     serve.SubQueryResponse
-	stats    engine.AttemptStats
-	conflict *genConflictError
-	err      error
+	shard int
+	resp  serve.SubQueryResponse
+	stats engine.AttemptStats
+	err   error
 }
 
-// scatter runs one planning+fan-out round at meta's generation. The second
-// return reports a generation conflict (caller replans).
-func (r *Router) scatter(ctx context.Context, d *serve.Dataset, meta *storage.Metadata,
-	req serve.QueryRequest, root *trace.Span, replan int,
-) (stdata.QueryResult, bool, int, error) {
-	w := req.Window()
+// scatter runs one planning + fan-out round at plan's fence and gathers
+// the shards' answers. A shard's 409 (generation conflict) returns as such
+// so the caller replans.
+func (r *Router) scatter(ctx context.Context, meta *storage.Metadata,
+	plan serve.SubQueryRequest, root *trace.Span, replan int,
+) (serve.QueryResponse, error) {
+	w := plan.Window()
 	ids := meta.Prune(w.Space, w.Time)
 	stats := selection.Stats{
 		TotalPartitions:  meta.NumPartitions(),
@@ -161,70 +142,126 @@ func (r *Router) scatter(ctx context.Context, d *serve.Dataset, meta *storage.Me
 	// The scatter span carries the planning attrs exactly once for the
 	// whole stitched tree (shard sub-query spans suppress theirs). It is
 	// recorded only for the winning round — a conflicted round's span is
-	// abandoned un-ended, so a replanned query never double-counts.
-	ssp := root.Child(trace.SpanScatter,
+	// abandoned un-ended, so a replanned query never double-counts. An
+	// approx scatter reads summaries, not the kept partitions' records, so
+	// its span reports no loaded records or bytes.
+	attrs := []trace.Attr{
 		trace.Int("total_partitions", int64(stats.TotalPartitions)),
 		trace.Int("kept_partitions", int64(stats.LoadedPartitions)),
-		trace.Int("loaded_records", stats.LoadedRecords),
-		trace.Int("loaded_bytes", stats.LoadedBytes),
+	}
+	if !plan.Approx {
+		attrs = append(attrs,
+			trace.Int("loaded_records", stats.LoadedRecords),
+			trace.Int("loaded_bytes", stats.LoadedBytes))
+	}
+	ssp := root.Child(trace.SpanScatter, append(attrs,
 		trace.Int("shards", int64(len(r.shards.Shards))),
-		trace.Int("width", int64(len(touched))))
+		trace.Int("width", int64(len(touched))))...)
 
 	if r.testHookAfterPlan != nil {
 		r.testHookAfterPlan()
 	}
-
-	if len(touched) == 0 {
-		ssp.End(trace.Int("replans", int64(replan)))
-		res := stdata.QueryResult{Stats: stats}
-		if req.Records {
-			res.Records = make([]json.RawMessage, 0)
-		}
-		return res, false, http.StatusOK, nil
-	}
-	r.scatterWidth.Add(int64(len(touched)))
-
-	// The embedded QueryRequest carries Explain through, so shards trace
-	// (and ship spans back) exactly when the routed query is traced.
-	sub := serve.SubQueryRequest{
-		QueryRequest: req,
-		Gen:          meta.Generation,
-		Count:        meta.TotalCount,
+	if len(touched) > 0 {
+		r.scatterWidth.Add(int64(len(touched)))
 	}
 
+	// The plan carries Explain through, so shards trace (and ship spans
+	// back) exactly when the routed query is traced.
 	outs := make([]shardOutcome, len(touched))
 	var wg sync.WaitGroup
 	for i, si := range touched {
 		wg.Add(1)
 		go func(i, si int) {
 			defer wg.Done()
-			outs[i] = r.callShard(ctx, si, groups[si], sub, ssp)
+			outs[i] = r.callShard(ctx, si, groups[si], plan, ssp)
 		}(i, si)
 	}
 	wg.Wait()
 
+	// A conflict anywhere wins over any other failure: the round is void.
+	var conflict, failed error
 	for _, out := range outs {
 		r.hedges.Add(int64(out.stats.Hedges))
 		r.failovers.Add(int64(out.stats.Failovers))
-		if out.conflict != nil {
+		switch {
+		case serve.StatusOf(out.err) == http.StatusConflict:
 			r.genConflicts.Add(1)
+			if conflict == nil {
+				conflict = out.err
+			}
+		case out.err != nil && failed == nil:
+			failed = out.err
 		}
 	}
-	for _, out := range outs {
-		if out.conflict != nil {
-			return stdata.QueryResult{}, true, http.StatusConflict, out.conflict
-		}
+	if conflict != nil {
+		return serve.QueryResponse{}, conflict
 	}
-	for _, out := range outs {
-		if out.err != nil {
-			return stdata.QueryResult{}, false, http.StatusBadGateway,
-				fmt.Errorf("cluster: shard %s: %w", r.shards.Shards[out.shard].Name, out.err)
-		}
+	if failed != nil {
+		return serve.QueryResponse{}, failed
 	}
 
-	res := r.merge(ids, outs, req, stats)
+	resp, err := r.gather(plan, ids, stats, outs)
+	if err != nil {
+		return serve.QueryResponse{}, err
+	}
 	ssp.End(trace.Int("replans", int64(replan)))
-	return res, false, http.StatusOK, nil
+	return resp, nil
+}
+
+// gather folds the shards' answers into one response — the only step
+// exact and approx routing do differently.
+//
+// Exact chunks are keyed by partition id (each record belongs to exactly
+// one partition per generation); duplicates from losing hedges are
+// dropped, and the rest flatten in the planned, ascending partition order
+// — the order a single node marshals in — cut at the query limit. Each
+// shard capped its records at the global limit across its own chunks in
+// the same order, so every record inside the global prefix survived its
+// shard's cap.
+//
+// Approx partials merge in ascending shard order — shard groups are
+// disjoint partition subsets, so provenance concatenates deterministically
+// and envelopes add — and finalize exactly as one node would. The router
+// emits no approx span of its own: each shard's sub-query carries one,
+// grafted under the RPC spans, and a router-side span would double-count
+// every total.
+func (r *Router) gather(plan serve.SubQueryRequest, ids []int, stats selection.Stats, outs []shardOutcome) (serve.QueryResponse, error) {
+	if plan.Approx {
+		acc := summary.NewAccumulator(plan.ApproxSpec())
+		for _, out := range outs {
+			name := r.shards.Shards[out.shard].Name
+			if out.resp.Approx == nil {
+				return serve.QueryResponse{}, serve.Errorf(http.StatusBadGateway,
+					"cluster: shard %s answered an approx sub-query without a partial envelope (old shard version?)", name)
+			}
+			if err := acc.MergePartial(out.resp.Approx); err != nil {
+				return serve.QueryResponse{}, serve.Errorf(http.StatusBadGateway, "cluster: shard %s: %w", name, err)
+			}
+		}
+		return serve.QueryResponse{Approx: acc.Finalize()}, nil
+	}
+	chunks := make(map[int]stdata.PartResult, len(ids))
+	for _, out := range outs {
+		for _, pr := range out.resp.Parts {
+			if _, dup := chunks[pr.ID]; dup {
+				r.dedupDrops.Add(1)
+				continue
+			}
+			chunks[pr.ID] = pr
+		}
+	}
+	res := stdata.QueryResult{Stats: stats}
+	ordered := make([]stdata.PartResult, 0, len(chunks))
+	for _, id := range ids {
+		if pr, ok := chunks[id]; ok {
+			res.Stats.SelectedRecords += pr.Selected
+			ordered = append(ordered, pr)
+		}
+	}
+	if plan.Records {
+		res.Records = stdata.Flatten(ordered, plan.Limit)
+	}
+	return serve.QueryResponse{QueryResult: res}, nil
 }
 
 // callShard issues one shard's sub-query as hedged attempts over its
@@ -254,7 +291,7 @@ func (r *Router) callShard(ctx context.Context, si int, parts []int,
 			Timeout:     r.shardTimeout,
 		},
 		func(ctx context.Context, cand, attempt int) (serve.SubQueryResponse, error) {
-			return r.post(ctx, si, order[cand], sh.Name, body)
+			return r.post(ctx, si, order[cand], body)
 		})
 
 	out := shardOutcome{shard: si, resp: resp, stats: ast}
@@ -263,12 +300,14 @@ func (r *Router) callShard(ctx context.Context, si int, parts []int,
 		winner = sh.Replicas[order[ast.Winner]]
 	}
 	if err != nil {
-		var conflict *genConflictError
-		if errors.As(err, &conflict) {
-			out.conflict = conflict
-		} else {
-			out.err = err
+		// A shard's 4xx passes through with its status. Anything else — a
+		// transport failure, a 5xx from every replica, the deadline — is
+		// the fleet's failure: 502.
+		var se *serve.StatusError
+		if !errors.As(err, &se) {
+			err = serve.Errorf(http.StatusBadGateway, "cluster: shard %s: %w", sh.Name, err)
 		}
+		out.err = err
 		rsp.End(trace.Str("error", err.Error()),
 			trace.Int("attempts", int64(ast.Attempts)),
 			trace.Int("hedges", int64(ast.Hedges)),
@@ -297,10 +336,12 @@ func (r *Router) graft(spans []trace.WireSpan, rsp *trace.Span) {
 }
 
 // post issues one sub-query attempt against one replica and classifies the
-// answer: 200 commits, 409 is a permanent generation conflict, anything
-// else fails over. Transport failures additionally mark the replica
-// not-ready so later queries prefer its peers until a probe revives it.
-func (r *Router) post(ctx context.Context, si, ri int, shardName string, body []byte) (serve.SubQueryResponse, error) {
+// answer: 200 commits; a 4xx is permanent — the request's fault (or, for
+// 409, the generation fence's), which every replica would answer alike —
+// and keeps the shard's status and message; anything else fails over.
+// Transport failures additionally mark the replica not-ready so later
+// queries prefer its peers until a probe revives it.
+func (r *Router) post(ctx context.Context, si, ri int, body []byte) (serve.SubQueryResponse, error) {
 	rep := r.replicas[si][ri]
 	rep.calls.Add(1)
 	url := rep.url + "/subquery"
@@ -317,8 +358,8 @@ func (r *Router) post(ctx context.Context, si, ri int, shardName string, body []
 		return serve.SubQueryResponse{}, err
 	}
 	defer hresp.Body.Close()
-	switch hresp.StatusCode {
-	case http.StatusOK:
+	switch code := hresp.StatusCode; {
+	case code == http.StatusOK:
 		var out serve.SubQueryResponse
 		if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
 			rep.errs.Add(1)
@@ -326,10 +367,10 @@ func (r *Router) post(ctx context.Context, si, ri int, shardName string, body []
 		}
 		rep.nanos.Add(time.Since(start).Nanoseconds())
 		return out, nil
-	case http.StatusConflict:
+	case code >= 400 && code < 500:
 		rep.errs.Add(1)
-		return serve.SubQueryResponse{}, engine.Permanent(&genConflictError{
-			shard: shardName, msg: readErrorBody(hresp.Body),
+		return serve.SubQueryResponse{}, engine.Permanent(&serve.StatusError{
+			Status: code, Err: errors.New(readErrorBody(hresp.Body)),
 		})
 	default:
 		rep.errs.Add(1)
@@ -348,61 +389,4 @@ func readErrorBody(body io.Reader) string {
 		return e.Error
 	}
 	return string(bytes.TrimSpace(b))
-}
-
-// merge gathers the shard chunks back into one result, exactly once: chunks
-// are keyed by partition id (each record belongs to exactly one partition
-// per generation), duplicates from losing hedges are dropped, and records
-// are reassembled in ascending partition order — the order a single node
-// marshals in — then truncated at the query limit.
-func (r *Router) merge(ids []int, outs []shardOutcome, req serve.QueryRequest, stats selection.Stats) stdata.QueryResult {
-	chunks := make(map[int]stdata.PartResult, len(ids))
-	for _, out := range outs {
-		for _, pr := range out.resp.Parts {
-			if _, dup := chunks[pr.ID]; dup {
-				r.dedupDrops.Add(1)
-				continue
-			}
-			chunks[pr.ID] = pr
-		}
-	}
-	res := stdata.QueryResult{Stats: stats}
-	for _, pr := range chunks {
-		res.Stats.SelectedRecords += pr.Selected
-	}
-	if !req.Records {
-		return res
-	}
-	limit := req.Limit
-	if limit <= 0 || int64(limit) > res.Stats.SelectedRecords {
-		limit = int(res.Stats.SelectedRecords)
-	}
-	res.Records = make([]json.RawMessage, 0, limit)
-	// ids is ascending; per-shard groups preserve that order, so walking
-	// the planned set in order reassembles the global record stream. Each
-	// shard capped its marshaled records at the global limit across its
-	// own chunks in the same order, so every record inside the global
-	// prefix survived its shard's cap.
-	for _, id := range ids {
-		pr, ok := chunks[id]
-		if !ok {
-			continue
-		}
-		for _, rec := range pr.Records {
-			if len(res.Records) >= limit {
-				return res
-			}
-			res.Records = append(res.Records, rec)
-		}
-	}
-	return res
-}
-
-// mergedBytes estimates a cached merged result's resident size.
-func mergedBytes(res stdata.QueryResult) int64 {
-	n := int64(160)
-	for _, rec := range res.Records {
-		n += int64(len(rec)) + 24
-	}
-	return n
 }

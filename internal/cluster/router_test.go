@@ -18,6 +18,7 @@ import (
 	"st4ml/internal/serve"
 	"st4ml/internal/stdata"
 	"st4ml/internal/storage"
+	"st4ml/internal/trace"
 )
 
 // testCluster is a loopback fleet: one ingested dataset, one single-node
@@ -100,6 +101,13 @@ func (tc *testCluster) singleNode(t *testing.T, req serve.QueryRequest) serve.Qu
 	return out
 }
 
+// routeQuery runs r.Query and splits the answer the way the walls read it:
+// exact result, cache disposition, explain, status and error.
+func routeQuery(r *Router, q serve.QueryRequest) (stdata.QueryResult, string, *trace.Explain, int, error) {
+	resp, err := r.Query(context.Background(), q)
+	return resp.QueryResult, resp.Cache, resp.Explain, serve.StatusOf(err), err
+}
+
 // seededWindows derives deterministic query windows spanning the metamorphic
 // space: sub-windows of varying selectivity, the full extent, a miss, and
 // varying record limits.
@@ -177,7 +185,7 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 			for wi, q := range windows {
 				label := fmt.Sprintf("replicas=%d shards=%d window=%d", replicas, k, wi)
 				q.Explain = true
-				got, cache, explain, status, err := r.Query(context.Background(), q)
+				got, cache, explain, status, err := routeQuery(r, q)
 				if err != nil {
 					t.Fatalf("%s: %v (status %d)", label, err, status)
 				}
@@ -230,7 +238,7 @@ func TestRouterFailoverOnKilledReplica(t *testing.T) {
 
 	q := seededWindows(7, 4)[3] // full extent: touches both shards
 	q.Explain = true
-	got, _, explain, status, err := r.Query(context.Background(), q)
+	got, _, explain, status, err := routeQuery(r, q)
 	if err != nil {
 		t.Fatalf("query with killed replicas failed: %v (status %d)", err, status)
 	}
@@ -249,7 +257,7 @@ func TestRouterFailoverOnKilledReplica(t *testing.T) {
 			}
 		}
 	}
-	if _, _, _, _, err := r.Query(context.Background(), q); err != nil {
+	if _, _, _, _, err := routeQuery(r, q); err != nil {
 		t.Fatalf("second query after demotion failed: %v", err)
 	}
 }
@@ -277,7 +285,7 @@ func TestRouterHedgesSlowReplica(t *testing.T) {
 
 	q := seededWindows(11, 4)[3]
 	q.Explain = true
-	got, _, explain, status, err := r.Query(context.Background(), q)
+	got, _, explain, status, err := routeQuery(r, q)
 	if err != nil {
 		t.Fatalf("hedged query failed: %v (status %d)", err, status)
 	}
@@ -311,7 +319,7 @@ func TestRouterReplansOnCompactionRace(t *testing.T) {
 
 	q := seededWindows(13, 4)[3] // full extent: the appended records match
 	q.Explain = true
-	got, _, explain, status, err := r.Query(context.Background(), q)
+	got, _, explain, status, err := routeQuery(r, q)
 	if err != nil {
 		t.Fatalf("raced query failed: %v (status %d)", err, status)
 	}
@@ -335,7 +343,7 @@ func TestRouterReplansOnCompactionRace(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if _, _, _, status, err := r2.Query(context.Background(), q); err == nil || status != http.StatusConflict {
+	if _, _, _, status, err := routeQuery(r2, q); err == nil || status != http.StatusConflict {
 		t.Fatalf("runaway generation answered %d, %v", status, err)
 	}
 }
@@ -349,14 +357,14 @@ func TestRouterCacheKeyedByGeneration(t *testing.T) {
 	q := seededWindows(17, 4)[3]
 	q.NoCache = false
 
-	got1, cache, _, _, err := r.Query(context.Background(), q)
+	got1, cache, _, _, err := routeQuery(r, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cache != "miss" {
 		t.Fatalf("first query cache %q", cache)
 	}
-	if _, cache, _, _, err = r.Query(context.Background(), q); err != nil || cache != "hit" {
+	if _, cache, _, _, err = routeQuery(r, q); err != nil || cache != "hit" {
 		t.Fatalf("second query cache %q, err %v", cache, err)
 	}
 
@@ -364,7 +372,7 @@ func TestRouterCacheKeyedByGeneration(t *testing.T) {
 	if _, err := sch.Append(datagen.NYC(10, 123), tc.dir, "gen-bump"); err != nil {
 		t.Fatal(err)
 	}
-	got2, cache, _, _, err := r.Query(context.Background(), q)
+	got2, cache, _, _, err := routeQuery(r, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +397,7 @@ func TestRouterExplainStitched(t *testing.T) {
 	q.Explain = true
 	q.NoCache = true
 
-	got, _, explain, _, err := r.Query(context.Background(), q)
+	got, _, explain, _, err := routeQuery(r, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +460,7 @@ func TestRouterEmptyScatter(t *testing.T) {
 		MinX: datagen.NYCExtent.MaxX + 1, MaxX: datagen.NYCExtent.MaxX + 2,
 		MinY: datagen.NYCExtent.MaxY + 1, MaxY: datagen.NYCExtent.MaxY + 2,
 		TStart: 0, TEnd: 1, Explain: true}
-	got, _, explain, _, err := r.Query(context.Background(), q)
+	got, _, explain, _, err := routeQuery(r, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +569,7 @@ func TestRouterSkipsDrainingShard(t *testing.T) {
 	}
 
 	q := seededWindows(29, 4)[3]
-	got, _, _, _, err := r.Query(context.Background(), q)
+	got, _, _, _, err := routeQuery(r, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,12 @@
 //     sheds the excess with 429 (queue full) or 504 (deadline passed),
 //     keeping tail latency bounded under overload.
 //
-// Endpoints: POST /query, GET /datasets, GET /metrics, GET /healthz.
+// Every query kind — /query exact and approx, /subquery in both modes —
+// runs through one pipeline (execute): resolve, revalidate, fence, result
+// cache, admission, run on the shared engine under the deadline.
+//
+// Endpoints: POST /query, POST /subscribe, POST /subquery, GET /datasets,
+// GET /metrics, GET /healthz, GET /readyz.
 package serve
 
 import (
@@ -82,14 +87,8 @@ type Server struct {
 	hookCancels []func()
 	closeOnce   sync.Once
 
-	// draining flips once, when a SIGTERM begins the shutdown drain: the
-	// readiness probe turns 503 so routers stop sending new work, while
-	// liveness stays green and in-flight requests finish.
-	draining atomic.Bool
-
-	queries        atomic.Int64
+	Front
 	subscribes     atomic.Int64
-	queryErrors    atomic.Int64
 	resultHits     atomic.Int64
 	resultMisses   atomic.Int64
 	partitionLoads atomic.Int64
@@ -154,14 +153,11 @@ func NewServer(cfg Config) *Server {
 // drain also closes every live subscription, so long-lived SSE streams end
 // immediately instead of pinning the drain until its timeout cuts them.
 func (s *Server) SetDraining(v bool) {
-	s.draining.Store(v)
+	s.Front.SetDraining(v)
 	if v {
 		s.hub.CloseAll()
 	}
 }
-
-// Draining reports whether the daemon is draining.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Catalog exposes the server's dataset catalog.
 func (s *Server) Catalog() *Catalog { return s.catalog }
@@ -199,13 +195,14 @@ type ServerStats struct {
 
 // Stats returns a snapshot of the server-level counters.
 func (s *Server) Stats() ServerStats {
+	queries, queryErrors := s.Counts()
 	return ServerStats{
 		UptimeSeconds:  time.Since(s.started).Seconds(),
 		Shard:          s.shardName,
-		Draining:       s.draining.Load(),
-		Queries:        s.queries.Load(),
+		Draining:       s.Draining(),
+		Queries:        queries,
 		Subscribes:     s.subscribes.Load(),
-		QueryErrors:    s.queryErrors.Load(),
+		QueryErrors:    queryErrors,
 		ResultHits:     s.resultHits.Load(),
 		ResultMisses:   s.resultMisses.Load(),
 		PartitionLoads: s.partitionLoads.Load(),

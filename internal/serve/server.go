@@ -4,10 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"st4ml/internal/engine"
 	"st4ml/internal/geom"
@@ -61,15 +59,28 @@ func (q QueryRequest) Window() selection.Window {
 	}
 }
 
-// resultKey is the result-cache key: dataset identity and generation plus
-// everything that shapes the response body.
-func (q QueryRequest) resultKey(gen int64) string {
-	key := fmt.Sprintf("res|%s|%d|%v,%v,%v,%v|%d,%d|%t,%d",
-		q.Dataset, gen, q.MinX, q.MinY, q.MaxX, q.MaxY, q.TStart, q.TEnd, q.Records, q.Limit)
-	if q.Approx {
-		key += fmt.Sprintf("|approx:%s,%v,%d,%t", q.Agg, q.Q, q.Res, q.ApproxScan)
+// ApproxSpec is the request's approximate aggregate over its window.
+func (q QueryRequest) ApproxSpec() summary.Spec {
+	return summary.Spec{Window: q.Window().Box(), Agg: q.Agg, Q: q.Q, Res: q.Res}
+}
+
+// Validate rejects a malformed approx spec — an unknown agg, q outside
+// [0,1] — with 400 before any work, on every tier. Whether the schema has
+// the value a quantile needs is the executing schema's call (ApproxQuery,
+// also 400).
+func (q QueryRequest) Validate() error {
+	if !q.Approx {
+		return nil
 	}
-	return key
+	return badSpec(q.ApproxSpec().Validate(true))
+}
+
+// badSpec answers an invalid approx spec 400: the request is at fault.
+func badSpec(err error) error {
+	if errors.Is(err, summary.ErrSpec) {
+		return &StatusError{Status: http.StatusBadRequest, Err: err}
+	}
+	return err
 }
 
 // QueryResponse is the POST /query reply.
@@ -85,108 +96,86 @@ type QueryResponse struct {
 	stdata.QueryResult
 }
 
-// errorResponse is the JSON error body for non-200 statuses.
-type errorResponse struct {
-	Error string `json:"error"`
+// ResidentBytes estimates the response's size as a cached result.
+func (r QueryResponse) ResidentBytes() int64 {
+	n := 128 + recordBytes(r.Records)
+	for _, pr := range r.Parts {
+		n += 48 + recordBytes(pr.Records)
+	}
+	if r.Approx != nil {
+		n += 128 + int64(len(r.Approx.Cells))*72 + int64(len(r.Approx.Parts))*56
+	}
+	return n
+}
+
+func recordBytes(recs []json.RawMessage) int64 {
+	n := int64(0)
+	for _, rec := range recs {
+		n += int64(len(rec)) + 24
+	}
+	return n
 }
 
 // Handler returns the daemon's HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", s.handleQuery)
+	mux.HandleFunc("POST /query", s.QueryHandler(s.query))
 	mux.HandleFunc("POST /subscribe", s.handleSubscribe)
 	mux.HandleFunc("POST /subquery", s.handleSubquery)
-	mux.HandleFunc("GET /datasets", s.handleDatasets)
+	mux.HandleFunc("GET /datasets", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, s.catalog.List())
+	})
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	s.Probes(mux)
 	return mux
 }
 
-// readJSONBody decodes one JSON request body.
-func readJSONBody(r *http.Request, dst any) error {
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		return fmt.Errorf("decode request: %w", err)
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	var req QueryRequest
-	if err := readJSONBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if r.URL.Query().Get("explain") == "1" {
-		req.Explain = true
-	}
-	s.queries.Add(1)
-	if req.Approx {
-		approx, cache, explain, status, err := s.runApprox(r.Context(), req)
-		if err != nil {
-			if status >= http.StatusInternalServerError && status != http.StatusGatewayTimeout {
-				s.queryErrors.Add(1)
-			}
-			writeError(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, QueryResponse{
-			Dataset:   req.Dataset,
-			Cache:     cache,
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-			Explain:   explain,
-			Approx:    approx,
-		})
-		return
-	}
-	res, cache, explain, status, err := s.runQuery(r.Context(), req)
+// query answers one /query through the shared pipeline: a sub-query plan
+// with no partition list and no fence.
+func (s *Server) query(ctx context.Context, req QueryRequest) (QueryResponse, error) {
+	val, cache, tr, err := s.execute(ctx, SubQueryRequest{QueryRequest: req}, false)
 	if err != nil {
-		if status >= http.StatusInternalServerError && status != http.StatusGatewayTimeout {
-			s.queryErrors.Add(1)
-		}
-		writeError(w, status, err)
-		return
+		return QueryResponse{}, err
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Dataset:     req.Dataset,
-		Cache:       cache,
-		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
-		Explain:     explain,
-		QueryResult: res,
-	})
+	resp := val.(QueryResponse)
+	resp.Dataset, resp.Cache, resp.Explain = req.Dataset, cache, trace.Build(tr.Snapshot())
+	return resp, nil
 }
 
-// runQuery resolves, admits, and executes one query. It returns the result,
-// the cache disposition ("hit"/"miss"), the execution report when the
-// request asked for one, and on failure an HTTP status.
-func (s *Server) runQuery(reqCtx context.Context, req QueryRequest) (stdata.QueryResult, string, *trace.Explain, int, error) {
+// execute is the one request pipeline behind /query, exact and approx, and
+// /subquery in both modes: resolve, validate, revalidate, noteGeneration,
+// fence (409, sub-queries only), root span, result-cache get, admission
+// (429 queue full, 504 deadline), run on the shared engine under the
+// deadline, cache put. Only the root span, the cache key family, the fence
+// and the run step differ between /query (sub false) and /subquery. It
+// returns the answer (a QueryResponse or SubQueryResponse body), the cache
+// disposition ("hit"/"miss"), and the request's tracer (nil unless
+// req.Explain); a failure carries its HTTP status (StatusOf).
+func (s *Server) execute(reqCtx context.Context, req SubQueryRequest, sub bool) (any, string, *trace.Tracer, error) {
 	d, ok := s.catalog.Get(req.Dataset)
 	if !ok {
-		return stdata.QueryResult{}, "", nil, http.StatusNotFound,
-			fmt.Errorf("unknown dataset %q", req.Dataset)
+		return nil, "", nil, Errorf(http.StatusNotFound, "unknown dataset %q", req.Dataset)
+	}
+	if err := req.Validate(); err != nil {
+		return nil, "", nil, err
 	}
 	v, err := d.revalidate()
 	if err != nil {
-		return stdata.QueryResult{}, "", nil, http.StatusInternalServerError, err
+		return nil, "", nil, err
 	}
 	s.noteGeneration(d, v)
+	family, span := "res", "query"
+	attrs := []trace.Attr{trace.Str("dataset", req.Dataset)}
+	if sub {
+		if meta := v.meta; meta.Generation != req.Gen || meta.TotalCount != req.Count {
+			s.genConflicts.Add(1)
+			return nil, "", nil, Errorf(http.StatusConflict,
+				"generation conflict: shard sees gen %d (%d records), sub-query fenced at gen %d (%d records)",
+				meta.Generation, meta.TotalCount, req.Gen, req.Count)
+		}
+		family, span = "sub", trace.SpanSubquery
+		attrs = append(attrs, trace.Str("shard", s.shardName), trace.Int("partitions", int64(len(req.Partitions))))
+	}
 
 	// Per-request tracing: an explain request gets its own Tracer, scoped
 	// onto the shared engine via a trace-scoped Context copy. Untraced
@@ -195,9 +184,9 @@ func (s *Server) runQuery(reqCtx context.Context, req QueryRequest) (stdata.Quer
 	if req.Explain {
 		tr = trace.New()
 	}
-	root := tr.StartSpan(0, "query", trace.Str("dataset", req.Dataset))
+	root := tr.StartSpan(0, span, attrs...)
 
-	key := req.resultKey(v.gen)
+	key := req.CacheKey(family, v.gen)
 	if !req.NoCache {
 		lsp := root.Child(trace.SpanResultLookup)
 		hit, ok := s.cache.Get(key)
@@ -205,7 +194,7 @@ func (s *Server) runQuery(reqCtx context.Context, req QueryRequest) (stdata.Quer
 		if ok {
 			s.resultHits.Add(1)
 			root.End()
-			return hit.(stdata.QueryResult), "hit", trace.Build(tr.Snapshot()), http.StatusOK, nil
+			return hit, "hit", tr, nil
 		}
 	}
 	s.resultMisses.Add(1)
@@ -217,14 +206,14 @@ func (s *Server) runQuery(reqCtx context.Context, req QueryRequest) (stdata.Quer
 	asp := root.Child(trace.SpanAdmission)
 	release, err := s.adm.Acquire(ctx)
 	asp.End(trace.Bool("acquired", err == nil))
-	if errors.Is(err, ErrBusy) {
-		root.End(trace.Str("error", err.Error()))
-		return stdata.QueryResult{}, "", nil, http.StatusTooManyRequests, err
-	}
 	if err != nil {
-		s.timeouts.Add(1)
+		status := http.StatusTooManyRequests
+		if !errors.Is(err, ErrBusy) {
+			s.timeouts.Add(1)
+			status = http.StatusGatewayTimeout
+		}
 		root.End(trace.Str("error", err.Error()))
-		return stdata.QueryResult{}, "", nil, http.StatusGatewayTimeout, err
+		return nil, "", nil, &StatusError{Status: status, Err: err}
 	}
 
 	// Execute on the shared engine. Engine jobs are not preemptible, so on
@@ -232,32 +221,65 @@ func (s *Server) runQuery(reqCtx context.Context, req QueryRequest) (stdata.Quer
 	// the background — it still releases its slot and warms the cache.
 	ectx := s.ctx.WithTracer(tr, root.ID())
 	type outcome struct {
-		res stdata.QueryResult
+		val any
+		end []trace.Attr
 		err error
 	}
 	done := make(chan outcome, 1)
 	go func() {
 		defer release()
-		res, err := d.Schema.ServeQuery(ectx, d.Dir, v.meta, s.fetcher(d, v, ectx), req.Window(),
-			stdata.QueryOptions{Records: req.Records, Limit: req.Limit})
+		val, size, end, err := s.run(ectx, d, v, req, sub)
 		if err == nil && !req.NoCache {
-			s.cache.Put(key, res, resultBytes(res))
+			s.cache.Put(key, val, size)
 		}
-		done <- outcome{res, err}
+		done <- outcome{val, end, err}
 	}()
 	select {
 	case out := <-done:
 		if out.err != nil {
 			root.End(trace.Str("error", out.err.Error()))
-			return stdata.QueryResult{}, "", nil, http.StatusInternalServerError, out.err
+			return nil, "", nil, out.err
 		}
-		root.End()
-		return out.res, "miss", trace.Build(tr.Snapshot()), http.StatusOK, nil
+		root.End(out.end...)
+		return out.val, "miss", tr, nil
 	case <-ctx.Done():
 		s.timeouts.Add(1)
-		return stdata.QueryResult{}, "", nil, http.StatusGatewayTimeout,
-			fmt.Errorf("serve: query exceeded the %s deadline", s.timeout)
+		return nil, "", nil, Errorf(http.StatusGatewayTimeout, "serve: query exceeded the %s deadline", s.timeout)
 	}
+}
+
+// run is the pipeline's one varying step: execute req on the shared engine
+// and return the answer body, its resident size for the result cache, and
+// the root span's closing attrs. A sub-query answers per-partition chunks
+// or a mergeable partial envelope; a /query the flat result or the
+// finalized envelope.
+func (s *Server) run(ectx *engine.Context, d *Dataset, v view, req SubQueryRequest, sub bool) (any, int64, []trace.Attr, error) {
+	if req.Approx {
+		res, p, err := d.Schema.ApproxQuery(ectx, d.Dir, v.meta, req.Window(), stdata.ApproxRequest{
+			Agg: req.Agg, Q: req.Q, Res: req.Res, ScanBoundary: req.ApproxScan,
+			Partitions: req.Partitions, Partial: sub,
+		})
+		if err != nil {
+			return nil, 0, nil, badSpec(err)
+		}
+		if sub {
+			size := 256 + int64(len(p.Parts))*56 + int64(len(p.CellLo))*24
+			return SubQueryResponse{Approx: p}, size, []trace.Attr{trace.Int("approx_count_hi", p.CountHi)}, nil
+		}
+		resp := QueryResponse{Approx: res}
+		return resp, resp.ResidentBytes(), nil, nil
+	}
+	res, err := d.Schema.ServeQuery(ectx, d.Dir, v.meta, s.fetcher(d, v, ectx), req.Window(),
+		stdata.QueryOptions{Records: req.Records, Limit: req.Limit, Partitions: req.Partitions, PerPartition: sub})
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	resp := QueryResponse{QueryResult: res}
+	if sub {
+		return SubQueryResponse{Parts: res.Parts}, resp.ResidentBytes(),
+			[]trace.Attr{trace.Int("selected", res.Stats.SelectedRecords)}, nil
+	}
+	return resp, resp.ResidentBytes(), nil, nil
 }
 
 // fetcher returns the cache-aware partition loader for one query. A
@@ -347,100 +369,6 @@ func partKey(name string, epoch int64, file string) string {
 	return "part|" + name + "|" + strconv.FormatInt(epoch, 10) + "|" + file
 }
 
-// resultBytes estimates a cached result's resident size.
-func resultBytes(res stdata.QueryResult) int64 {
-	n := int64(128)
-	for _, rec := range res.Records {
-		n += int64(len(rec)) + 24
-	}
-	return n
-}
-
-// runApprox resolves, admits, and executes one approximate aggregate query
-// against the dataset's compaction-time summaries. Same admission, caching,
-// and tracing discipline as runQuery; the answer is the estimate±bound
-// envelope, never records.
-func (s *Server) runApprox(reqCtx context.Context, req QueryRequest) (*summary.Result, string, *trace.Explain, int, error) {
-	d, ok := s.catalog.Get(req.Dataset)
-	if !ok {
-		return nil, "", nil, http.StatusNotFound, fmt.Errorf("unknown dataset %q", req.Dataset)
-	}
-	v, err := d.revalidate()
-	if err != nil {
-		return nil, "", nil, http.StatusInternalServerError, err
-	}
-	s.noteGeneration(d, v)
-
-	var tr *trace.Tracer
-	if req.Explain {
-		tr = trace.New()
-	}
-	root := tr.StartSpan(0, "query", trace.Str("dataset", req.Dataset))
-
-	key := req.resultKey(v.gen)
-	if !req.NoCache {
-		lsp := root.Child(trace.SpanResultLookup)
-		hit, ok := s.cache.Get(key)
-		lsp.End(trace.Bool("hit", ok))
-		if ok {
-			s.resultHits.Add(1)
-			root.End()
-			return hit.(*summary.Result), "hit", trace.Build(tr.Snapshot()), http.StatusOK, nil
-		}
-	}
-	s.resultMisses.Add(1)
-
-	ctx, cancel := context.WithTimeout(reqCtx, s.timeout)
-	defer cancel()
-	asp := root.Child(trace.SpanAdmission)
-	release, err := s.adm.Acquire(ctx)
-	asp.End(trace.Bool("acquired", err == nil))
-	if errors.Is(err, ErrBusy) {
-		root.End(trace.Str("error", err.Error()))
-		return nil, "", nil, http.StatusTooManyRequests, err
-	}
-	if err != nil {
-		s.timeouts.Add(1)
-		root.End(trace.Str("error", err.Error()))
-		return nil, "", nil, http.StatusGatewayTimeout, err
-	}
-
-	ectx := s.ctx.WithTracer(tr, root.ID())
-	type outcome struct {
-		res *summary.Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		defer release()
-		res, _, err := d.Schema.ApproxQuery(ectx, d.Dir, v.meta, req.Window(), stdata.ApproxRequest{
-			Agg: req.Agg, Q: req.Q, Res: req.Res, ScanBoundary: req.ApproxScan,
-		})
-		if err == nil && !req.NoCache {
-			s.cache.Put(key, res, approxBytes(res.Cells, len(res.Parts)))
-		}
-		done <- outcome{res, err}
-	}()
-	select {
-	case out := <-done:
-		if out.err != nil {
-			root.End(trace.Str("error", out.err.Error()))
-			return nil, "", nil, http.StatusInternalServerError, out.err
-		}
-		root.End()
-		return out.res, "miss", trace.Build(tr.Snapshot()), http.StatusOK, nil
-	case <-ctx.Done():
-		s.timeouts.Add(1)
-		return nil, "", nil, http.StatusGatewayTimeout,
-			fmt.Errorf("serve: query exceeded the %s deadline", s.timeout)
-	}
-}
-
-// approxBytes estimates a cached approx envelope's resident size.
-func approxBytes(cells []summary.Cell, parts int) int64 {
-	return 256 + int64(len(cells))*72 + int64(parts)*56
-}
-
 // noteGeneration eagerly drops a dataset's stale cache entries when its
 // catalog generation moves (a re-ingest, delta append, or compaction was
 // detected): every cached result, and every cached partition file the new
@@ -472,10 +400,6 @@ func (s *Server) noteGeneration(d *Dataset, v view) {
 	s.cache.DropPrefixExcept("part|"+d.Name+"|", live)
 }
 
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.catalog.List())
-}
-
 // MetricsResponse is the GET /metrics body: every counter family the
 // daemon maintains, engine included, in one dump.
 type MetricsResponse struct {
@@ -495,30 +419,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		snap.StagesDropped += int64(len(snap.Stages) - maxMetricsStages)
 		snap.Stages = snap.Stages[len(snap.Stages)-maxMetricsStages:]
 	}
-	writeJSON(w, http.StatusOK, MetricsResponse{
+	WriteJSON(w, http.StatusOK, MetricsResponse{
 		Server:    s.Stats(),
 		Cache:     s.cache.Stats(),
 		Admission: s.adm.Stats(),
 		Subscribe: s.hub.Stats(),
 		Engine:    snap,
 	})
-}
-
-// handleHealthz is the liveness probe: green as long as the process can
-// answer HTTP at all, draining included.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz is the readiness probe: 503 while draining, so a cluster
-// router stops routing to this shard before its listener closes.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ready")
 }

@@ -137,28 +137,20 @@ func (s *Server) Close() {
 // and streams init/batch/resync updates as SSE frames until the client
 // disconnects or the daemon drains.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
-		return
-	}
 	var req QueryRequest
-	if err := readJSONBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req, nil) {
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
+		s.fail(w, errors.New("streaming unsupported"))
 		return
 	}
 	sub, err := s.hub.Subscribe(req.Dataset, req.Window(), subscribe.Options{Limit: req.Limit})
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, subscribe.ErrUnknownDataset) {
-			status = http.StatusNotFound
-		}
-		s.queryErrors.Add(1)
-		writeError(w, status, err)
+	if errors.Is(err, subscribe.ErrUnknownDataset) {
+		err = &StatusError{Status: http.StatusNotFound, Err: err}
+	}
+	if s.fail(w, err) {
 		return
 	}
 	defer sub.Close()

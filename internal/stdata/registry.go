@@ -569,49 +569,57 @@ func (s schema[T]) ServeQuery(
 	if limit <= 0 || int64(limit) > res.Stats.SelectedRecords {
 		limit = int(res.Stats.SelectedRecords)
 	}
-	if opts.PerPartition {
-		// Per-partition chunks: Selected always counts every match; record
-		// marshaling caps at limit across the chunks in order — a shard's
-		// stream is a subsequence of the global partition-ordered stream,
-		// so any record within the global limit survives the local cap and
-		// a scatter-gather merge stays byte-identical to single-node
-		// serving.
-		res.Parts = make([]PartResult, len(ids))
-		remaining := limit
-		for p, id := range ids {
-			pr := PartResult{ID: id, Selected: int64(len(matched[p]))}
-			if opts.Records {
-				for _, rec := range matched[p] {
-					if remaining <= 0 {
-						break
-					}
-					b, err := json.Marshal(rec)
-					if err != nil {
-						return QueryResult{}, fmt.Errorf("stdata: marshal record: %w", err)
-					}
-					pr.Records = append(pr.Records, b)
-					remaining--
-				}
-			}
-			res.Parts[p] = pr
-		}
-	} else if opts.Records {
-		res.Records = make([]json.RawMessage, 0, limit)
-	marshal:
-		for _, part := range matched {
-			for _, rec := range part {
-				if len(res.Records) >= limit {
-					break marshal
-				}
+	// Per-partition chunks: Selected always counts every match; record
+	// marshaling caps at limit across the chunks in order — a shard's
+	// stream is a subsequence of the global partition-ordered stream, so
+	// any record within the global limit survives the local cap and a
+	// scatter-gather merge stays byte-identical to single-node serving.
+	// The flat Records are these chunks flattened.
+	parts := make([]PartResult, len(ids))
+	remaining := limit
+	for p, id := range ids {
+		pr := PartResult{ID: id, Selected: int64(len(matched[p]))}
+		if n := min(len(matched[p]), remaining); opts.Records && n > 0 {
+			pr.Records = make([]json.RawMessage, n)
+			for i, rec := range matched[p][:n] {
 				b, err := json.Marshal(rec)
 				if err != nil {
 					return QueryResult{}, fmt.Errorf("stdata: marshal record: %w", err)
 				}
-				res.Records = append(res.Records, b)
+				pr.Records[i] = b
 			}
+			remaining -= n
 		}
+		parts[p] = pr
+	}
+	if opts.PerPartition {
+		res.Parts = parts
+	} else if opts.Records {
+		res.Records = Flatten(parts, limit)
 	}
 	return res, nil
+}
+
+// Flatten is the flat record stream of per-partition chunks: their records
+// concatenated in chunk order and cut at limit (<= 0: no cut). A single
+// node's flat Records are its own chunks flattened and a router's merge is
+// its shards' chunks flattened, so the two agree by construction.
+func Flatten(parts []PartResult, limit int) []json.RawMessage {
+	n := 0
+	for _, pr := range parts {
+		n += len(pr.Records)
+	}
+	if limit > 0 && limit < n {
+		n = limit
+	}
+	out := make([]json.RawMessage, 0, n)
+	for _, pr := range parts {
+		if len(out)+len(pr.Records) >= n {
+			return append(out, pr.Records[:n-len(out)]...)
+		}
+		out = append(out, pr.Records...)
+	}
+	return out
 }
 
 // querier adapts a typed Selector to the untyped Querier interface.

@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -47,19 +48,23 @@ func (s Spec) normalize() Spec {
 	return s
 }
 
+// ErrSpec wraps every Validate failure: the request, not the data, is at
+// fault, so the serving tiers answer it 400.
+var ErrSpec = errors.New("summary: invalid spec")
+
 // Validate rejects malformed specs before any work happens.
 func (s Spec) Validate(hasValue bool) error {
 	switch s.Agg {
 	case "", AggCount, AggHist:
 	case AggQuantile:
 		if !hasValue {
-			return fmt.Errorf("summary: schema has no value attribute for %q", AggQuantile)
+			return fmt.Errorf("%w: schema has no value attribute for %q", ErrSpec, AggQuantile)
 		}
 		if math.IsNaN(s.Q) || s.Q < 0 || s.Q > 1 {
-			return fmt.Errorf("summary: quantile q=%v outside [0,1]", s.Q)
+			return fmt.Errorf("%w: quantile q=%v outside [0,1]", ErrSpec, s.Q)
 		}
 	default:
-		return fmt.Errorf("summary: unknown aggregate %q (want %s|%s|%s)", s.Agg, AggCount, AggHist, AggQuantile)
+		return fmt.Errorf("%w: unknown aggregate %q (want %s|%s|%s)", ErrSpec, s.Agg, AggCount, AggHist, AggQuantile)
 	}
 	return nil
 }
