@@ -87,6 +87,8 @@ fuzz-smoke:
 # dataset and run one query, drive stingest's full tail-append-compact
 # loop in-process, and bring up a 2-shard fleet plus router on loopback
 # and check a pruned query scatters to fewer shards than the map holds.
+# The pinned-partition load and probe benchmarks run once each, so they
+# cannot rot.
 # Last, the benchmark module's own suite (benchmark/ is a separate Go
 # module, so ./... above does not reach it): its smoke runs every workload
 # small and verifies every reply, subscriber stream and ingest_live read
@@ -102,6 +104,7 @@ check:
 	$(GO) test -race -count=1 -run TestIngestSmoke ./cmd/stingest
 	$(GO) test -race -count=1 -run TestClusterSmoke ./cmd/strouter
 	$(GO) test -race -count=1 -run TestApproxBytesSmoke ./internal/stdata
+	$(GO) test -run '^$$' -bench 'LoadBase|BaseProbe' -benchtime=1x ./internal/stdata
 	$(GO) test -race -count=1 -run TestPointPatSmoke ./internal/pointpat
 	(cd benchmark && $(GO) test ./...)
 

@@ -252,6 +252,63 @@ func TestTrajToCollectiveMethodsAgree(t *testing.T) {
 	}
 }
 
+// TestBorderTouchingSegmentsMethodsAgree allocates trajectories whose
+// vertices sit on cell borders computed the way the grid computes its cells,
+// on seeded irregular extents. A segment ending on a border touches the
+// neighbour cell, so the arithmetic candidates must not drop it: Auto ≡
+// RTree ≡ Naive on spatial maps and rasters.
+func TestBorderTouchingSegmentsMethodsAgree(t *testing.T) {
+	ctx := testCtx()
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 40; trial++ {
+		x0, y0 := rng.Float64()*200-100, rng.Float64()*200-100
+		space := instance.SpatialGrid{
+			Extent: geom.Box(x0, y0, x0+0.1+rng.Float64()*50, y0+0.1+rng.Float64()*50),
+			NX:     1 + rng.Intn(9), NY: 1 + rng.Intn(9),
+		}
+		vertex := func() geom.Point {
+			c := space.Cell(rng.Intn(space.NX+1), rng.Intn(space.NY+1))
+			return geom.Pt(c.MinX, c.MinY)
+		}
+		trajs := make([]ptraj, 60)
+		for i := range trajs {
+			entries := make([]instance.Entry[geom.Point, instance.Unit], 1+rng.Intn(3))
+			for j := range entries {
+				entries[j] = instance.Entry[geom.Point, instance.Unit]{
+					Spatial: vertex(), Temporal: tempo.Instant(rng.Int63n(1000)),
+				}
+			}
+			trajs[i] = instance.NewTrajectory(entries, int64(i))
+		}
+		r := engine.Parallelize(ctx, trajs, 3)
+		smTgt := SpatialGridTarget(space)
+		raTgt := RasterGridTarget(instance.RasterGrid{
+			Space: space, Time: instance.TimeGrid{Window: tempo.New(0, 999), NT: 3},
+		})
+		counts := func(m Method) [][]int64 {
+			sm := make([]int64, space.NumCells())
+			for _, p := range TrajToSpatialMap(r, smTgt, m, countAgg[ptraj]).Collect() {
+				for i, e := range p.Entries {
+					sm[i] += e.Value
+				}
+			}
+			ra := make([]int64, len(raTgt.Cells))
+			for _, p := range TrajToRaster(r, raTgt, m, countAgg[ptraj]).Collect() {
+				for i, e := range p.Entries {
+					ra[i] += e.Value
+				}
+			}
+			return [][]int64{sm, ra}
+		}
+		naive := counts(Naive)
+		for _, m := range []Method{Auto, RTree} {
+			if got := counts(m); !reflect.DeepEqual(got, naive) {
+				t.Fatalf("trial %d, grid %+v: method %d counts %v, naive %v", trial, space, m, got, naive)
+			}
+		}
+	}
+}
+
 func TestTrajSpatialExactness(t *testing.T) {
 	// A diagonal trajectory must not count into grid cells its MBR covers
 	// but its segments miss.

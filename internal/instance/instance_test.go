@@ -2,6 +2,7 @@ package instance
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -201,6 +202,40 @@ func TestSpatialGridCellRangeAndLocate(t *testing.T) {
 	}
 	if got := g.Locate(geom.Pt(-1, 5)); got != -1 {
 		t.Errorf("Locate outside = %d", got)
+	}
+}
+
+// TestSpatialGridCellRangeCoversCells checks CellRange against brute force
+// over Cells(): every cell a box meets must lie in the returned range.
+// Most box faces sit on cell borders computed the way Cell computes them,
+// where truncating a fractional cell position can land one cell short.
+func TestSpatialGridCellRangeCoversCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 3000; trial++ {
+		x0, y0 := rng.Float64()*200-100, rng.Float64()*200-100
+		g := SpatialGrid{
+			Extent: geom.Box(x0, y0, x0+0.1+rng.Float64()*50, y0+0.1+rng.Float64()*50),
+			NX:     1 + rng.Intn(12), NY: 1 + rng.Intn(12),
+		}
+		face := func(border func(k int) float64, lo, hi float64, n int) float64 {
+			if rng.Intn(4) == 0 {
+				return lo + rng.Float64()*(hi-lo)
+			}
+			return border(rng.Intn(n + 1))
+		}
+		xb := func(k int) float64 { return g.Cell(k, 0).MinX }
+		yb := func(k int) float64 { return g.Cell(0, k).MinY }
+		e := g.Extent
+		b := geom.Box(face(xb, e.MinX, e.MaxX, g.NX), face(yb, e.MinY, e.MaxY, g.NY),
+			face(xb, e.MinX, e.MaxX, g.NX), face(yb, e.MinY, e.MaxY, g.NY))
+		ix0, ix1, iy0, iy1, ok := g.CellRange(b)
+		for i, c := range g.Cells() {
+			ix, iy := i%g.NX, i/g.NX
+			if c.Intersects(b) && (!ok || ix < ix0 || ix > ix1 || iy < iy0 || iy > iy1) {
+				t.Fatalf("trial %d: grid %+v box %+v meets cell (%d,%d) %+v outside CellRange %d..%d × %d..%d (ok %v)",
+					trial, g, b, ix, iy, c, ix0, ix1, iy0, iy1, ok)
+			}
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package instance
 
 import (
-	"math"
-
 	"st4ml/internal/geom"
 	"st4ml/internal/tempo"
 )
@@ -55,12 +53,18 @@ func (g SpatialGrid) Cell(ix, iy int) geom.MBR {
 	w := g.Extent.Width() / float64(g.NX)
 	h := g.Extent.Height() / float64(g.NY)
 	return geom.MBR{
-		MinX: g.Extent.MinX + float64(ix)*w,
-		MinY: g.Extent.MinY + float64(iy)*h,
-		MaxX: g.Extent.MinX + float64(ix+1)*w,
-		MaxY: g.Extent.MinY + float64(iy+1)*h,
+		MinX: border(g.Extent.MinX, w, ix),
+		MinY: border(g.Extent.MinY, h, iy),
+		MaxX: border(g.Extent.MinX, w, ix+1),
+		MaxY: border(g.Extent.MinY, h, iy+1),
 	}
 }
+
+// border is the coordinate of the border before cell i along one axis. Cell
+// and CellRange both go through it, so they agree bit for bit; the explicit
+// conversion keeps the compiler from fusing the multiply-add differently at
+// different call sites.
+func border(org, w float64, i int) float64 { return org + float64(float64(i)*w) }
 
 // Cells materializes all cell extents in row-major order.
 func (g SpatialGrid) Cells() []geom.MBR {
@@ -85,33 +89,43 @@ func (g SpatialGrid) Polygons() []*geom.Polygon {
 }
 
 // CellRange returns the inclusive index ranges [ix0,ix1] × [iy0,iy1] of
-// cells that may intersect box b, or ok=false when b misses the extent.
-// This is the regular-structure index derivation of §4.2. Cells are closed
-// boxes sharing borders, so a coordinate exactly on a boundary belongs to
-// both adjacent cells — the lower index extends to cover that case.
+// cells that may intersect box b, or ok=false when b misses every cell.
+// This is the regular-structure index derivation of §4.2. The range may
+// over-include (conversion exact-tests every candidate) but never drops a
+// cell that Cells() says b meets, borders included.
 func (g SpatialGrid) CellRange(b geom.MBR) (ix0, ix1, iy0, iy1 int, ok bool) {
-	b = b.Intersection(g.Extent)
 	if b.IsEmpty() || g.NX <= 0 || g.NY <= 0 {
 		return 0, 0, 0, 0, false
 	}
-	w := g.Extent.Width() / float64(g.NX)
-	h := g.Extent.Height() / float64(g.NY)
-	ix0 = lowerCell((b.MinX-g.Extent.MinX)/w, g.NX)
-	ix1 = clampIdx(int((b.MaxX-g.Extent.MinX)/w), g.NX)
-	iy0 = lowerCell((b.MinY-g.Extent.MinY)/h, g.NY)
-	iy1 = clampIdx(int((b.MaxY-g.Extent.MinY)/h), g.NY)
+	ix0, ix1, okx := cellSpan(g.Extent.MinX, g.Extent.Width()/float64(g.NX), b.MinX, b.MaxX, g.NX)
+	iy0, iy1, oky := cellSpan(g.Extent.MinY, g.Extent.Height()/float64(g.NY), b.MinY, b.MaxY, g.NY)
+	if !okx || !oky {
+		return 0, 0, 0, 0, false
+	}
 	return ix0, ix1, iy0, iy1, true
 }
 
-// lowerCell maps a fractional cell position to the lowest cell index whose
-// closed extent contains it: boundary-exact positions also touch the cell
-// below.
-func lowerCell(f float64, n int) int {
-	i := clampIdx(int(f), n)
-	if f == math.Trunc(f) && i > 0 {
-		i--
+// cellSpan returns the inclusive range of the n cells of width w from org
+// along one axis whose closed extents may meet [lo, hi]. Truncating the
+// fractional position can land one cell short when a face of the box sits
+// on a border, so each end widens to the neighbour cell whose border,
+// computed as Cell computes it, lies within the box. Cells are closed and
+// share borders: a face on a border meets both cells.
+func cellSpan(org, w, lo, hi float64, n int) (i0, i1 int, ok bool) {
+	top := border(org, w, n)
+	if hi < org || lo > top {
+		return 0, 0, false
 	}
-	return i
+	lo, hi = max(lo, org), min(hi, top)
+	i0 = clampIdx(int((lo-org)/w), n)
+	if i0 > 0 && border(org, w, i0) >= lo {
+		i0--
+	}
+	i1 = clampIdx(int((hi-org)/w), n)
+	if i1+1 < n && border(org, w, i1+1) <= hi {
+		i1++
+	}
+	return i0, i1, true
 }
 
 // Locate returns the row-major index of the cell containing p, or -1 when p

@@ -9,9 +9,9 @@
 //     compactions and re-ingests are picked up without a restart and bump
 //     the dataset generation);
 //   - a byte-budgeted LRU Cache holds decoded partition files — each base
-//     pinned together with a 3-d R-tree over its records, built lazily on
-//     first touch, each delta with its records' boxes, all keyed
-//     by file name so an append evicts nothing — and marshaled query
+//     or delta pinned with its records' boxes plus one box per run of 16
+//     consecutive records, built on first touch, all keyed by file name so
+//     an append evicts nothing — and marshaled query
 //     results, so hot windows skip disk (and the engine) entirely;
 //   - every query executes as engine tasks on one shared engine.Context,
 //     exercising the engine's multi-job concurrency, retries included;

@@ -283,8 +283,9 @@ func (s *Server) run(ectx *engine.Context, d *Dataset, v view, req SubQueryReque
 }
 
 // fetcher returns the cache-aware partition loader for one query. A
-// partition's live view is assembled from cached files: the base (records +
-// R-tree) and each attached delta (records + boxes), each keyed by its file
+// partition's live view is assembled from cached files: the base and each
+// attached delta (records, their boxes and one box per run of 16), each
+// keyed by its file
 // name, so an append costs a read of only the deltas it wrote and a
 // compaction only the bases it rewrote. Misses read the disk exactly once
 // per file even under concurrent identical queries. ectx carries the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"st4ml/internal/codec"
@@ -140,12 +141,13 @@ type Schema interface {
 	// accounting summed over every file it read.
 	LoadPartition(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error)
 	// LoadBase reads and decodes partition id's base file alone, pinned
-	// with an R-tree over its records. Base files are immutable, so
-	// the serving cache keys the handle by file name and appends never
-	// evict it.
+	// with its records' boxes and one box per run of 16 consecutive
+	// records (the file is Z-clustered, so run boxes are tight). Base files
+	// are immutable, so the serving cache keys the handle by file name and
+	// appends never evict it.
 	LoadBase(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error)
-	// LoadDelta decodes one committed delta file, pinned with its records'
-	// boxes (one append's share of a partition: a linear scan is its index).
+	// LoadDelta decodes one committed delta file, pinned the same way as a
+	// base.
 	LoadDelta(dir string, meta *storage.Metadata, dm storage.DeltaMeta) (Partition, storage.ReadStats, error)
 	// LiveView composes a handle from LoadBase and that partition's deltas
 	// from LoadDelta, in manifest order, into the live partition ServeQuery
@@ -156,8 +158,8 @@ type Schema interface {
 	// ServeQuery is the daemon's selection path: partitions surviving the
 	// metadata prune are fetched through fetch — the serving cache's
 	// get-or-load hook, which returns a LiveView over cached segments — and
-	// searched through the base R-tree and the delta boxes, one engine task
-	// per partition on the shared context. A nil fetch loads every
+	// searched run box first, record box second, one engine task per
+	// partition on the shared context. A nil fetch loads every
 	// partition from disk with LoadPartition.
 	ServeQuery(ctx *engine.Context, dir string, meta *storage.Metadata,
 		fetch func(id int) (Partition, error), w selection.Window,
@@ -264,10 +266,11 @@ func (s schema[T]) Append(recs any, dir, batchID string) (int64, error) {
 func (s schema[T]) ReadDelta(
 	dir string, meta *storage.Metadata, dm storage.DeltaMeta,
 ) ([]index.Box, []json.RawMessage, error) {
-	d, _, err := s.loadDelta(dir, meta, dm)
+	p, _, err := s.LoadDelta(dir, meta, dm)
 	if err != nil {
 		return nil, nil, err
 	}
+	d := p.(*segment[T])
 	raw := make([]json.RawMessage, len(d.recs))
 	for i, rec := range d.recs {
 		b, err := json.Marshal(rec)
@@ -306,75 +309,93 @@ func (s schema[T]) ReadCSV(r io.Reader) (any, error) {
 	return s.spec.CSV(r)
 }
 
-// partData is the pinned form of one decoded base file: its records in
-// file order plus a bulk-loaded R-tree over record indexes (searches return
-// hits in record order, so served results match a direct linear selection).
-type partData[T any] struct {
+// runLen is the number of consecutive records one run box covers. Base
+// files are Z-clustered at ingest and compaction, so a run of neighbours
+// has a tight box and a window skips most runs on one test each.
+const runLen = 16
+
+// segment is the pinned form of one decoded base or delta file: its records
+// in file order, each record's box, and one box per run of runLen
+// consecutive records. A search tests the records of a run only when the
+// run's box meets the window, with the same Box.Intersects at both levels,
+// so hits come out in ascending record order and equal a linear scan.
+type segment[T any] struct {
 	recs  []T
-	tree  *index.RTree[int]
+	boxes []index.Box
+	runs  []index.Box
 	bytes int64
+	delta bool
 }
 
-func (p *partData[T]) Len() int         { return len(p.recs) }
-func (p *partData[T]) SizeBytes() int64 { return p.bytes }
+// pin builds the segment over recs, a file of fileBytes encoded bytes.
+func (s schema[T]) pin(recs []T, fileBytes int64, delta bool) *segment[T] {
+	seg := &segment[T]{
+		recs:  recs,
+		boxes: make([]index.Box, len(recs)),
+		runs:  make([]index.Box, 0, (len(recs)+runLen-1)/runLen),
+		bytes: fileBytes + int64(len(recs))*pinOverheadBytes,
+		delta: delta,
+	}
+	for i, rec := range recs {
+		seg.boxes[i] = s.spec.BoxOf(rec)
+	}
+	for lo := 0; lo < len(recs); lo += runLen {
+		// Plain per-axis min/max rather than Box.Union, which skips empty
+		// boxes: every record box must lie inside its run's box for the
+		// run test to never drop a record Intersects would keep.
+		run := seg.boxes[lo]
+		for _, b := range seg.boxes[lo+1 : min(lo+runLen, len(recs))] {
+			for a := range run.Min {
+				run.Min[a] = math.Min(run.Min[a], b.Min[a])
+				run.Max[a] = math.Max(run.Max[a], b.Max[a])
+			}
+		}
+		seg.runs = append(seg.runs, run)
+	}
+	return seg
+}
 
-func (p *partData[T]) appendMatches(q index.Box, out []T) []T {
-	hit := make([]bool, len(p.recs))
-	p.tree.SearchFunc(q, func(i int, _ index.Box) bool {
-		hit[i] = true
-		return true
-	})
-	for i, h := range hit {
-		if h {
-			out = append(out, p.recs[i])
+func (g *segment[T]) Len() int         { return len(g.recs) }
+func (g *segment[T]) SizeBytes() int64 { return g.bytes }
+
+func (g *segment[T]) appendMatches(q index.Box, out []T) []T {
+	for r, run := range g.runs {
+		if !run.Intersects(q) {
+			continue
+		}
+		for i := r * runLen; i < min((r+1)*runLen, len(g.recs)); i++ {
+			if g.boxes[i].Intersects(q) {
+				out = append(out, g.recs[i])
+			}
 		}
 	}
 	return out
 }
 
-// deltaData is the pinned form of one decoded delta file: its records in
-// file order and their boxes, scanned linearly with the R-tree's own
-// intersection test.
-type deltaData[T any] struct {
-	recs  []T
-	boxes []index.Box
-	bytes int64
-}
+// liveData is a partition's live view: a pinned base segment followed by
+// its pinned delta segments in manifest order. It shares, never copies,
+// their records.
+type liveData[T any] []*segment[T]
 
-func (d *deltaData[T]) Len() int         { return len(d.recs) }
-func (d *deltaData[T]) SizeBytes() int64 { return d.bytes }
-
-// liveData is a partition's live view: a pinned base followed by its pinned
-// deltas in manifest order. It shares, never copies, their records.
-type liveData[T any] struct {
-	base   *partData[T]
-	deltas []*deltaData[T]
-}
-
-func (v *liveData[T]) Len() int {
-	n := v.base.Len()
-	for _, d := range v.deltas {
-		n += d.Len()
+func (v liveData[T]) Len() int {
+	n := 0
+	for _, g := range v {
+		n += g.Len()
 	}
 	return n
 }
 
-func (v *liveData[T]) SizeBytes() int64 {
-	n := v.base.SizeBytes()
-	for _, d := range v.deltas {
-		n += d.SizeBytes()
+func (v liveData[T]) SizeBytes() int64 {
+	var n int64
+	for _, g := range v {
+		n += g.SizeBytes()
 	}
 	return n
 }
 
-func (v *liveData[T]) appendMatches(q index.Box, out []T) []T {
-	out = v.base.appendMatches(q, out)
-	for _, d := range v.deltas {
-		for i, b := range d.boxes {
-			if b.Intersects(q) {
-				out = append(out, d.recs[i])
-			}
-		}
+func (v liveData[T]) appendMatches(q index.Box, out []T) []T {
+	for _, g := range v {
+		out = g.appendMatches(q, out)
 	}
 	return out
 }
@@ -389,39 +410,29 @@ type matcher[T any] interface {
 }
 
 // pinOverheadBytes approximates the per-record cost of the pinned slice and
-// its index (an R-tree entry, or a delta box) beyond the encoded payload.
+// its index (a record box plus its share of a run box) beyond the encoded
+// payload.
 const pinOverheadBytes = 64
 
 func (s schema[T]) LoadPartition(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error) {
-	base, st, err := s.loadBase(dir, meta, id)
+	base, st, err := s.LoadBase(dir, meta, id)
 	if err != nil {
 		return nil, st, err
 	}
-	deltas := meta.Deltas(id)
-	if len(deltas) == 0 {
-		return base, st, nil
-	}
-	v := &liveData[T]{base: base, deltas: make([]*deltaData[T], len(deltas))}
-	for i, dm := range deltas {
-		d, dst, err := s.loadDelta(dir, meta, dm)
+	var deltas []Partition
+	for _, dm := range meta.Deltas(id) {
+		d, dst, err := s.LoadDelta(dir, meta, dm)
 		if err != nil {
 			return nil, st, err
 		}
 		st.Add(dst)
-		v.deltas[i] = d
+		deltas = append(deltas, d)
 	}
-	return v, st, nil
+	v, err := s.LiveView(base, deltas)
+	return v, st, err
 }
 
 func (s schema[T]) LoadBase(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error) {
-	p, st, err := s.loadBase(dir, meta, id)
-	if err != nil {
-		return nil, st, err
-	}
-	return p, st, nil
-}
-
-func (s schema[T]) loadBase(dir string, meta *storage.Metadata, id int) (*partData[T], storage.ReadStats, error) {
 	// The pinned handle serves arbitrary later windows, so the whole file is
 	// decoded (nil windows — no block pruning); the stats still report the
 	// block and byte volume the load cost.
@@ -429,55 +440,33 @@ func (s schema[T]) loadBase(dir string, meta *storage.Metadata, id int) (*partDa
 	if err != nil {
 		return nil, st, err
 	}
-	items := make([]index.Item[int], len(recs))
-	for i, rec := range recs {
-		items[i] = index.Item[int]{Box: s.spec.BoxOf(rec), Data: i}
-	}
-	return &partData[T]{
-		recs:  recs,
-		tree:  index.BulkLoadSTR(items, 16),
-		bytes: meta.Partitions[id].Bytes + int64(len(recs))*pinOverheadBytes,
-	}, st, nil
+	return s.pin(recs, meta.Partitions[id].Bytes, false), st, nil
 }
 
 func (s schema[T]) LoadDelta(dir string, meta *storage.Metadata, dm storage.DeltaMeta) (Partition, storage.ReadStats, error) {
-	d, st, err := s.loadDelta(dir, meta, dm)
-	if err != nil {
-		return nil, st, err
-	}
-	return d, st, nil
-}
-
-func (s schema[T]) loadDelta(dir string, meta *storage.Metadata, dm storage.DeltaMeta) (*deltaData[T], storage.ReadStats, error) {
 	compressed := meta != nil && meta.Compressed
 	recs, st, err := storage.ReadDelta(dir, compressed, dm, s.spec.Codec)
 	if err != nil {
 		return nil, st, err
 	}
-	boxes := make([]index.Box, len(recs))
-	for i, rec := range recs {
-		boxes[i] = s.spec.BoxOf(rec)
-	}
-	return &deltaData[T]{
-		recs:  recs,
-		boxes: boxes,
-		bytes: dm.Bytes + int64(len(recs))*pinOverheadBytes,
-	}, st, nil
+	return s.pin(recs, dm.Bytes, true), st, nil
 }
 
 func (s schema[T]) LiveView(base Partition, deltas []Partition) (Partition, error) {
-	b, ok := base.(*partData[T])
-	if !ok {
+	b, ok := base.(*segment[T])
+	if !ok || b.delta {
 		return nil, fmt.Errorf("stdata: schema %s: live view over a %T base", s.spec.Name, base)
 	}
 	if len(deltas) == 0 {
 		return b, nil
 	}
-	v := &liveData[T]{base: b, deltas: make([]*deltaData[T], len(deltas))}
-	for i, p := range deltas {
-		if v.deltas[i], ok = p.(*deltaData[T]); !ok {
+	v := liveData[T]{b}
+	for _, p := range deltas {
+		d, ok := p.(*segment[T])
+		if !ok || !d.delta {
 			return nil, fmt.Errorf("stdata: schema %s: live view over a %T delta", s.spec.Name, p)
 		}
+		v = append(v, d)
 	}
 	return v, nil
 }
