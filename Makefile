@@ -68,14 +68,16 @@ docs:
 	echo "all packages have non-trivial package comments"
 
 # fuzz-smoke runs each byte-format fuzzer for a short bounded burst, so
-# the pre-merge gate gets real randomized coverage of the column codecs
-# and the v3 block reader on top of the committed corpora (which the
-# plain test run already replays as regression inputs).
+# the pre-merge gate gets real randomized coverage of the column codecs,
+# the v3 block reader and the records' JSON wire form on top of the
+# committed corpora (which the plain test run already replays as
+# regression inputs).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzColumnCodecs$$' -fuzztime=10s ./internal/codec
 	$(GO) test -run='^$$' -fuzz='^FuzzV3Block$$' -fuzztime=10s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzSubscriptionIndex$$' -fuzztime=10s ./internal/subscribe
 	$(GO) test -run='^$$' -fuzz='^FuzzSummarySidecar$$' -fuzztime=10s ./internal/summary
+	$(GO) test -run='^$$' -fuzz='^FuzzRecordJSON$$' -fuzztime=10s ./internal/stdata
 
 # check is the full pre-merge gate: vet, the docs gate, build, the
 # race-enabled short suite (fast gate over every package — fuzz corpora,
@@ -87,8 +89,8 @@ fuzz-smoke:
 # dataset and run one query, drive stingest's full tail-append-compact
 # loop in-process, and bring up a 2-shard fleet plus router on loopback
 # and check a pruned query scatters to fewer shards than the map holds.
-# The pinned-partition load and probe benchmarks run once each, so they
-# cannot rot.
+# The pinned-partition load and probe benchmarks and the record-encoding
+# benchmarks run once each, so they cannot rot.
 # Last, the benchmark module's own suite (benchmark/ is a separate Go
 # module, so ./... above does not reach it): its smoke runs every workload
 # small and verifies every reply, subscriber stream and ingest_live read
@@ -104,7 +106,7 @@ check:
 	$(GO) test -race -count=1 -run TestIngestSmoke ./cmd/stingest
 	$(GO) test -race -count=1 -run TestClusterSmoke ./cmd/strouter
 	$(GO) test -race -count=1 -run TestApproxBytesSmoke ./internal/stdata
-	$(GO) test -run '^$$' -bench 'LoadBase|BaseProbe' -benchtime=1x ./internal/stdata
+	$(GO) test -run '^$$' -bench 'LoadBase|BaseProbe|RecordJSON|ServeQueryRecords' -benchtime=1x ./internal/stdata
 	$(GO) test -race -count=1 -run TestPointPatSmoke ./internal/pointpat
 	(cd benchmark && $(GO) test ./...)
 

@@ -214,7 +214,7 @@ func (r *Router) scatter(ctx context.Context, meta *storage.Metadata,
 // Exact chunks are keyed by partition id (each record belongs to exactly
 // one partition per generation); duplicates from losing hedges are
 // dropped, and the rest flatten in the planned, ascending partition order
-// — the order a single node marshals in — cut at the query limit. Each
+// — the order a single node encodes in — cut at the query limit. Each
 // shard capped its records at the global limit across its own chunks in
 // the same order, so every record inside the global prefix survived its
 // shard's cap.

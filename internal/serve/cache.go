@@ -8,7 +8,7 @@ import (
 )
 
 // Cache is a byte-budgeted LRU over opaque values: pinned partitions and
-// marshaled query results share one budget, so a hot result set can push
+// encoded query results share one budget, so a hot result set can push
 // cold partitions out and vice versa. Concurrent loads of the same key are
 // deduplicated — under a thundering herd of identical cold queries only one
 // goroutine reads the disk, everyone else waits for its entry.

@@ -55,13 +55,19 @@ type errorResponse struct {
 // errDraining is the refusal a draining daemon answers new work with.
 var errDraining = errors.New("serve: draining")
 
-// WriteJSON writes body as a JSON reply with status.
+// WriteJSON writes body as a JSON reply with status, by encoding/json with
+// HTML escaping off — for bodies that carry no records (record-carrying
+// replies go through the splicing writer in reply.go, byte-identical to
+// this one). The body is encoded in full before the header goes out, so a
+// value that fails to encode answers 500 with the error body instead of
+// status with an empty one.
 func WriteJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body)
+	b, err := appendValue(nil, body)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = appendValue(nil, errorResponse{Error: fmt.Sprintf("serve: encode reply: %v", err)}) // a string always encodes
+	}
+	writeBody(w, status, append(b, '\n'))
 }
 
 // Front is the request-side state both daemons share: the drain switch
@@ -128,8 +134,10 @@ func (f *Front) fail(w http.ResponseWriter, err error) bool {
 
 // QueryHandler is the one POST /query handler, mounted by the serving
 // daemon and the cluster router alike: decode, ?explain=1, the draining
-// 503, the counters, status accounting, and the QueryResponse write. run
-// answers one decoded request; its error carries the status (StatusOf).
+// 503, the counters, status accounting, and the QueryResponse write —
+// records spliced verbatim into the body (writeReply), result-cache hits
+// included. run answers one decoded request; its error carries the status
+// (StatusOf).
 func (f *Front) QueryHandler(run func(context.Context, QueryRequest) (QueryResponse, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -143,7 +151,7 @@ func (f *Front) QueryHandler(run func(context.Context, QueryRequest) (QueryRespo
 			return
 		}
 		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-		WriteJSON(w, http.StatusOK, resp)
+		f.writeReply(w, resp.appendJSON)
 	}
 }
 

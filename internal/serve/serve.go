@@ -11,8 +11,9 @@
 //   - a byte-budgeted LRU Cache holds decoded partition files — each base
 //     or delta pinned with its records' boxes plus one box per run of 16
 //     consecutive records, built on first touch, all keyed by file name so
-//     an append evicts nothing — and marshaled query
-//     results, so hot windows skip disk (and the engine) entirely;
+//     an append evicts nothing — and query results with their records
+//     already in wire form, so hot windows skip disk (and the engine)
+//     entirely;
 //   - every query executes as engine tasks on one shared engine.Context,
 //     exercising the engine's multi-job concurrency, retries included;
 //   - an Admission controller bounds in-flight queries and queue depth and

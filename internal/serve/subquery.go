@@ -95,5 +95,5 @@ func (s *Server) handleSubquery(w http.ResponseWriter, r *http.Request) {
 	resp.Shard, resp.Gen, resp.Count, resp.Cache = s.shardName, req.Gen, req.Count, cache
 	resp.Spans = trace.ToWire(tr.Snapshot())
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	WriteJSON(w, http.StatusOK, resp)
+	s.writeReply(w, resp.appendJSON)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"st4ml/internal/index"
@@ -188,14 +189,15 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSE frames one update as a Server-Sent Event. The event name is the
-// update kind and the id encodes generation:seq, so a bare `curl` session
-// reads as a self-describing log.
+// writeSSE frames one update as a Server-Sent Event, written in one call.
+// The event name is the update kind and the id encodes generation:seq, so
+// a bare `curl` session reads as a self-describing log; the data line is
+// json.Marshal(u) with the records spliced verbatim (appendUpdate).
 func writeSSE(w io.Writer, u subscribe.Update) error {
-	b, err := json.Marshal(u)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\nid: %d:%d\ndata: %s\n\n", u.Kind, u.Generation, u.Seq, b)
+	b := append([]byte("event: "), u.Kind...)
+	b = strconv.AppendInt(append(b, "\nid: "...), u.Generation, 10)
+	b = strconv.AppendInt(append(b, ':'), u.Seq, 10)
+	b = appendUpdate(append(b, "\ndata: "...), u)
+	_, err := w.Write(append(b, "\n\n"...))
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"st4ml/internal/codec"
@@ -19,10 +20,10 @@ import (
 )
 
 // This file is the dataset registry: every standard schema's typed
-// machinery (codec, ST box, CSV reader, selection entry points) bundled
-// behind an untyped Schema interface, so the CLI commands and the serving
-// daemon dispatch on a dataset name instead of each repeating a
-// nyc|porto|air|osm type switch.
+// machinery (codec, ST box, CSV reader, JSON encoder, selection entry
+// points) bundled behind an untyped Schema interface, so the CLI commands
+// and the serving daemon dispatch on a dataset name instead of each
+// repeating a nyc|porto|air|osm type switch.
 
 // Spec is the typed bundle for one standard schema.
 type Spec[T any] struct {
@@ -43,11 +44,16 @@ type Spec[T any] struct {
 	Value func(T) (float64, bool)
 	// IDOf extracts the record's entity id for distinct-ID sketches.
 	IDOf func(T) int64
+	// AppendJSON appends the record's JSON wire form to dst — byte for byte
+	// json.Marshal(rec), failing exactly where json.Marshal fails — the one
+	// encoder every served record goes through. Required.
+	AppendJSON func(dst []byte, rec T) ([]byte, error)
 }
 
 // QueryOptions tunes one served query.
 type QueryOptions struct {
-	// Records returns the matching records (JSON-marshaled per record) in
+	// Records returns the matching records (each in its JSON wire form,
+	// appended by the schema's AppendJSON into one buffer per reply) in
 	// addition to the stats. Limit caps how many (0 = all).
 	Records bool
 	Limit   int
@@ -58,7 +64,7 @@ type QueryOptions struct {
 	Partitions []int
 	// PerPartition returns per-partition result chunks (QueryResult.Parts)
 	// instead of the flat Records slice — the unit a scatter-gather merge
-	// de-duplicates on. Record marshaling still honors Records and Limit.
+	// de-duplicates on. Record encoding still honors Records and Limit.
 	PerPartition bool
 }
 
@@ -128,8 +134,8 @@ type Schema interface {
 	Append(recs any, dir, batchID string) (int64, error)
 	// ReadDelta decodes one committed delta file of the dataset at dir,
 	// returning each record's ST box alongside its JSON wire form — the
-	// same bytes ServeQuery marshals, which is what lets a push stream stay
-	// byte-identical to a batch re-query.
+	// same AppendJSON bytes ServeQuery replies with, which is what lets a
+	// push stream stay byte-identical to a batch re-query.
 	ReadDelta(dir string, meta *storage.Metadata,
 		dm storage.DeltaMeta) ([]index.Box, []json.RawMessage, error)
 	// Compact runs one compaction pass over the dataset at dir, folding
@@ -186,20 +192,29 @@ type Schema interface {
 
 var registry = map[string]Schema{}
 
-func register[T any](s Spec[T]) { registry[s.Name] = schema[T]{s} }
+func register[T any](s Spec[T]) {
+	if s.AppendJSON == nil {
+		panic("stdata: schema " + s.Name + " registered without an AppendJSON encoder")
+	}
+	registry[s.Name] = schema[T]{s}
+}
 
 func init() {
 	register(Spec[EventRec]{Name: "nyc", Codec: EventRecC, BoxOf: EventRec.Box, CSV: ReadEventsCSV,
-		Value: func(e EventRec) (float64, bool) { return float64(e.Time), true },
-		IDOf:  func(e EventRec) int64 { return e.ID }})
+		Value:      func(e EventRec) (float64, bool) { return float64(e.Time), true },
+		IDOf:       func(e EventRec) int64 { return e.ID },
+		AppendJSON: appendEventJSON})
 	register(Spec[TrajRec]{Name: "porto", Codec: TrajRecC, BoxOf: TrajRec.Box, CSV: ReadTrajsCSV,
-		Value: func(t TrajRec) (float64, bool) { return float64(len(t.Points)), true },
-		IDOf:  func(t TrajRec) int64 { return t.ID }})
+		Value:      func(t TrajRec) (float64, bool) { return float64(len(t.Points)), true },
+		IDOf:       func(t TrajRec) int64 { return t.ID },
+		AppendJSON: appendTrajJSON})
 	register(Spec[AirRec]{Name: "air", Codec: AirRecC, BoxOf: AirRec.Box,
-		Value: func(a AirRec) (float64, bool) { return a.Indices[0], true },
-		IDOf:  func(a AirRec) int64 { return a.StationID }})
+		Value:      func(a AirRec) (float64, bool) { return a.Indices[0], true },
+		IDOf:       func(a AirRec) int64 { return a.StationID },
+		AppendJSON: appendAirJSON})
 	register(Spec[POIRec]{Name: "osm", Codec: POIRecC, BoxOf: POIRec.Box, Spatial2D: true,
-		IDOf: func(p POIRec) int64 { return p.ID }})
+		IDOf:       func(p POIRec) int64 { return p.ID },
+		AppendJSON: appendPOIJSON})
 }
 
 // Lookup returns the schema registered under name.
@@ -271,15 +286,44 @@ func (s schema[T]) ReadDelta(
 		return nil, nil, err
 	}
 	d := p.(*segment[T])
-	raw := make([]json.RawMessage, len(d.recs))
-	for i, rec := range d.recs {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return nil, nil, fmt.Errorf("stdata: schema %s: marshal record: %w", s.spec.Name, err)
-		}
-		raw[i] = b
+	raw, err := s.encode([][]T{d.recs}, len(d.recs))
+	if err != nil {
+		return nil, nil, err
 	}
 	return d.boxes, raw, nil
+}
+
+// encode appends the JSON wire form of the first n records of chunks,
+// taken in order, into one buffer and returns them as sub-slices of it:
+// the same few allocations whatever the record count. The first record's
+// size sizes the buffer for the rest, with an eighth to spare for the
+// variable-width numbers and strings; the sub-slices are cut once the
+// buffer stops moving, each capped at its own end so an append to one
+// record cannot overwrite the next.
+func (s schema[T]) encode(chunks [][]T, n int) ([]json.RawMessage, error) {
+	out := make([]json.RawMessage, n)
+	ends := make([]int, n)
+	var buf []byte
+	i := 0
+	for _, chunk := range chunks {
+		for _, rec := range chunk[:min(len(chunk), n-i)] {
+			var err error
+			if buf, err = s.spec.AppendJSON(buf, rec); err != nil {
+				return nil, fmt.Errorf("stdata: schema %s: encode record: %w", s.spec.Name, err)
+			}
+			if i == 0 {
+				buf = slices.Grow(buf, len(buf)*(n-1)*9/8)
+			}
+			ends[i] = len(buf)
+			i++
+		}
+	}
+	start := 0
+	for i, end := range ends {
+		out[i] = buf[start:end:end]
+		start = end
+	}
+	return out, nil
 }
 
 func (s schema[T]) SelectPoints(
@@ -559,40 +603,38 @@ func (s schema[T]) ServeQuery(
 		limit = int(res.Stats.SelectedRecords)
 	}
 	// Per-partition chunks: Selected always counts every match; record
-	// marshaling caps at limit across the chunks in order — a shard's
-	// stream is a subsequence of the global partition-ordered stream, so
-	// any record within the global limit survives the local cap and a
+	// encoding caps at limit across the chunks in order — a shard's stream
+	// is a subsequence of the global partition-ordered stream, so any
+	// record within the global limit survives the local cap and a
 	// scatter-gather merge stays byte-identical to single-node serving.
-	// The flat Records are these chunks flattened.
-	parts := make([]PartResult, len(ids))
-	remaining := limit
-	for p, id := range ids {
-		pr := PartResult{ID: id, Selected: int64(len(matched[p]))}
-		if n := min(len(matched[p]), remaining); opts.Records && n > 0 {
-			pr.Records = make([]json.RawMessage, n)
-			for i, rec := range matched[p][:n] {
-				b, err := json.Marshal(rec)
-				if err != nil {
-					return QueryResult{}, fmt.Errorf("stdata: marshal record: %w", err)
-				}
-				pr.Records[i] = b
-			}
-			remaining -= n
+	// The kept records are encoded together into one buffer, so the flat
+	// Records are exactly these chunks flattened (Flatten(parts, limit)).
+	var recs []json.RawMessage
+	if opts.Records {
+		if recs, err = s.encode(matched, limit); err != nil {
+			return QueryResult{}, err
 		}
-		parts[p] = pr
 	}
-	if opts.PerPartition {
-		res.Parts = parts
-	} else if opts.Records {
-		res.Records = Flatten(parts, limit)
+	if !opts.PerPartition {
+		res.Records = recs
+		return res, nil
+	}
+	res.Parts = make([]PartResult, len(ids))
+	for p, id := range ids {
+		res.Parts[p] = PartResult{ID: id, Selected: int64(len(matched[p]))}
+		if n := min(len(matched[p]), len(recs)); n > 0 {
+			res.Parts[p].Records, recs = recs[:n:n], recs[n:]
+		}
 	}
 	return res, nil
 }
 
 // Flatten is the flat record stream of per-partition chunks: their records
-// concatenated in chunk order and cut at limit (<= 0: no cut). A single
-// node's flat Records are its own chunks flattened and a router's merge is
-// its shards' chunks flattened, so the two agree by construction.
+// concatenated in chunk order and cut at limit (<= 0: no cut). It copies
+// slice headers only; the records keep pointing into the replies' encoded
+// buffers. A single node's flat Records are its chunks' records encoded in
+// chunk order up to the limit — this stream — and a router's merge is its
+// shards' chunks flattened, so the two agree by construction.
 func Flatten(parts []PartResult, limit int) []json.RawMessage {
 	n := 0
 	for _, pr := range parts {

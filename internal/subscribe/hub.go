@@ -398,7 +398,9 @@ func (h *Hub) resyncAll(ds *hubDataset) {
 
 // pushDelta routes one committed delta file through the window index and
 // enqueues a batch update per matching subscriber — the O(K log M) hot
-// path of the online tier.
+// path of the online tier. The records are the source's wire forms,
+// encoded once per file (Source.ReadDelta) and shared by every matching
+// subscriber's update; the SSE writer splices them into frames verbatim.
 func (h *Hub) pushDelta(ds *hubDataset, gen int64, dm storage.DeltaMeta) error {
 	ds.mu.Lock()
 	registered := ds.idx.Len()

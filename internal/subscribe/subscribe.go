@@ -80,7 +80,7 @@ type Update struct {
 
 // Options tunes one subscription.
 type Options struct {
-	// Limit caps the records marshaled per snapshot (init/resync); 0 is
+	// Limit caps the records encoded per snapshot (init/resync); 0 is
 	// unlimited.
 	Limit int
 	// Queue overrides the hub's per-subscriber queue bound (0 inherits).
