@@ -69,19 +69,25 @@ docs:
 
 # fuzz-smoke runs each byte-format fuzzer for a short bounded burst, so
 # the pre-merge gate gets real randomized coverage of the column codecs,
-# the v3 block reader and the records' JSON wire form on top of the
-# committed corpora (which the plain test run already replays as
-# regression inputs).
+# the v3 block reader, the block footer decoder every v3 read runs, the
+# legacy v1/v2 reader the migrating compaction pass runs on untrusted
+# bytes, and the records' JSON wire form on top of the committed corpora
+# (which the plain test run already replays as regression inputs). The
+# storage fuzzers cap minimization of each new-coverage input at 1s: their
+# kilobyte-sized file seeds otherwise spend the whole burst minimizing the
+# first interesting input and fuzz almost nothing.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzColumnCodecs$$' -fuzztime=10s ./internal/codec
-	$(GO) test -run='^$$' -fuzz='^FuzzV3Block$$' -fuzztime=10s ./internal/storage
+	$(GO) test -run='^$$' -fuzz='^FuzzV3Block$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
+	$(GO) test -run='^$$' -fuzz='^FuzzBlockFooter$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
+	$(GO) test -run='^$$' -fuzz='^FuzzV2Partition$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzSubscriptionIndex$$' -fuzztime=10s ./internal/subscribe
 	$(GO) test -run='^$$' -fuzz='^FuzzSummarySidecar$$' -fuzztime=10s ./internal/summary
 	$(GO) test -run='^$$' -fuzz='^FuzzRecordJSON$$' -fuzztime=10s ./internal/stdata
 
 # check is the full pre-merge gate: vet, the docs gate, build, the
 # race-enabled short suite (fast gate over every package — fuzz corpora,
-# metamorphic suites, and the pool/prefetch paths all run with the
+# metamorphic suites, and the buffer-pool paths all run with the
 # detector on; `make race` remains the full-length run), the coverage
 # floors (total plus per-package for the byte-format packages), a
 # bounded fuzz smoke per byte-format fuzzer, and three explicit

@@ -10,6 +10,7 @@
 //	stload -dataset nyc -n 500000 -out /data/nyc        # base ingest
 //	stingest -dataset nyc -dir /data/nyc -input feed.csv
 //	stingest -dataset nyc -dir /data/nyc -input feed.csv -once
+//	stingest -dataset nyc -dir /data/nyc -once          # compact (migrate) only
 //
 // Exactly-once: every batch carries an id derived from its byte range in
 // the input file, and the committed offset is persisted beside the dataset
@@ -17,6 +18,11 @@
 // which the manifest recognizes as already applied and drops. -once
 // processes the file's current contents and exits (batch pipelines,
 // tests); without it stingest polls for growth until interrupted.
+//
+// Every compaction pass also rewrites any partition whose base or deltas
+// are in the legacy v1/v2 layouts as v3, the only layout readers take, so
+// `stingest -dir D -once` with no -input is the one-command migration of
+// a dataset written before v3: it ingests nothing and runs that one pass.
 package main
 
 import (
@@ -42,7 +48,7 @@ func main() {
 	var (
 		dataset   = flag.String("dataset", "nyc", "dataset schema: "+strings.Join(stdata.SchemaNames(), "|"))
 		dir       = flag.String("dir", "", "dataset directory to append into (required; must hold an stload-built dataset)")
-		input     = flag.String("input", "", "CSV file to tail (required)")
+		input     = flag.String("input", "", "CSV file to tail (required unless -once)")
 		batchRecs = flag.Int("batch-records", 10_000, "records per append batch")
 		interval  = flag.Duration("interval", time.Second, "poll interval for file growth")
 		once      = flag.Bool("once", false, "ingest the file's current contents, compact once, and exit")
@@ -51,8 +57,8 @@ func main() {
 		gcGrace   = flag.Duration("gc-grace", time.Minute, "age before superseded files are garbage-collected")
 	)
 	flag.Parse()
-	if *dir == "" || *input == "" {
-		fmt.Fprintln(os.Stderr, "stingest: -dir and -input are required")
+	if *dir == "" || (*input == "" && !*once) {
+		fmt.Fprintln(os.Stderr, "stingest: -dir is required, and -input too without -once")
 		os.Exit(2)
 	}
 	stop := make(chan os.Signal, 1)
@@ -148,6 +154,9 @@ func run(cfg config) error {
 		cfg.Log = io.Discard
 	}
 
+	if cfg.Input == "" {
+		return compact(sch, cfg)
+	}
 	var stopCompact func()
 	if cfg.CompactDeltas > 0 && !cfg.Once {
 		stopCompact = startCompactor(sch, cfg)
@@ -176,12 +185,22 @@ func run(cfg config) error {
 		}
 	}
 	if cfg.CompactDeltas > 0 {
-		st, err := sch.Compact(cfg.Dir, storage.CompactOptions{
-			MinDeltas: cfg.CompactDeltas, GCGrace: cfg.GCGrace,
-		})
-		if err != nil {
-			return err
-		}
+		return compact(sch, cfg)
+	}
+	return nil
+}
+
+// compact runs one compaction pass — the background loop's, the -once
+// tail, and with no -input the whole run — and logs what it rewrote (a
+// background pass only when it rewrote something).
+func compact(sch stdata.Schema, cfg config) error {
+	st, err := sch.Compact(cfg.Dir, storage.CompactOptions{
+		MinDeltas: cfg.CompactDeltas, GCGrace: cfg.GCGrace,
+	})
+	if err != nil {
+		return err
+	}
+	if st.PartitionsCompacted > 0 || cfg.Once {
 		fmt.Fprintf(cfg.Log, "stingest: compacted %d partitions (%d deltas, %d records)\n",
 			st.PartitionsCompacted, st.DeltasMerged, st.RecordsRewritten)
 	}
@@ -283,14 +302,8 @@ func startCompactor(sch stdata.Schema, cfg config) func() {
 			case <-stop:
 				return
 			case <-t.C:
-				st, err := sch.Compact(cfg.Dir, storage.CompactOptions{
-					MinDeltas: cfg.CompactDeltas, GCGrace: cfg.GCGrace,
-				})
-				if err != nil {
+				if err := compact(sch, cfg); err != nil {
 					fmt.Fprintf(cfg.Log, "stingest: compaction: %v\n", err)
-				} else if st.PartitionsCompacted > 0 {
-					fmt.Fprintf(cfg.Log, "stingest: compacted %d partitions (%d deltas, %d records)\n",
-						st.PartitionsCompacted, st.DeltasMerged, st.RecordsRewritten)
 				}
 			}
 		}

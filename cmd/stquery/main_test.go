@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +20,7 @@ import (
 	"st4ml/internal/selection"
 	"st4ml/internal/serve"
 	"st4ml/internal/stdata"
+	"st4ml/internal/storage"
 	"st4ml/internal/tempo"
 	"st4ml/internal/trace"
 )
@@ -60,28 +64,55 @@ func TestQueryAllSchemas(t *testing.T) {
 	}
 }
 
-// TestQueryServesCommittedV1Golden points stquery's query path at the
-// committed legacy-format dataset under internal/storage/testdata — the
-// end-to-end half of the backward-compat guarantee: a v1 store ingested
-// before the block format existed still answers queries without re-ingest.
+// TestQueryServesCommittedV1Golden points stquery's query path at a copy
+// of the committed legacy-format dataset under internal/storage/testdata —
+// the end-to-end half of the migration guarantee: a v1 store is refused
+// with the error naming the migration, and after the one compaction pass
+// that `stingest -dir D -once` runs it answers with every record.
 func TestQueryServesCommittedV1Golden(t *testing.T) {
-	dir := "../../internal/storage/testdata/v1-golden"
+	src := "../../internal/storage/testdata/v1-golden"
+	dir := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ctx := engine.New(engine.Config{Slots: 2})
 	w := selection.Window{
 		Space: geom.Box(-180, -90, 180, 90),
 		Time:  tempo.New(0, 1<<60),
+	}
+	var le storage.ErrLegacyFormat
+	if _, err := query(ctx, "nyc", dir, w, false); !errors.As(err, &le) {
+		t.Fatalf("v1 query returned %v, want storage.ErrLegacyFormat", err)
+	}
+	if !strings.Contains(le.Error(), "-dir "+dir+" -once") {
+		t.Fatalf("legacy error does not name the migration: %v", le)
+	}
+	sch, _ := stdata.Lookup("nyc")
+	if _, err := sch.Compact(dir, storage.CompactOptions{GCGrace: -1}); err != nil {
+		t.Fatal(err)
 	}
 	stats, err := query(ctx, "nyc", dir, w, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.SelectedRecords != 80 {
-		t.Errorf("golden v1 dataset served %d records, want 80", stats.SelectedRecords)
+		t.Errorf("migrated v1 dataset served %d records, want 80", stats.SelectedRecords)
 	}
-	// v1 files have no block structure: every loaded partition reads as one
-	// scanned block, nothing prunes.
+	// Each migrated partition is one v3 block (a v1 dataset records no
+	// block size, so its rewrites take the 4096-record default), and the
+	// full window prunes none.
 	if stats.BlocksTotal != int64(stats.LoadedPartitions) || stats.BlocksPruned != 0 {
-		t.Errorf("v1 block accounting off: %+v", stats)
+		t.Errorf("migrated block accounting off: %+v", stats)
 	}
 }
 

@@ -101,7 +101,7 @@ func NewEnv(ctx *engine.Context, baseDir string, scale Scale) (*Env, error) {
 	// ST4ML stores: T-STR partitioned with metadata.
 	evRDD := engine.Parallelize(ctx, e.Events, 0)
 	// 512-record blocks give each ~2k-record partition a handful of blocks,
-	// so the v2 footer bounds have something to prune inside loaded
+	// so the footer bounds have something to prune inside loaded
 	// partitions at small query ranges.
 	if _, err := selection.Ingest(evRDD, e.EventDir, stdata.EventRecC, stdata.EventRec.Box,
 		partition.TSTR{GT: 12, GS: 8},

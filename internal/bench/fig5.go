@@ -21,13 +21,13 @@ type Fig5Row struct {
 	// Byte-level view of the same pruning (the memory plot of Fig. 5c/d).
 	BytesNative  int64
 	BytesIndexed int64
-	// Block-granularity view (storage format v2): the indexed path
-	// additionally skips blocks inside loaded partitions whose footer bounds
-	// miss the window, so it decompresses fewer bytes than it loads.
+	// Block-granularity view: the indexed path additionally skips blocks
+	// inside loaded partitions whose footer bounds miss the window, so it
+	// decodes fewer bytes than it loads.
 	BlocksScanned int64
 	BlocksPruned  int64
-	RawNative     int64 // bytes decompressed by the full-scan path
-	RawIndexed    int64 // bytes decompressed after partition + block pruning
+	RawNative     int64 // bytes decoded by the full-scan path
+	RawIndexed    int64 // bytes decoded after partition + block pruning
 }
 
 // Fig5 measures loading+selection with the native path (load everything,

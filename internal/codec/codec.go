@@ -71,7 +71,8 @@ func (w *Writer) PutBytes(b []byte) {
 func (w *Writer) PutRaw(b []byte) { w.buf = append(w.buf, b...) }
 
 // Write implements io.Writer, appending p verbatim — so a Writer can sit
-// directly under a compressor (the storage layer's per-block gzip).
+// directly under a compressor (the legacy v2 fixture writer's per-block
+// gzip).
 func (w *Writer) Write(p []byte) (int, error) {
 	w.buf = append(w.buf, p...)
 	return len(p), nil

@@ -4,7 +4,7 @@ import "sync"
 
 // Buffer pools shared by the codec's callers — the storage block
 // writer/reader, the engine's shuffle scratch, and anything else that
-// encodes or decompresses in a hot loop. Pooling turns the per-call
+// encodes or decodes in a hot loop. Pooling turns the per-call
 // allocations of those paths into amortized reuse; ownership is strict:
 // a Get hands the caller exclusive use, a Put ends it, and nothing the
 // caller retains may alias the pooled memory afterwards.

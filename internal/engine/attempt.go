@@ -29,9 +29,6 @@ type AttemptConfig struct {
 	// Timeout bounds each individual attempt. 0 means no per-attempt bound
 	// beyond the caller's context.
 	Timeout time.Duration
-	// Backoff is the sleep before a failover attempt (not before hedges),
-	// doubling per failover like task retry backoff. 0 disables.
-	Backoff time.Duration
 }
 
 // AttemptStats reports what one Hedge call did.
@@ -66,8 +63,8 @@ func Permanent(err error) error {
 // interchangeable candidates (attempt i targets candidate i%candidates) and
 // returns the first successful result. Exactly one result commits; when a
 // winner is chosen every other in-flight attempt's context is canceled.
-// Failed attempts fail over to the next candidate immediately (after
-// Backoff); with HedgeAfter set, silence launches a hedged duplicate
+// Failed attempts fail over to the next candidate immediately; with
+// HedgeAfter set, silence launches a hedged duplicate
 // without waiting for a failure. A PermanentError from any attempt aborts
 // the call. The zero value of T and the stats so far are returned on error.
 func Hedge[T any](ctx context.Context, candidates int, cfg AttemptConfig,
@@ -110,7 +107,6 @@ func Hedge[T any](ctx context.Context, candidates int, cfg AttemptConfig,
 
 	launch()
 	pending := 1
-	backoff := cfg.Backoff
 	var lastErr error
 	for {
 		var hedge <-chan time.Time
@@ -139,14 +135,6 @@ func Hedge[T any](ctx context.Context, candidates int, cfg AttemptConfig,
 				return zero, st, err
 			}
 			if st.Attempts < max {
-				if backoff > 0 {
-					select {
-					case <-time.After(backoff):
-					case <-ctx.Done():
-						return zero, st, ctx.Err()
-					}
-					backoff *= 2
-				}
 				st.Failovers++
 				launch()
 				pending++

@@ -24,9 +24,9 @@ type Metrics struct {
 	specWins       atomic.Int64
 	corruptRereads atomic.Int64
 
-	// Block-level read accounting (storage format v2): how many partition
-	// blocks were decoded versus skipped by footer-bounds pruning, and the
-	// decompressed byte volume actually decoded.
+	// Block-level read accounting: how many partition blocks were decoded
+	// versus skipped by footer-bounds pruning, and the payload byte volume
+	// actually decoded.
 	blocksScanned     atomic.Int64
 	blocksPruned      atomic.Int64
 	bytesDecompressed atomic.Int64
@@ -62,7 +62,7 @@ type Metrics struct {
 }
 
 // AddBlockRead accounts one partition read at block granularity: scanned
-// and pruned block counts plus decompressed payload bytes. Callers sit in
+// and pruned block counts plus decoded payload bytes. Callers sit in
 // the storage read path (selection load tasks, the serving cache loader).
 func (m *Metrics) AddBlockRead(scanned, pruned, rawBytes int64) {
 	m.blocksScanned.Add(scanned)
@@ -70,7 +70,7 @@ func (m *Metrics) AddBlockRead(scanned, pruned, rawBytes int64) {
 	m.bytesDecompressed.Add(rawBytes)
 }
 
-// AddRecordsPruned accounts records the v3 columnar predicate dropped on
+// AddRecordsPruned accounts records the columnar predicate dropped on
 // decoded columns before materialization.
 func (m *Metrics) AddRecordsPruned(n int64) {
 	m.recordsPruned.Add(n)
@@ -151,9 +151,10 @@ type Snapshot struct {
 	// CorruptRereads counts shuffle blocks re-read after a checksum
 	// mismatch.
 	CorruptRereads int64
-	// BlocksScanned and BlocksPruned count storage-v2 partition blocks
-	// decoded versus skipped by footer-bounds pruning; BytesDecompressed
-	// is the raw payload volume of the scanned blocks.
+	// BlocksScanned and BlocksPruned count partition blocks decoded versus
+	// skipped by footer-bounds pruning; BytesDecompressed is the payload
+	// volume decoded from the scanned blocks (the name predates the
+	// columnar layout, which has no compression).
 	BlocksScanned     int64
 	BlocksPruned      int64
 	BytesDecompressed int64

@@ -60,18 +60,17 @@ type Stats struct {
 	LoadedRecords    int64
 	LoadedBytes      int64
 	SelectedRecords  int64
-	// Block-granularity accounting (storage format v2): across the loaded
-	// partitions, how many blocks existed, how many were decoded, how many
-	// the footer bounds let the reader skip, and the decompressed payload
-	// volume actually decoded. On v1 datasets every loaded partition is one
-	// scanned block.
+	// Block-granularity accounting: across the loaded partitions, how many
+	// blocks existed, how many were decoded, how many the footer bounds let
+	// the reader skip, and the payload volume actually decoded (the name
+	// predates the columnar layout, which has no compression).
 	BlocksTotal       int64
 	BlocksScanned     int64
 	BlocksPruned      int64
 	DecompressedBytes int64
-	// RecordsPruned counts records the v3 columnar predicate dropped on
+	// RecordsPruned counts records the columnar predicate dropped on
 	// decoded lon/lat/t columns before materialization — pruning one level
-	// finer than blocks. Zero on v1/v2 datasets.
+	// finer than blocks. Zero on generic row-payload files.
 	RecordsPruned int64
 	// Delta-layer accounting (merge-on-read): across the loaded partitions,
 	// how many delta files were unioned in, how many the manifest bounds let
@@ -113,13 +112,6 @@ func (s *Selector[T]) Select(dir string, windows ...Window) (*engine.RDD[T], Sta
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return s.SelectWith(dir, meta, windows...)
-}
-
-// SelectWith is Select against an already-loaded metadata handle — the
-// resident-catalog path, where a long-lived caller pins the metadata once
-// instead of re-reading metadata.json on every query.
-func (s *Selector[T]) SelectWith(dir string, meta *storage.Metadata, windows ...Window) (*engine.RDD[T], Stats, error) {
 	all := make([]int, meta.NumPartitions())
 	for i := range all {
 		all[i] = i
@@ -134,12 +126,6 @@ func (s *Selector[T]) SelectPruned(dir string, windows ...Window) (*engine.RDD[T
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return s.SelectPrunedWith(dir, meta, windows...)
-}
-
-// SelectPrunedWith is SelectPruned against an already-loaded metadata
-// handle (see SelectWith).
-func (s *Selector[T]) SelectPrunedWith(dir string, meta *storage.Metadata, windows ...Window) (*engine.RDD[T], Stats, error) {
 	keepSet := map[int]bool{}
 	for _, w := range windows {
 		for _, id := range meta.Prune(w.Space, w.Time) {
@@ -156,13 +142,18 @@ func (s *Selector[T]) SelectPrunedWith(dir string, meta *storage.Metadata, windo
 }
 
 // selectPartitions runs the two selection stages over the given on-disk
-// partition ids. blockPrune lets the storage layer additionally skip v2
+// partition ids. blockPrune lets the storage layer additionally skip
 // blocks whose footer bounds miss every window (SelectPruned's
 // intra-partition extension of §4.1); the native Select path keeps it off
-// so it stays an honest full-scan baseline.
+// so it stays an honest full-scan baseline. A dataset holding v1/v2 files
+// fails up front with storage.ErrLegacyFormat rather than as a task panic
+// per partition.
 func (s *Selector[T]) selectPartitions(
 	dir string, meta *storage.Metadata, ids []int, windows []Window, blockPrune bool,
 ) (*engine.RDD[T], Stats, error) {
+	if err := meta.CheckFormat(dir); err != nil {
+		return nil, Stats{}, err
+	}
 	stats := Stats{
 		TotalPartitions:  meta.NumPartitions(),
 		LoadedPartitions: len(ids),

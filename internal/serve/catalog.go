@@ -33,15 +33,21 @@ func NewCatalog() *Catalog {
 
 // Register adds the dataset at dir under name, decoding its records with
 // the named stdata schema. The metadata is read eagerly so registration of
-// a missing or broken dataset fails at startup, not at first query.
+// a missing or broken dataset — or of one still holding v1/v2 files, which
+// fails with storage.ErrLegacyFormat naming the migration — fails at
+// startup, not at first query.
 func (c *Catalog) Register(name, schemaName, dir string) (*Dataset, error) {
 	sch, ok := stdata.Lookup(schemaName)
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown schema %q (have %v)", schemaName, stdata.SchemaNames())
 	}
 	d := &Dataset{Name: name, Dir: dir, Schema: sch}
-	if _, err := d.revalidate(); err != nil {
+	v, err := d.revalidate()
+	if err != nil {
 		return nil, err
+	}
+	if err := v.meta.CheckFormat(dir); err != nil {
+		return nil, fmt.Errorf("serve: dataset %s: %w", name, err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -170,15 +176,6 @@ func (d *Dataset) revalidate() (view, error) {
 	d.mtime = st.ModTime()
 	d.mgen = meta.Generation
 	return d.cur, nil
-}
-
-// pinned returns the metadata as last revalidated, without probing the
-// disk — for readers that only need what a commit cannot change (the
-// dataset's encoding flags).
-func (d *Dataset) pinned() *storage.Metadata {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.cur.meta
 }
 
 // Info summarizes the dataset for /datasets.

@@ -338,7 +338,7 @@ func (s *Server) fetchLive(d *Dataset, v view, ectx *engine.Context, id int) (st
 	var read storage.ReadStats // the delta files this fetch read from disk
 	for i, dm := range deltas {
 		seg, err := s.cache.GetOrLoad(partKey(d.Name, v.epoch, dm.File), func() (any, int64, error) {
-			p, rst, err := d.Schema.LoadDelta(d.Dir, v.meta, dm)
+			p, rst, err := d.Schema.LoadDelta(d.Dir, dm)
 			if err != nil {
 				return nil, 0, err
 			}

@@ -52,11 +52,10 @@ func (src subSource) Manifest() (*storage.Manifest, error) {
 	return storage.ReadManifest(src.d.Dir)
 }
 
-// ReadDelta decodes a delta with the pinned metadata: a delta file is
-// self-describing but for the dataset's compression flag, which only a
-// re-ingest changes, so it needs no revalidation per delta.
+// ReadDelta decodes a delta file, which is self-describing: it needs no
+// metadata revalidation per delta.
 func (src subSource) ReadDelta(dm storage.DeltaMeta) ([]index.Box, []json.RawMessage, error) {
-	return src.d.Schema.ReadDelta(src.d.Dir, src.d.pinned(), dm)
+	return src.d.Schema.ReadDelta(src.d.Dir, dm)
 }
 
 func (src subSource) Snapshot(w selection.Window, limit int) ([]stdata.PartResult, int64, int64, error) {

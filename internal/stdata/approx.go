@@ -52,10 +52,6 @@ func (s schema[T]) idOf() func(T) int64 {
 	return func(T) int64 { return 0 }
 }
 
-func (s schema[T]) Summarizer(cfg summary.Config) summary.Builder {
-	return summary.NewBuilder(s.spec.BoxOf, s.spec.Value, s.idOf(), cfg)
-}
-
 func (s schema[T]) BuildSummaries(dir string, cfg summary.Config) (int, error) {
 	return storage.BuildSummaries(dir, s.spec.Codec, s.spec.BoxOf, s.spec.Value, s.idOf(), cfg)
 }
@@ -214,7 +210,7 @@ func (s schema[T]) approxPartition(
 		if dm.Count == 0 || !dm.Box().Intersects(wb) {
 			continue // manifest bounds prove no record can match
 		}
-		recs, _, err := storage.ReadDelta(dir, meta.Compressed, dm, s.spec.Codec)
+		recs, _, err := storage.ReadDelta(dir, dm, s.spec.Codec)
 		if err != nil {
 			acc.EndPartition(nil)
 			return err

@@ -313,9 +313,7 @@ func TestApproxWithDeltas(t *testing.T) {
 
 	// Summarizing compaction folds the deltas into fresh base+sidecar
 	// pairs; the same query now needs no exact record scans at all.
-	if _, err := sch.Compact(dir, storage.CompactOptions{
-		Summarizer: sch.Summarizer(summary.Config{}),
-	}); err != nil {
+	if _, err := sch.Compact(dir, storage.CompactOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	meta, err = storage.ReadMetadata(dir)
@@ -331,6 +329,66 @@ func TestApproxWithDeltas(t *testing.T) {
 			res.ScannedRecords, res.Fallback)
 	}
 	checkContainment(t, "post-compact", res, all, w, 0)
+}
+
+// TestSchemaCompactKeepsSidecars pins the production compaction path —
+// Schema.Compact with no summarizer in its options, as stingest calls it —
+// against dropping the approximate tier: a partition that had a live
+// sidecar gets a fresh one for its rewrite, so the sidecar count is
+// unchanged and approximate answers never fall back to exact scans, while
+// a store that never had sidecars gains none (no new compaction work).
+func TestSchemaCompactKeepsSidecars(t *testing.T) {
+	ctx := engine.New(engine.Config{Slots: 2})
+	sch, _ := Lookup("nyc")
+	w := selection.Window{Space: geom.Box(0, 0, 100, 100), Time: tempo.New(0, 1000)}
+	for _, summarized := range []bool{true, false} {
+		dir := t.TempDir()
+		base := approxEvents(rand.New(rand.NewSource(5)), 300)
+		if _, err := sch.Ingest(ctx, base, dir, sch.DefaultPlanner(2, 2),
+			selection.IngestOptions{Name: "keep", SampleFrac: 0.5, Seed: 1, BlockRecords: 32}); err != nil {
+			t.Fatal(err)
+		}
+		if summarized {
+			if _, err := sch.BuildSummaries(dir, summary.Config{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		extra := approxEvents(rand.New(rand.NewSource(55)), 90)
+		if _, err := sch.Append(extra, dir, "b1"); err != nil {
+			t.Fatal(err)
+		}
+		before, err := storage.ReadMetadata(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := sch.Compact(dir, storage.CompactOptions{MinDeltas: 1, GCGrace: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PartitionsCompacted == 0 {
+			t.Fatalf("summarized=%v: nothing compacted", summarized)
+		}
+		meta, err := storage.ReadMetadata(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.SummaryCount() != before.SummaryCount() {
+			t.Fatalf("summarized=%v: %d live sidecars after compaction, %d before",
+				summarized, meta.SummaryCount(), before.SummaryCount())
+		}
+		if !summarized {
+			continue
+		}
+		res, _, err := sch.ApproxQuery(ctx, dir, meta, w, ApproxRequest{Agg: summary.AggCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fallback || res.ScannedRecords != 0 {
+			t.Fatalf("post-compaction approx fell back (fallback=%v, scanned %d records)",
+				res.Fallback, res.ScannedRecords)
+		}
+		checkContainment(t, "kept", res, append(base, extra...), w, 0)
+	}
 }
 
 // TestApproxPartialMergeMatchesFlat pins mergeable-sketch semantics: the

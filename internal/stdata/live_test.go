@@ -57,7 +57,7 @@ func cachedFetch(tb testing.TB, sch Schema, dir string, meta *storage.Metadata) 
 			tb.Fatal(err)
 		}
 		for _, dm := range meta.Deltas(id) {
-			p, _, err := sch.LoadDelta(dir, meta, dm)
+			p, _, err := sch.LoadDelta(dir, dm)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func runIndexWall[T any](t *testing.T, name string, s schema[T], dir string, met
 	checkRunIndex(t, name+" base", s, base, baseRecs)
 	var deltas []Partition
 	for _, dm := range meta.Deltas(0) {
-		d, _, err := s.LoadDelta(dir, meta, dm)
+		d, _, err := s.LoadDelta(dir, dm)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,10 +136,12 @@ type Schema interface {
 	// returning each record's ST box alongside its JSON wire form — the
 	// same AppendJSON bytes ServeQuery replies with, which is what lets a
 	// push stream stay byte-identical to a batch re-query.
-	ReadDelta(dir string, meta *storage.Metadata,
-		dm storage.DeltaMeta) ([]index.Box, []json.RawMessage, error)
+	ReadDelta(dir string, dm storage.DeltaMeta) ([]index.Box, []json.RawMessage, error)
 	// Compact runs one compaction pass over the dataset at dir, folding
-	// delta files back into rewritten base partitions.
+	// delta files back into rewritten base partitions and rewriting legacy
+	// v1/v2 files as v3. Every rewritten partition that had a live summary
+	// sidecar gets a fresh one, built with the default summary config
+	// (opts.Summarizer is always the schema's).
 	Compact(dir string, opts storage.CompactOptions) (storage.CompactStats, error)
 	// LoadPartition reads and decodes partition id of the dataset at dir as
 	// its live view — LiveView over LoadBase and a LoadDelta per attached
@@ -154,7 +156,7 @@ type Schema interface {
 	LoadBase(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error)
 	// LoadDelta decodes one committed delta file, pinned the same way as a
 	// base.
-	LoadDelta(dir string, meta *storage.Metadata, dm storage.DeltaMeta) (Partition, storage.ReadStats, error)
+	LoadDelta(dir string, dm storage.DeltaMeta) (Partition, storage.ReadStats, error)
 	// LiveView composes a handle from LoadBase and that partition's deltas
 	// from LoadDelta, in manifest order, into the live partition ServeQuery
 	// searches: base hits in ascending record order, then each delta's hits
@@ -185,9 +187,6 @@ type Schema interface {
 	// BuildSummaries backfills summary sidecars for every base partition
 	// lacking a current one, committing them through the manifest.
 	BuildSummaries(dir string, cfg summary.Config) (int, error)
-	// Summarizer returns the builder compaction uses to keep sidecars
-	// current (storage.CompactOptions.Summarizer).
-	Summarizer(cfg summary.Config) summary.Builder
 }
 
 var registry = map[string]Schema{}
@@ -278,10 +277,8 @@ func (s schema[T]) Append(recs any, dir, batchID string) (int64, error) {
 	return mf.Generation, err
 }
 
-func (s schema[T]) ReadDelta(
-	dir string, meta *storage.Metadata, dm storage.DeltaMeta,
-) ([]index.Box, []json.RawMessage, error) {
-	p, _, err := s.LoadDelta(dir, meta, dm)
+func (s schema[T]) ReadDelta(dir string, dm storage.DeltaMeta) ([]index.Box, []json.RawMessage, error) {
+	p, _, err := s.LoadDelta(dir, dm)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -343,6 +340,7 @@ func (s schema[T]) SelectPoints(
 }
 
 func (s schema[T]) Compact(dir string, opts storage.CompactOptions) (storage.CompactStats, error) {
+	opts.Summarizer = summary.NewBuilder(s.spec.BoxOf, s.spec.Value, s.idOf(), summary.Config{})
 	return storage.Compact(dir, s.spec.Codec, s.spec.BoxOf, opts)
 }
 
@@ -465,7 +463,7 @@ func (s schema[T]) LoadPartition(dir string, meta *storage.Metadata, id int) (Pa
 	}
 	var deltas []Partition
 	for _, dm := range meta.Deltas(id) {
-		d, dst, err := s.LoadDelta(dir, meta, dm)
+		d, dst, err := s.LoadDelta(dir, dm)
 		if err != nil {
 			return nil, st, err
 		}
@@ -487,9 +485,8 @@ func (s schema[T]) LoadBase(dir string, meta *storage.Metadata, id int) (Partiti
 	return s.pin(recs, meta.Partitions[id].Bytes, false), st, nil
 }
 
-func (s schema[T]) LoadDelta(dir string, meta *storage.Metadata, dm storage.DeltaMeta) (Partition, storage.ReadStats, error) {
-	compressed := meta != nil && meta.Compressed
-	recs, st, err := storage.ReadDelta(dir, compressed, dm, s.spec.Codec)
+func (s schema[T]) LoadDelta(dir string, dm storage.DeltaMeta) (Partition, storage.ReadStats, error) {
+	recs, st, err := storage.ReadDelta(dir, dm, s.spec.Codec)
 	if err != nil {
 		return nil, st, err
 	}

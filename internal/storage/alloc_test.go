@@ -67,14 +67,15 @@ func flatDataset(t testing.TB, dir string, c codec.Codec[flatRec], version int, 
 	return meta
 }
 
-// Alloc ceilings for one full ReadPartition of 2048 records across 8
-// blocks. The fixed costs are the result slice, file handle, per-read
-// channels/goroutines of the prefetcher, and a handful of error-path-free
-// bookkeeping allocations; block payload and decompression buffers come
-// from the codec pools and must NOT scale with record or block count.
-// Ceilings are deliberately loose (observed ~40–60) so the test only
-// fires on a real regression — e.g. losing pooling would add ~2 allocs
-// per block and tens of KiB per read, blowing well past these numbers.
+// Alloc ceilings for one full read of 2048 records across 8 blocks: the
+// v3 query read, and the legacy v2 read of the compaction pass, plain and
+// gzip. The fixed costs are the result slice, file handle, footer index,
+// and a handful of error-path-free bookkeeping allocations; block payload
+// and decompression buffers come from the codec pools and must NOT scale
+// with record or block count. Ceilings are deliberately loose so the test
+// only fires on a real regression — e.g. losing pooling would add ~2
+// allocs per block and tens of KiB per read, blowing well past these
+// numbers.
 const (
 	allocCeilingPlain = 150
 	allocCeilingGzip  = 250
@@ -88,6 +89,7 @@ func TestReadPartitionAllocCeiling(t *testing.T) {
 		compress bool
 		ceiling  float64
 	}{
+		// The legacy v2 reader compaction migrates with.
 		{"plain", flatC, 2, false, allocCeilingPlain},
 		{"gzip", flatC, 2, true, allocCeilingGzip},
 		// v3 native decodes pooled column slices; its ceiling matches plain.
@@ -97,7 +99,13 @@ func TestReadPartitionAllocCeiling(t *testing.T) {
 			dir := t.TempDir()
 			meta := flatDataset(t, dir, tc.c, tc.version, tc.compress, 2048, 256)
 			read := func() {
-				out, _, err := ReadPartitionPruned(dir, meta, 0, tc.c, nil)
+				var out []flatRec
+				var err error
+				if tc.version < FormatVersion {
+					out, err = readForCompaction(dir, meta, 0, tc.c)
+				} else {
+					out, err = ReadPartition(dir, meta, 0, tc.c)
+				}
 				if err != nil || len(out) != 2048 {
 					t.Fatalf("read: %d recs, %v", len(out), err)
 				}
@@ -112,13 +120,13 @@ func TestReadPartitionAllocCeiling(t *testing.T) {
 	}
 }
 
-func benchRead(b *testing.B, c codec.Codec[flatRec], version int, compress bool, windows []index.Box) {
+func benchRead(b *testing.B, windows []index.Box) {
 	dir := b.TempDir()
-	meta := flatDataset(b, dir, c, version, compress, 64<<10, 1024)
+	meta := flatDataset(b, dir, flatColC, 3, false, 64<<10, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, st, err := ReadPartitionPruned(dir, meta, 0, c, windows)
+		out, st, err := ReadPartitionPruned(dir, meta, 0, flatColC, windows)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,13 +135,11 @@ func benchRead(b *testing.B, c codec.Codec[flatRec], version int, compress bool,
 	}
 }
 
-func BenchmarkReadPartitionV2Plain(b *testing.B) { benchRead(b, flatC, 2, false, nil) }
-func BenchmarkReadPartitionV2Gzip(b *testing.B)  { benchRead(b, flatC, 2, true, nil) }
-func BenchmarkReadPartitionV3(b *testing.B)      { benchRead(b, flatColC, 3, false, nil) }
+func BenchmarkReadPartitionV3(b *testing.B) { benchRead(b, nil) }
 
 // pruneWindow covers ~1/32 of the time axis; flatDataset records are
 // time-ordered so most blocks prune, and the gap to the full-scan
-// benchmark is the prefetch+prune win.
+// benchmark is the pruning win.
 func pruneWindow(n int) []index.Box {
 	return []index.Box{{
 		Min: [index.Dims]float64{-1e9, -1e9, 0},
@@ -141,12 +147,8 @@ func pruneWindow(n int) []index.Box {
 	}}
 }
 
-func BenchmarkReadPartitionV2GzipPruned(b *testing.B) {
-	benchRead(b, flatC, 2, true, pruneWindow(64<<10))
-}
-
 // BenchmarkReadPartitionV3Pruned additionally engages the columnar
 // per-record predicate: survivors alone are materialized.
 func BenchmarkReadPartitionV3Pruned(b *testing.B) {
-	benchRead(b, flatColC, 3, false, pruneWindow(64<<10))
+	benchRead(b, pruneWindow(64<<10))
 }

@@ -1,8 +1,9 @@
-// The v1/v2 half of the approximate tier's statistical wall. Sidecars built
-// over legacy base files must answer with the same containment guarantee as
-// over v3 ones, including boundary scans that decode v2 blocks. It lives
-// here rather than beside the v3 half (stdata's TestApproxMetamorphicWall)
-// because only this package's tests can still write v1/v2 files.
+// The v1/v2 half of the approximate tier's statistical wall. A legacy
+// dataset migrated by one compaction pass must answer with the same
+// containment guarantee as one ingested as v3, including boundary scans
+// over the migrated blocks. It lives here rather than beside the v3 half
+// (stdata's TestApproxMetamorphicWall) because only this package's tests
+// can still write v1/v2 files.
 package storage_test
 
 import (
@@ -125,13 +126,15 @@ func checkContainment(t *testing.T, tag string, res *summary.Result, recs []stda
 	}
 }
 
-// TestApproxLegacyMetamorphicWall runs the approximate wall over v1 and v2
-// base files: legacy format × planner layout × block size × boundary mode ×
-// window selectivity × aggregate, every combination through the full
-// on-disk ApproxQuery path. Each layout is planned exactly as an ingest
-// would (schema planner, Z-clustered partitions) and then rewritten in its
-// legacy generation by the fixture writer. 3 layouts × 6 windows × 3
-// aggregates = 54 seeded combinations, on the corpus and window seeds of
+// TestApproxLegacyMetamorphicWall runs the approximate wall over migrated
+// v1 and v2 datasets: legacy format × planner layout × block size ×
+// boundary mode × window selectivity × aggregate, every combination
+// through the full on-disk ApproxQuery path. Each layout is planned exactly
+// as an ingest would (schema planner, Z-clustered partitions), rewritten
+// in its legacy generation by the fixture writer, migrated to v3 by one
+// compaction pass (a v1 dataset's rewrites take DefaultBlockRecords, a v2
+// dataset's its own block size), and summarized. 3 layouts × 6 windows ×
+// 3 aggregates = 54 seeded combinations, on the corpus and window seeds of
 // stdata's v3 half.
 func TestApproxLegacyMetamorphicWall(t *testing.T) {
 	ctx := engine.New(engine.Config{Slots: 2})
@@ -172,15 +175,19 @@ func TestApproxLegacyMetamorphicWall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if v := max(meta.Version, 1); v != lay.version { // an absent version is v1
+			t.Fatalf("%s: metadata version %d, want %d", lay.name, v, lay.version)
+		}
+		if st, err := sch.Compact(dir, storage.CompactOptions{GCGrace: -1}); err != nil ||
+			st.PartitionsCompacted != meta.NumPartitions() {
+			t.Fatalf("%s: migration = (%+v, %v), want every partition rewritten", lay.name, st, err)
+		}
 		if n, err := sch.BuildSummaries(dir, summary.Config{}); err != nil || n != meta.NumPartitions() {
 			t.Fatalf("%s: BuildSummaries = (%d, %v), want %d", lay.name, n, err, meta.NumPartitions())
 		}
 		meta, err = storage.ReadMetadata(dir)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if v := max(meta.Version, 1); v != lay.version { // an absent version is v1
-			t.Fatalf("%s: metadata version %d, want %d", lay.name, v, lay.version)
 		}
 		wrng := rand.New(rand.NewSource(int64(len(lay.name)) * 131))
 		for wi, f := range fracs {

@@ -1,54 +1,46 @@
 package storage
 
 import (
-	"bytes"
-	"compress/gzip"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
-	"sync"
+	"path/filepath"
 
 	"st4ml/internal/codec"
 	"st4ml/internal/index"
 )
 
-// Storage format v2 (see DESIGN.md "Storage format v2"): a partition file
-// is a sequence of independently-compressed, CRC-framed blocks of ~N
-// records, closed by a framed footer that records every block's byte
-// range, record count, and ST bounds. The footer is what lets a reader
-// skip — not just avoid decoding, but avoid even decompressing — blocks
-// whose bounds miss the query window, pushing the paper's §4.1
-// partition-granularity pruning down to row-group granularity (Fig. 5c/d
-// shows 42–98 % of loaded data is irrelevant at small ranges; that waste
-// lived inside the partitions v1 could only read whole).
+// The block layout (see DESIGN.md "Storage format v3"): a partition file is
+// a header magic, a sequence of CRC-framed blocks of ~N records, a framed
+// footer recording every block's byte range, record count, and ST bounds,
+// and a fixed trailer pointing at the footer. The footer is what lets a
+// reader skip blocks whose bounds miss the query window, pushing the
+// paper's §4.1 partition-granularity pruning down to row-group granularity
+// (Fig. 5c/d shows 42–98 % of loaded data is irrelevant at small ranges).
 //
-//	+------+---------+---------+     +---------+----------------+---------+------+
-//	| STB2 | frame 0 | frame 1 | ... | frame k | frame( footer ) | off u64 | 2BTS |
-//	+------+---------+---------+     +---------+----------------+---------+------+
-//	 magic   block 0   block 1         block k   block index       trailer
+//	+-------+---------+     +---------+-----------------+---------+-------+
+//	| magic | frame 0 | ... | frame k | frame( footer ) | off u64 | magic |
+//	+-------+---------+     +---------+-----------------+---------+-------+
+//	 header   block 0         block k   block index       trailer
 //
 // Every frame is the codec package's uvarint(len) + CRC32-C + payload
-// envelope; block payloads are gzip streams when the dataset is
-// compressed, raw record encodings otherwise. The 12-byte trailer is a
-// fixed-width pointer to the footer frame plus a closing magic, so a
-// reader seeks straight to the block index without scanning.
+// envelope. The 12-byte trailer is a fixed-width pointer to the footer
+// frame plus a closing magic, distinct from the header magic so a
+// truncation that happens to end on the header still fails. v3 (blockv3.go)
+// is the layout every reader takes; the legacy v2 files of legacy.go share
+// the frame, footer, and trailer and differ only in the block payloads.
 
 const (
-	// v2Magic opens every v2 partition file.
-	v2Magic = "STB2"
-	// v2TrailerMagic closes it; distinct from the header so a truncation
-	// that happens to end on the header magic still fails.
-	v2TrailerMagic = "2BTS"
-	// v2TrailerLen is the fixed trailer: 8-byte little-endian footer
-	// offset + 4-byte magic.
-	v2TrailerLen = 12
-	// v2HeaderLen is the header magic length.
-	v2HeaderLen = 4
+	// blockHeaderLen is the header magic length.
+	blockHeaderLen = 4
+	// trailerLen is the fixed trailer: 8-byte little-endian footer offset
+	// + 4-byte magic.
+	trailerLen = 12
 )
 
 // FormatVersion is the version number written into new dataset metadata:
-// the columnar v3 layout of blockv3.go, the only format Write produces.
-// v1 and v2 datasets stay readable through their legacy paths.
+// the columnar v3 layout of blockv3.go, the only format Write produces and
+// the only one the query path reads.
 const FormatVersion = 3
 
 // DefaultBlockRecords was the v2 layout's records-per-block default. Appends
@@ -57,14 +49,14 @@ const FormatVersion = 3
 // had. New datasets default to the finer DefaultBlockRecordsV3.
 const DefaultBlockRecords = 4096
 
-// BlockMeta describes one block of a v2 partition file, as recorded in
-// the file's footer.
+// BlockMeta describes one block of a partition file, as recorded in the
+// file's footer.
 type BlockMeta struct {
 	// Offset is the block frame's byte offset from the file start.
 	Offset int64
 	// Stored is the framed length on disk (envelope included).
 	Stored int64
-	// Raw is the decompressed payload length.
+	// Raw is the payload length (decompressed, on gzip v2 files).
 	Raw int64
 	// Count is the number of records encoded in the block.
 	Count int64
@@ -102,11 +94,11 @@ const minFooterEntry = 4 + 6*8
 func decodeFooter(payload []byte, blockRegionEnd int64) []BlockMeta {
 	r := codec.NewReader(payload)
 	n := int(r.Uvarint())
-	if n < 0 || n*minFooterEntry > r.Remaining() {
+	if n < 0 || n > r.Remaining()/minFooterEntry {
 		panic(codec.ErrCorrupt{Off: 0})
 	}
 	blocks := make([]BlockMeta, n)
-	prevEnd := int64(v2HeaderLen)
+	prevEnd := int64(blockHeaderLen)
 	for i := range blocks {
 		b := BlockMeta{
 			Offset: int64(r.Uvarint()),
@@ -133,77 +125,74 @@ func decodeFooter(payload []byte, blockRegionEnd int64) []BlockMeta {
 	return blocks
 }
 
-// Gzip readers are pooled: Reset-able and expensive to construct (each
-// allocates its window).
-var gzReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
-
-// gunzipInto decompresses src into a pooled buffer of exactly rawLen
-// bytes, failing if the stream is shorter or longer than the footer
-// promised. The caller owns the returned buffer (PutBuf when done).
-func gunzipInto(src []byte, rawLen int64) ([]byte, error) {
-	gz := gzReaderPool.Get().(*gzip.Reader)
-	defer gzReaderPool.Put(gz)
-	if err := gz.Reset(bytes.NewReader(src)); err != nil {
-		return nil, err
+// readFooter opens a block-layout file, checks its header and trailer
+// magics and the trailer's footer offset, and hands the CRC-verified
+// footer payload to parse (run under codec.Catch, so parse reports
+// corruption by panicking codec.ErrCorrupt). It returns the open file for
+// ReadAt, the footer offset, and the file size.
+func readFooter(path, magic, trailerMagic string, parse func(payload []byte, footerOff int64)) (*os.File, int64, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("storage: open partition: %w", err)
 	}
-	raw := codec.GetBuf(int(rawLen))
-	if _, err := io.ReadFull(gz, raw); err != nil {
-		codec.PutBuf(raw)
-		return nil, err
+	fail := func(err error) (*os.File, int64, int64, error) {
+		f.Close()
+		return nil, 0, 0, err
 	}
-	// The stream must end exactly where the footer said it would.
-	var one [1]byte
-	if n, err := gz.Read(one[:]); n != 0 || err != io.EOF {
-		codec.PutBuf(raw)
-		return nil, fmt.Errorf("storage: block longer than footer raw length %d", rawLen)
+	st, err := f.Stat()
+	if err != nil {
+		return fail(fmt.Errorf("storage: stat partition: %w", err))
 	}
-	if err := gz.Close(); err != nil {
-		codec.PutBuf(raw)
-		return nil, err
+	size := st.Size()
+	name := filepath.Base(path)
+	if size < blockHeaderLen+trailerLen {
+		return fail(fmt.Errorf("storage: partition %s truncated: %w", name, codec.ErrCorrupt{Off: int(size)}))
 	}
-	return raw, nil
+	var head [blockHeaderLen]byte
+	if _, err := f.ReadAt(head[:], 0); err != nil {
+		return fail(fmt.Errorf("storage: read header: %w", err))
+	}
+	if string(head[:]) != magic {
+		return fail(fmt.Errorf("storage: partition %s: bad magic: %w", name, codec.ErrCorrupt{Off: 0}))
+	}
+	var trailer [trailerLen]byte
+	if _, err := f.ReadAt(trailer[:], size-trailerLen); err != nil {
+		return fail(fmt.Errorf("storage: read trailer: %w", err))
+	}
+	footerOff := int64(binary.LittleEndian.Uint64(trailer[:8]))
+	if string(trailer[8:]) != trailerMagic || footerOff < blockHeaderLen || footerOff >= size-trailerLen {
+		return fail(fmt.Errorf("storage: partition %s: bad trailer: %w",
+			name, codec.ErrCorrupt{Off: int(size - trailerLen)}))
+	}
+	footerStored := codec.GetBuf(int(size - trailerLen - footerOff))
+	defer codec.PutBuf(footerStored)
+	if _, err := f.ReadAt(footerStored, footerOff); err != nil {
+		return fail(fmt.Errorf("storage: read footer: %w", err))
+	}
+	err = codec.Catch(func() {
+		r := codec.NewReader(footerStored)
+		payload := r.Frame()
+		if r.Remaining() != 0 {
+			panic(codec.ErrCorrupt{Off: int(footerOff)})
+		}
+		parse(payload, footerOff)
+	})
+	if err != nil {
+		return fail(fmt.Errorf("storage: partition %s footer: %w", name, err))
+	}
+	return f, footerOff, size, nil
 }
 
-// blockOut is one fetched block handed from the prefetcher to the
-// decoder: the decompressed payload plus the pooled buffers to release
-// after decoding.
-type blockOut struct {
-	bm     BlockMeta
-	raw    []byte // decoded payload (aliases stored when uncompressed)
-	stored []byte // pooled on-disk bytes
-	pooled bool   // raw is a separate pooled buffer (compressed path)
-	err    error
-}
-
-// release returns the block's pooled buffers.
-func (b *blockOut) release() {
-	if b.pooled {
-		codec.PutBuf(b.raw)
-	}
-	codec.PutBuf(b.stored)
-}
-
-// prefetchDepth bounds how many blocks the prefetcher may hold fetched,
-// verified, and decompressed ahead of the decoder; prefetchWorkers is how
-// many of those it works on concurrently. Together they overlap the next
-// blocks' decompression with the current block's decode while capping
-// resident scratch at depth × block size.
-const (
-	prefetchDepth   = 3
-	prefetchWorkers = 2
-)
-
-// fetchBlock reads, CRC-verifies, and decompresses one block.
-func fetchBlock(f *os.File, bm BlockMeta, compressed bool) blockOut {
-	out := blockOut{bm: bm}
-	stored := codec.GetBuf(int(bm.Stored))
+// fetchBlock reads and CRC-verifies one block frame into a pooled buffer.
+// It returns that buffer (the caller PutBufs it when done) and the frame's
+// payload, which aliases it.
+func fetchBlock(f *os.File, bm BlockMeta) (stored, payload []byte, err error) {
+	stored = codec.GetBuf(int(bm.Stored))
 	if _, err := f.ReadAt(stored, bm.Offset); err != nil {
 		codec.PutBuf(stored)
-		out.err = fmt.Errorf("storage: read block at %d: %w", bm.Offset, err)
-		return out
+		return nil, nil, fmt.Errorf("storage: read block at %d: %w", bm.Offset, err)
 	}
-	var payload []byte
-	err := codec.Catch(func() {
+	err = codec.Catch(func() {
 		r := codec.NewReader(stored)
 		payload = r.Frame()
 		if r.Remaining() != 0 {
@@ -212,99 +201,7 @@ func fetchBlock(f *os.File, bm BlockMeta, compressed bool) blockOut {
 	})
 	if err != nil {
 		codec.PutBuf(stored)
-		out.err = fmt.Errorf("storage: block at %d: %w", bm.Offset, err)
-		return out
+		return nil, nil, fmt.Errorf("storage: block at %d: %w", bm.Offset, err)
 	}
-	out.stored = stored
-	if !compressed {
-		if int64(len(payload)) != bm.Raw {
-			out.release()
-			return blockOut{bm: bm, err: codec.ErrCorrupt{Off: int(bm.Offset)}}
-		}
-		out.raw = payload
-		return out
-	}
-	raw, err := gunzipInto(payload, bm.Raw)
-	if err != nil {
-		out.release()
-		// Any decompression failure of a CRC-clean block means the footer
-		// and block disagree: corruption, and retryable as such.
-		return blockOut{bm: bm, err: codec.ErrCorrupt{Off: int(bm.Offset)}}
-	}
-	out.raw = raw
-	out.pooled = true
-	return out
-}
-
-// prefetchBlocks streams the scan list's blocks in order through a
-// bounded pool of fetch workers. The returned channel yields exactly one
-// blockOut per scanned block, in scan order; the caller must consume it
-// fully or close done early — either way no goroutine leaks.
-func prefetchBlocks(f *os.File, scan []BlockMeta, compressed bool, done <-chan struct{}) <-chan blockOut {
-	ordered := make(chan blockOut)
-	// Per-block result slots, buffered so a worker never blocks delivering.
-	slots := make([]chan blockOut, len(scan))
-	for i := range slots {
-		slots[i] = make(chan blockOut, 1)
-	}
-	jobs := make(chan int)
-	// Credits bound total in-flight blocks (queued + fetching + fetched).
-	credits := make(chan struct{}, prefetchDepth)
-
-	go func() { // feeder
-		defer close(jobs)
-		for i := range scan {
-			select {
-			case credits <- struct{}{}:
-			case <-done:
-				return
-			}
-			select {
-			case jobs <- i:
-			case <-done:
-				return
-			}
-		}
-	}()
-	workers := prefetchWorkers
-	if workers > len(scan) {
-		workers = len(scan)
-	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				select {
-				case i, ok := <-jobs:
-					if !ok {
-						return
-					}
-					slots[i] <- fetchBlock(f, scan[i], compressed)
-				case <-done:
-					return
-				}
-			}
-		}()
-	}
-	go func() { // merger: deliver in order, refunding a credit per block
-		defer close(ordered)
-		for i := range scan {
-			var out blockOut
-			select {
-			case out = <-slots[i]:
-			case <-done:
-				return
-			}
-			select {
-			case <-credits:
-			default:
-			}
-			select {
-			case ordered <- out:
-			case <-done:
-				out.release()
-				return
-			}
-		}
-	}()
-	return ordered
+	return stored, payload, nil
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Storage format v3 (see DESIGN.md "Storage format v3"): the block layout
-// of v2 with every block decomposed struct-of-arrays. A block's payload is
+// of block.go with every block decomposed struct-of-arrays. A block's payload is
 // a record count followed by one integrity frame per column stream — ids,
 // lon, lat, t, an optional string attribute, per-record payload span
 // lengths, and the residual payload stream — each column delta-encoded by
@@ -29,7 +29,7 @@ import (
 // native columnar (the codec carried a Columnar schema) or generic
 // row-payload, whether the lon/lat/t columns are exact record extents
 // (point schemas), and whether a string column is present — followed by
-// the same block index v2 uses. Keeping the profile inside the footer
+// the block index. Keeping the profile inside the footer
 // frame keeps every byte of the file under a CRC.
 //
 // For point schemas a reader evaluates query windows directly on the
@@ -42,8 +42,6 @@ const (
 	v3Magic = "STB3"
 	// v3TrailerMagic closes it.
 	v3TrailerMagic = "3BTS"
-	// v3HeaderLen is the header magic length.
-	v3HeaderLen = 4
 
 	// Profile bits, stored in the footer frame.
 	v3Native  = 1 << 0 // blocks are native columnar (codec has a Columnar schema)
@@ -54,8 +52,9 @@ const (
 
 // DefaultBlockRecordsV3 is the records-per-block target for v3 files.
 // Columnar framing costs a near-constant ~100 bytes per block (no gzip
-// stream to warm up), so v3 affords 4× finer blocks than v2 — and with
-// them 4× finer pruning granularity for small-range queries.
+// stream to warm up), so v3 affords 4× finer blocks than the gzip v2
+// layout did — and with them 4× finer pruning granularity for small-range
+// queries.
 const DefaultBlockRecordsV3 = 1024
 
 // maxBlockRecords caps the record count a single block may claim; counts
@@ -108,7 +107,7 @@ func writePartitionV3File[T any](
 	if _, err := out.WriteString(v3Magic); err != nil {
 		return PartitionMeta{}, fmt.Errorf("storage: write partition: %w", err)
 	}
-	off := int64(v3HeaderLen)
+	off := int64(blockHeaderLen)
 
 	col := c.Col
 	profile := byte(0)
@@ -213,7 +212,7 @@ func writePartitionV3File[T any](
 	if _, err := out.Write(frameW.Bytes()); err != nil {
 		return PartitionMeta{}, fmt.Errorf("storage: write footer: %w", err)
 	}
-	var trailer [v2TrailerLen]byte
+	var trailer [trailerLen]byte
 	binary.LittleEndian.PutUint64(trailer[:8], uint64(footerOff))
 	copy(trailer[8:], v3TrailerMagic)
 	if _, err := out.Write(trailer[:]); err != nil {
@@ -240,56 +239,13 @@ func writePartitionV3File[T any](
 }
 
 // readFooterV3 opens a v3 partition file and returns its verified profile
-// byte and block index plus the file handle (positioned for ReadAt) and
-// total size.
+// byte and block index plus the file handle (positioned for ReadAt), the
+// footer offset, and the total size.
 func readFooterV3(path string) (*os.File, byte, []BlockMeta, int64, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, nil, 0, 0, fmt.Errorf("storage: open partition: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, nil, 0, 0, fmt.Errorf("storage: stat partition: %w", err)
-	}
-	size := st.Size()
-	fail := func(err error) (*os.File, byte, []BlockMeta, int64, int64, error) {
-		f.Close()
-		return nil, 0, nil, 0, 0, err
-	}
-	if size < int64(v3HeaderLen)+v2TrailerLen {
-		return fail(fmt.Errorf("storage: partition %s truncated: %w",
-			filepath.Base(path), codec.ErrCorrupt{Off: int(size)}))
-	}
-	var head [v3HeaderLen]byte
-	if _, err := f.ReadAt(head[:], 0); err != nil {
-		return fail(fmt.Errorf("storage: read header: %w", err))
-	}
-	if string(head[:]) != v3Magic {
-		return fail(fmt.Errorf("storage: partition %s: bad magic: %w",
-			filepath.Base(path), codec.ErrCorrupt{Off: 0}))
-	}
-	var trailer [v2TrailerLen]byte
-	if _, err := f.ReadAt(trailer[:], size-v2TrailerLen); err != nil {
-		return fail(fmt.Errorf("storage: read trailer: %w", err))
-	}
-	footerOff := int64(binary.LittleEndian.Uint64(trailer[:8]))
-	if string(trailer[8:]) != v3TrailerMagic ||
-		footerOff < int64(v3HeaderLen) || footerOff >= size-v2TrailerLen {
-		return fail(fmt.Errorf("storage: partition %s: bad trailer: %w",
-			filepath.Base(path), codec.ErrCorrupt{Off: int(size - v2TrailerLen)}))
-	}
-	footerStored := codec.GetBuf(int(size - v2TrailerLen - footerOff))
-	defer codec.PutBuf(footerStored)
-	if _, err := f.ReadAt(footerStored, footerOff); err != nil {
-		return fail(fmt.Errorf("storage: read footer: %w", err))
-	}
 	var profile byte
 	var blocks []BlockMeta
-	err = codec.Catch(func() {
-		r := codec.NewReader(footerStored)
-		payload := r.Frame()
-		if r.Remaining() != 0 || len(payload) < 1 {
+	f, footerOff, size, err := readFooter(path, v3Magic, v3TrailerMagic, func(payload []byte, footerOff int64) {
+		if len(payload) < 1 {
 			panic(codec.ErrCorrupt{Off: int(footerOff)})
 		}
 		profile = payload[0]
@@ -303,10 +259,7 @@ func readFooterV3(path string) (*os.File, byte, []BlockMeta, int64, int64, error
 			}
 		}
 	})
-	if err != nil {
-		return fail(fmt.Errorf("storage: partition %s footer: %w", filepath.Base(path), err))
-	}
-	return f, profile, blocks, footerOff, size, nil
+	return f, profile, blocks, footerOff, size, err
 }
 
 // pointInAny reports whether the point (lon, lat, t) lies inside at least
@@ -349,7 +302,7 @@ func readPartitionV3Once[T any](
 			pm.File)
 	}
 
-	st := ReadStats{Blocks: len(blocks), BytesRead: int64(v3HeaderLen) + (size - footerOff)}
+	st := ReadStats{Blocks: len(blocks), BytesRead: blockHeaderLen + (size - footerOff)}
 	var scan []BlockMeta
 	var expect int64
 	for bi, bm := range blocks {
@@ -357,12 +310,7 @@ func readPartitionV3Once[T any](
 		if blockSet != nil {
 			keep = blockSet[bi]
 		} else if !keep && bm.Count > 0 {
-			for _, w := range windows {
-				if bm.Bounds.Intersects(w) {
-					keep = true
-					break
-				}
-			}
+			keep = boxIntersectsAny(bm.Bounds, windows)
 		}
 		if keep {
 			scan = append(scan, bm)
@@ -384,32 +332,35 @@ func readPartitionV3Once[T any](
 	var materialized int64
 	cb := codec.GetColBlock()
 	defer codec.PutColBlock(cb)
-	done := make(chan struct{})
-	defer close(done)
-	for blk := range prefetchBlocks(f, scan, false, done) {
-		if blk.err != nil {
-			return nil, ReadStats{}, fmt.Errorf("storage: partition %s: %w", pm.File, blk.err)
+	for _, bm := range scan {
+		stored, raw, err := fetchBlock(f, bm)
+		if err == nil && int64(len(raw)) != bm.Raw {
+			codec.PutBuf(stored)
+			err = codec.ErrCorrupt{Off: int(bm.Offset)}
 		}
-		st.BytesRead += blk.bm.Stored
+		if err != nil {
+			return nil, ReadStats{}, fmt.Errorf("storage: partition %s: %w", pm.File, err)
+		}
+		st.BytesRead += bm.Stored
 		decErr := codec.Catch(func() {
-			r := codec.NewReader(blk.raw)
+			r := codec.NewReader(raw)
 			n := int(r.Uvarint())
-			if n < 0 || int64(n) != blk.bm.Count || n > maxBlockRecords {
+			if n < 0 || int64(n) != bm.Count || n > maxBlockRecords {
 				panic(codec.ErrCorrupt{Off: 0})
 			}
 			if !native {
 				pay := r.Frame()
 				if r.Remaining() != 0 {
-					panic(codec.ErrCorrupt{Off: int(blk.bm.Raw)})
+					panic(codec.ErrCorrupt{Off: int(bm.Raw)})
 				}
-				st.RawBytes += blk.bm.Raw
+				st.RawBytes += bm.Raw
 				rr := codec.NewReader(pay)
 				for j := 0; j < n; j++ {
 					out = append(out, c.Dec(rr))
 				}
 				materialized += int64(n)
 				if rr.Remaining() != 0 {
-					panic(codec.ErrCorrupt{Off: int(blk.bm.Raw)})
+					panic(codec.ErrCorrupt{Off: int(bm.Raw)})
 				}
 				return
 			}
@@ -424,10 +375,10 @@ func readPartitionV3Once[T any](
 			lens := codec.Int64Col(r.Frame(), n, cb.PayLen)
 			pay := r.Frame()
 			if r.Remaining() != 0 {
-				panic(codec.ErrCorrupt{Off: int(blk.bm.Raw)})
+				panic(codec.ErrCorrupt{Off: int(bm.Raw)})
 			}
 			cb.SetPayload(pay, lens)
-			st.RawBytes += blk.bm.Raw - int64(len(pay))
+			st.RawBytes += bm.Raw - int64(len(pay))
 			pr := codec.NewReader(nil)
 			for i := 0; i < n; i++ {
 				if filter && !pointInAny(cb.Lon[i], cb.Lat[i], cb.T[i], windows) {
@@ -444,10 +395,10 @@ func readPartitionV3Once[T any](
 				}
 			}
 		})
-		blk.release()
+		codec.PutBuf(stored)
 		if decErr != nil {
 			return nil, ReadStats{}, fmt.Errorf("storage: partition %s block at %d: %w",
-				pm.File, blk.bm.Offset, decErr)
+				pm.File, bm.Offset, decErr)
 		}
 	}
 	if windows == nil && blockSet == nil && materialized != pm.Count {

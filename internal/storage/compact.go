@@ -18,10 +18,9 @@ import (
 type CompactOptions struct {
 	// MinDeltas is the size-tier trigger: only partitions carrying at least
 	// this many delta files are rewritten (0 means 1 — any delta compacts).
+	// A partition whose base or any delta is a legacy v1/v2 file is
+	// rewritten whatever MinDeltas says, so one pass migrates a dataset.
 	MinDeltas int
-	// MinDeltaBytes additionally requires the partition's delta files to
-	// total at least this many bytes (0 means no byte threshold).
-	MinDeltaBytes int64
 	// Tracer, when non-nil, records one trace.SpanCompact span per
 	// rewritten partition.
 	Tracer *trace.Tracer
@@ -31,12 +30,13 @@ type CompactOptions struct {
 	// removed, so readers holding the previous view keep their files.
 	// Negative skips GC entirely.
 	GCGrace time.Duration
-	// Summarizer, when non-nil, builds a summary sidecar for every
-	// rewritten partition (the approximate query tier's maintenance path):
-	// the rewrite commits as a base+sidecar pair under the same manifest
-	// swap. When nil, a rewritten partition's previous sidecar entry is
-	// dropped — approximate queries on it fall back to exact until the
-	// next summarizing pass or a BuildSummaries backfill.
+	// Summarizer, when non-nil, builds a fresh summary sidecar for every
+	// rewritten partition that had a live one (the approximate query
+	// tier's maintenance path): the rewrite commits as a base+sidecar pair
+	// under the same manifest swap. Partitions without a sidecar stay
+	// without one. When nil, a rewritten partition's previous sidecar
+	// entry is dropped — approximate queries on it fall back to exact
+	// until a BuildSummaries backfill.
 	Summarizer summary.Builder
 }
 
@@ -58,11 +58,11 @@ type CompactStats struct {
 }
 
 // Compact is the background compactor's one pass over the dataset at dir:
-// every partition whose attached deltas meet the size-tier thresholds is
-// rewritten — base + deltas read through the ordinary merge-on-read path,
-// Z-order re-clustered, written as a fresh generation-suffixed file in
-// the current format (v3 columnar) —
-// and the whole pass commits with a single atomic manifest swap that bumps
+// every partition whose attached deltas meet the size-tier threshold, or
+// whose base or deltas are in a legacy v1/v2 layout, is rewritten — base +
+// deltas read whole, Z-order re-clustered, written as a fresh
+// generation-suffixed file in the current format (v3 columnar) — and the
+// whole pass commits with a single atomic manifest swap that bumps
 // the dataset generation. Readers are never blocked: the old base and
 // delta files stay on disk until the grace-bounded GC collects them, so a
 // reader holding the pre-compaction manifest keeps a complete, consistent
@@ -112,18 +112,10 @@ func compactLocked[T any](
 	}
 	var targets []int
 	for i := 0; i < meta.NumPartitions(); i++ {
-		ds := meta.Deltas(i)
-		if len(ds) < minDeltas {
-			continue
+		// A partition holding a legacy file is due whatever its deltas.
+		if len(meta.Deltas(i)) >= minDeltas || meta.checkPartition(dir, i) != nil {
+			targets = append(targets, i)
 		}
-		var bytes int64
-		for _, d := range ds {
-			bytes += d.Bytes
-		}
-		if bytes < opts.MinDeltaBytes {
-			continue
-		}
-		targets = append(targets, i)
 	}
 	if len(targets) == 0 {
 		if opts.GCGrace >= 0 {
@@ -144,7 +136,7 @@ func compactLocked[T any](
 		sp := opts.Tracer.StartSpan(0, trace.SpanCompact,
 			trace.Int("partition", int64(pi)),
 			trace.Int("deltas", int64(len(meta.Deltas(pi)))))
-		recs, _, err := ReadPartitionPruned(dir, meta, pi, c, nil)
+		recs, err := readForCompaction(dir, meta, pi, c)
 		if err != nil {
 			sp.End(trace.Str("error", err.Error()))
 			return st, false, fmt.Errorf("storage: compact partition %d: %w", pi, err)
@@ -159,9 +151,11 @@ func compactLocked[T any](
 		pm.Format = FormatVersion
 		mf.Rewrites[pi] = pm
 		// The old sidecar described the old base file; drop it, and write
-		// a fresh one for the rewrite when a summarizer is wired in.
+		// a fresh one for the rewrite when it was live and a summarizer is
+		// wired in.
+		_, summarized := meta.SummaryFor(pi)
 		delete(mf.Summaries, pi)
-		if opts.Summarizer != nil {
+		if summarized && opts.Summarizer != nil {
 			bn := blockRecords
 			if bn > maxBlockRecords {
 				bn = maxBlockRecords // mirror the file writer's cap
@@ -176,10 +170,7 @@ func compactLocked[T any](
 				sp.End(trace.Str("error", err.Error()))
 				return st, false, fmt.Errorf("storage: summarize partition %d: %w", pi, err)
 			}
-			if mf.Summaries == nil {
-				mf.Summaries = map[int]SummaryMeta{}
-			}
-			mf.Summaries[pi] = sm
+			mf.Summaries[pi] = sm // non-nil: it held pi's live entry
 		}
 		st.PartitionsCompacted++
 		st.DeltasMerged += len(meta.Deltas(pi))
@@ -289,58 +280,4 @@ func readRawMetadata(dir string) (*Metadata, error) {
 		return nil, err
 	}
 	return &meta, nil
-}
-
-// Compactor runs Compact on a fixed cadence until stopped — the background
-// half of the LSM discipline, owned by whichever process owns ingest (the
-// stingest daemon, or a test driving time by hand via RunOnce).
-type Compactor[T any] struct {
-	Dir   string
-	Codec codec.Codec[T]
-	BoxOf func(T) index.Box
-	Opts  CompactOptions
-	// OnPass, when non-nil, observes every pass (stats + error) — the hook
-	// metrics and logs attach to.
-	OnPass func(CompactStats, error)
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// RunOnce executes a single compaction pass.
-func (cp *Compactor[T]) RunOnce() (CompactStats, error) {
-	st, err := Compact(cp.Dir, cp.Codec, cp.BoxOf, cp.Opts)
-	if cp.OnPass != nil {
-		cp.OnPass(st, err)
-	}
-	return st, err
-}
-
-// Start launches the background loop at the given interval.
-func (cp *Compactor[T]) Start(interval time.Duration) {
-	cp.stop = make(chan struct{})
-	cp.done = make(chan struct{})
-	go func() {
-		defer close(cp.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-cp.stop:
-				return
-			case <-t.C:
-				cp.RunOnce() //nolint:errcheck // surfaced via OnPass
-			}
-		}
-	}()
-}
-
-// Stop halts the background loop and waits for an in-flight pass.
-func (cp *Compactor[T]) Stop() {
-	if cp.stop == nil {
-		return
-	}
-	close(cp.stop)
-	<-cp.done
-	cp.stop = nil
 }

@@ -1,13 +1,13 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,10 +186,11 @@ func TestCompactFoldsDeltas(t *testing.T) {
 	}
 }
 
-// TestCompactV1Dataset pins the mixed-format path: a legacy v1 dataset
-// takes delta appends and compaction, the rewritten partitions switching
-// to the v2 block layout via the per-partition Format override while the
-// untouched ones stay v1.
+// TestCompactV1Dataset pins the migration of a v1 dataset: it takes delta
+// appends (written as v3), the query path refuses it with ErrLegacyFormat,
+// and one compaction pass rewrites every partition — the delta-free ones
+// too, whatever MinDeltas says — as v3, after which the store reads back
+// base and appended records alike.
 func TestCompactV1Dataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	parts := makeParts(rng, 3, 50)
@@ -202,7 +203,7 @@ func TestCompactV1Dataset(t *testing.T) {
 		combined = append(combined, p...)
 	}
 	// Records clustered near partition 0's extent, so routing leaves other
-	// partitions delta-free and therefore un-rewritten.
+	// partitions delta-free.
 	extra := make([]rec, 20)
 	for i := range extra {
 		extra[i] = parts[0][i%len(parts[0])]
@@ -212,30 +213,30 @@ func TestCompactV1Dataset(t *testing.T) {
 	if _, err := AppendDelta(dir, recC, extra, recBox, AppendOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	want := canonical(combined)
-	if got := readAll(t, dir, nil); !reflect.DeepEqual(got, want) {
-		t.Fatal("v1 merge-on-read mismatch")
-	}
-	if _, err := Compact(dir, recC, recBox, CompactOptions{MinDeltas: 1, GCGrace: 0}); err != nil {
-		t.Fatal(err)
-	}
 	meta, err := ReadMetadata(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawV1, sawV2 := false, false
-	for _, pm := range meta.Partitions {
-		if pm.Format == FormatVersion {
-			sawV2 = true
-		} else {
-			sawV1 = true
-		}
+	var le ErrLegacyFormat
+	if _, _, err := ReadPartitionPruned(dir, meta, 0, recC, nil); !errors.As(err, &le) || le.Version != 1 {
+		t.Fatalf("v1 read: %v, want ErrLegacyFormat v1", err)
 	}
-	if !sawV1 || !sawV2 {
-		t.Fatalf("expected mixed formats after partial compaction (v1=%v v2=%v)", sawV1, sawV2)
+	st, err := Compact(dir, recC, recBox, CompactOptions{MinDeltas: 100, GCGrace: 0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := readAll(t, dir, nil); !reflect.DeepEqual(got, want) {
-		t.Fatal("v1 post-compaction mismatch")
+	if st.PartitionsCompacted != len(parts) {
+		t.Fatalf("migration rewrote %d of %d partitions", st.PartitionsCompacted, len(parts))
+	}
+	meta, err = ReadMetadata(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := meta.CheckFormat(dir); err != nil {
+		t.Fatalf("migrated store: %v", err)
+	}
+	if got := readAll(t, dir, nil); !reflect.DeepEqual(got, canonical(combined)) {
+		t.Fatal("v1 post-migration mismatch")
 	}
 }
 
@@ -318,11 +319,13 @@ func TestMetamorphicDeltaEquivalence(t *testing.T) {
 }
 
 // TestDeltaCrossFormatMerge pins the mixed-generation migration path: a
-// v2 gzip base takes delta appends (deltas are always written in the
-// current columnar format), merge-on-read unions v2 blocks with v3 column
-// streams per window, and compaction folds each touched partition into a
-// v3 file via the per-partition Format override while untouched partitions
-// stay v2.
+// v2 gzip base takes delta appends (written in the current columnar
+// format) and carries one delta committed before the columnar layout (a
+// v2 file whose manifest entry has no format). The query path refuses
+// both legacy kinds with ErrLegacyFormat; one compaction pass with a
+// threshold no partition meets rewrites every partition as v3, and the
+// migrated store answers every window exactly like an in-memory filter of
+// all the records.
 func TestDeltaCrossFormatMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	parts := makeParts(rng, 3, 60)
@@ -336,8 +339,6 @@ func TestDeltaCrossFormatMerge(t *testing.T) {
 	for _, p := range parts {
 		combined = append(combined, p...)
 	}
-	// Deltas clustered near partition 0 so at least one partition stays
-	// delta-free and keeps its v2 file through compaction.
 	for b := 0; b < 2; b++ {
 		extra := make([]rec, 25)
 		for i := range extra {
@@ -349,6 +350,36 @@ func TestDeltaCrossFormatMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A pre-columnar delta on partition 2: a v2 gzip file listed in the
+	// manifest without a format.
+	old := makeParts(rng, 1, 30)[0]
+	combined = append(combined, old...)
+	odir := t.TempDir()
+	om, err := WriteLegacy(odir, recC, [][]rec{old}, recBox, LegacyOptions{
+		Version: 2, Compress: true, BlockRecords: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm := DeltaMeta{Partition: 2, Seq: mf.NextSeq, PartitionMeta: om.Partitions[0]}
+	dm.File = deltaFileName(2, dm.Seq)
+	raw, err := os.ReadFile(filepath.Join(odir, om.Partitions[0].File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, dm.File), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mf.NextSeq++
+	mf.Generation++
+	mf.Deltas = append(mf.Deltas, dm)
+	if err := writeManifest(dir, mf); err != nil {
+		t.Fatal(err)
+	}
 
 	meta, err := ReadMetadata(dir)
 	if err != nil {
@@ -357,39 +388,25 @@ func TestDeltaCrossFormatMerge(t *testing.T) {
 	if meta.Version != 2 {
 		t.Fatalf("base version = %d, want 2", meta.Version)
 	}
-	if meta.DeltaCount() == 0 {
-		t.Fatal("no deltas recorded")
+	deltas := meta.DeltaCount()
+	var le ErrLegacyFormat
+	if _, _, err := ReadPartitionPruned(dir, meta, 0, recC, nil); !errors.As(err, &le) || le.Version != 2 {
+		t.Fatalf("v2 base read: %v, want ErrLegacyFormat v2", err)
 	}
-	for pi := 0; pi < meta.NumPartitions(); pi++ {
-		for _, dm := range meta.Deltas(pi) {
-			if dm.Format != FormatVersion {
-				t.Fatalf("delta %s format = %d, want %d", dm.File, dm.Format, FormatVersion)
-			}
-		}
+	if _, _, err := ReadDelta(dir, dm, recC); !errors.As(err, &le) || le.File != dm.File || le.Version != 2 {
+		t.Fatalf("v2 delta read: %v, want ErrLegacyFormat naming %s", err, dm.File)
+	}
+	if err := meta.CheckFormat(dir); !errors.As(err, &le) {
+		t.Fatalf("CheckFormat: %v, want ErrLegacyFormat", err)
 	}
 
-	// Windowed merge-on-read over the mixed store answers exactly like an
-	// in-memory filter of all the records.
-	windows := v2Windows(rng, parts)
-	check := func(stage string) {
-		t.Helper()
-		for wname, win := range windows {
-			var want []rec
-			for _, r := range combined {
-				if recBox(r).Intersects(win) {
-					want = append(want, r)
-				}
-			}
-			if got := readAll(t, dir, []index.Box{win}); !reflect.DeepEqual(got, canonical(want)) {
-				t.Fatalf("%s/%s: mixed-format read %d records, want %d",
-					stage, wname, len(got), len(want))
-			}
-		}
-	}
-	check("merge-on-read")
-
-	if _, err := Compact(dir, recC, recBox, CompactOptions{MinDeltas: 1, GCGrace: 0}); err != nil {
+	st, err := Compact(dir, recC, recBox, CompactOptions{MinDeltas: 100, GCGrace: 0})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if st.PartitionsCompacted != len(parts) || st.DeltasMerged != deltas {
+		t.Fatalf("migration compacted %d partitions and %d deltas, want %d and %d",
+			st.PartitionsCompacted, st.DeltasMerged, len(parts), deltas)
 	}
 	meta, err = ReadMetadata(dir)
 	if err != nil {
@@ -398,21 +415,20 @@ func TestDeltaCrossFormatMerge(t *testing.T) {
 	if meta.DeltaCount() != 0 {
 		t.Fatalf("%d deltas survive compaction", meta.DeltaCount())
 	}
-	sawV2, sawV3 := false, false
-	for _, pm := range meta.Partitions {
-		switch {
-		case pm.Format == FormatVersion:
-			sawV3 = true
-		case pm.Format == 0 || pm.Format == 2:
-			sawV2 = true
-		default:
-			t.Fatalf("partition %s has unexpected format %d", pm.File, pm.Format)
+	if err := meta.CheckFormat(dir); err != nil {
+		t.Fatalf("migrated store: %v", err)
+	}
+	for wname, win := range v2Windows(rng, parts) {
+		var want []rec
+		for _, r := range combined {
+			if recBox(r).Intersects(win) {
+				want = append(want, r)
+			}
+		}
+		if got := readAll(t, dir, []index.Box{win}); !reflect.DeepEqual(got, canonical(want)) {
+			t.Fatalf("%s: migrated read %d records, want %d", wname, len(got), len(want))
 		}
 	}
-	if !sawV2 || !sawV3 {
-		t.Fatalf("expected mixed formats after partial compaction (v2=%v v3=%v)", sawV2, sawV3)
-	}
-	check("compacted")
 }
 
 // crashPanic is the sentinel the chaos hook throws.
@@ -569,38 +585,6 @@ func TestGCGraceKeepsRecentFiles(t *testing.T) {
 	}
 	if !reflect.DeepEqual(canonical(got), canonical(base)) {
 		t.Fatal("pinned pre-compaction view no longer readable")
-	}
-}
-
-// TestCompactorLoop drives the background loop once.
-func TestCompactorLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(111))
-	parts := makeParts(rng, 2, 30)
-	dir := t.TempDir()
-	if _, err := Write(dir, recC, parts, recBox, WriteOptions{BlockRecords: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AppendDelta(dir, recC, makeParts(rng, 1, 20)[0], recBox, AppendOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	var passes atomic.Int64
-	cp := &Compactor[rec]{
-		Dir: dir, Codec: recC, BoxOf: recBox,
-		Opts:   CompactOptions{MinDeltas: 1, GCGrace: 0},
-		OnPass: func(st CompactStats, err error) { passes.Add(1) },
-	}
-	st, err := cp.RunOnce()
-	if err != nil || st.PartitionsCompacted == 0 || passes.Load() != 1 {
-		t.Fatalf("RunOnce: st=%+v err=%v passes=%d", st, err, passes.Load())
-	}
-	cp.Start(time.Millisecond)
-	defer cp.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for passes.Load() < 3 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := passes.Load(); n < 3 {
-		t.Fatalf("background loop ran %d passes", n)
 	}
 }
 

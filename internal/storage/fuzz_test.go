@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -44,33 +45,42 @@ func readBytesAsPartition(t testing.TB, meta *Metadata, data []byte, windows []i
 	return out, err
 }
 
-// FuzzV2Partition throws arbitrary bytes at the v2 reader as a whole
-// partition file. The invariants: the reader never panics (ErrCorrupt is
-// always caught), and a read that succeeds returns exactly the record
-// count the metadata promises — arbitrary corruption must surface as an
-// error, never as silently wrong output.
+// readLegacyBytes writes data as partition 0 of a scratch dataset carrying
+// meta's shape and reads it back whole through the legacy reader
+// compaction uses.
+func readLegacyBytes(t testing.TB, meta *Metadata, data []byte) ([]rec, error) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, meta.Partitions[0].File), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return readAnyFormat(dir, meta, meta.Partitions[0], meta.partitionFormat(0), recC)
+}
+
+// FuzzV2Partition throws arbitrary bytes at the legacy reader — the only
+// parser of v1/v2 bytes left, run by the compaction pass that migrates
+// them — as a whole v2 file, plain and gzip, and as a whole framed v1
+// file, plain and gzip. The invariants: the reader never panics
+// (ErrCorrupt is always caught), and a read that succeeds returns exactly
+// the record count the metadata promises — arbitrary corruption must
+// surface as an error, never as silently wrong output.
 func FuzzV2Partition(f *testing.F) {
 	seedPlain, metaPlain, _ := writeFuzzSeed(f, 2, false, 8)
-	seedGzip, _, _ := writeFuzzSeed(f, 2, true, 8)
+	seedGzip, metaGzip, _ := writeFuzzSeed(f, 2, true, 8)
+	_, metaV1, _ := writeFuzzSeed(f, 1, false, 0)
+	_, metaV1Gzip, _ := writeFuzzSeed(f, 1, true, 0)
 	f.Add(seedPlain)
 	f.Add(seedGzip)
 	f.Add([]byte{})
 	f.Add([]byte(v2Magic))
 	f.Add(append(append([]byte(v2Magic), make([]byte, 12)...), v2TrailerMagic...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Full scan: success implies the metadata count cross-check held.
-		out, err := readBytesAsPartition(t, metaPlain, data, nil)
-		if err == nil && int64(len(out)) != metaPlain.Partitions[0].Count {
-			t.Fatalf("clean read returned %d records, metadata says %d",
-				len(out), metaPlain.Partitions[0].Count)
-		}
-		// Pruned scan must never panic either; its count check is per-block.
-		win := []index.Box{{
-			Min: [index.Dims]float64{0, 0, 0},
-			Max: [index.Dims]float64{5, 5, 500},
-		}}
-		if _, err := readBytesAsPartition(t, metaPlain, data, win); err != nil {
-			_ = err // corruption reported, not panicked: that is the contract
+		for _, meta := range []*Metadata{metaPlain, metaGzip, metaV1, metaV1Gzip} {
+			out, err := readLegacyBytes(t, meta, data)
+			if err == nil && int64(len(out)) != meta.Partitions[0].Count {
+				t.Fatalf("clean v%d read returned %d records, metadata says %d",
+					meta.partitionFormat(0), len(out), meta.Partitions[0].Count)
+			}
 		}
 	})
 }
@@ -93,7 +103,7 @@ func FuzzBlockFooter(f *testing.F) {
 			blocks := decodeFooter(data, regionEnd)
 			// Decoded footers satisfy the structural invariants the reader
 			// depends on: ordered, non-overlapping, inside the block region.
-			prevEnd := int64(v2HeaderLen)
+			prevEnd := int64(blockHeaderLen)
 			for _, b := range blocks {
 				if b.Offset < prevEnd || b.Offset+b.Stored > regionEnd {
 					t.Fatalf("decodeFooter admitted out-of-region block %+v", b)
@@ -105,36 +115,59 @@ func FuzzBlockFooter(f *testing.F) {
 	})
 }
 
+// migrateBytes writes data as partition 0 of a dataset carrying meta's
+// shape under dir and runs the compaction pass that migrates it. A failed
+// pass must commit no manifest.
+func migrateBytes(t testing.TB, dir string, meta *Metadata, data []byte) error {
+	t.Helper()
+	if err := writeMetadata(dir, meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, meta.Partitions[0].File), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Compact(dir, recC, recBox, CompactOptions{GCGrace: -1})
+	if _, serr := os.Stat(filepath.Join(dir, ManifestFile)); err != nil && !os.IsNotExist(serr) {
+		t.Fatalf("failed migration committed a manifest: %v", err)
+	}
+	return err
+}
+
 // TestV2EveryByteFlipDetected is the deterministic core of the fuzz
 // contract: every byte of a v2 partition file is protected — header and
 // trailer magics by explicit checks, the trailer offset by range
 // validation, and everything else by a CRC32C frame — so flipping ANY
-// single byte must either error or (never) return the original records.
+// single byte must fail the migration pass with a corruption error and
+// commit nothing.
 func TestV2EveryByteFlipDetected(t *testing.T) {
 	for _, compress := range []bool{false, true} {
-		raw, meta, want := writeFuzzSeed(t, 2, compress, 8)
+		raw, meta, _ := writeFuzzSeed(t, 2, compress, 8)
+		dir := t.TempDir()
 		for pos := 0; pos < len(raw); pos++ {
 			mut := append([]byte{}, raw...)
 			mut[pos] ^= 0x5a
-			got, err := readBytesAsPartition(t, meta, mut, nil)
-			if err == nil && !reflect.DeepEqual(got, want) {
-				t.Fatalf("compress=%v: flip at byte %d/%d silently changed records",
-					compress, pos, len(raw))
+			err := migrateBytes(t, dir, meta, mut)
+			if !errors.As(err, new(codec.ErrCorrupt)) {
+				t.Fatalf("compress=%v: flip at byte %d/%d: migration returned %v, want a corruption error",
+					compress, pos, len(raw), err)
 			}
-			if err == nil {
-				t.Fatalf("compress=%v: flip at byte %d/%d went undetected", compress, pos, len(raw))
-			}
+		}
+		if err := migrateBytes(t, dir, meta, raw); err != nil {
+			t.Fatalf("compress=%v: pristine file failed to migrate: %v", compress, err)
 		}
 	}
 }
 
-// TestV2TruncationsDetected chops the file at every length below full and
-// expects an error each time.
+// TestV2TruncationsDetected chops the file at every seventh length below
+// full and expects the migration pass to fail with a corruption error
+// each time.
 func TestV2TruncationsDetected(t *testing.T) {
 	raw, meta, _ := writeFuzzSeed(t, 2, true, 8)
+	dir := t.TempDir()
 	for n := 0; n < len(raw); n += 7 {
-		if _, err := readBytesAsPartition(t, meta, raw[:n], nil); err == nil {
-			t.Fatalf("truncation to %d/%d bytes went undetected", n, len(raw))
+		if err := migrateBytes(t, dir, meta, raw[:n]); !errors.As(err, new(codec.ErrCorrupt)) {
+			t.Fatalf("truncation to %d/%d bytes: migration returned %v, want a corruption error",
+				n, len(raw), err)
 		}
 	}
 }

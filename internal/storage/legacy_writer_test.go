@@ -15,11 +15,11 @@ import (
 )
 
 // The fixture writer produces the v1 and v2 on-disk generations that
-// Write no longer emits. Readers of both stay in the product — v1/v2
-// datasets remain supported input, and compaction rewrites them to v3 —
-// so the reader tests, fuzz seeds, and golden files need a way to make
-// such datasets on demand. The bytes it writes are exactly what the
-// pre-v3 writers produced.
+// Write no longer emits. Their readers stay in the product for one job —
+// compaction reads them to rewrite a dataset as v3 — so the migration
+// tests, fuzz seeds, and golden files need a way to make such datasets on
+// demand. The bytes it writes are exactly what the pre-v3 writers
+// produced.
 
 // LegacyOptions pins the format WriteLegacy writes.
 type LegacyOptions struct {
@@ -149,7 +149,7 @@ func writePartitionV2[T any](
 	if _, err := out.WriteString(v2Magic); err != nil {
 		return PartitionMeta{}, err
 	}
-	off := int64(v2HeaderLen)
+	off := int64(blockHeaderLen)
 
 	recW := codec.GetWriter()   // raw record encodings for the current block
 	gzW := codec.GetWriter()    // compressed payload scratch
@@ -222,7 +222,7 @@ func writePartitionV2[T any](
 	if _, err := out.Write(frameW.Bytes()); err != nil {
 		return PartitionMeta{}, err
 	}
-	var trailer [v2TrailerLen]byte
+	var trailer [trailerLen]byte
 	binary.LittleEndian.PutUint64(trailer[:8], uint64(footerOff))
 	copy(trailer[8:], v2TrailerMagic)
 	if _, err := out.Write(trailer[:]); err != nil {

@@ -2,21 +2,18 @@
 // stand-in for Parquet-on-HDFS. A dataset is a directory of per-partition
 // binary files (blocks of codec-encoded records, laid out as column
 // streams) plus a metadata.json indexing every partition with its ST
-// bounds — the on-disk indexing with metadata of §4.1. Datasets written in
-// the earlier v1 and v2 layouts stay readable.
+// bounds — the on-disk indexing with metadata of §4.1. Every reader takes
+// the columnar v3 layout only; datasets written in the earlier v1 and v2
+// layouts get ErrLegacyFormat until one compaction pass migrates them.
 //
 // The selection stage reads the metadata, prunes partitions whose bounds
 // miss the query window, and loads only the survivors (Fig. 4).
 package storage
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -46,11 +43,11 @@ type PartitionMeta struct {
 	TStart int64   `json:"tstart"`
 	TEnd   int64   `json:"tend"`
 	// Format, when non-zero, overrides the dataset-level Version for this
-	// partition's file. Compaction writes it so a rewritten partition of a
-	// v1/v2 dataset can use the current layout without re-ingesting the
-	// other partitions; delta files carry the format they were appended
-	// in (absent means 2 — deltas predating the columnar layout were
-	// always the v2 block layout).
+	// partition's file. Compaction writes it on every rewrite, which is how
+	// a migrated v1/v2 dataset's partitions read as v3 while metadata.json
+	// keeps its old Version; delta files carry the format they were
+	// appended in (absent means 2 — deltas predating the columnar layout
+	// were always the v2 block layout).
 	Format int `json:"format,omitempty"`
 }
 
@@ -75,21 +72,22 @@ func (p PartitionMeta) Box() index.Box {
 // Metadata is the master-side index of a dataset: one entry per partition
 // with its ST bounds, enabling partition pruning before any file is read.
 type Metadata struct {
-	Name       string `json:"name"`
-	Compressed bool   `json:"compressed"`
+	Name string `json:"name"`
+	// Compressed marks a legacy dataset's gzip (whole-file on v1,
+	// per-block on v2); v3 files have none and ignore it.
+	Compressed bool `json:"compressed"`
 	// Framed marks partitions written as length+CRC32C frames; readers
 	// verify every frame and reject corrupt files instead of silently
-	// decoding garbage. Absent (false) on legacy datasets, which decode as
-	// bare record streams.
+	// decoding garbage. Absent (false) on the oldest v1 datasets, bare
+	// record streams the legacy reader decodes unchecked.
 	Framed bool `json:"framed,omitempty"`
-	// Version selects the partition file format: absent or 1 is the v1
-	// monolithic layout (whole-file gzip, framed or bare record stream),
-	// 2 is the gzip block layout of block.go, 3 the columnar block layout
-	// of blockv3.go. Readers honor whatever is here, so v1 and v2
-	// datasets stay readable without re-ingest.
+	// Version is the partition file format: 3 is the columnar block layout
+	// of blockv3.go, the only one readers take; absent or 1 (monolithic)
+	// and 2 (row-major gzip blocks) are the legacy layouts of legacy.go,
+	// which only compaction reads — rewriting them as v3.
 	Version int `json:"version,omitempty"`
 	// BlockRecords is the records-per-block target the dataset was written
-	// with (v2/v3 only; informational).
+	// with (absent on v1; informational).
 	BlockRecords int             `json:"block_records,omitempty"`
 	TotalCount   int64           `json:"total_count"`
 	Partitions   []PartitionMeta `json:"partitions"`
@@ -334,24 +332,24 @@ const maxPartitionReadAttempts = 3
 // ReadStats reports what a partition read actually touched, so callers
 // (selection stats, serve metrics, explain output) can account for
 // block-level pruning: how many blocks the footer listed, how many were
-// scanned versus skipped, and the on-disk versus decompressed byte volume.
+// scanned versus skipped, and the on-disk versus decoded byte volume.
 type ReadStats struct {
-	// Blocks is the number of blocks in the partition file (1 for v1).
+	// Blocks is the number of blocks in the partition file.
 	Blocks int
 	// BlocksScanned is how many blocks were read and decoded.
 	BlocksScanned int
 	// BlocksPruned is how many blocks the footer bounds let us skip.
 	BlocksPruned int
 	// BytesRead is the on-disk bytes actually read (header, scanned block
-	// frames, footer, trailer; the whole file for v1).
+	// frames, footer, trailer).
 	BytesRead int64
-	// RawBytes is the decompressed payload bytes decoded. On v3 files this
-	// is the decoded column bytes plus only the surviving records' payload
-	// spans — the columnar predicate's saving shows up here.
+	// RawBytes is the payload bytes decoded: the decoded column bytes plus
+	// only the surviving records' payload spans — the columnar predicate's
+	// saving shows up here.
 	RawBytes int64
-	// RecordsPruned is how many records the v3 columnar predicate dropped
-	// on the decoded lon/lat/t columns before materialization (0 on
-	// v1/v2 files and on full reads).
+	// RecordsPruned is how many records the columnar predicate dropped on
+	// the decoded lon/lat/t columns before materialization (0 on generic
+	// row-payload files and on full reads).
 	RecordsPruned int64
 	// Delta-layer accounting: how many delta files the manifest attaches to
 	// the partition, how many were read versus skipped entirely because
@@ -394,10 +392,10 @@ func ReadPartition[T any](dir string, meta *Metadata, i int, c codec.Codec[T]) (
 // partition, in manifest (append) order; delta files whose manifest bounds
 // miss every window are skipped without being opened. A nil windows slice
 // means read everything (and cross-check each segment's record count
-// against its metadata, which a pruned read cannot do). On v1 base files
-// the windows are ignored and the whole base is returned; callers
-// re-filter records either way, so pruning is purely an I/O and CPU
-// saving, never a correctness dependency.
+// against its metadata, which a pruned read cannot do). Callers re-filter
+// records either way, so pruning is purely an I/O and CPU saving, never a
+// correctness dependency. A legacy base or delta file fails the read with
+// ErrLegacyFormat.
 func ReadPartitionPruned[T any](
 	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box,
 ) ([]T, ReadStats, error) {
@@ -411,7 +409,7 @@ func ReadPartitionPruned[T any](
 			st.DeltasPruned++
 			continue
 		}
-		drecs, dst, err := readDelta(dir, meta.Compressed, dm, c, windows)
+		drecs, dst, err := readDelta(dir, dm, c, windows)
 		if err != nil {
 			return nil, ReadStats{}, err
 		}
@@ -431,10 +429,8 @@ func ReadBase[T any](
 	return readBase(dir, meta, i, c, windows, nil)
 }
 
-// readBase is the one format switch over base files: it reads partition
-// i's base file, pruning blocks against windows, or — when blockSet is
-// non-nil — reading exactly the blocks it lists (the monolithic v1 file
-// is block 0).
+// readBase reads partition i's base file, pruning blocks against windows,
+// or — when blockSet is non-nil — reading exactly the blocks it lists.
 func readBase[T any](
 	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box, blockSet map[int]bool,
 ) ([]T, ReadStats, error) {
@@ -443,19 +439,11 @@ func readBase[T any](
 			"storage: partition %d out of range [0,%d)", i, len(meta.Partitions))
 	}
 	pm := meta.Partitions[i]
-	version := meta.partitionFormat(i)
+	if err := checkFormat(dir, pm.File, meta.partitionFormat(i)); err != nil {
+		return nil, ReadStats{}, err
+	}
 	return readWithRetry(pm.File, func() ([]T, ReadStats, error) {
-		switch {
-		case version >= 3:
-			return readPartitionV3Once[T](dir, pm, c, windows, blockSet)
-		case version == 2:
-			return readPartitionV2Once[T](dir, meta.Compressed, pm, c, windows, blockSet)
-		default:
-			if blockSet != nil && !blockSet[0] {
-				return nil, ReadStats{}, nil
-			}
-			return readPartitionOnce[T](dir, meta, pm, c)
-		}
+		return readPartitionV3Once[T](dir, pm, c, windows, blockSet)
 	})
 }
 
@@ -468,33 +456,82 @@ func (m *Metadata) partitionFormat(i int) int {
 	return m.Version
 }
 
+// deltaFormat returns a delta file's format: absent means 2, because
+// deltas committed before the columnar layout were always v2 blocks.
+func deltaFormat(dm DeltaMeta) int {
+	if dm.Format == 0 {
+		return 2
+	}
+	return dm.Format
+}
+
+// ErrLegacyFormat reports a base or delta file stored in a layout older
+// than v3, which no reader takes. One compaction pass rewrites every such
+// file as v3; the error names the command that runs it.
+type ErrLegacyFormat struct {
+	// Dir is the dataset directory and File the legacy file within it.
+	Dir, File string
+	// Version is the file's format: 1 or 2.
+	Version int
+}
+
+func (e ErrLegacyFormat) Error() string {
+	return fmt.Sprintf("storage: %s is a v%d file and readers take v3 only; "+
+		"migrate the dataset with `stingest -dataset <schema> -dir %s -once`",
+		filepath.Join(e.Dir, e.File), e.Version, e.Dir)
+}
+
+// checkFormat returns ErrLegacyFormat when file, stored in format version,
+// predates v3.
+func checkFormat(dir, file string, version int) error {
+	if version >= FormatVersion {
+		return nil
+	}
+	return ErrLegacyFormat{Dir: dir, File: file, Version: max(version, 1)}
+}
+
+// CheckFormat returns ErrLegacyFormat for the first base or delta file of
+// the view that predates v3, or nil when every file is readable — the
+// up-front check a server runs before it serves the dataset at dir.
+func (m *Metadata) CheckFormat(dir string) error {
+	for i := range m.Partitions {
+		if err := m.checkPartition(dir, i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkPartition is CheckFormat for partition i's base and delta files.
+func (m *Metadata) checkPartition(dir string, i int) error {
+	if err := checkFormat(dir, m.Partitions[i].File, m.partitionFormat(i)); err != nil {
+		return err
+	}
+	for _, dm := range m.Deltas(i) {
+		if err := checkFormat(dir, dm.File, deltaFormat(dm)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ReadDelta decodes one committed delta file in full, in file order — the
 // unit the subscription notifier routes through its window index and the
-// serving cache pins under the file's name. It dispatches on the delta's
-// recorded format exactly like the merge-on-read path, so a pushed record
-// is byte-identical to the same record surfaced by a batch query. The
-// stats count the file as one delta read.
-func ReadDelta[T any](dir string, compressed bool, dm DeltaMeta, c codec.Codec[T]) ([]T, ReadStats, error) {
-	return readDelta(dir, compressed, dm, c, nil)
+// serving cache pins under the file's name. It reads exactly like the
+// merge-on-read path, so a pushed record is byte-identical to the same
+// record surfaced by a batch query. The stats count the file as one delta
+// read.
+func ReadDelta[T any](dir string, dm DeltaMeta, c codec.Codec[T]) ([]T, ReadStats, error) {
+	return readDelta(dir, dm, c, nil)
 }
 
 // readDelta decodes one delta file, pruning blocks against windows.
-func readDelta[T any](
-	dir string, compressed bool, dm DeltaMeta, c codec.Codec[T], windows []index.Box,
-) ([]T, ReadStats, error) {
-	dpm := dm.PartitionMeta
-	// Delta files carry their own format: v2 from manifests committed
-	// before the columnar layout existed (absent Format means v2 — deltas
-	// were always block-layout), v3 afterwards.
-	dver := dpm.Format
-	if dver == 0 {
-		dver = 2
+func readDelta[T any](dir string, dm DeltaMeta, c codec.Codec[T], windows []index.Box) ([]T, ReadStats, error) {
+	if err := checkFormat(dir, dm.File, deltaFormat(dm)); err != nil {
+		return nil, ReadStats{}, err
 	}
-	recs, st, err := readWithRetry(dpm.File, func() ([]T, ReadStats, error) {
-		if dver >= 3 {
-			return readPartitionV3Once[T](dir, dpm, c, windows, nil)
-		}
-		return readPartitionV2Once[T](dir, compressed, dpm, c, windows, nil)
+	recs, st, err := readWithRetry(dm.File, func() ([]T, ReadStats, error) {
+		return readPartitionV3Once[T](dir, dm.PartitionMeta, c, windows, nil)
 	})
 	if err != nil {
 		return nil, ReadStats{}, err
@@ -531,180 +568,6 @@ func readWithRetry[T any](file string, read func() ([]T, ReadStats, error)) ([]T
 	}
 	return nil, ReadStats{}, fmt.Errorf("storage: partition %s corrupt after %d reads: %w",
 		file, maxPartitionReadAttempts, lastErr)
-}
-
-func readPartitionOnce[T any](
-	dir string, meta *Metadata, pm PartitionMeta, c codec.Codec[T],
-) ([]T, ReadStats, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, pm.File))
-	if err != nil {
-		return nil, ReadStats{}, fmt.Errorf("storage: read partition: %w", err)
-	}
-	st := ReadStats{Blocks: 1, BlocksScanned: 1, BytesRead: int64(len(raw))}
-	if meta.Compressed {
-		gz := gzReaderPool.Get().(*gzip.Reader)
-		if err := gz.Reset(bytes.NewReader(raw)); err != nil {
-			gzReaderPool.Put(gz)
-			return nil, ReadStats{}, fmt.Errorf("storage: open gzip: %w", err)
-		}
-		raw, err = io.ReadAll(gz)
-		gzReaderPool.Put(gz)
-		if err != nil {
-			return nil, ReadStats{}, fmt.Errorf("storage: decompress partition: %w", err)
-		}
-	}
-	st.RawBytes = int64(len(raw))
-	out := make([]T, 0, pm.Count)
-	err = codec.Catch(func() {
-		r := codec.NewReader(raw)
-		if meta.Framed {
-			for r.Remaining() > 0 {
-				fr := codec.NewReader(r.Frame())
-				for fr.Remaining() > 0 {
-					out = append(out, c.Dec(fr))
-				}
-			}
-		} else {
-			// Legacy dataset: bare record stream with no checksums.
-			for r.Remaining() > 0 {
-				out = append(out, c.Dec(r))
-			}
-		}
-	})
-	if err != nil {
-		return nil, ReadStats{}, fmt.Errorf("storage: partition %s corrupt: %w", pm.File, err)
-	}
-	if int64(len(out)) != pm.Count {
-		return nil, ReadStats{}, fmt.Errorf("storage: partition %s has %d records, metadata says %d",
-			pm.File, len(out), pm.Count)
-	}
-	return out, st, nil
-}
-
-// readFooter opens a v2 partition file and returns its verified block
-// index plus the file handle (positioned for ReadAt) and total size.
-func readFooter(path string) (*os.File, []BlockMeta, int64, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("storage: open partition: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, 0, 0, fmt.Errorf("storage: stat partition: %w", err)
-	}
-	size := st.Size()
-	fail := func(err error) (*os.File, []BlockMeta, int64, int64, error) {
-		f.Close()
-		return nil, nil, 0, 0, err
-	}
-	if size < int64(v2HeaderLen)+v2TrailerLen {
-		return fail(fmt.Errorf("storage: partition %s truncated: %w",
-			filepath.Base(path), codec.ErrCorrupt{Off: int(size)}))
-	}
-	var head [v2HeaderLen]byte
-	if _, err := f.ReadAt(head[:], 0); err != nil {
-		return fail(fmt.Errorf("storage: read header: %w", err))
-	}
-	if string(head[:]) != v2Magic {
-		return fail(fmt.Errorf("storage: partition %s: bad magic: %w",
-			filepath.Base(path), codec.ErrCorrupt{Off: 0}))
-	}
-	var trailer [v2TrailerLen]byte
-	if _, err := f.ReadAt(trailer[:], size-v2TrailerLen); err != nil {
-		return fail(fmt.Errorf("storage: read trailer: %w", err))
-	}
-	footerOff := int64(binary.LittleEndian.Uint64(trailer[:8]))
-	if string(trailer[8:]) != v2TrailerMagic ||
-		footerOff < int64(v2HeaderLen) || footerOff >= size-v2TrailerLen {
-		return fail(fmt.Errorf("storage: partition %s: bad trailer: %w",
-			filepath.Base(path), codec.ErrCorrupt{Off: int(size - v2TrailerLen)}))
-	}
-	footerStored := codec.GetBuf(int(size - v2TrailerLen - footerOff))
-	defer codec.PutBuf(footerStored)
-	if _, err := f.ReadAt(footerStored, footerOff); err != nil {
-		return fail(fmt.Errorf("storage: read footer: %w", err))
-	}
-	var blocks []BlockMeta
-	err = codec.Catch(func() {
-		r := codec.NewReader(footerStored)
-		payload := r.Frame()
-		if r.Remaining() != 0 {
-			panic(codec.ErrCorrupt{Off: int(footerOff)})
-		}
-		blocks = decodeFooter(payload, footerOff)
-	})
-	if err != nil {
-		return fail(fmt.Errorf("storage: partition %s footer: %w", filepath.Base(path), err))
-	}
-	return f, blocks, footerOff, size, nil
-}
-
-func readPartitionV2Once[T any](
-	dir string, compressed bool, pm PartitionMeta, c codec.Codec[T], windows []index.Box,
-	blockSet map[int]bool,
-) ([]T, ReadStats, error) {
-	f, blocks, footerOff, size, err := readFooter(filepath.Join(dir, pm.File))
-	if err != nil {
-		return nil, ReadStats{}, err
-	}
-	defer f.Close()
-
-	// Footer/trailer/header bytes are always read.
-	st := ReadStats{Blocks: len(blocks), BytesRead: int64(v2HeaderLen) + (size - footerOff)}
-	var scan []BlockMeta
-	var expect int64
-	for bi, bm := range blocks {
-		keep := windows == nil && blockSet == nil
-		if blockSet != nil {
-			keep = blockSet[bi]
-		} else if !keep && bm.Count > 0 {
-			for _, w := range windows {
-				if bm.Bounds.Intersects(w) {
-					keep = true
-					break
-				}
-			}
-		}
-		if keep {
-			scan = append(scan, bm)
-			expect += bm.Count
-		} else {
-			st.BlocksPruned++
-		}
-	}
-	st.BlocksScanned = len(scan)
-	if windows == nil && blockSet == nil && expect != pm.Count {
-		return nil, ReadStats{}, fmt.Errorf(
-			"storage: partition %s footer counts %d records, metadata says %d: %w",
-			pm.File, expect, pm.Count, codec.ErrCorrupt{Off: int(footerOff)})
-	}
-
-	out := make([]T, 0, capHint(expect))
-	done := make(chan struct{})
-	defer close(done)
-	for blk := range prefetchBlocks(f, scan, compressed, done) {
-		if blk.err != nil {
-			return nil, ReadStats{}, fmt.Errorf("storage: partition %s: %w", pm.File, blk.err)
-		}
-		st.BytesRead += blk.bm.Stored
-		st.RawBytes += blk.bm.Raw
-		decErr := codec.Catch(func() {
-			r := codec.NewReader(blk.raw)
-			for n := int64(0); n < blk.bm.Count; n++ {
-				out = append(out, c.Dec(r))
-			}
-			if r.Remaining() != 0 {
-				panic(codec.ErrCorrupt{Off: int(blk.bm.Raw)})
-			}
-		})
-		blk.release()
-		if decErr != nil {
-			return nil, ReadStats{}, fmt.Errorf("storage: partition %s block at %d: %w",
-				pm.File, blk.bm.Offset, decErr)
-		}
-	}
-	return out, st, nil
 }
 
 // MergeMetadata combines the partition lists of several dataset metadata

@@ -83,31 +83,15 @@ func ReadSummary(dir string, sm SummaryMeta) (*summary.PartitionSummary, error) 
 // baseBlockRecords derives the records-per-block chunk size a base file
 // was actually written with from its footer, so a summary built over the
 // full record stream chunks on exactly the file's block boundaries.
-// Returns 0 (single block) for v1 files and single-block files; errors on
-// a non-uniform layout no summary can mirror.
+// Returns 0 (single block) for single-block files and an error on a
+// non-uniform layout no summary can mirror.
 func baseBlockRecords(dir string, meta *Metadata, i int) (int, error) {
 	pm := meta.Partitions[i]
-	version := meta.partitionFormat(i)
-	if version < 2 {
-		return 0, nil
+	f, _, blocks, _, _, err := readFooterV3(filepath.Join(dir, pm.File))
+	if err != nil {
+		return 0, err
 	}
-	path := filepath.Join(dir, pm.File)
-	var blocks []BlockMeta
-	if version >= 3 {
-		f, _, bs, _, _, err := readFooterV3(path)
-		if err != nil {
-			return 0, err
-		}
-		f.Close()
-		blocks = bs
-	} else {
-		f, bs, _, _, err := readFooter(path)
-		if err != nil {
-			return 0, err
-		}
-		f.Close()
-		blocks = bs
-	}
+	f.Close()
 	if len(blocks) <= 1 {
 		return 0, nil
 	}
@@ -126,8 +110,7 @@ func baseBlockRecords(dir string, meta *Metadata, i int) (int, error) {
 // ReadPartitionBlocks decodes only the base-file blocks whose indices are
 // in want — the approximate path's boundary-block scan. Deltas are
 // excluded: the approximate orchestration reads and folds them separately
-// (they are not covered by the base sidecar). On v1 files the single
-// monolithic block has index 0.
+// (they are not covered by the base sidecar).
 func ReadPartitionBlocks[T any](
 	dir string, meta *Metadata, i int, c codec.Codec[T], want map[int]bool,
 ) ([]T, ReadStats, error) {
@@ -142,10 +125,11 @@ func ReadPartitionBlocks[T any](
 // partition that lacks a current one — the backfill path for datasets
 // ingested before the approximate tier existed (stload -summaries) and
 // for formats whose ingest never summarizes. Compaction keeps sidecars
-// current afterwards via CompactOptions.Summarizer. The pass commits with
-// one atomic manifest swap bumping the dataset generation; it returns how
-// many sidecars it built (0 means everything was already current and
-// nothing committed).
+// current afterwards via CompactOptions.Summarizer. A dataset holding
+// v1/v2 files fails the pass with ErrLegacyFormat: migrate first. The
+// pass commits with one atomic manifest swap bumping the dataset
+// generation; it returns how many sidecars it built (0 means everything
+// was already current and nothing committed).
 func BuildSummaries[T any](
 	dir string, c codec.Codec[T], boxOf func(T) index.Box,
 	val func(T) (float64, bool), id func(T) int64, cfg summary.Config,
@@ -155,6 +139,9 @@ func BuildSummaries[T any](
 
 	meta, err := ReadMetadata(dir)
 	if err != nil {
+		return 0, err
+	}
+	if err := meta.CheckFormat(dir); err != nil {
 		return 0, err
 	}
 	mf, err := ReadManifest(dir)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -19,7 +20,9 @@ func recID(v rec) int64            { return int64(v.T % 7) }
 var recSummarizer = summary.NewBuilder(recBox, recVal, recID, summary.Config{})
 
 // TestBuildSummaries: backfill writes one committed sidecar per partition,
-// aligned with the base file's block layout, and re-running is a no-op.
+// aligned with the base file's block layout, and re-running is a no-op. A
+// v1/v2 dataset is refused with ErrLegacyFormat and nothing committed
+// until the compaction pass migrates it.
 func TestBuildSummaries(t *testing.T) {
 	for _, version := range []int{1, 2, 3} {
 		rng := rand.New(rand.NewSource(42))
@@ -28,6 +31,18 @@ func TestBuildSummaries(t *testing.T) {
 		if _, err := WriteLegacy(dir, recC, parts, recBox,
 			LegacyOptions{Name: "d", BlockRecords: 16, Version: version}); err != nil {
 			t.Fatal(err)
+		}
+		if version < FormatVersion {
+			var le ErrLegacyFormat
+			if n, err := BuildSummaries(dir, recC, recBox, recVal, recID, summary.Config{}); n != 0 || !errors.As(err, &le) {
+				t.Fatalf("v%d: BuildSummaries = (%d, %v), want ErrLegacyFormat", version, n, err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, ManifestFile)); !os.IsNotExist(err) {
+				t.Fatalf("v%d: refused backfill committed a manifest", version)
+			}
+			if _, err := Compact(dir, recC, recBox, CompactOptions{GCGrace: -1}); err != nil {
+				t.Fatalf("v%d: migrate: %v", version, err)
+			}
 		}
 		n, err := BuildSummaries(dir, recC, recBox, recVal, recID, summary.Config{})
 		if err != nil {
@@ -55,6 +70,8 @@ func TestBuildSummaries(t *testing.T) {
 			if ps.Count != int64(len(parts[i])) {
 				t.Fatalf("v%d: summary count %d, want %d", version, ps.Count, len(parts[i]))
 			}
+			// A migrated v1 dataset records no block size, so its rewrites
+			// use DefaultBlockRecords: one block each here.
 			wantBlocks := 1
 			if version >= 2 {
 				wantBlocks = (len(parts[i]) + 15) / 16

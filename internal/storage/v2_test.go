@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -75,16 +76,14 @@ func v2Windows(rng *rand.Rand, parts [][]rec) map[string]index.Box {
 	}
 }
 
-// metaFormats are the on-disk generations × codec shapes the metamorphic
-// suite sweeps: the row-major v2 layout, the columnar v3 layout driven by
-// a Columnar schema (per-record predicate active), and v3's generic row
-// fallback for codecs without one.
+// metaFormats are the codec shapes the metamorphic suite sweeps: the
+// columnar v3 layout driven by a Columnar schema (per-record predicate
+// active), and v3's generic row fallback for codecs without one.
 var metaFormats = []struct {
 	name    string
 	version int
 	c       codec.Codec[rec]
 }{
-	{"v2", 2, recC},
 	{"v3", 3, recC},
 	{"v3-generic", 3, recRowC},
 }
@@ -272,10 +271,11 @@ func TestV2PrunedReadSkipsBytes(t *testing.T) {
 	}
 }
 
-// TestV1OptionStillWritesLegacyLayout pins the legacy read path: a v1
-// dataset from the fixture writer's Version-1 option, plain or whole-file
-// gzip, reads back identical records with whole-file stats, and its
-// reader ignores windows because a monolithic file has no blocks to prune.
+// TestV1OptionStillWritesLegacyLayout pins the legacy v1 path: a dataset
+// from the fixture writer's Version-1 option, plain or whole-file gzip, is
+// refused by the query path with ErrLegacyFormat (windows or not), while
+// the compaction reader decodes each monolithic file back to identical
+// records.
 func TestV1OptionStillWritesLegacyLayout(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(31))
@@ -294,19 +294,20 @@ func TestV1OptionStillWritesLegacyLayout(t *testing.T) {
 			t.Fatalf("v1 metadata: %+v", meta)
 		}
 		for i := range parts {
-			got, st, err := ReadPartitionPruned(dir, meta, i, recC, []index.Box{{
+			var le ErrLegacyFormat
+			_, _, err := ReadPartitionPruned(dir, meta, i, recC, []index.Box{{
 				Min: [index.Dims]float64{1e6, 1e6, 1e12},
 				Max: [index.Dims]float64{2e6, 2e6, 2e12},
 			}})
+			if !errors.As(err, &le) || le.Version != 1 || le.File != meta.Partitions[i].File {
+				t.Fatalf("v1 partition %d: query read returned %v, want ErrLegacyFormat", i, err)
+			}
+			got, err := readForCompaction(dir, meta, i, recC)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// v1 cannot prune inside a partition: windows are ignored.
 			if !reflect.DeepEqual(got, parts[i]) {
 				t.Fatalf("v1 partition %d mismatch (compress=%v)", i, compress)
-			}
-			if st.Blocks != 1 || st.BlocksScanned != 1 || st.BlocksPruned != 0 {
-				t.Fatalf("v1 stats %+v", st)
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // ZCluster sorts recs in place along a 3-d Z-order curve over the records'
-// own ST extent, so consecutive records — and therefore the v2 block
+// own ST extent, so consecutive records — and therefore the block
 // layout's record ranges — cover small, mostly disjoint ST boxes. This is
 // what makes the per-block footer bounds selective: without it every block
 // spans the whole extent and intra-partition pruning never fires (the

@@ -37,7 +37,7 @@ const Suffix = ".sum"
 type Config struct {
 	// BlockRecords chunks the partition's records in file order, mirroring
 	// the base file's block layout so block summary i describes file block
-	// i exactly. 0 means a single block (the v1 monolithic layout).
+	// i exactly. 0 means a single block.
 	BlockRecords int
 	// GridRes lists the partition-level histogram resolutions (cells per
 	// axis). Nil means {4, 8}: coarse grids bound large windows, finer ones

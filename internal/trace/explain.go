@@ -94,16 +94,17 @@ type Explain struct {
 	RecordsLoaded    int64 `json:"records_loaded"`
 	RecordsSelected  int64 `json:"records_selected"`
 
-	// Block-granularity read accounting (storage format v2): within the
-	// partitions that were read, how many blocks were decoded versus
-	// skipped via footer bounds, and the decompressed payload volume.
-	// Aggregated from partition:read (selection) and partition:load
-	// (serving cache miss) spans; zero on v1 datasets.
+	// Block-granularity read accounting: within the partitions that were
+	// read, how many blocks were decoded versus skipped via footer bounds,
+	// and the payload volume decoded (the JSON name predates the columnar
+	// layout, which has no compression). Aggregated from partition:read
+	// (selection) and partition:load (serving cache miss) spans.
 	BlocksScanned     int64 `json:"blocks_scanned"`
 	BlocksPruned      int64 `json:"blocks_pruned"`
 	BytesDecompressed int64 `json:"bytes_decompressed"`
-	// RecordsPruned counts records the v3 columnar predicate dropped on
-	// decoded lon/lat/t columns before materialization; zero on v1/v2.
+	// RecordsPruned counts records the columnar predicate dropped on
+	// decoded lon/lat/t columns before materialization; zero on generic
+	// row-payload files.
 	RecordsPruned int64 `json:"records_pruned"`
 
 	// Delta-layer accounting: delta files unioned into partition reads
