@@ -71,8 +71,10 @@ docs:
 # the pre-merge gate gets real randomized coverage of the column codecs,
 # the v3 block reader, the block footer decoder every v3 read runs, the
 # legacy v1/v2 reader the migrating compaction pass runs on untrusted
-# bytes, and the records' JSON wire form on top of the committed corpora
-# (which the plain test run already replays as regression inputs). The
+# bytes, the records' JSON wire form, and the JSON scanner and sub-query
+# reply parser the router runs on shard replies, on top of the committed
+# corpora (which the plain test run already replays as regression
+# inputs). The
 # storage fuzzers cap minimization of each new-coverage input at 1s: their
 # kilobyte-sized file seeds otherwise spend the whole burst minimizing the
 # first interesting input and fuzz almost nothing.
@@ -84,6 +86,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSubscriptionIndex$$' -fuzztime=10s ./internal/subscribe
 	$(GO) test -run='^$$' -fuzz='^FuzzSummarySidecar$$' -fuzztime=10s ./internal/summary
 	$(GO) test -run='^$$' -fuzz='^FuzzRecordJSON$$' -fuzztime=10s ./internal/stdata
+	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=10s ./internal/jsonenc
+	$(GO) test -run='^$$' -fuzz='^FuzzSubQueryResponse$$' -fuzztime=10s ./internal/serve
 
 # check is the full pre-merge gate: vet, the docs gate, build, the
 # race-enabled short suite (fast gate over every package — fuzz corpora,
@@ -95,8 +99,9 @@ fuzz-smoke:
 # dataset and run one query, drive stingest's full tail-append-compact
 # loop in-process, and bring up a 2-shard fleet plus router on loopback
 # and check a pruned query scatters to fewer shards than the map holds.
-# The pinned-partition load and probe benchmarks and the record-encoding
-# benchmarks run once each, so they cannot rot.
+# The pinned-partition load and probe benchmarks, the record-encoding
+# benchmarks and the sub-reply parse benchmark run once each, so they
+# cannot rot.
 # Last, the benchmark module's own suite (benchmark/ is a separate Go
 # module, so ./... above does not reach it): its smoke runs every workload
 # small and verifies every reply, subscriber stream and ingest_live read
@@ -112,7 +117,7 @@ check:
 	$(GO) test -race -count=1 -run TestIngestSmoke ./cmd/stingest
 	$(GO) test -race -count=1 -run TestClusterSmoke ./cmd/strouter
 	$(GO) test -race -count=1 -run TestApproxBytesSmoke ./internal/stdata
-	$(GO) test -run '^$$' -bench 'LoadBase|BaseProbe|RecordJSON|ServeQueryRecords' -benchtime=1x ./internal/stdata
+	$(GO) test -run '^$$' -bench 'LoadBase|BaseProbe|RecordJSON|ServeQueryRecords|ParseSubQueryResponse' -benchtime=1x ./internal/stdata ./internal/serve
 	$(GO) test -race -count=1 -run TestPointPatSmoke ./internal/pointpat
 	(cd benchmark && $(GO) test ./...)
 

@@ -104,7 +104,7 @@ func (r *Router) route(reqCtx context.Context, d *serve.Dataset, req serve.Query
 // shardOutcome is one shard RPC's gathered result.
 type shardOutcome struct {
 	shard int
-	resp  serve.SubQueryResponse
+	subReply
 	stats engine.AttemptStats
 	err   error
 }
@@ -261,7 +261,36 @@ func (r *Router) gather(plan serve.SubQueryRequest, ids []int, stats selection.S
 	if plan.Records {
 		res.Records = stdata.Flatten(ordered, plan.Limit)
 	}
-	return serve.QueryResponse{QueryResult: res}, nil
+	resp := serve.QueryResponse{QueryResult: res}
+	// The records alias the shards' reply bodies, which also hold what the
+	// merge leaves behind: envelopes, spans, and records past the limit or
+	// in dropped duplicates. A reply the cache keeps must not pin more
+	// bytes than ResidentBytes charges for it, so when the bodies outweigh
+	// that charge the kept records move to one exact-size buffer.
+	if !plan.NoCache && len(res.Records) > 0 {
+		pinned := int64(0)
+		for _, out := range outs {
+			pinned += int64(out.bytes)
+		}
+		if pinned > resp.ResidentBytes() {
+			compactRecords(res.Records)
+		}
+	}
+	return resp, nil
+}
+
+// compactRecords moves recs into one buffer of their total size, in place.
+func compactRecords(recs []json.RawMessage) {
+	n := 0
+	for _, rec := range recs {
+		n += len(rec)
+	}
+	buf := make([]byte, 0, n)
+	for i, rec := range recs {
+		start := len(buf)
+		buf = append(buf, rec...)
+		recs[i] = buf[start:len(buf):len(buf)]
+	}
 }
 
 // callShard issues one shard's sub-query as hedged attempts over its
@@ -284,17 +313,18 @@ func (r *Router) callShard(ctx context.Context, si int, parts []int,
 		trace.Int("partitions", int64(len(parts))))
 	r.rpcs.Add(1)
 
-	resp, ast, err := engine.Hedge(ctx, len(order),
+	reply, ast, err := engine.Hedge(ctx, len(order),
 		engine.AttemptConfig{
 			MaxAttempts: r.maxAttempts,
 			HedgeAfter:  r.hedgeAfter,
 			Timeout:     r.shardTimeout,
 		},
-		func(ctx context.Context, cand, attempt int) (serve.SubQueryResponse, error) {
+		func(ctx context.Context, cand, attempt int) (subReply, error) {
 			return r.post(ctx, si, order[cand], body)
 		})
 
-	out := shardOutcome{shard: si, resp: resp, stats: ast}
+	resp := reply.resp
+	out := shardOutcome{shard: si, subReply: reply, stats: ast}
 	winner := ""
 	if ast.Winner >= 0 {
 		winner = sh.Replicas[order[ast.Winner]]
@@ -341,13 +371,13 @@ func (r *Router) graft(spans []trace.WireSpan, rsp *trace.Span) {
 // and keeps the shard's status and message; anything else fails over.
 // Transport failures additionally mark the replica not-ready so later
 // queries prefer its peers until a probe revives it.
-func (r *Router) post(ctx context.Context, si, ri int, body []byte) (serve.SubQueryResponse, error) {
+func (r *Router) post(ctx context.Context, si, ri int, body []byte) (subReply, error) {
 	rep := r.replicas[si][ri]
 	rep.calls.Add(1)
 	url := rep.url + "/subquery"
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return serve.SubQueryResponse{}, err
+		return subReply{}, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	start := time.Now()
@@ -355,28 +385,60 @@ func (r *Router) post(ctx context.Context, si, ri int, body []byte) (serve.SubQu
 	if err != nil {
 		rep.errs.Add(1)
 		rep.ready.Store(false)
-		return serve.SubQueryResponse{}, err
+		return subReply{}, err
 	}
 	defer hresp.Body.Close()
 	switch code := hresp.StatusCode; {
 	case code == http.StatusOK:
+		body, err := readBody(hresp.Body)
 		var out serve.SubQueryResponse
-		if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
+		if err == nil {
+			out, err = serve.ParseSubQueryResponse(body)
+		}
+		if err != nil {
 			rep.errs.Add(1)
-			return serve.SubQueryResponse{}, fmt.Errorf("decode %s: %w", url, err)
+			return subReply{}, fmt.Errorf("decode %s: %w", url, err)
 		}
 		rep.nanos.Add(time.Since(start).Nanoseconds())
-		return out, nil
+		return subReply{out, len(body)}, nil
 	case code >= 400 && code < 500:
 		rep.errs.Add(1)
-		return serve.SubQueryResponse{}, engine.Permanent(&serve.StatusError{
+		return subReply{}, engine.Permanent(&serve.StatusError{
 			Status: code, Err: errors.New(readErrorBody(hresp.Body)),
 		})
 	default:
 		rep.errs.Add(1)
-		return serve.SubQueryResponse{}, fmt.Errorf("%s: status %d: %s",
+		return subReply{}, fmt.Errorf("%s: status %d: %s",
 			url, hresp.StatusCode, readErrorBody(hresp.Body))
 	}
+}
+
+// subReply is one decoded sub-query reply and the size of the body its
+// records alias.
+type subReply struct {
+	resp  serve.SubQueryResponse
+	bytes int
+}
+
+// bodyBufs holds the scratch buffers sub-query replies are read into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads a reply to EOF, so the connection goes back to the
+// keep-alive pool, into a pooled scratch buffer that grows as bytes
+// arrive (a Content-Length header is never trusted to size it), and
+// returns an exact-size copy: the records a reply decodes to alias its
+// body for as long as the merged answer lives, so that buffer cannot be
+// pooled.
+func readBody(r io.Reader) ([]byte, error) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		bodyBufs.Put(buf)
+	}()
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 // readErrorBody extracts the {"error": …} message of a non-200 answer.

@@ -162,9 +162,6 @@ func (c *Context) DefaultParallelism() int { return c.defaultPar }
 // Tracer returns the context's tracer (nil when tracing is disabled).
 func (c *Context) Tracer() *trace.Tracer { return c.tracer }
 
-// TraceParent returns the span every stage of this context parents under.
-func (c *Context) TraceParent() trace.SpanID { return c.traceParent }
-
 // WithTracer returns a shallow copy of c that records spans on tr, parented
 // under parent. The copy shares the slot pool, metrics, and fault plan, so
 // concurrent queries can each carry their own trace scope while executing

@@ -33,11 +33,9 @@ type Metrics struct {
 	recordsPruned     atomic.Int64
 
 	// Delta-layer accounting: delta files unioned into partition reads
-	// (merge-on-read), the records they contributed, and compactor partition
-	// rewrites observed by this context.
+	// (merge-on-read) and the records they contributed.
 	deltasRead   atomic.Int64
 	deltaRecords atomic.Int64
-	compactions  atomic.Int64
 
 	// Approximate-tier accounting: queries answered from summary sidecars,
 	// the block summaries they consumed, and the blocks/records they still
@@ -81,11 +79,6 @@ func (m *Metrics) AddRecordsPruned(n int64) {
 func (m *Metrics) AddDeltaRead(files, records int64) {
 	m.deltasRead.Add(files)
 	m.deltaRecords.Add(records)
-}
-
-// AddCompaction accounts compactor partition rewrites.
-func (m *Metrics) AddCompaction(partitions int64) {
-	m.compactions.Add(partitions)
 }
 
 // AddApprox accounts one approximate (summary-tier) query evaluation: the
@@ -162,11 +155,9 @@ type Snapshot struct {
 	// decoded lon/lat/t columns before materialization.
 	RecordsPruned int64
 	// DeltasRead counts delta files unioned into partition reads and
-	// DeltaRecords the records they contributed; Compactions counts
-	// compactor partition rewrites.
+	// DeltaRecords the records they contributed.
 	DeltasRead   int64
 	DeltaRecords int64
-	Compactions  int64
 	// Approximate-tier counters: queries answered through the summary
 	// sidecar path, block summaries consumed, blocks and records scanned
 	// exactly alongside them.
@@ -212,7 +203,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		RecordsPruned:        m.recordsPruned.Load(),
 		DeltasRead:           m.deltasRead.Load(),
 		DeltaRecords:         m.deltaRecords.Load(),
-		Compactions:          m.compactions.Load(),
 		ApproxQueries:        m.approxQueries.Load(),
 		ApproxSummaryBlocks:  m.approxSummaryBlocks.Load(),
 		ApproxScannedBlocks:  m.approxScannedBlocks.Load(),
@@ -245,7 +235,6 @@ func (m *Metrics) Reset() {
 	m.recordsPruned.Store(0)
 	m.deltasRead.Store(0)
 	m.deltaRecords.Store(0)
-	m.compactions.Store(0)
 	m.approxQueries.Store(0)
 	m.approxSummaryBlocks.Store(0)
 	m.approxScannedBlocks.Store(0)
@@ -277,13 +266,13 @@ func (s Snapshot) String() string {
 		"tasks=%d records=%d shuffleRecords=%d shuffleBytes=%d broadcasts=%d taskTime=%s"+
 			" retries=%d speculated=%d specWins=%d corruptRereads=%d"+
 			" blocksScanned=%d blocksPruned=%d bytesDecompressed=%d recordsPruned=%d"+
-			" deltasRead=%d deltaRecords=%d compactions=%d"+
+			" deltasRead=%d deltaRecords=%d"+
 			" approxQueries=%d approxSummaryBlocks=%d approxScannedBlocks=%d approxScannedRecords=%d"+
 			" haloPoints=%d haloBytes=%d pairsTested=%d pairsCounted=%d",
 		s.TasksRun, s.RecordsOut, s.ShuffleRecords, s.ShuffleBytes, s.Broadcasts, s.TaskTime,
 		s.TaskRetries, s.SpeculativeLaunched, s.SpeculativeWins, s.CorruptRereads,
 		s.BlocksScanned, s.BlocksPruned, s.BytesDecompressed, s.RecordsPruned,
-		s.DeltasRead, s.DeltaRecords, s.Compactions,
+		s.DeltasRead, s.DeltaRecords,
 		s.ApproxQueries, s.ApproxSummaryBlocks, s.ApproxScannedBlocks, s.ApproxScannedRecords,
 		s.HaloPoints, s.HaloBytes, s.PairsTested, s.PairsCounted)
 }

@@ -2,7 +2,10 @@
 // encodes records and reply envelopes with: floats and strings written
 // byte-identically to encoding/json, without reflection and without the
 // re-scan json.Encoder gives every json.RawMessage. Integers need no
-// helper (strconv.AppendInt is already encoding/json's form).
+// helper (strconv.AppendInt is already encoding/json's form). Its decode
+// side is a validating scanner (scan.go) that accepts exactly what
+// json.Valid does and reports where each value ends, so a reply's parser
+// can keep values as sub-slices of the body instead of copies.
 package jsonenc
 
 import (

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"unicode/utf8"
 
 	"st4ml/internal/jsonenc"
 	"st4ml/internal/stdata"
@@ -110,6 +111,175 @@ func (r SubQueryResponse) appendJSON(dst []byte) ([]byte, error) {
 		}
 	}
 	return append(dst, '}'), nil
+}
+
+// ParseSubQueryResponse decodes a /subquery reply, the decode side of
+// SubQueryResponse.appendJSON, in one validating pass over body. Each
+// record is a sub-slice of body rather than a copy, so the result pins
+// body for as long as it holds records. For the replies a shard writes it
+// decodes what json.Unmarshal does. Envelope keys match byte-exactly, and
+// any other key is validated and skipped, as encoding/json skips unknown
+// fields. approx and spans, small and present only on approx or traced
+// sub-queries, are unmarshalled from their own sub-slices. A body
+// json.Valid rejects, trailing bytes other than whitespace and a value of
+// the wrong type are errors.
+func ParseSubQueryResponse(body []byte) (SubQueryResponse, error) {
+	var out SubQueryResponse
+	i, err := jsonenc.ScanObject(body, jsonenc.SkipSpace(body, 0), 0, func(key []byte, i int) (int, error) {
+		switch string(key) {
+		case "shard":
+			return parseString(body, i, 1, &out.Shard)
+		case "gen":
+			return parseInt(body, i, 1, &out.Gen)
+		case "count":
+			return parseInt(body, i, 1, &out.Count)
+		case "cache":
+			return parseString(body, i, 1, &out.Cache)
+		case "elapsed_ms":
+			return parseFloat(body, i, 1, &out.ElapsedMS)
+		case "parts":
+			return parseParts(body, i, &out.Parts)
+		case "approx":
+			return unmarshalAt(body, i, 1, &out.Approx)
+		case "spans":
+			return unmarshalAt(body, i, 1, &out.Spans)
+		}
+		return jsonenc.ScanValue(body, i, 1)
+	})
+	if err == nil {
+		if i = jsonenc.SkipSpace(body, i); i < len(body) {
+			err = jsonenc.ErrorAt(body, i)
+		}
+	}
+	if err != nil {
+		return SubQueryResponse{}, fmt.Errorf("serve: sub-query reply: %w", err)
+	}
+	return out, nil
+}
+
+// parseParts decodes the parts array at body[i]. The records stay where
+// the shard wrote them: each is the sub-slice of body its value spans.
+// Their slice headers share one array, re-cut per part once it has
+// stopped growing.
+func parseParts(body []byte, i int, dst *[]stdata.PartResult) (int, error) {
+	var parts []stdata.PartResult
+	if i < len(body) && body[i] == '[' {
+		parts = []stdata.PartResult{} // [] decodes to an empty slice, null to nil
+	}
+	var recs []json.RawMessage
+	var starts []int // starts[k] is where part k's records begin in recs
+	end, err := jsonenc.ScanArray(body, i, 1, func(i int) (int, error) {
+		var pr stdata.PartResult
+		start := 0
+		end, err := jsonenc.ScanObject(body, i, 2, func(key []byte, i int) (int, error) {
+			switch string(key) {
+			case "id":
+				return parseInt(body, i, 3, &pr.ID)
+			case "selected":
+				return parseInt(body, i, 3, &pr.Selected)
+			case "records":
+				pr.Records, start = nil, len(recs)
+				if i < len(body) && body[i] == '[' {
+					pr.Records = []json.RawMessage{}
+				}
+				return jsonenc.ScanArray(body, i, 3, func(i int) (int, error) {
+					end, err := jsonenc.ScanValue(body, i, 4)
+					if err == nil {
+						recs = append(recs, body[i:end:end])
+						pr.Records = recs[start:]
+					}
+					return end, err
+				})
+			}
+			return jsonenc.ScanValue(body, i, 3)
+		})
+		parts, starts = append(parts, pr), append(starts, start)
+		return end, err
+	})
+	if err != nil {
+		return end, err
+	}
+	for k := range parts {
+		if n := len(parts[k].Records); n > 0 {
+			parts[k].Records = recs[starts[k] : starts[k]+n : starts[k]+n]
+		}
+	}
+	*dst = parts
+	return end, nil
+}
+
+// scanScalar scans the value at body[i], nested in depth arrays and
+// objects, and returns its bytes: nil for null, which json.Unmarshal
+// decodes into a string or number by leaving it as it is.
+func scanScalar(body []byte, i, depth int) ([]byte, int, error) {
+	end, err := jsonenc.ScanValue(body, i, depth)
+	if err != nil || body[i] == 'n' {
+		return nil, end, err
+	}
+	return body[i:end], end, nil
+}
+
+func typeError(raw []byte, offset int, want string) error {
+	if len(raw) > 24 {
+		raw = raw[:24]
+	}
+	return fmt.Errorf("cannot decode %s at offset %d as %s", raw, offset, want)
+}
+
+func parseInt[T int | int64](body []byte, i, depth int, dst *T) (int, error) {
+	raw, end, err := scanScalar(body, i, depth)
+	if err != nil || raw == nil {
+		return end, err
+	}
+	n, err := strconv.ParseInt(string(raw), 10, 64)
+	if err != nil || int64(T(n)) != n {
+		return end, typeError(raw, i, "an integer")
+	}
+	*dst = T(n)
+	return end, nil
+}
+
+func parseFloat(body []byte, i, depth int, dst *float64) (int, error) {
+	raw, end, err := scanScalar(body, i, depth)
+	if err != nil || raw == nil {
+		return end, err
+	}
+	f, err := strconv.ParseFloat(string(raw), 64)
+	if err != nil {
+		return end, typeError(raw, i, "a number")
+	}
+	*dst = f
+	return end, nil
+}
+
+// parseString decodes the string at body[i]. One of printable ASCII with
+// no escapes, what a shard's name and cache disposition always are, is
+// its own bytes; any other is left to json.Unmarshal's unquoting.
+func parseString(body []byte, i, depth int, dst *string) (int, error) {
+	raw, end, err := scanScalar(body, i, depth)
+	if err != nil || raw == nil {
+		return end, err
+	}
+	if raw[0] != '"' {
+		return end, typeError(raw, i, "a string")
+	}
+	for _, c := range raw[1 : len(raw)-1] {
+		if c == '\\' || c >= utf8.RuneSelf {
+			return end, json.Unmarshal(raw, dst)
+		}
+	}
+	*dst = string(raw[1 : len(raw)-1])
+	return end, nil
+}
+
+// unmarshalAt scans the value at body[i], nested in depth arrays and
+// objects, and json.Unmarshals it into dst.
+func unmarshalAt(body []byte, i, depth int, dst any) (int, error) {
+	end, err := jsonenc.ScanValue(body, i, depth)
+	if err != nil {
+		return end, err
+	}
+	return end, json.Unmarshal(body[i:end], dst)
 }
 
 // appendUpdate appends a subscription push as json.Marshal encodes it —

@@ -9,9 +9,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"st4ml/internal/datagen"
 	"st4ml/internal/geom"
 	"st4ml/internal/selection"
 	"st4ml/internal/stdata"
@@ -207,3 +209,210 @@ func TestWriteSSEMatchesMarshal(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// schemaRecords are n records of each registered schema in their wire
+// form (json.Marshal's bytes, which every schema's encoder reproduces),
+// the nyc ones with HTML, quote, backslash, U+2028 and invalid UTF-8 in
+// their strings.
+func schemaRecords(t testing.TB, n int) map[string][]json.RawMessage {
+	t.Helper()
+	events := datagen.NYC(n, 3)
+	for i := range events {
+		events[i].Aux = fmt.Sprintf("\"\\<%d>&\u2028\xff", i)
+	}
+	pois, _ := datagen.OSM(n, 1, 3)
+	recs := map[string]any{
+		"nyc":   events,
+		"porto": datagen.Porto(n, 3),
+		"air":   datagen.Air(n, 1, 1, 3600, 3)[:n],
+		"osm":   pois,
+	}
+	out := map[string][]json.RawMessage{}
+	for name, rs := range recs {
+		v := reflect.ValueOf(rs)
+		for i := 0; i < v.Len(); i++ {
+			b, err := json.Marshal(v.Index(i).Interface())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = append(out[name], b)
+		}
+	}
+	return out
+}
+
+// cutParts spreads recs over chunks of the given sizes and caps them at
+// limit across chunks, as a shard does (limit <= 0: no cap).
+func cutParts(recs []json.RawMessage, sizes []int, limit int) []stdata.PartResult {
+	parts := make([]stdata.PartResult, len(sizes))
+	kept := 0
+	for i, n := range sizes {
+		parts[i] = stdata.PartResult{ID: 3 * i, Selected: int64(n)}
+		if limit > 0 {
+			n = min(n, limit-kept)
+		}
+		if n > 0 {
+			parts[i].Records, recs = recs[:n:n], recs[n:]
+			kept += n
+		}
+	}
+	return parts
+}
+
+// checkParse holds ParseSubQueryResponse to json.Unmarshal on one body.
+func checkParse(t *testing.T, label string, body []byte) {
+	t.Helper()
+	var want SubQueryResponse
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatalf("%s: json.Unmarshal: %v", label, err)
+	}
+	got, err := ParseSubQueryResponse(body)
+	if err != nil {
+		t.Fatalf("%s: ParseSubQueryResponse: %v\n%.300s", label, err, body)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: parsed\n %+v\njson.Unmarshal\n %+v", label, got, want)
+	}
+}
+
+// TestParseSubQueryResponseMatchesDecode holds the router's sub-reply
+// parser to json.Unmarshal over the replies a shard writes: appendJSON's
+// for every schema, parts nil, empty and chunked at several limits, with
+// and without an approx envelope and spans, and a test daemon's real
+// /subquery replies.
+func TestParseSubQueryResponseMatchesDecode(t *testing.T) {
+	partial := &summary.Partial{CountLo: 1, CountHi: 2, CountEst: 1.5e21, CellEst: []float64{0.1, 2e-9},
+		Parts: []summary.PartProvenance{{}}}
+	spans := []trace.WireSpan{{ID: 1, Name: "query <&>", StartNS: 5, DurNS: 7,
+		Attrs: []trace.WireAttr{{Key: "dataset", Str: "a&b\u2028"}}}}
+	for schema, recs := range schemaRecords(t, 60) {
+		for _, limit := range []int{0, 1, 7, 50} {
+			partSets := map[string][]stdata.PartResult{
+				"nil":     nil,
+				"empty":   {},
+				"chunked": cutParts(recs, []int{5, 0, 20, 35}, limit),
+			}
+			for pname, parts := range partSets {
+				for mask := 0; mask < 4; mask++ {
+					s := SubQueryResponse{Gen: int64(limit), Count: 4000, Cache: "miss", ElapsedMS: 0.375, Parts: parts}
+					if mask&1 != 0 {
+						s.Approx, s.Shard, s.Cache = partial, "s\"\\<1>&\u2028\xff", "hit"
+					}
+					if mask&2 != 0 {
+						s.Spans, s.ElapsedMS = spans, 3e-7
+					}
+					body, err := s.appendJSON(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkParse(t, fmt.Sprintf("%s limit=%d parts=%s mask=%d", schema, limit, pname, mask), body)
+				}
+			}
+		}
+	}
+
+	srv, _, meta := newSubqueryServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, limit := range []int{0, 1, 7, 50} {
+		for _, kind := range []string{"plain", "explain", "approx"} {
+			req := nycWindow()
+			req.Limit, req.Explain, req.Approx = limit, kind == "explain", kind == "approx"
+			b, _ := json.Marshal(SubQueryRequest{QueryRequest: req, Gen: meta.Generation, Count: meta.TotalCount,
+				Partitions: meta.Prune(req.Window().Space, req.Window().Time)})
+			resp, err := http.Post(ts.URL+"/subquery", "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("subquery status %d: %v %s", resp.StatusCode, err, body)
+			}
+			label := fmt.Sprintf("daemon limit=%d %s", limit, kind)
+			checkParse(t, label, body)
+			if got, _ := ParseSubQueryResponse(body); (kind == "approx") != (got.Approx != nil) ||
+				(kind == "explain") != (len(got.Spans) > 0) || (kind != "approx") != (len(got.Parts) > 0) {
+				t.Fatalf("%s: reply lacks what the request asked for: %.300s", label, body)
+			}
+		}
+	}
+}
+
+func FuzzSubQueryResponse(f *testing.F) {
+	recs := schemaRecords(f, 3)
+	for _, s := range []SubQueryResponse{
+		{},
+		{Shard: "s0", Gen: 2, Count: 9, Cache: "miss", ElapsedMS: 1.5, Parts: []stdata.PartResult{}},
+		{Shard: "s<1>", Parts: cutParts(recs["nyc"], []int{2, 0, 1}, 0), Spans: []trace.WireSpan{{ID: 1, Name: "q"}}},
+		{Parts: cutParts(recs["porto"], []int{3}, 2), Approx: &summary.Partial{CountLo: 1, CellLo: []int64{1}}},
+	} {
+		body, err := s.appendJSON(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"parts":[null,{"id":1,"records":[null,1,"a",[{}]],"x":{}}],"gen":null,"cache":"\u00e9"} `))
+	f.Add([]byte(`{"gen":1.5}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, err := ParseSubQueryResponse(body)
+		if !json.Valid(body) && err == nil {
+			t.Fatalf("accepted a body json.Valid rejects: %q", body)
+		}
+		if err != nil {
+			return
+		}
+		for _, p := range got.Parts {
+			for _, rec := range p.Records {
+				if !json.Valid(rec) {
+					t.Fatalf("record %q is not one JSON value", rec)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkParseSubQueryResponse decodes a 1,000-record nyc sub-reply in
+// 40 chunks with the router's parser, beside the json.Decoder the router
+// used before as the reference.
+func BenchmarkParseSubQueryResponse(b *testing.B) {
+	var recs []json.RawMessage
+	for _, e := range datagen.NYC(1000, 3) {
+		rec, err := json.Marshal(e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	sizes := make([]int, 40)
+	for i := range sizes {
+		sizes[i] = 25
+	}
+	s := SubQueryResponse{Shard: "s0", Gen: 3, Count: 200000, Cache: "miss", ElapsedMS: 1.25,
+		Parts: cutParts(recs, sizes, 0)}
+	body, err := s.appendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(b *testing.B, decode func() (SubQueryResponse, error)) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if out, err := decode(); err != nil || len(out.Parts) != len(sizes) {
+				b.Fatalf("%d parts: %v", len(out.Parts), err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(body)), "ns/byte")
+	}
+	b.Run("parse", func(b *testing.B) {
+		run(b, func() (SubQueryResponse, error) { return ParseSubQueryResponse(body) })
+	})
+	b.Run("json.Decoder", func(b *testing.B) {
+		run(b, func() (out SubQueryResponse, err error) {
+			err = json.NewDecoder(bytes.NewReader(body)).Decode(&out)
+			return out, err
+		})
+	})
+}

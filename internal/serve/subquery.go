@@ -65,7 +65,9 @@ func (q SubQueryRequest) CacheKey(family string, gen int64) string {
 
 // SubQueryResponse is the POST /subquery reply: per-partition chunks at
 // the fenced generation, plus the shard's span dump when the request was
-// traced (the router grafts it under its RPC span).
+// traced (the router grafts it under its RPC span). The shard writes it
+// with appendJSON and the router reads it with ParseSubQueryResponse, so
+// the records cross the hop as the bytes the shard's encoder wrote.
 type SubQueryResponse struct {
 	Shard     string              `json:"shard,omitempty"`
 	Gen       int64               `json:"gen"`

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Span names and attribute keys shared by the instrumented layers. Explain
@@ -539,15 +538,4 @@ func (e *Explain) StageByName(name string) (StageExplain, bool) {
 		}
 	}
 	return StageExplain{}, false
-}
-
-// SortSpans orders a span dump by start time (stable on IDs) — handy for
-// tests and deterministic rendering.
-func SortSpans(spans []SpanRecord) {
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].Start.Equal(spans[j].Start) {
-			return spans[i].ID < spans[j].ID
-		}
-		return spans[i].Start.Before(spans[j].Start)
-	})
 }
