@@ -36,6 +36,73 @@ func allocateLocal[T any](
 	return cells
 }
 
+// allocateTrajs buckets local trajectory indices into structure cells
+// segment by segment, so a trajectory costs O(its segments) candidate
+// probes instead of O(candidate cells × segments) exact tests. Each
+// segment's own ST box (its endpoints' MBR × the union of their intervals)
+// asks cand, and each candidate is refined by the exact segment-cell test
+// plus, for rasters, the cell's slot against the segment's span (nil slots
+// and empty slots leave time unconstrained). A one-point trajectory is
+// tested as its point. A per-cell stamp of the last trajectory placed keeps
+// a trajectory from entering a cell twice; trajectories are visited in
+// order, so every cell's list stays ascending.
+func allocateTrajs[V, D any](
+	trs []instance.Trajectory[V, D],
+	cells []geom.Geometry,
+	slots []tempo.Duration,
+	cand candidates,
+) [][]int32 {
+	buckets := make([][]int32, len(cells))
+	last := make([]int32, len(cells)) // 1 + index of the last trajectory placed
+	// The visitors are built once and read the current trajectory and
+	// segment from these variables, so a probe allocates nothing.
+	var (
+		stamp int32
+		a, b  geom.Point
+		span  tempo.Duration
+	)
+	timeOK := func(c int) bool {
+		return slots == nil || slots[c].IsEmpty() || slots[c].Intersects(span)
+	}
+	visitSegment := func(c int) {
+		if last[c] != stamp && timeOK(c) && segmentIntersectsGeometry(a, b, cells[c]) {
+			last[c] = stamp
+			buckets[c] = append(buckets[c], stamp-1)
+		}
+	}
+	visitPoint := func(c int) {
+		if last[c] != stamp && timeOK(c) && geom.GeometriesIntersect(a, cells[c]) {
+			last[c] = stamp
+			buckets[c] = append(buckets[c], stamp-1)
+		}
+	}
+	for i, tr := range trs {
+		stamp = int32(i) + 1
+		if len(tr.Entries) == 1 {
+			a, span = tr.Entries[0].Spatial, tr.Entries[0].Temporal
+			cand(index.Box3(a.MBR(), span), visitPoint)
+			continue
+		}
+		for k := 1; k < len(tr.Entries); k++ {
+			ea, eb := &tr.Entries[k-1], &tr.Entries[k]
+			a, b = ea.Spatial, eb.Spatial
+			span = ea.Temporal.Union(eb.Temporal)
+			cand(index.Box3(geom.Box(a.X, a.Y, b.X, b.Y), span), visitSegment)
+		}
+	}
+	return buckets
+}
+
+// geometries boxes the cells as geom.Geometry once per conversion, so the
+// exact tests do not box a cell per candidate.
+func geometries[S geom.Geometry](cells []S) []geom.Geometry {
+	out := make([]geom.Geometry, len(cells))
+	for i, c := range cells {
+		out[i] = c
+	}
+	return out
+}
+
 // gather materializes the records of one cell.
 func gather[T any](recs []T, idx []int32) []T {
 	if len(idx) == 0 {
@@ -143,12 +210,9 @@ func TrajToSpatialMap[SC geom.Geometry, V, D, U any](
 ) *engine.RDD[instance.SpatialMap[SC, U, instance.Unit]] {
 	cand := smCandidates(r.Ctx(), tgt, m)
 	broadcastStructure(r.Ctx(), len(tgt.Cells))
-	cells := tgt.Cells
-	exact := func(tr instance.Trajectory[V, D], c int) bool {
-		return trajIntersectsCell(tr, cells[c], tempo.Empty())
-	}
+	cells, shapes := tgt.Cells, geometries(tgt.Cells)
 	return engine.MapPartitions(r, func(_ int, in []instance.Trajectory[V, D]) []instance.SpatialMap[SC, U, instance.Unit] {
-		buckets := allocateLocal(in, instance.Trajectory[V, D].Box, cand, exact, len(cells))
+		buckets := allocateTrajs(in, shapes, nil, cand)
 		values := make([]U, len(cells))
 		for c := range values {
 			values[c] = agg(gather(in, buckets[c]))
@@ -196,12 +260,9 @@ func TrajToRaster[SC geom.Geometry, V, D, U any](
 ) *engine.RDD[instance.Raster[SC, U, instance.Unit]] {
 	cand := rasterCandidates(r.Ctx(), tgt, m)
 	broadcastStructure(r.Ctx(), len(tgt.Cells))
-	cells, slots := tgt.Cells, tgt.Slots
-	exact := func(tr instance.Trajectory[V, D], c int) bool {
-		return trajIntersectsCell(tr, cells[c], slots[c])
-	}
+	cells, slots, shapes := tgt.Cells, tgt.Slots, geometries(tgt.Cells)
 	return engine.MapPartitions(r, func(_ int, in []instance.Trajectory[V, D]) []instance.Raster[SC, U, instance.Unit] {
-		buckets := allocateLocal(in, instance.Trajectory[V, D].Box, cand, exact, len(cells))
+		buckets := allocateTrajs(in, shapes, slots, cand)
 		values := make([]U, len(cells))
 		for c := range values {
 			values[c] = agg(gather(in, buckets[c]))
@@ -210,30 +271,6 @@ func TrajToRaster[SC geom.Geometry, V, D, U any](
 			instance.NewRaster(cells, slots, values, instance.Unit{}),
 		}
 	})
-}
-
-// trajIntersectsCell reports whether any trajectory segment passes through
-// the cell geometry while overlapping the slot (an empty slot means
-// time-unconstrained). Segment timing is the union of its endpoint
-// intervals.
-func trajIntersectsCell[V, D any](tr instance.Trajectory[V, D], cell geom.Geometry, slot tempo.Duration) bool {
-	timeOK := func(d tempo.Duration) bool {
-		return slot.IsEmpty() || slot.Intersects(d)
-	}
-	if len(tr.Entries) == 1 {
-		e := tr.Entries[0]
-		return timeOK(e.Temporal) && geom.GeometriesIntersect(e.Spatial, cell)
-	}
-	for i := 1; i < len(tr.Entries); i++ {
-		a, b := tr.Entries[i-1], tr.Entries[i]
-		if !timeOK(a.Temporal.Union(b.Temporal)) {
-			continue
-		}
-		if segmentIntersectsGeometry(a.Spatial, b.Spatial, cell) {
-			return true
-		}
-	}
-	return false
 }
 
 // segmentIntersectsGeometry dispatches the exact segment-cell test by cell

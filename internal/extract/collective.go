@@ -24,12 +24,8 @@ func TsSpeed[V, DT, D any](
 	r *engine.RDD[instance.TimeSeries[[]instance.Trajectory[V, DT], D]],
 	unit SpeedUnit,
 ) (instance.TimeSeries[float64, D], bool) {
-	accs := MapTimeSeriesValue(r, func(trs []instance.Trajectory[V, DT]) MeanAcc {
-		var a MeanAcc
-		for _, tr := range trs {
-			a = a.Add(tr.AvgSpeedMps())
-		}
-		return a
+	accs := engine.Map(r, func(ts instance.TimeSeries[[]instance.Trajectory[V, DT], D]) instance.TimeSeries[MeanAcc, D] {
+		return instance.TimeSeries[MeanAcc, D]{Entries: speedAccs(ts.Entries), Data: ts.Data}
 	})
 	merged, ok := CollectAndMergeTimeSeries(accs, MeanAcc.Merge)
 	if !ok {
@@ -44,6 +40,43 @@ func TsSpeed[V, DT, D any](
 		}
 	}
 	return instance.TimeSeries[float64, D]{Entries: entries, Data: merged.Data}, true
+}
+
+// speedKey identifies a trajectory by its entries. A conversion's
+// placements of one trajectory share its entries array, and the length
+// keeps two sub-slices of one array apart.
+type speedKey[V any] struct {
+	first *instance.Entry[geom.Point, V]
+	n     int
+}
+
+// speedAccs maps every cell's trajectories to the MeanAcc of their average
+// speeds, adding them in cell and trajectory order. A trajectory placed in
+// many cells of one collective instance has AvgSpeedMps computed once: the
+// memo lives for one instance's map call, so it is task-local.
+func speedAccs[S geom.Geometry, V, DT any](
+	cells []instance.Entry[S, []instance.Trajectory[V, DT]],
+) []instance.Entry[S, MeanAcc] {
+	memo := make(map[speedKey[V]]float64)
+	out := make([]instance.Entry[S, MeanAcc], len(cells))
+	for i, e := range cells {
+		var a MeanAcc
+		for _, tr := range e.Value {
+			if len(tr.Entries) == 0 {
+				a = a.Add(tr.AvgSpeedMps())
+				continue
+			}
+			k := speedKey[V]{&tr.Entries[0], len(tr.Entries)}
+			v, ok := memo[k]
+			if !ok {
+				v = tr.AvgSpeedMps()
+				memo[k] = v
+			}
+			a = a.Add(v)
+		}
+		out[i] = instance.Entry[S, MeanAcc]{Spatial: e.Spatial, Temporal: e.Temporal, Value: a}
+	}
+	return out
 }
 
 // TsWindowFreq returns sliding-window sums of a count series: output[i] =
@@ -85,12 +118,8 @@ func SmSpeed[S geom.Geometry, V, DT, D any](
 	r *engine.RDD[instance.SpatialMap[S, []instance.Trajectory[V, DT], D]],
 	unit SpeedUnit,
 ) (instance.SpatialMap[S, float64, D], bool) {
-	accs := MapSpatialMapValue(r, func(trs []instance.Trajectory[V, DT]) MeanAcc {
-		var a MeanAcc
-		for _, tr := range trs {
-			a = a.Add(tr.AvgSpeedMps())
-		}
-		return a
+	accs := engine.Map(r, func(sm instance.SpatialMap[S, []instance.Trajectory[V, DT], D]) instance.SpatialMap[S, MeanAcc, D] {
+		return instance.SpatialMap[S, MeanAcc, D]{Entries: speedAccs(sm.Entries), Data: sm.Data}
 	})
 	merged, ok := CollectAndMergeSpatialMap(accs, MeanAcc.Merge)
 	if !ok {
@@ -128,12 +157,8 @@ func RasterSpeed[S geom.Geometry, V, DT, D any](
 	r *engine.RDD[instance.Raster[S, []instance.Trajectory[V, DT], D]],
 	unit SpeedUnit,
 ) (instance.Raster[S, CellSpeed, D], bool) {
-	accs := MapRasterValue(r, func(trs []instance.Trajectory[V, DT]) MeanAcc {
-		var a MeanAcc
-		for _, tr := range trs {
-			a = a.Add(tr.AvgSpeedMps())
-		}
-		return a
+	accs := engine.Map(r, func(ra instance.Raster[S, []instance.Trajectory[V, DT], D]) instance.Raster[S, MeanAcc, D] {
+		return instance.Raster[S, MeanAcc, D]{Entries: speedAccs(ra.Entries), Data: ra.Data}
 	})
 	merged, ok := CollectAndMergeRaster(accs, MeanAcc.Merge)
 	if !ok {

@@ -58,8 +58,8 @@ type MBR struct {
 // Box constructs an MBR from two corner coordinates, normalizing order.
 func Box(x1, y1, x2, y2 float64) MBR {
 	return MBR{
-		MinX: math.Min(x1, x2), MinY: math.Min(y1, y2),
-		MaxX: math.Max(x1, x2), MaxY: math.Max(y1, y2),
+		MinX: min(x1, x2), MinY: min(y1, y2),
+		MaxX: max(x1, x2), MaxY: max(y1, y2),
 	}
 }
 
@@ -127,8 +127,8 @@ func (b MBR) Intersects(o MBR) bool {
 // empty when they do not intersect.
 func (b MBR) Intersection(o MBR) MBR {
 	r := MBR{
-		MinX: math.Max(b.MinX, o.MinX), MinY: math.Max(b.MinY, o.MinY),
-		MaxX: math.Min(b.MaxX, o.MaxX), MaxY: math.Min(b.MaxY, o.MaxY),
+		MinX: max(b.MinX, o.MinX), MinY: max(b.MinY, o.MinY),
+		MaxX: min(b.MaxX, o.MaxX), MaxY: min(b.MaxY, o.MaxY),
 	}
 	if r.IsEmpty() {
 		return EmptyMBR()
@@ -145,8 +145,8 @@ func (b MBR) Union(o MBR) MBR {
 		return b
 	}
 	return MBR{
-		MinX: math.Min(b.MinX, o.MinX), MinY: math.Min(b.MinY, o.MinY),
-		MaxX: math.Max(b.MaxX, o.MaxX), MaxY: math.Max(b.MaxY, o.MaxY),
+		MinX: min(b.MinX, o.MinX), MinY: min(b.MinY, o.MinY),
+		MaxX: max(b.MaxX, o.MaxX), MaxY: max(b.MaxY, o.MaxY),
 	}
 }
 
@@ -172,8 +172,8 @@ func (b MBR) DistanceTo(p Point) float64 {
 	if b.IsEmpty() {
 		return math.Inf(1)
 	}
-	dx := math.Max(0, math.Max(b.MinX-p.X, p.X-b.MaxX))
-	dy := math.Max(0, math.Max(b.MinY-p.Y, p.Y-b.MaxY))
+	dx := max(0, b.MinX-p.X, p.X-b.MaxX)
+	dy := max(0, b.MinY-p.Y, p.Y-b.MaxY)
 	return math.Sqrt(dx*dx + dy*dy)
 }
 

@@ -192,6 +192,6 @@ func cross(a, b, p Point) float64 {
 // onSegment reports whether p, known collinear with ab, lies within the
 // bounding box of ab.
 func onSegment(a, b, p Point) bool {
-	return math.Min(a.X, b.X) <= p.X && p.X <= math.Max(a.X, b.X) &&
-		math.Min(a.Y, b.Y) <= p.Y && p.Y <= math.Max(a.Y, b.Y)
+	return min(a.X, b.X) <= p.X && p.X <= max(a.X, b.X) &&
+		min(a.Y, b.Y) <= p.Y && p.Y <= max(a.Y, b.Y)
 }

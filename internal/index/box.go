@@ -110,8 +110,8 @@ func (b Box) Union(o Box) Box {
 	}
 	var u Box
 	for i := 0; i < Dims; i++ {
-		u.Min[i] = math.Min(b.Min[i], o.Min[i])
-		u.Max[i] = math.Max(b.Max[i], o.Max[i])
+		u.Min[i] = min(b.Min[i], o.Min[i])
+		u.Max[i] = max(b.Max[i], o.Max[i])
 	}
 	return u
 }

@@ -277,6 +277,35 @@ func TestTimeGridSlotRange(t *testing.T) {
 	}
 }
 
+// TestTimeGridSlotRangeMatchesSplit checks SlotRange against the slots
+// Split materialises, instant by instant, on windows whose length is and is
+// not a multiple of the slot count (Split makes the first total%NT slots
+// one second longer) and with more slots than instants.
+func TestTimeGridSlotRangeMatchesSplit(t *testing.T) {
+	for _, total := range []int64{1, 5, 10, 24, 97, 100, 259217} {
+		for _, nt := range []int{1, 3, 4, 7, 24, 150} {
+			g := TimeGrid{Window: tempo.New(1000, 1000+total-1), NT: nt}
+			slots := g.Slots()
+			check := func(at int64) {
+				lo, hi, ok := g.SlotRange(tempo.Instant(at))
+				if !ok || lo != hi || !slots[lo].Contains(at) {
+					t.Fatalf("total %d, NT %d: SlotRange(%d) = %d..%d %v; slot %v", total, nt, at, lo, hi, ok, slots[lo])
+				}
+			}
+			step := max(total/500, 1)
+			for off := int64(0); off < total; off += step {
+				check(g.Window.Start + off)
+			}
+			for _, s := range slots {
+				if !s.IsEmpty() {
+					check(s.Start)
+					check(s.End)
+				}
+			}
+		}
+	}
+}
+
 func TestRasterGridIndexRoundTrip(t *testing.T) {
 	g := RasterGrid{
 		Space: SpatialGrid{Extent: geom.Box(0, 0, 4, 4), NX: 4, NY: 2},

@@ -19,23 +19,29 @@ type TimeGrid struct {
 // Slots materializes the slot intervals.
 func (g TimeGrid) Slots() []tempo.Duration { return g.Window.Split(g.NT) }
 
-// SlotRange returns the inclusive slot index range [lo, hi] whose slots may
-// intersect d, or ok=false when d misses the window entirely.
+// SlotRange returns the inclusive slot index range [lo, hi] of the slots
+// that intersect d, or ok=false when d misses the window entirely.
 func (g TimeGrid) SlotRange(d tempo.Duration) (lo, hi int, ok bool) {
 	d = d.Intersection(g.Window)
 	if d.IsEmpty() || g.NT <= 0 {
 		return 0, 0, false
 	}
+	return g.slotOf(d.Start), g.slotOf(d.End), true
+}
+
+// slotOf returns the index of the slot holding instant t of the window,
+// matching tempo.Split: the first total%NT slots are one second longer
+// than the rest, so a plain proportional index t·NT/total can land one
+// slot late near the end of a long slot.
+func (g TimeGrid) slotOf(t int64) int {
 	total := g.Window.End - g.Window.Start + 1
-	lo = int((d.Start - g.Window.Start) * int64(g.NT) / total)
-	hi = int((d.End - g.Window.Start) * int64(g.NT) / total)
-	if lo < 0 {
-		lo = 0
+	n := int64(g.NT)
+	q, r := total/n, total%n
+	off := t - g.Window.Start
+	if long := r * (q + 1); off >= long {
+		return int(r + (off-long)/q)
 	}
-	if hi >= g.NT {
-		hi = g.NT - 1
-	}
-	return lo, hi, true
+	return int(off / (q + 1))
 }
 
 // SpatialGrid splits an extent into NX × NY equal rectangular cells, stored

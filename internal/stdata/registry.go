@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 
@@ -388,8 +387,8 @@ func (s schema[T]) pin(recs []T, fileBytes int64, delta bool) *segment[T] {
 		run := seg.boxes[lo]
 		for _, b := range seg.boxes[lo+1 : min(lo+runLen, len(recs))] {
 			for a := range run.Min {
-				run.Min[a] = math.Min(run.Min[a], b.Min[a])
-				run.Max[a] = math.Max(run.Max[a], b.Max[a])
+				run.Min[a] = min(run.Min[a], b.Min[a])
+				run.Max[a] = max(run.Max[a], b.Max[a])
 			}
 		}
 		seg.runs = append(seg.runs, run)
