@@ -100,8 +100,9 @@ fuzz-smoke:
 # loop in-process, and bring up a 2-shard fleet plus router on loopback
 # and check a pruned query scatters to fewer shards than the map holds.
 # The pinned-partition load and probe benchmarks, the record-encoding
-# benchmarks, the sub-reply parse benchmark and the trajectory conversion
-# benchmarks run once each, so they cannot rot.
+# benchmarks, the sub-reply parse benchmark, the trajectory conversion
+# benchmarks and the pruned-selection benchmarks run once each, so they
+# cannot rot.
 # Last, the benchmark module's own suite (benchmark/ is a separate Go
 # module, so ./... above does not reach it): its smoke runs every workload
 # small and verifies every reply, subscriber stream and ingest_live read
@@ -117,7 +118,7 @@ check:
 	$(GO) test -race -count=1 -run TestIngestSmoke ./cmd/stingest
 	$(GO) test -race -count=1 -run TestClusterSmoke ./cmd/strouter
 	$(GO) test -race -count=1 -run TestApproxBytesSmoke ./internal/stdata
-	$(GO) test -run '^$$' -bench 'LoadBase|BaseProbe|RecordJSON|ServeQueryRecords|ParseSubQueryResponse|TrajToSpatialMap|TrajToRaster' -benchtime=1x ./internal/stdata ./internal/serve ./internal/convert
+	$(GO) test -run '^$$' -bench 'LoadBase|BaseProbe|RecordJSON|ServeQueryRecords|ParseSubQueryResponse|TrajToSpatialMap|TrajToRaster|SelectPruned' -benchtime=1x ./internal/stdata ./internal/serve ./internal/convert ./internal/selection
 	$(GO) test -race -count=1 -run TestPointPatSmoke ./internal/pointpat
 	(cd benchmark && $(GO) test ./...)
 

@@ -8,8 +8,8 @@ import (
 	"st4ml/internal/datagen"
 	"st4ml/internal/engine"
 	"st4ml/internal/index"
-	"st4ml/internal/selection"
 	"st4ml/internal/stdata"
+	"st4ml/internal/storage"
 )
 
 // Ablation experiments isolating individual design choices (DESIGN.md's
@@ -48,25 +48,119 @@ func AblationShuffle(ctx *engine.Context, n, keys int) (reduceMs, groupMs float6
 	return reduceMs, groupMs, shuffledReduce, shuffledGroup
 }
 
-// AblationSelectorIndex compares multi-window selection with and without
-// the per-partition on-the-fly R-tree (§3.1): indexing amortizes across
-// windows selected from one load.
+// AblationSelectorIndex compares multi-window selection filtering through
+// the paper's per-partition on-the-fly R-tree (§3.1: STR bulk-loaded over a
+// loaded partition, probed once per window, a hit bitmap gathering the
+// union) against a linear scan, over the same loaded partitions; only the
+// filter is timed. Indexing is meant to amortize across the windows
+// selected from one load.
 func AblationSelectorIndex(env *Env, numWindows int) (indexedMs, scanMs float64) {
-	windows := RandomWindows(datagen.NYCExtent, datagen.Year2013, 0.1, numWindows, 71)
-	run := func(useIndex bool) float64 {
-		sel := selection.New(env.Ctx, stdata.EventRecC, stdata.EventRec.Box, nil,
-			selection.Config{Index: useIndex})
-		t0 := time.Now()
-		if _, _, err := sel.Select(env.EventDir, windows...); err != nil {
+	parts, qs := selectorInputs(env, numWindows)
+	indexedMs, kept := timeSelectorFilter(parts, qs, rtreeFilter)
+	scanMs, want := timeSelectorFilter(parts, qs, scanFilter)
+	if kept != want {
+		panic(fmt.Sprintf("ablation: R-tree filter kept %d records, scan %d", kept, want))
+	}
+	return indexedMs, scanMs
+}
+
+// AblationSelectorRuns times the filter selection runs today — the run
+// index, one box per 16 consecutive records — over AblationSelectorIndex's
+// partitions and windows.
+func AblationSelectorRuns(env *Env, numWindows int) (runsMs float64) {
+	parts, qs := selectorInputs(env, numWindows)
+	runsMs, kept := timeSelectorFilter(parts, qs, runsFilter)
+	if _, want := timeSelectorFilter(parts, qs, scanFilter); kept != want {
+		panic(fmt.Sprintf("ablation: run index kept %d records, scan %d", kept, want))
+	}
+	return runsMs
+}
+
+// selectorInputs loads every partition of the event store whole, as the
+// full-scan Select does, and draws numWindows windows over it.
+func selectorInputs(env *Env, numWindows int) ([][]index.Box, []index.Box) {
+	meta, err := storage.ReadMetadata(env.EventDir)
+	if err != nil {
+		panic(err)
+	}
+	parts := make([][]index.Box, meta.NumPartitions())
+	for id := range parts {
+		recs, err := storage.ReadPartition(env.EventDir, meta, id, stdata.EventRecC)
+		if err != nil {
 			panic(err)
 		}
-		return msSince(t0)
+		parts[id] = make([]index.Box, len(recs))
+		for i, rec := range recs {
+			parts[id][i] = rec.Box()
+		}
 	}
-	return run(true), run(false)
+	windows := RandomWindows(datagen.NYCExtent, datagen.Year2013, 0.1, numWindows, 71)
+	qs := make([]index.Box, len(windows))
+	for i, w := range windows {
+		qs[i] = w.Box()
+	}
+	return parts, qs
+}
+
+// timeSelectorFilter runs filter over every partition and returns the time
+// it took and the records it kept.
+func timeSelectorFilter(parts [][]index.Box, qs []index.Box, filter func([]index.Box, []index.Box) int) (ms float64, kept int) {
+	t0 := time.Now()
+	for _, boxes := range parts {
+		kept += filter(boxes, qs)
+	}
+	return msSince(t0), kept
+}
+
+// scanFilter tests every record against the windows.
+func scanFilter(boxes, qs []index.Box) int {
+	kept := 0
+	for _, b := range boxes {
+		for _, q := range qs {
+			if b.Intersects(q) {
+				kept++
+				break
+			}
+		}
+	}
+	return kept
+}
+
+// rtreeFilter bulk-loads an STR tree over the partition, probes it once
+// per window and unions the hits through a bitmap.
+func rtreeFilter(boxes, qs []index.Box) int {
+	items := make([]index.Item[int], len(boxes))
+	for i, b := range boxes {
+		items[i] = index.Item[int]{Box: b, Data: i}
+	}
+	tree := index.BulkLoadSTR(items, 16)
+	hit := make([]bool, len(boxes))
+	kept := 0
+	for _, q := range qs {
+		tree.SearchFunc(q, func(i int, _ index.Box) bool {
+			if !hit[i] {
+				hit[i] = true
+				kept++
+			}
+			return true
+		})
+	}
+	return kept
+}
+
+// runsFilter searches the partition's run index for all windows at once.
+func runsFilter(boxes, qs []index.Box) int {
+	kept := 0
+	index.NewRuns(boxes).Search(qs, func(int, int) bool {
+		kept++
+		return true
+	})
+	return kept
 }
 
 // AblationRTreeBuild compares STR bulk loading against one-by-one Guttman
-// insertion for the throwaway per-partition selection indexes.
+// insertion for throwaway R-trees: the paper's per-partition selection
+// index and the conversion targets' indexes.
 func AblationRTreeBuild(n int) (bulkMs, insertMs float64) {
 	events := datagen.NYC(n, 13)
 	items := make([]index.Item[int], len(events))
@@ -94,7 +188,9 @@ func AblationTable(env *Env) *Table {
 	t.Add("reduceByKey vs groupByKey", rMs, gMs, ratio(gMs, rMs),
 		formatShuffle(rShuf, gShuf))
 	iMs, sMs := AblationSelectorIndex(env, 10)
-	t.Add("per-partition R-tree vs scan", iMs, sMs, ratio(sMs, iMs), "10 windows/load")
+	t.Add("per-partition R-tree vs scan", iMs, sMs, ratio(sMs, iMs), "10 windows/load, filter only")
+	runsMs := AblationSelectorRuns(env, 10)
+	t.Add("run index vs scan", runsMs, sMs, ratio(sMs, runsMs), "10 windows/load, filter only")
 	bMs, insMs := AblationRTreeBuild(50_000)
 	t.Add("STR bulk vs insert build", bMs, insMs, ratio(insMs, bMs), "50k boxes")
 	return t

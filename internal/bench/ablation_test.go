@@ -36,7 +36,7 @@ func TestAblationRTreeBuildShape(t *testing.T) {
 func TestAblationTableRenders(t *testing.T) {
 	env := smallEnv(t)
 	tab := AblationTable(env)
-	if len(tab.Rows) != 3 {
+	if len(tab.Rows) != 4 {
 		t.Errorf("ablation rows = %d", len(tab.Rows))
 	}
 }

@@ -104,7 +104,13 @@ func TestRouterFailsOverOnBadReplyBody(t *testing.T) {
 // TestRouterReusesShardConnections pins that the router reads every
 // sub-reply to its end, so the connection goes back to the keep-alive
 // pool: 200 queries from two concurrent callers over two shards open no
-// more connections than shards × callers.
+// more connections than shards × callers. The transport caps connections
+// per shard at the caller count: net/http returns an idle connection to
+// the pool on another goroutine, and without the cap a caller that asks
+// before the hand-back lands dials a spare one, so the bound failed under
+// CPU contention with nothing dropped. A router that drops connections
+// still needs a fresh one per query, which the cap cannot hide: it serves
+// them one at a time, and the count of dials past the bound fails.
 func TestRouterReusesShardConnections(t *testing.T) {
 	tc := newTestCluster(t, 2000, 0)
 	const shards, callers, queries = 2, 2, 200
@@ -125,7 +131,7 @@ func TestRouterReusesShardConnections(t *testing.T) {
 		defer ts.Close()
 		m.Shards = append(m.Shards, Shard{Name: fmt.Sprintf("s%d", i), Replicas: []string{ts.URL}})
 	}
-	r := tc.router(t, shards, Config{Shards: m, Client: &http.Client{Transport: &http.Transport{}}})
+	r := tc.router(t, shards, Config{Shards: m, Client: &http.Client{Transport: &http.Transport{MaxConnsPerHost: callers}}})
 
 	windows := seededWindows(13, 8)
 	var wg sync.WaitGroup

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
+
+	"st4ml/internal/index"
 )
 
 // Column codecs for the storage layer's v3 block format: each block is
@@ -434,7 +436,7 @@ type Columnar[T any] struct {
 	// extent, so a reader may filter records against query windows on the
 	// decoded columns alone, before Join materializes them. Leave false
 	// for extended records (trajectories) whose extent the columns only
-	// summarize.
+	// summarize; those filter through Extent instead.
 	Point bool
 	// HasStr marks that Split fills the Str column (the schema's
 	// dictionary-friendly string attribute).
@@ -446,6 +448,13 @@ type Columnar[T any] struct {
 	// Join rebuilds record i from the decoded columns; pay is positioned
 	// over the record's payload span and must be fully consumed.
 	Join func(b *ColBlock, i int, pay *Reader) T
+	// Extent, optional for extended records (Point false), returns record
+	// i's exact ST box from the decoded columns and its payload span
+	// without building the record or allocating; pay is positioned as for
+	// Join and must be fully consumed. A reader drops records whose extent
+	// misses every query window before Join, so Extent must equal, bit for
+	// bit, the box callers filter the joined record by.
+	Extent func(b *ColBlock, i int, pay *Reader) index.Box
 }
 
 // colBlockPool recycles ColBlocks across partition writes and reads; the

@@ -68,8 +68,8 @@ func (m *Metrics) AddBlockRead(scanned, pruned, rawBytes int64) {
 	m.bytesDecompressed.Add(rawBytes)
 }
 
-// AddRecordsPruned accounts records the columnar predicate dropped on
-// decoded columns before materialization.
+// AddRecordsPruned accounts records the v3 reader dropped before
+// materialization, on their decoded columns or Columnar.Extent box.
 func (m *Metrics) AddRecordsPruned(n int64) {
 	m.recordsPruned.Add(n)
 }
@@ -151,8 +151,9 @@ type Snapshot struct {
 	BlocksScanned     int64
 	BlocksPruned      int64
 	BytesDecompressed int64
-	// RecordsPruned counts records the v3 columnar predicate dropped on
-	// decoded lon/lat/t columns before materialization.
+	// RecordsPruned counts records the v3 reader dropped before
+	// materialization: point records on their decoded lon/lat/t columns,
+	// extended records on their Columnar.Extent box.
 	RecordsPruned int64
 	// DeltasRead counts delta files unioned into partition reads and
 	// DeltaRecords the records they contributed.

@@ -1,8 +1,10 @@
 // Package index provides the in-memory spatial and spatio-temporal indexes
-// used across ST4ML: an R-tree (STR bulk-loaded and dynamically insertable,
-// used for per-partition selection §3.1, conversion acceleration §4.2, and
-// map-matching candidate search), and a Z-order/XZ-style space-filling curve
-// used by the GeoMesa-like baseline's entry-level on-disk index.
+// used across ST4ML: the run index (one box per run of consecutive
+// records in record order, used for per-partition selection §3.1 and the
+// serving tier's pinned partitions), an R-tree (STR bulk-loaded and
+// dynamically insertable, used for conversion acceleration §4.2 and
+// map-matching candidate search), and a Z-order/XZ-style space-filling
+// curve used by the GeoMesa-like baseline's entry-level on-disk index.
 package index
 
 import (

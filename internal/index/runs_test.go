@@ -1,0 +1,165 @@
+package index
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"st4ml/internal/geom"
+	"st4ml/internal/tempo"
+)
+
+// runBoxes draws n boxes over [0,10)² × [0,100): points when point is
+// set, else boxes up to a tenth of the domain per axis, the extent of a
+// short trajectory. Z-clustered boxes are sorted along a 3-d Z curve of
+// their centres, the order ingest and compaction store records in.
+func runBoxes(n int, seed int64, point, clustered bool) []Box {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]Box, n)
+	for i := range out {
+		x, y, t := rng.Float64()*10, rng.Float64()*10, rng.Int63n(100)
+		b := BoxOfPoint(geom.Pt(x, y), t)
+		if !point {
+			b = Box3(geom.Box(x, y, x+rng.Float64(), y+rng.Float64()), tempo.New(t, t+rng.Int63n(10)))
+		}
+		out[i] = b
+	}
+	if clustered {
+		curve := NewZCurve3D(geom.Box(0, 0, 11, 11), tempo.New(0, 110), 8, 7)
+		key := func(b Box) uint64 {
+			c := b.Center()
+			return curve.Key(geom.Pt(c[0], c[1]), int64(c[2]))
+		}
+		sort.SliceStable(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
+	}
+	return out
+}
+
+// oddBoxes are the boxes float edge cases produce: empty boxes (the box of
+// an empty trajectory), NaN and infinite coordinates, and signed zeros.
+func oddBoxes() []Box {
+	inf, nan := math.Inf(1), math.NaN()
+	negZero := math.Copysign(0, -1)
+	return []Box{
+		EmptyBox(),
+		Box3(geom.EmptyMBR(), tempo.Empty()),
+		{Min: [Dims]float64{nan, 1, 1}, Max: [Dims]float64{nan, 2, 2}},
+		{Min: [Dims]float64{1, nan, 1}, Max: [Dims]float64{2, 3, 2}},
+		{Min: [Dims]float64{-inf, 1, 1}, Max: [Dims]float64{-inf, 1, 1}},
+		{Min: [Dims]float64{inf, inf, inf}, Max: [Dims]float64{inf, inf, inf}},
+		{Min: [Dims]float64{negZero, negZero, negZero}, Max: [Dims]float64{0, 0, 0}},
+		{Min: [Dims]float64{0, 0, 0}, Max: [Dims]float64{negZero, negZero, negZero}},
+		{Min: [Dims]float64{5, 5, 50}, Max: [Dims]float64{4, 6, 60}},
+	}
+}
+
+// runWindows derives query windows from boxes: each sampled box itself
+// (faces equal to the record's), a point window on its low corner, a
+// window touching it only at its high corner, the union of two boxes,
+// plus an all-covering, a missing and a NaN window.
+func runWindows(boxes []Box) []Box {
+	inf, nan := math.Inf(1), math.NaN()
+	out := []Box{
+		{Min: [Dims]float64{-inf, -inf, -inf}, Max: [Dims]float64{inf, inf, inf}},
+		{Min: [Dims]float64{50, 50, 500}, Max: [Dims]float64{60, 60, 600}},
+		{Min: [Dims]float64{nan, 0, 0}, Max: [Dims]float64{1, 1, 10}},
+	}
+	step := max(1, len(boxes)/24)
+	for i := 0; i < len(boxes); i += step {
+		b := boxes[i]
+		touch := Box{Min: b.Max, Max: b.Max}
+		for a := range touch.Max {
+			touch.Max[a] += 1
+		}
+		out = append(out, b, Box{Min: b.Min, Max: b.Min}, touch,
+			b.Union(boxes[(i*7+3)%len(boxes)]))
+	}
+	return out
+}
+
+// linearCalls is the reference Search is held to: every (record, window)
+// pair whose boxes intersect, record by record and window by window, moving
+// to the next record once fn keeps one.
+func linearCalls(boxes, qs []Box, fn func(i, w int) bool) [][2]int {
+	var calls [][2]int
+	for i, b := range boxes {
+		for w, q := range qs {
+			if b.Intersects(q) {
+				calls = append(calls, [2]int{i, w})
+				if fn(i, w) {
+					break
+				}
+			}
+		}
+	}
+	return calls
+}
+
+// checkRuns compares Search's calls with linearCalls, call for call in
+// order, for every window of runWindows(boxes) alone and for sliding sets
+// of three, under an fn that keeps every hit and one that rejects some.
+func checkRuns(t *testing.T, name string, boxes []Box) {
+	t.Helper()
+	x := NewRuns(boxes)
+	if !reflect.DeepEqual(x.Boxes(), boxes) {
+		t.Fatalf("%s: index holds %d boxes, built over %d", name, len(x.Boxes()), len(boxes))
+	}
+	windows := runWindows(append(append([]Box{}, boxes...), oddBoxes()...))
+	sets := make([][]Box, 0, 2*len(windows))
+	for i := range windows {
+		sets = append(sets, windows[i:i+1], windows[i:min(i+3, len(windows))])
+	}
+	fns := map[string]func(i, w int) bool{
+		"keep":   func(int, int) bool { return true },
+		"refine": func(i, w int) bool { return (i*7+w*3)%4 != 0 },
+	}
+	for si, qs := range sets {
+		for fname, fn := range fns {
+			want := linearCalls(boxes, qs, fn)
+			var got [][2]int
+			x.Search(qs, func(i, w int) bool {
+				got = append(got, [2]int{i, w})
+				return fn(i, w)
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %s, window set %d %+v: run index called %v, linear scan %v",
+					name, fname, si, qs, got, want)
+			}
+		}
+	}
+}
+
+// TestRunIndexMatchesLinearScan is the run-index wall: Search equals a
+// brute-force scan of the boxes, call for call in order, across sizes
+// around the run length, Z-clustered and unclustered orders, point and
+// extended boxes, windows on record faces and points, single windows and
+// window sets, a refining fn, and runs holding empty, NaN, infinite and
+// signed-zero boxes. The serving tier's pinned segments and selection's
+// filter run on this one search; stdata's segment wall checks the former
+// against storage's merge-on-read, selection's metamorphic suite the
+// latter against its linear scan.
+func TestRunIndexMatchesLinearScan(t *testing.T) {
+	checkRuns(t, "empty", nil)
+	// 12500 records is a full partition of the benchmark's serve corpus.
+	for _, n := range []int{1, 15, 16, 17, 33, 12500} {
+		for _, point := range []bool{true, false} {
+			for _, clustered := range []bool{true, false} {
+				name := fmt.Sprintf("n=%d point=%v clustered=%v", n, point, clustered)
+				checkRuns(t, name, runBoxes(n, int64(n), point, clustered))
+			}
+		}
+	}
+	for _, n := range []int{1, 16, 17, 40} {
+		boxes := runBoxes(n, 7, false, true)
+		odd := oddBoxes()
+		for i := range boxes {
+			if i%3 == 0 {
+				boxes[i] = odd[i%len(odd)]
+			}
+		}
+		checkRuns(t, fmt.Sprintf("odd n=%d", n), boxes)
+	}
+}

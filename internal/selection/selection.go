@@ -1,7 +1,7 @@
 // Package selection implements ST4ML's Selection stage (§3.1): loading ST
 // data from persistent storage into memory, filtering it against ST query
-// windows (optionally through per-partition R-trees built on the fly), and
-// ST-repartitioning the survivors for balanced downstream stages.
+// windows (optionally through a per-partition run index built on the fly),
+// and ST-repartitioning the survivors for balanced downstream stages.
 //
 // Two paths exist, matching the paper:
 //
@@ -37,9 +37,13 @@ func (w Window) Box() index.Box { return index.Box3(w.Space, w.Time) }
 
 // Config tunes a Selector.
 type Config struct {
-	// Index builds a 3-d R-tree per loaded partition and answers each
-	// window from it; false scans records linearly. Indexing pays off when
-	// several windows are selected per load.
+	// Index filters each loaded partition through a run index (one box
+	// per 16 consecutive records, index.Runs) instead of testing every
+	// record against every window; false scans records linearly. Both
+	// return the same records in the same order. On a pruned selection
+	// the storage reader has already dropped the records whose box misses
+	// every window — point records on their columns, trajectories on
+	// their Columnar.Extent — so the filter mostly confirms.
 	Index bool
 	// Planner, when set, ST-repartitions the selected records (stage 2 of
 	// Fig. 2). Nil keeps the storage partitioning.
@@ -68,9 +72,11 @@ type Stats struct {
 	BlocksScanned     int64
 	BlocksPruned      int64
 	DecompressedBytes int64
-	// RecordsPruned counts records the columnar predicate dropped on
-	// decoded lon/lat/t columns before materialization — pruning one level
-	// finer than blocks. Zero on generic row-payload files.
+	// RecordsPruned counts records the storage reader dropped before
+	// materialization — pruning one level finer than blocks: point records
+	// on their decoded lon/lat/t columns, extended records (trajectories)
+	// on their Columnar.Extent box. Zero on generic row-payload files and
+	// on the full-scan Select.
 	RecordsPruned int64
 	// Delta-layer accounting (merge-on-read): across the loaded partitions,
 	// how many delta files were unioned in, how many the manifest bounds let
@@ -220,7 +226,7 @@ func (s *Selector[T]) selectPartitions(
 				trace.Int("records", rst.DeltaRecords))
 			dsp.End()
 		}
-		out := s.filterPartition(sctx, recs, windows)
+		out := s.filterPartition(recs, windows)
 		rsp.End(trace.Int("records", int64(len(recs))),
 			trace.Int("bytes", meta.PartitionBytes(ids[p])),
 			trace.Int("blocks", int64(rst.Blocks)),
@@ -262,56 +268,45 @@ func (s *Selector[T]) selectPartitions(
 }
 
 // filterPartition applies the window predicate to one decoded partition,
-// through an on-the-fly R-tree when configured. ctx carries the trace scope
-// of the enclosing selection.
-func (s *Selector[T]) filterPartition(ctx *engine.Context, recs []T, windows []Window) []T {
+// through the run index when configured: a record is kept once, in record
+// order, when some window's box meets its box and exact (if set) accepts
+// it for that window.
+func (s *Selector[T]) filterPartition(recs []T, windows []Window) []T {
 	if len(windows) == 0 {
 		return recs
 	}
+	qs := make([]index.Box, len(windows))
+	for i, w := range windows {
+		qs[i] = w.Box()
+	}
+	keep := func(rec T, w int) bool {
+		return s.exact == nil || s.exact(rec, windows[w].Space, windows[w].Time)
+	}
+	out := make([]T, 0, len(recs)/2)
 	if !s.cfg.Index {
-		out := make([]T, 0, len(recs)/2)
 		for _, rec := range recs {
-			if s.matches(rec, windows) {
-				out = append(out, rec)
+			b := s.boxOf(rec)
+			for w, q := range qs {
+				if b.Intersects(q) && keep(rec, w) {
+					out = append(out, rec)
+					break
+				}
 			}
 		}
 		return out
 	}
-	items := make([]index.Item[int], len(recs))
+	boxes := make([]index.Box, len(recs))
 	for i, rec := range recs {
-		items[i] = index.Item[int]{Box: s.boxOf(rec), Data: i}
+		boxes[i] = s.boxOf(rec)
 	}
-	bsp := ctx.StartSpan(trace.SpanRTreeBuild, trace.Int("items", int64(len(items))))
-	tree := index.BulkLoadSTR(items, 16)
-	bsp.End()
-	hit := make([]bool, len(recs))
-	for _, w := range windows {
-		tree.SearchFunc(w.Box(), func(i int, _ index.Box) bool {
-			if !hit[i] && (s.exact == nil || s.exact(recs[i], w.Space, w.Time)) {
-				hit[i] = true
-			}
-			return true
-		})
-	}
-	out := make([]T, 0, len(recs)/2)
-	for i, h := range hit {
-		if h {
-			out = append(out, recs[i])
+	index.NewRuns(boxes).Search(qs, func(i, w int) bool {
+		if !keep(recs[i], w) {
+			return false
 		}
-	}
+		out = append(out, recs[i])
+		return true
+	})
 	return out
-}
-
-func (s *Selector[T]) matches(rec T, windows []Window) bool {
-	b := s.boxOf(rec)
-	for _, w := range windows {
-		if b.Intersects(w.Box()) {
-			if s.exact == nil || s.exact(rec, w.Space, w.Time) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // materialize caches the RDD and converts a load-task panic (bad file,

@@ -281,12 +281,13 @@ func runIndexWall[T any](t *testing.T, name string, s schema[T], dir string, met
 	checkRunIndex(t, name+" live", s, live, merged)
 }
 
-// TestRunIndexMatchesLinearScan is the run-index wall: a pinned segment's
-// matches equal a brute-force scan of its records, byte for byte in order,
-// across partition sizes around the run length, Z-clustered and unclustered
-// stores, events and trajectories, windows on record faces and points, and
-// bases with deltas attached.
-func TestRunIndexMatchesLinearScan(t *testing.T) {
+// TestSegmentMatchesLinearScan is the pinned-segment wall over the run
+// index (whose own wall is index.TestRunIndexMatchesLinearScan): a pinned
+// segment's matches equal a brute-force scan of its records, byte for byte
+// in order, across partition sizes around the run length, Z-clustered and
+// unclustered stores, events and trajectories, windows on record faces and
+// points, and bases with deltas attached.
+func TestSegmentMatchesLinearScan(t *testing.T) {
 	nyc := registry["nyc"].(schema[EventRec])
 	porto := registry["porto"].(schema[TrajRec])
 	checkRunIndex(t, "empty", nyc, nyc.pin(nil, 0, false), []EventRec(nil))

@@ -286,7 +286,7 @@ func (s schema[T]) ReadDelta(dir string, dm storage.DeltaMeta) ([]index.Box, []j
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.boxes, raw, nil
+	return d.idx.Boxes(), raw, nil
 }
 
 // encode appends the JSON wire form of the first n records of chunks,
@@ -350,66 +350,38 @@ func (s schema[T]) ReadCSV(r io.Reader) (any, error) {
 	return s.spec.CSV(r)
 }
 
-// runLen is the number of consecutive records one run box covers. Base
-// files are Z-clustered at ingest and compaction, so a run of neighbours
-// has a tight box and a window skips most runs on one test each.
-const runLen = 16
-
 // segment is the pinned form of one decoded base or delta file: its records
-// in file order, each record's box, and one box per run of runLen
-// consecutive records. A search tests the records of a run only when the
-// run's box meets the window, with the same Box.Intersects at both levels,
-// so hits come out in ascending record order and equal a linear scan.
+// in file order and the run index over their boxes, whose hits equal a
+// linear scan in record order.
 type segment[T any] struct {
 	recs  []T
-	boxes []index.Box
-	runs  []index.Box
+	idx   *index.Runs
 	bytes int64
 	delta bool
 }
 
 // pin builds the segment over recs, a file of fileBytes encoded bytes.
 func (s schema[T]) pin(recs []T, fileBytes int64, delta bool) *segment[T] {
-	seg := &segment[T]{
+	boxes := make([]index.Box, len(recs))
+	for i, rec := range recs {
+		boxes[i] = s.spec.BoxOf(rec)
+	}
+	return &segment[T]{
 		recs:  recs,
-		boxes: make([]index.Box, len(recs)),
-		runs:  make([]index.Box, 0, (len(recs)+runLen-1)/runLen),
+		idx:   index.NewRuns(boxes),
 		bytes: fileBytes + int64(len(recs))*pinOverheadBytes,
 		delta: delta,
 	}
-	for i, rec := range recs {
-		seg.boxes[i] = s.spec.BoxOf(rec)
-	}
-	for lo := 0; lo < len(recs); lo += runLen {
-		// Plain per-axis min/max rather than Box.Union, which skips empty
-		// boxes: every record box must lie inside its run's box for the
-		// run test to never drop a record Intersects would keep.
-		run := seg.boxes[lo]
-		for _, b := range seg.boxes[lo+1 : min(lo+runLen, len(recs))] {
-			for a := range run.Min {
-				run.Min[a] = min(run.Min[a], b.Min[a])
-				run.Max[a] = max(run.Max[a], b.Max[a])
-			}
-		}
-		seg.runs = append(seg.runs, run)
-	}
-	return seg
 }
 
 func (g *segment[T]) Len() int         { return len(g.recs) }
 func (g *segment[T]) SizeBytes() int64 { return g.bytes }
 
 func (g *segment[T]) appendMatches(q index.Box, out []T) []T {
-	for r, run := range g.runs {
-		if !run.Intersects(q) {
-			continue
-		}
-		for i := r * runLen; i < min((r+1)*runLen, len(g.recs)); i++ {
-			if g.boxes[i].Intersects(q) {
-				out = append(out, g.recs[i])
-			}
-		}
-	}
+	g.idx.Search([]index.Box{q}, func(i, _ int) bool {
+		out = append(out, g.recs[i])
+		return true
+	})
 	return out
 }
 

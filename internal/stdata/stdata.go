@@ -82,15 +82,38 @@ type TrajRec struct {
 
 // Box returns the record's ST box.
 func (t TrajRec) Box() index.Box {
-	mbr := geom.EmptyMBR()
-	for _, p := range t.Points {
-		mbr = mbr.ExpandToPoint(p)
+	return index.Box3(trajMBR(geom.EmptyMBR(), t.Points...), trajSpan(tempo.Empty(), t.Times...))
+}
+
+// trajMBR and trajSpan fold trajectory samples into the spatial and the
+// temporal half of its ST box: TrajRec.Box folds its whole sample slices,
+// the columnar Extent each sample as it walks the payload. Both fold
+// through these two, so the box the v3 reader prunes a stored trajectory
+// by is bit for bit the box selection filters the decoded record by.
+func trajMBR(m geom.MBR, pts ...geom.Point) geom.MBR {
+	for _, p := range pts {
+		m = m.ExpandToPoint(p)
 	}
-	d := tempo.Empty()
-	for _, ts := range t.Times {
-		d = d.ExpandTo(ts)
+	return m
+}
+
+func trajSpan(d tempo.Duration, ts ...int64) tempo.Duration {
+	for _, t := range ts {
+		d = d.ExpandTo(t)
 	}
-	return index.Box3(mbr, d)
+	return d
+}
+
+// trajCount reads a columnar trajectory's point count off the front of its
+// payload span. Each point past the first occupies at least 17 payload
+// bytes (two float64s and a varint time delta), so an impossible count is
+// corruption, caught before anything is allocated or looped over.
+func trajCount(pay *codec.Reader) int {
+	n := int(pay.Uvarint())
+	if n < 0 || (n > 1 && (n-1) > pay.Remaining()/17) {
+		panic(codec.ErrCorrupt{Off: 0})
+	}
+	return n
 }
 
 // ToTrajectory converts the record to an ST4ML trajectory instance.
@@ -108,7 +131,9 @@ func (t TrajRec) ToTrajectory() instance.Trajectory[instance.Unit, int64] {
 // TrajRecC is the binary codec for TrajRec. Its columnar schema puts the
 // first sample on the shared columns (a summary, not the full extent —
 // Point stays false) and the rest in the payload, with per-point times
-// delta-encoded against their predecessor.
+// delta-encoded against their predecessor. Its Extent walks that payload
+// without allocating, so a windowed read builds only the trajectories
+// whose box meets a window.
 var TrajRecC = codec.Codec[TrajRec]{
 	Enc: func(w *codec.Writer, t TrajRec) {
 		w.PutVarint(t.ID)
@@ -150,12 +175,7 @@ var TrajRecC = codec.Codec[TrajRec]{
 			}
 		},
 		Join: func(b *codec.ColBlock, i int, pay *codec.Reader) TrajRec {
-			n := int(pay.Uvarint())
-			// Each point past the first occupies ≥ 17 payload bytes; an
-			// impossible count is corruption, caught before allocating.
-			if n < 0 || (n > 1 && (n-1) > pay.Remaining()/17) {
-				panic(codec.ErrCorrupt{Off: 0})
-			}
+			n := trajCount(pay)
 			pts := make([]geom.Point, n)
 			times := make([]int64, n)
 			if n > 0 {
@@ -167,6 +187,20 @@ var TrajRecC = codec.Codec[TrajRec]{
 				times[j] = times[j-1] + pay.Varint()
 			}
 			return TrajRec{ID: b.IDs[i], Points: pts, Times: times}
+		},
+		Extent: func(b *codec.ColBlock, i int, pay *codec.Reader) index.Box {
+			n := trajCount(pay)
+			mbr, d := geom.EmptyMBR(), tempo.Empty()
+			if n > 0 {
+				t := b.T[i]
+				mbr, d = trajMBR(mbr, geom.Pt(b.Lon[i], b.Lat[i])), trajSpan(d, t)
+				for j := 1; j < n; j++ {
+					mbr = trajMBR(mbr, geom.Pt(pay.Float64(), pay.Float64()))
+					t += pay.Varint()
+					d = trajSpan(d, t)
+				}
+			}
+			return index.Box3(mbr, d)
 		},
 	},
 }

@@ -110,16 +110,7 @@ func writePartitionV3File[T any](
 	off := int64(blockHeaderLen)
 
 	col := c.Col
-	profile := byte(0)
-	if col != nil {
-		profile |= v3Native
-		if col.Point {
-			profile |= v3Point
-		}
-		if col.HasStr {
-			profile |= v3HasStr
-		}
-	}
+	profile := colProfile(c)
 
 	cb := codec.GetColBlock()
 	blkW := codec.GetWriter()   // one block's payload (count + column frames)
@@ -262,6 +253,23 @@ func readFooterV3(path string) (*os.File, byte, []BlockMeta, int64, int64, error
 	return f, profile, blocks, footerOff, size, err
 }
 
+// colProfile is the layout profile c's blocks are written with: native
+// columnar when c carries a Columnar schema, plus the schema's point and
+// string-column flags; 0, the generic row layout, otherwise.
+func colProfile[T any](c codec.Codec[T]) byte {
+	if c.Col == nil {
+		return 0
+	}
+	profile := byte(v3Native)
+	if c.Col.Point {
+		profile |= v3Point
+	}
+	if c.Col.HasStr {
+		profile |= v3HasStr
+	}
+	return profile
+}
+
 // pointInAny reports whether the point (lon, lat, t) lies inside at least
 // one window — the closed-interval test index.Box.Intersects reduces to
 // for a degenerate point box.
@@ -278,11 +286,14 @@ func pointInAny(lon, lat float64, t int64, windows []index.Box) bool {
 }
 
 // readPartitionV3Once decodes one v3 partition file, skipping blocks
-// whose footer bounds miss every window, and — for point schemas —
-// skipping individual records whose (lon, lat, t) columns miss every
-// window before they are materialized. RecordsPruned in the returned
-// stats counts the latter; RawBytes counts decoded column bytes plus only
-// the surviving records' payload spans. A non-nil blockSet overrides
+// whose footer bounds miss every window, and skipping individual records
+// that miss every window before they are materialized: point schemas test
+// their (lon, lat, t) columns, extended schemas with a Columnar.Extent
+// test the box it computes from the columns and the record's payload
+// span. RecordsPruned in the returned stats counts the latter; RawBytes
+// counts decoded column bytes plus the payload spans read, once each:
+// every span an extent test walks, and for point schemas only the
+// surviving records' spans. A non-nil blockSet overrides
 // window pruning with an explicit block-index selection (the approximate
 // path's boundary-block scan); record counts are then not cross-checked
 // against metadata, since only a subset is read.
@@ -296,10 +307,13 @@ func readPartitionV3Once[T any](
 	}
 	defer f.Close()
 	native := profile&v3Native != 0
-	if native && c.Col == nil {
+	if native && profile != colProfile(c) {
+		// The columns a native file holds are the ones its writer's schema
+		// split records into; any other schema would index columns that
+		// are not there.
 		return nil, ReadStats{}, fmt.Errorf(
-			"storage: partition %s is native columnar but the codec carries no columnar schema",
-			pm.File)
+			"storage: partition %s has column layout %#x, the codec's columnar schema writes %#x",
+			pm.File, profile, colProfile(c))
 	}
 
 	st := ReadStats{Blocks: len(blocks), BytesRead: blockHeaderLen + (size - footerOff)}
@@ -327,6 +341,7 @@ func readPartitionV3Once[T any](
 	}
 
 	filter := native && profile&v3Point != 0 && len(windows) > 0
+	extent := native && profile&v3Point == 0 && len(windows) > 0 && c.Col.Extent != nil
 	hasStr := profile&v3HasStr != 0
 	out := make([]T, 0, capHint(expect))
 	var materialized int64
@@ -387,6 +402,17 @@ func readPartitionV3Once[T any](
 				}
 				span := cb.PaySpan(i)
 				st.RawBytes += int64(len(span))
+				if extent {
+					pr.ResetBytes(span)
+					box := c.Col.Extent(cb, i, pr)
+					if pr.Remaining() != 0 {
+						panic(codec.ErrCorrupt{Off: len(span)})
+					}
+					if !boxIntersectsAny(box, windows) {
+						st.RecordsPruned++
+						continue
+					}
+				}
 				pr.ResetBytes(span)
 				out = append(out, c.Col.Join(cb, i, pr))
 				materialized++

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -174,15 +175,25 @@ func TestV2TruncationsDetected(t *testing.T) {
 
 // FuzzV3Block throws arbitrary bytes at the v3 columnar reader as a whole
 // partition file, over both the native columnar path (recC carries a
-// Columnar schema) and the generic row fallback. Same contract as
-// FuzzV2Partition: never panic, and a clean read returns exactly the
-// promised record count.
+// Columnar schema) and the generic row fallback, and — as an
+// extended-record file — through the Columnar.Extent record test with
+// windows set. Same contract as FuzzV2Partition: never panic, and a clean
+// read returns exactly the promised record count. Corruption inside a
+// record the extent test prunes is still an error.
 func FuzzV3Block(f *testing.F) {
 	seedNative, metaNative, _ := writeFuzzSeed(f, 3, false, 8)
 	f.Add(seedNative)
 	f.Add([]byte{})
 	f.Add([]byte(v3Magic))
 	f.Add(append(append([]byte(v3Magic), make([]byte, 12)...), v3TrailerMagic...))
+	seedExt, metaExt, seedExtBad := xrecFuzzSeed(f)
+	f.Add(seedExt)
+	f.Add(seedExtBad)
+	line := xrecLine()
+	// Record 1's box: block 0 (records 0-3) is scanned, block 1 pruned by
+	// its footer bounds, and record 3 — the stray-byte seed's bad one —
+	// pruned by its extent.
+	extWindows := []index.Box{xrecBox(line[1])}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := readBytesAsPartition(t, metaNative, data, nil)
 		if err == nil && int64(len(out)) != metaNative.Partitions[0].Count {
@@ -208,6 +219,31 @@ func FuzzV3Block(f *testing.F) {
 		}
 		_, _, err = ReadPartitionPruned(dir, metaNative, 0, recRowC, nil)
 		_ = err
+		// The same bytes as an extended-record partition, read with a
+		// window that prunes most records by their Extent: a clean read
+		// keeps exactly the records a full read would keep for it, and the
+		// stray-byte seed (record 3's span overlong, record 3 pruned) must
+		// fail like its full read does.
+		xdir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(xdir, metaExt.Partitions[0].File), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ReadPartitionPruned(xdir, metaExt, 0, xrecC, extWindows)
+		full, _, fullErr := ReadPartitionPruned(xdir, metaExt, 0, xrecC, nil)
+		if err == nil && fullErr == nil {
+			var want []xrec
+			for _, v := range full {
+				if boxIntersectsAny(xrecBox(v), extWindows) {
+					want = append(want, v)
+				}
+			}
+			if !sameXrecs(got, want) {
+				t.Fatalf("extent-pruned read returned %d records, filtered full read %d", len(got), len(want))
+			}
+		}
+		if bytes.Equal(data, seedExtBad) && err == nil {
+			t.Fatal("a stray byte in a pruned record's payload went undetected")
+		}
 	})
 }
 

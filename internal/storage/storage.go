@@ -344,12 +344,15 @@ type ReadStats struct {
 	// frames, footer, trailer).
 	BytesRead int64
 	// RawBytes is the payload bytes decoded: the decoded column bytes plus
-	// only the surviving records' payload spans — the columnar predicate's
-	// saving shows up here.
+	// each payload span read once — for point schemas only the surviving
+	// records' spans, where the columnar predicate's saving shows up; for
+	// extended schemas every span the extent test walks.
 	RawBytes int64
-	// RecordsPruned is how many records the columnar predicate dropped on
-	// the decoded lon/lat/t columns before materialization (0 on generic
-	// row-payload files and on full reads).
+	// RecordsPruned is how many records the per-record window test dropped
+	// before materialization: point records on their decoded lon/lat/t
+	// columns, extended records (trajectories) on the box their
+	// Columnar.Extent computes. 0 on generic row-payload files, on schemas
+	// with neither, and on full reads.
 	RecordsPruned int64
 	// Delta-layer accounting: how many delta files the manifest attaches to
 	// the partition, how many were read versus skipped entirely because

@@ -29,8 +29,10 @@ const (
 	SpanResultLookup = "result:lookup"
 	// SpanAdmission is the serving tier's admission wait.
 	SpanAdmission = "admission:wait"
-	// SpanRTreeBuild is one R-tree bulk load (selection filter index,
-	// pinned partition index, or conversion structure index).
+	// SpanRTreeBuild is one R-tree bulk load over a conversion target's
+	// cells. Selection filters through the run index and the serving tier
+	// pins one per cached file, neither of which emits this span, so an
+	// explain's rtree_builds counts conversion targets only.
 	SpanRTreeBuild = "rtree:build"
 	// SpanDeltaRead marks a partition read that unioned delta files into
 	// the base (merge-on-read): attrs carry how many delta files were read
@@ -101,8 +103,9 @@ type Explain struct {
 	BlocksScanned     int64 `json:"blocks_scanned"`
 	BlocksPruned      int64 `json:"blocks_pruned"`
 	BytesDecompressed int64 `json:"bytes_decompressed"`
-	// RecordsPruned counts records the columnar predicate dropped on
-	// decoded lon/lat/t columns before materialization; zero on generic
+	// RecordsPruned counts records the v3 reader dropped before
+	// materialization: point records on their decoded lon/lat/t columns,
+	// extended records on their Columnar.Extent box; zero on generic
 	// row-payload files.
 	RecordsPruned int64 `json:"records_pruned"`
 
