@@ -74,20 +74,21 @@ docs:
 # bytes, the records' JSON wire form, and the JSON scanner and sub-query
 # reply parser the router runs on shard replies, on top of the committed
 # corpora (which the plain test run already replays as regression
-# inputs). The
-# storage fuzzers cap minimization of each new-coverage input at 1s: their
-# kilobyte-sized file seeds otherwise spend the whole burst minimizing the
-# first interesting input and fuzz almost nothing.
+# inputs). Every
+# fuzzer caps minimization of each new-coverage input at 1s: the storage
+# fuzzers' kilobyte-sized file seeds otherwise spend the whole burst
+# minimizing the first interesting input and fuzz almost nothing, and an
+# uncapped minimization can eat any fuzzer's burst the same way.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzColumnCodecs$$' -fuzztime=10s ./internal/codec
+	$(GO) test -run='^$$' -fuzz='^FuzzColumnCodecs$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/codec
 	$(GO) test -run='^$$' -fuzz='^FuzzV3Block$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzBlockFooter$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzV2Partition$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
-	$(GO) test -run='^$$' -fuzz='^FuzzSubscriptionIndex$$' -fuzztime=10s ./internal/subscribe
-	$(GO) test -run='^$$' -fuzz='^FuzzSummarySidecar$$' -fuzztime=10s ./internal/summary
-	$(GO) test -run='^$$' -fuzz='^FuzzRecordJSON$$' -fuzztime=10s ./internal/stdata
-	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=10s ./internal/jsonenc
-	$(GO) test -run='^$$' -fuzz='^FuzzSubQueryResponse$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzSubscriptionIndex$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/subscribe
+	$(GO) test -run='^$$' -fuzz='^FuzzSummarySidecar$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/summary
+	$(GO) test -run='^$$' -fuzz='^FuzzRecordJSON$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/stdata
+	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/jsonenc
+	$(GO) test -run='^$$' -fuzz='^FuzzSubQueryResponse$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 
 # check is the full pre-merge gate: vet, the docs gate, build, the
 # race-enabled short suite (fast gate over every package — fuzz corpora,
@@ -99,7 +100,8 @@ fuzz-smoke:
 # dataset and run one query, drive stingest's full tail-append-compact
 # loop in-process, and bring up a 2-shard fleet plus router on loopback
 # and check a pruned query scatters to fewer shards than the map holds.
-# The pinned-partition load and probe benchmarks, the record-encoding
+# The column decode benchmarks, the pinned-partition load and probe
+# benchmarks (random-float and datagen.NYC stores), the record-encoding
 # benchmarks, the sub-reply parse benchmark, the trajectory conversion
 # benchmarks and the pruned-selection benchmarks run once each, so they
 # cannot rot.
@@ -118,7 +120,7 @@ check:
 	$(GO) test -race -count=1 -run TestIngestSmoke ./cmd/stingest
 	$(GO) test -race -count=1 -run TestClusterSmoke ./cmd/strouter
 	$(GO) test -race -count=1 -run TestApproxBytesSmoke ./internal/stdata
-	$(GO) test -run '^$$' -bench 'LoadBase|BaseProbe|RecordJSON|ServeQueryRecords|ParseSubQueryResponse|TrajToSpatialMap|TrajToRaster|SelectPruned' -benchtime=1x ./internal/stdata ./internal/serve ./internal/convert ./internal/selection
+	$(GO) test -run '^$$' -bench 'ColumnDecode|LoadBase|BaseProbe|RecordJSON|ServeQueryRecords|ParseSubQueryResponse|TrajToSpatialMap|TrajToRaster|SelectPruned' -benchtime=1x ./internal/codec ./internal/stdata ./internal/serve ./internal/convert ./internal/selection
 	$(GO) test -race -count=1 -run TestPointPatSmoke ./internal/pointpat
 	(cd benchmark && $(GO) test ./...)
 

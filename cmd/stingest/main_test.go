@@ -190,11 +190,11 @@ func TestMigrateLegacyGoldens(t *testing.T) {
 			run  func() error
 		}{
 			{"ReadBase", func() error {
-				_, _, err := storage.ReadBase(dir, meta, 0, stdata.EventRecC, nil)
+				_, _, _, err := storage.ReadBase(dir, meta, 0, stdata.EventRecC, nil)
 				return err
 			}},
 			{"ReadDelta", func() error {
-				_, _, err := storage.ReadDelta(dir, legacyDelta, stdata.EventRecC)
+				_, _, _, err := storage.ReadDelta(dir, legacyDelta, stdata.EventRecC, nil)
 				return err
 			}},
 			{"ReadPartitionPruned", func() error {
@@ -253,7 +253,7 @@ func TestMigrateLegacyGoldens(t *testing.T) {
 		}
 		migratedDelta := storage.DeltaMeta{PartitionMeta: meta.Partitions[0]}
 		entries[1].run = func() error {
-			_, _, err := storage.ReadDelta(dir, migratedDelta, stdata.EventRecC)
+			_, _, _, err := storage.ReadDelta(dir, migratedDelta, stdata.EventRecC, nil)
 			return err
 		}
 		for _, e := range entries {

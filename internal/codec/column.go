@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
 	"st4ml/internal/index"
@@ -107,27 +108,24 @@ func (w *Writer) PutInt64Col(vals []int64) {
 // ErrCorrupt.
 func Int64Col(payload []byte, n int, dst []int64) []int64 {
 	colCheckN(n)
-	out := dst[:0]
 	if n == 0 {
 		if len(payload) != 0 {
 			panic(ErrCorrupt{Off: 0})
 		}
-		return out
+		return dst[:0]
 	}
+	out := slices.Grow(dst[:0], n)[:n]
 	r := NewReader(payload)
 	switch r.colByte() {
 	case colConst:
 		v := r.Varint()
-		for i := 0; i < n; i++ {
-			out = append(out, v)
+		for i := range out {
+			out[i] = v
 		}
 	case colDelta:
-		v := r.Varint()
-		out = append(out, v)
-		for i := 1; i < n; i++ {
-			v += r.Varint()
-			out = append(out, v)
-		}
+		// The first value is a delta from zero, so one running sum over
+		// the whole stream rebuilds every value.
+		r.off = varintRun(payload, r.off, 0, out)
 	default:
 		panic(ErrCorrupt{Off: 0})
 	}
@@ -135,6 +133,74 @@ func Int64Col(payload []byte, n int, dst []int64) []int64 {
 		r.corrupt()
 	}
 	return out
+}
+
+// varintRun decodes len(out) zig-zag varints from b[off:] as a running
+// sum — out[i] is sum plus the first i+1 values, wrapping two's-complement
+// — and returns the offset past the last one. It is the column decoders'
+// one varint kernel: the 1-, 2- and 3-byte encodings, which carry nearly
+// every delta of a clustered column, decode inline, and anything longer
+// goes through binary.Uvarint, so the kernel accepts exactly what
+// binary.Varint does — the same values and lengths, non-canonical
+// encodings included — and panics ErrCorrupt, at the failing varint's
+// offset, on short input and on overlong input (an 11th byte, or a 10th
+// byte above 1).
+func varintRun(b []byte, off int, sum int64, out []int64) int {
+	for i := range out {
+		var x uint64
+		switch {
+		case off < len(b) && b[off] < 0x80:
+			x = uint64(b[off])
+			off++
+		case off+1 < len(b) && b[off+1] < 0x80:
+			x = uint64(b[off]&0x7f) | uint64(b[off+1])<<7
+			off += 2
+		case off+2 < len(b) && b[off+2] < 0x80:
+			x = uint64(b[off]&0x7f) | uint64(b[off+1]&0x7f)<<7 | uint64(b[off+2])<<14
+			off += 3
+		default:
+			v, n := binary.Uvarint(b[off:])
+			if n <= 0 {
+				panic(ErrCorrupt{Off: off})
+			}
+			x = v
+			off += n
+		}
+		sum += int64(x>>1) ^ -int64(x&1)
+		out[i] = sum
+	}
+	return off
+}
+
+// floatRunChunk is how many running sums Float64Col decodes into a stack
+// buffer before converting them to floats.
+const floatRunChunk = 256
+
+// floatRun fills out from the varint running sum starting at sum in
+// b[off:] and returns the offset past the last varint. Each sum is the
+// bit pattern of its float when bits is set (a wrapping int64 sum is the
+// same bits as a uint64 one), else the integer a quant column scales by
+// 1/scale. The sums go through a stack buffer a chunk at a time, so a
+// float column decodes with the integer columns' kernel and no
+// allocation.
+func floatRun(b []byte, off int, sum int64, out []float64, bits bool, scale float64) int {
+	var buf [floatRunChunk]int64
+	for len(out) > 0 {
+		sums := buf[:min(len(out), len(buf))]
+		off = varintRun(b, off, sum, sums)
+		if bits {
+			for i, v := range sums {
+				out[i] = math.Float64frombits(uint64(v))
+			}
+		} else {
+			for i, v := range sums {
+				out[i] = float64(v) / scale
+			}
+		}
+		sum = sums[len(sums)-1]
+		out = out[len(sums):]
+	}
+	return off
 }
 
 // pow10 are the decimal grids the quant mode probes, up to 1e-7 — finer
@@ -221,39 +287,30 @@ func (w *Writer) PutFloat64Col(vals []float64) {
 // dst's capacity. Panics ErrCorrupt on malformed input.
 func Float64Col(payload []byte, n int, dst []float64) []float64 {
 	colCheckN(n)
-	out := dst[:0]
 	if n == 0 {
 		if len(payload) != 0 {
 			panic(ErrCorrupt{Off: 0})
 		}
-		return out
+		return dst[:0]
 	}
+	out := slices.Grow(dst[:0], n)[:n]
 	r := NewReader(payload)
 	switch r.colByte() {
 	case colConst:
 		v := r.Float64()
-		for i := 0; i < n; i++ {
-			out = append(out, v)
+		for i := range out {
+			out[i] = v
 		}
 	case colQuant:
 		e := r.colByte()
 		if int(e) >= len(pow10) {
 			r.corrupt()
 		}
-		s := pow10[e]
-		q := r.Varint()
-		out = append(out, float64(q)/s)
-		for i := 1; i < n; i++ {
-			q += r.Varint()
-			out = append(out, float64(q)/s)
-		}
+		r.off = floatRun(payload, r.off, 0, out, false, pow10[e])
 	case colBits:
-		b := math.Float64bits(r.Float64())
-		out = append(out, math.Float64frombits(b))
-		for i := 1; i < n; i++ {
-			b += uint64(r.Varint())
-			out = append(out, math.Float64frombits(b))
-		}
+		b := r.Float64()
+		out[0] = b
+		r.off = floatRun(payload, r.off, int64(math.Float64bits(b)), out[1:], true, 0)
 	default:
 		panic(ErrCorrupt{Off: 0})
 	}
@@ -315,19 +372,19 @@ func (w *Writer) PutStringCol(vals []string) {
 // out-of-range dictionary indexes.
 func StringCol(payload []byte, n int, dst []string) []string {
 	colCheckN(n)
-	out := dst[:0]
 	if n == 0 {
 		if len(payload) != 0 {
 			panic(ErrCorrupt{Off: 0})
 		}
-		return out
+		return dst[:0]
 	}
+	out := slices.Grow(dst[:0], n)[:n]
 	r := NewReader(payload)
 	switch r.colByte() {
 	case colConst:
 		v := r.String()
-		for i := 0; i < n; i++ {
-			out = append(out, v)
+		for i := range out {
+			out[i] = v
 		}
 	case colDict:
 		dn := int(r.Uvarint())
@@ -338,16 +395,23 @@ func StringCol(payload []byte, n int, dst []string) []string {
 		for i := range dict {
 			dict[i] = r.String()
 		}
-		for i := 0; i < n; i++ {
-			di := r.Uvarint()
+		for i := range out {
+			// An index below 128 is one byte.
+			var di uint64
+			if r.off < len(r.b) && r.b[r.off] < 0x80 {
+				di = uint64(r.b[r.off])
+				r.off++
+			} else {
+				di = r.Uvarint()
+			}
 			if di >= uint64(dn) {
 				r.corrupt()
 			}
-			out = append(out, dict[di])
+			out[i] = dict[di]
 		}
 	case colPlain:
-		for i := 0; i < n; i++ {
-			out = append(out, r.String())
+		for i := range out {
+			out[i] = r.String()
 		}
 	default:
 		panic(ErrCorrupt{Off: 0})
@@ -410,7 +474,9 @@ func (b *ColBlock) SetPayload(stream []byte, lens []int64) {
 	off := int64(0)
 	b.payOff = append(b.payOff, 0)
 	for _, l := range lens {
-		if l < 0 || off+l > int64(len(stream)) {
+		// Compared against what is left, not as off+l, which a pair of
+		// huge lengths can wrap back into range.
+		if l < 0 || l > int64(len(stream))-off {
 			panic(ErrCorrupt{Off: int(off)})
 		}
 		off += l
@@ -434,9 +500,12 @@ func (b *ColBlock) PaySpan(i int) []byte {
 type Columnar[T any] struct {
 	// Point marks that (Lon[i], Lat[i], T[i]) is record i's exact ST
 	// extent, so a reader may filter records against query windows on the
-	// decoded columns alone, before Join materializes them. Leave false
-	// for extended records (trajectories) whose extent the columns only
-	// summarize; those filter through Extent instead.
+	// decoded columns alone, before Join materializes them, and a pinned
+	// partition takes the record's box from the same columns — the box
+	// must equal, bit for bit, the one the schema's box function gives
+	// the joined record. Leave false for extended records (trajectories)
+	// whose extent the columns only summarize; those filter through Extent
+	// instead.
 	Point bool
 	// HasStr marks that Split fills the Str column (the schema's
 	// dictionary-friendly string attribute).

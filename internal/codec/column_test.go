@@ -282,6 +282,8 @@ func TestColBlockPayloadSpans(t *testing.T) {
 		"short":    {2, 2},
 		"long":     {2, 4},
 		"negative": {-1, 6},
+		// The running sum wraps int64 back to 5, the stream's length.
+		"wrapping": {1, math.MaxInt64, math.MaxInt64, 6},
 	} {
 		if err := Catch(func() { b.SetPayload(stream, lens) }); err == nil {
 			t.Fatalf("%s spans accepted", name)
@@ -291,8 +293,10 @@ func TestColBlockPayloadSpans(t *testing.T) {
 
 // FuzzColumnCodecs drives all three column decoders plus the framed
 // round-trip from one corpus. Invariants: decoders never panic outside
-// Catch; values derived from the input round-trip exactly; and a single
-// byte flip anywhere in a CRC-framed column is always caught.
+// Catch; each decoder returns what its per-value reference decoder
+// returns, bit for bit, or fails exactly when the reference fails; values
+// derived from the input round-trip exactly; and a single byte flip
+// anywhere in a CRC-framed column is always caught.
 func FuzzColumnCodecs(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{colConst, 2}, uint16(1))
@@ -315,6 +319,7 @@ func FuzzColumnCodecs(f *testing.F) {
 		}
 		_ = Catch(func() { Float64Col(data, n, nil) })
 		_ = Catch(func() { StringCol(data, n, nil) })
+		checkColumnOracle(t, data, n)
 
 		// 2. Round-trip identity over values derived from the input.
 		if len(data) > 0 {

@@ -57,9 +57,11 @@ func Box3(m geom.MBR, d tempo.Duration) Box {
 	return b
 }
 
-// BoxOfPoint embeds a 2-d point and instant as a degenerate box.
+// BoxOfPoint embeds a 2-d point and instant as a degenerate box: the
+// Box3 of the point's MBR and the instant, built as one literal.
 func BoxOfPoint(p geom.Point, t int64) Box {
-	return Box3(p.MBR(), tempo.Instant(t))
+	ft := float64(t)
+	return Box{Min: [Dims]float64{p.X, p.Y, ft}, Max: [Dims]float64{p.X, p.Y, ft}}
 }
 
 // Spatial extracts the spatial MBR from the box.

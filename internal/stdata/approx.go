@@ -210,7 +210,7 @@ func (s schema[T]) approxPartition(
 		if dm.Count == 0 || !dm.Box().Intersects(wb) {
 			continue // manifest bounds prove no record can match
 		}
-		recs, _, err := storage.ReadDelta(dir, dm, s.spec.Codec)
+		recs, _, _, err := storage.ReadDelta(dir, dm, s.spec.Codec, nil)
 		if err != nil {
 			acc.EndPartition(nil)
 			return err

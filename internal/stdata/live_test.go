@@ -257,7 +257,7 @@ func runIndexWall[T any](t *testing.T, name string, s schema[T], dir string, met
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRecs, _, err := storage.ReadBase(dir, meta, 0, s.spec.Codec, nil)
+	baseRecs, _, _, err := storage.ReadBase(dir, meta, 0, s.spec.Codec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func runIndexWall[T any](t *testing.T, name string, s schema[T], dir string, met
 func TestSegmentMatchesLinearScan(t *testing.T) {
 	nyc := registry["nyc"].(schema[EventRec])
 	porto := registry["porto"].(schema[TrajRec])
-	checkRunIndex(t, "empty", nyc, nyc.pin(nil, 0, false), []EventRec(nil))
+	checkRunIndex(t, "empty", nyc, nyc.pin(nil, nil, 0, false), []EventRec(nil))
 	// 12500 records is a full partition of the benchmark's serve corpus.
 	for _, n := range []int{1, 15, 16, 17, 33, 12500} {
 		for _, noCluster := range []bool{false, true} {

@@ -360,12 +360,10 @@ type segment[T any] struct {
 	delta bool
 }
 
-// pin builds the segment over recs, a file of fileBytes encoded bytes.
-func (s schema[T]) pin(recs []T, fileBytes int64, delta bool) *segment[T] {
-	boxes := make([]index.Box, len(recs))
-	for i, rec := range recs {
-		boxes[i] = s.spec.BoxOf(rec)
-	}
+// pin builds the segment over recs, a file of fileBytes encoded bytes, and
+// boxes, record i's box at boxes[i] — the boxes the storage reader returns
+// beside the records, so pinning calls no BoxOf.
+func (s schema[T]) pin(recs []T, boxes []index.Box, fileBytes int64, delta bool) *segment[T] {
 	return &segment[T]{
 		recs:  recs,
 		idx:   index.NewRuns(boxes),
@@ -447,21 +445,21 @@ func (s schema[T]) LoadPartition(dir string, meta *storage.Metadata, id int) (Pa
 
 func (s schema[T]) LoadBase(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error) {
 	// The pinned handle serves arbitrary later windows, so the whole file is
-	// decoded (nil windows — no block pruning); the stats still report the
-	// block and byte volume the load cost.
-	recs, st, err := storage.ReadBase(dir, meta, id, s.spec.Codec, nil)
+	// decoded (no block pruning); the stats still report the block and byte
+	// volume the load cost.
+	recs, boxes, st, err := storage.ReadBase(dir, meta, id, s.spec.Codec, s.spec.BoxOf)
 	if err != nil {
 		return nil, st, err
 	}
-	return s.pin(recs, meta.Partitions[id].Bytes, false), st, nil
+	return s.pin(recs, boxes, meta.Partitions[id].Bytes, false), st, nil
 }
 
 func (s schema[T]) LoadDelta(dir string, dm storage.DeltaMeta) (Partition, storage.ReadStats, error) {
-	recs, st, err := storage.ReadDelta(dir, dm, s.spec.Codec)
+	recs, boxes, st, err := storage.ReadDelta(dir, dm, s.spec.Codec, s.spec.BoxOf)
 	if err != nil {
 		return nil, st, err
 	}
-	return s.pin(recs, dm.Bytes, true), st, nil
+	return s.pin(recs, boxes, dm.Bytes, true), st, nil
 }
 
 func (s schema[T]) LiveView(base Partition, deltas []Partition) (Partition, error) {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"st4ml/internal/codec"
+	"st4ml/internal/geom"
 	"st4ml/internal/index"
 )
 
@@ -297,13 +298,19 @@ func pointInAny(lon, lat float64, t int64, windows []index.Box) bool {
 // window pruning with an explicit block-index selection (the approximate
 // path's boundary-block scan); record counts are then not cross-checked
 // against metadata, since only a subset is read.
+//
+// A non-nil boxOf asks for each returned record's box as well, in a slice
+// parallel to the records: a native point file takes it from the decoded
+// (lon, lat, t) columns — the tuple the window test above already trusts
+// as the record's exact extent — and any other file from boxOf(rec) as
+// each record is built. A nil boxOf returns nil boxes.
 func readPartitionV3Once[T any](
 	dir string, pm PartitionMeta, c codec.Codec[T], windows []index.Box,
-	blockSet map[int]bool,
-) ([]T, ReadStats, error) {
+	blockSet map[int]bool, boxOf func(T) index.Box,
+) ([]T, []index.Box, ReadStats, error) {
 	f, profile, blocks, footerOff, size, err := readFooterV3(filepath.Join(dir, pm.File))
 	if err != nil {
-		return nil, ReadStats{}, err
+		return nil, nil, ReadStats{}, err
 	}
 	defer f.Close()
 	native := profile&v3Native != 0
@@ -311,7 +318,7 @@ func readPartitionV3Once[T any](
 		// The columns a native file holds are the ones its writer's schema
 		// split records into; any other schema would index columns that
 		// are not there.
-		return nil, ReadStats{}, fmt.Errorf(
+		return nil, nil, ReadStats{}, fmt.Errorf(
 			"storage: partition %s has column layout %#x, the codec's columnar schema writes %#x",
 			pm.File, profile, colProfile(c))
 	}
@@ -335,15 +342,20 @@ func readPartitionV3Once[T any](
 	}
 	st.BlocksScanned = len(scan)
 	if windows == nil && blockSet == nil && expect != pm.Count {
-		return nil, ReadStats{}, fmt.Errorf(
+		return nil, nil, ReadStats{}, fmt.Errorf(
 			"storage: partition %s footer counts %d records, metadata says %d: %w",
 			pm.File, expect, pm.Count, codec.ErrCorrupt{Off: int(footerOff)})
 	}
 
-	filter := native && profile&v3Point != 0 && len(windows) > 0
-	extent := native && profile&v3Point == 0 && len(windows) > 0 && c.Col.Extent != nil
+	point := native && profile&v3Point != 0
+	filter := point && len(windows) > 0
+	extent := native && !point && len(windows) > 0 && c.Col.Extent != nil
 	hasStr := profile&v3HasStr != 0
 	out := make([]T, 0, capHint(expect))
+	var boxes []index.Box
+	if boxOf != nil {
+		boxes = make([]index.Box, 0, capHint(expect))
+	}
 	var materialized int64
 	cb := codec.GetColBlock()
 	defer codec.PutColBlock(cb)
@@ -354,7 +366,7 @@ func readPartitionV3Once[T any](
 			err = codec.ErrCorrupt{Off: int(bm.Offset)}
 		}
 		if err != nil {
-			return nil, ReadStats{}, fmt.Errorf("storage: partition %s: %w", pm.File, err)
+			return nil, nil, ReadStats{}, fmt.Errorf("storage: partition %s: %w", pm.File, err)
 		}
 		st.BytesRead += bm.Stored
 		decErr := codec.Catch(func() {
@@ -371,7 +383,11 @@ func readPartitionV3Once[T any](
 				st.RawBytes += bm.Raw
 				rr := codec.NewReader(pay)
 				for j := 0; j < n; j++ {
-					out = append(out, c.Dec(rr))
+					rec := c.Dec(rr)
+					out = append(out, rec)
+					if boxOf != nil {
+						boxes = append(boxes, boxOf(rec))
+					}
 				}
 				materialized += int64(n)
 				if rr.Remaining() != 0 {
@@ -414,23 +430,31 @@ func readPartitionV3Once[T any](
 					}
 				}
 				pr.ResetBytes(span)
-				out = append(out, c.Col.Join(cb, i, pr))
+				rec := c.Col.Join(cb, i, pr)
+				out = append(out, rec)
 				materialized++
 				if pr.Remaining() != 0 {
 					panic(codec.ErrCorrupt{Off: len(span)})
+				}
+				if boxOf != nil {
+					if point {
+						boxes = append(boxes, index.BoxOfPoint(geom.Pt(cb.Lon[i], cb.Lat[i]), cb.T[i]))
+					} else {
+						boxes = append(boxes, boxOf(rec))
+					}
 				}
 			}
 		})
 		codec.PutBuf(stored)
 		if decErr != nil {
-			return nil, ReadStats{}, fmt.Errorf("storage: partition %s block at %d: %w",
+			return nil, nil, ReadStats{}, fmt.Errorf("storage: partition %s block at %d: %w",
 				pm.File, bm.Offset, decErr)
 		}
 	}
 	if windows == nil && blockSet == nil && materialized != pm.Count {
-		return nil, ReadStats{}, fmt.Errorf(
+		return nil, nil, ReadStats{}, fmt.Errorf(
 			"storage: partition %s decoded %d records, metadata says %d: %w",
 			pm.File, materialized, pm.Count, codec.ErrCorrupt{Off: 0})
 	}
-	return out, st, nil
+	return out, boxes, st, nil
 }

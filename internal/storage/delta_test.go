@@ -393,7 +393,7 @@ func TestDeltaCrossFormatMerge(t *testing.T) {
 	if _, _, err := ReadPartitionPruned(dir, meta, 0, recC, nil); !errors.As(err, &le) || le.Version != 2 {
 		t.Fatalf("v2 base read: %v, want ErrLegacyFormat v2", err)
 	}
-	if _, _, err := ReadDelta(dir, dm, recC); !errors.As(err, &le) || le.File != dm.File || le.Version != 2 {
+	if _, _, _, err := ReadDelta(dir, dm, recC, nil); !errors.As(err, &le) || le.File != dm.File || le.Version != 2 {
 		t.Fatalf("v2 delta read: %v, want ErrLegacyFormat naming %s", err, dm.File)
 	}
 	if err := meta.CheckFormat(dir); !errors.As(err, &le) {

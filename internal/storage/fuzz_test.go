@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -194,6 +196,11 @@ func FuzzV3Block(f *testing.F) {
 	// its footer bounds, and record 3 — the stray-byte seed's bad one —
 	// pruned by its extent.
 	extWindows := []index.Box{xrecBox(line[1])}
+	win := []index.Box{{
+		Min: [index.Dims]float64{0, 0, 0},
+		Max: [index.Dims]float64{5, 5, 500},
+	}}
+	f.Add(payLenWrapSeed(f, win))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := readBytesAsPartition(t, metaNative, data, nil)
 		if err == nil && int64(len(out)) != metaNative.Partitions[0].Count {
@@ -203,10 +210,6 @@ func FuzzV3Block(f *testing.F) {
 		// Columnar-pruned scan: the per-record predicate runs on decoded
 		// columns, so corruption must still surface as an error, never a
 		// panic or silent wrong output.
-		win := []index.Box{{
-			Min: [index.Dims]float64{0, 0, 0},
-			Max: [index.Dims]float64{5, 5, 500},
-		}}
 		if _, err := readBytesAsPartition(t, metaNative, data, win); err != nil {
 			_ = err
 		}
@@ -321,5 +324,76 @@ func TestV3SchemaMismatchErrors(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, parts[0]) {
 		t.Fatal("generic v3 file decoded to different records")
+	}
+}
+
+// payLenWrapSeed is writeFuzzSeed's native file rewritten as one block
+// whose payload span lengths sum, wrapping int64, to the length of a
+// one-byte payload stream: {1, MaxInt64, MaxInt64, 2} at the first
+// record win prunes that is followed by one it keeps, zero elsewhere. The
+// PayLen column is a plain delta stream under a valid CRC, so only the
+// span validation stands between these lengths and a slice expression
+// with a negative bound on the kept record.
+func payLenWrapSeed(t testing.TB, win []index.Box) []byte {
+	t.Helper()
+	raw, meta, recs := writeFuzzSeed(t, 3, false, 64)
+	lens := make([]int64, len(recs))
+	for a := 0; a+4 <= len(recs); a++ {
+		if !boxIntersectsAny(recBox(recs[a]), win) && boxIntersectsAny(recBox(recs[a+1]), win) {
+			copy(lens[a:], []int64{1, math.MaxInt64, math.MaxInt64, 2})
+			break
+		}
+	}
+	var cols []byte
+	if err := codec.Catch(func() {
+		r := codec.NewReader(raw[blockHeaderLen:])
+		br := codec.NewReader(r.Frame())
+		n := br.Uvarint()
+		w := codec.NewWriter(0)
+		w.PutUvarint(n)
+		for i := 0; i < 5; i++ { // ids, lon, lat, t, str: kept as written
+			w.PutFrame(br.Frame())
+		}
+		cols = w.Bytes()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	lw := codec.NewWriter(0)
+	lw.PutInt64Col(lens)
+	bw := codec.NewWriter(0)
+	bw.PutRaw(cols)
+	bw.PutFrame(lw.Bytes())
+	bw.PutFrame([]byte{0})
+	block := bw.Bytes()
+	out := codec.NewWriter(0)
+	out.PutRaw([]byte(v3Magic))
+	out.PutFrame(block)
+	footerOff := int64(out.Len())
+	bounds := index.EmptyBox()
+	for _, v := range recs {
+		bounds = bounds.Union(recBox(v))
+	}
+	fw := codec.NewWriter(0)
+	fw.PutRaw([]byte{colProfile(recC)})
+	encodeFooter(fw, []BlockMeta{{Offset: blockHeaderLen, Stored: footerOff - blockHeaderLen,
+		Raw: int64(len(block)), Count: meta.Partitions[0].Count, Bounds: bounds}})
+	out.PutFrame(fw.Bytes())
+	var trailer [trailerLen]byte
+	binary.LittleEndian.PutUint64(trailer[:8], uint64(footerOff))
+	copy(trailer[8:], v3TrailerMagic)
+	out.PutRaw(trailer[:])
+	return out.Bytes()
+}
+
+// TestPayLenWrapRejected pins payLenWrapSeed's outcome: both the whole
+// read and the windowed one fail with a corruption error.
+func TestPayLenWrapRejected(t *testing.T) {
+	_, meta, _ := writeFuzzSeed(t, 3, false, 8)
+	win := []index.Box{{Max: [index.Dims]float64{5, 5, 500}}}
+	seed := payLenWrapSeed(t, win)
+	for _, w := range [][]index.Box{nil, win} {
+		if _, err := readBytesAsPartition(t, meta, seed, w); !errors.As(err, new(codec.ErrCorrupt)) {
+			t.Fatalf("windows %v: read returned %v, want a corruption error", w, err)
+		}
 	}
 }

@@ -58,20 +58,22 @@ func readForCompaction[T any](dir string, meta *Metadata, i int, c codec.Codec[T
 // version: v3 through the query path's reader, v2 and v1 through the
 // legacy readers. A checksum mismatch is retried like any partition read.
 func readAnyFormat[T any](dir string, meta *Metadata, pm PartitionMeta, version int, c codec.Codec[T]) ([]T, error) {
-	out, _, err := readWithRetry(pm.File, func() ([]T, ReadStats, error) {
-		var recs []T
-		var err error
+	var recs []T
+	err := readWithRetry(pm.File, func() (err error) {
 		switch {
 		case version >= FormatVersion:
-			recs, _, err = readPartitionV3Once[T](dir, pm, c, nil, nil)
+			recs, _, _, err = readPartitionV3Once[T](dir, pm, c, nil, nil, nil)
 		case version == 2:
 			recs, err = readV2[T](dir, meta.Compressed, pm, c)
 		default:
 			recs, err = readV1[T](dir, meta, pm, c)
 		}
-		return recs, ReadStats{}, err
+		return err
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
 }
 
 // Gzip readers are pooled: Reset-able and expensive to construct (each

@@ -402,7 +402,7 @@ func ReadPartition[T any](dir string, meta *Metadata, i int, c codec.Codec[T]) (
 func ReadPartitionPruned[T any](
 	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box,
 ) ([]T, ReadStats, error) {
-	out, st, err := ReadBase(dir, meta, i, c, windows)
+	out, _, st, err := readBase(dir, meta, i, c, windows, nil, nil)
 	if err != nil {
 		return nil, ReadStats{}, err
 	}
@@ -412,7 +412,7 @@ func ReadPartitionPruned[T any](
 			st.DeltasPruned++
 			continue
 		}
-		drecs, dst, err := readDelta(dir, dm, c, windows)
+		drecs, _, dst, err := readDelta(dir, dm, c, windows, nil)
 		if err != nil {
 			return nil, ReadStats{}, err
 		}
@@ -422,32 +422,45 @@ func ReadPartitionPruned[T any](
 	return out, st, nil
 }
 
-// ReadBase decodes partition i's base file alone, without the delta files
-// the manifest attaches to it — the immutable half of the live view, which
-// the serving cache pins under the file's name so appends never evict it.
-// windows prune blocks exactly as in ReadPartitionPruned.
+// ReadBase decodes partition i's base file alone, in full, without the
+// delta files the manifest attaches to it — the immutable half of the live
+// view, which the serving cache pins under the file's name so appends
+// never evict it. A non-nil boxOf also returns each record's box, in a
+// slice parallel to the records (the serving cache's pinned boxes): a
+// native point file's come from its decoded (lon, lat, t) columns, any
+// other file's from boxOf. A nil boxOf returns nil boxes.
 func ReadBase[T any](
-	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box,
-) ([]T, ReadStats, error) {
-	return readBase(dir, meta, i, c, windows, nil)
+	dir string, meta *Metadata, i int, c codec.Codec[T], boxOf func(T) index.Box,
+) ([]T, []index.Box, ReadStats, error) {
+	return readBase(dir, meta, i, c, nil, nil, boxOf)
 }
 
 // readBase reads partition i's base file, pruning blocks against windows,
-// or — when blockSet is non-nil — reading exactly the blocks it lists.
+// or — when blockSet is non-nil — reading exactly the blocks it lists;
+// boxOf is readPartitionV3Once's.
 func readBase[T any](
-	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box, blockSet map[int]bool,
-) ([]T, ReadStats, error) {
+	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box,
+	blockSet map[int]bool, boxOf func(T) index.Box,
+) ([]T, []index.Box, ReadStats, error) {
 	if i < 0 || i >= len(meta.Partitions) {
-		return nil, ReadStats{}, fmt.Errorf(
+		return nil, nil, ReadStats{}, fmt.Errorf(
 			"storage: partition %d out of range [0,%d)", i, len(meta.Partitions))
 	}
 	pm := meta.Partitions[i]
 	if err := checkFormat(dir, pm.File, meta.partitionFormat(i)); err != nil {
-		return nil, ReadStats{}, err
+		return nil, nil, ReadStats{}, err
 	}
-	return readWithRetry(pm.File, func() ([]T, ReadStats, error) {
-		return readPartitionV3Once[T](dir, pm, c, windows, blockSet)
+	var recs []T
+	var boxes []index.Box
+	var st ReadStats
+	err := readWithRetry(pm.File, func() (err error) {
+		recs, boxes, st, err = readPartitionV3Once[T](dir, pm, c, windows, blockSet, boxOf)
+		return err
 	})
+	if err != nil {
+		return nil, nil, ReadStats{}, err
+	}
+	return recs, boxes, st, nil
 }
 
 // partitionFormat returns the file format of partition i's base file: its
@@ -523,24 +536,32 @@ func (m *Metadata) checkPartition(dir string, i int) error {
 // serving cache pins under the file's name. It reads exactly like the
 // merge-on-read path, so a pushed record is byte-identical to the same
 // record surfaced by a batch query. The stats count the file as one delta
-// read.
-func ReadDelta[T any](dir string, dm DeltaMeta, c codec.Codec[T]) ([]T, ReadStats, error) {
-	return readDelta(dir, dm, c, nil)
+// read. boxOf returns the records' boxes as in ReadBase.
+func ReadDelta[T any](
+	dir string, dm DeltaMeta, c codec.Codec[T], boxOf func(T) index.Box,
+) ([]T, []index.Box, ReadStats, error) {
+	return readDelta(dir, dm, c, nil, boxOf)
 }
 
 // readDelta decodes one delta file, pruning blocks against windows.
-func readDelta[T any](dir string, dm DeltaMeta, c codec.Codec[T], windows []index.Box) ([]T, ReadStats, error) {
+func readDelta[T any](
+	dir string, dm DeltaMeta, c codec.Codec[T], windows []index.Box, boxOf func(T) index.Box,
+) ([]T, []index.Box, ReadStats, error) {
 	if err := checkFormat(dir, dm.File, deltaFormat(dm)); err != nil {
-		return nil, ReadStats{}, err
+		return nil, nil, ReadStats{}, err
 	}
-	recs, st, err := readWithRetry(dm.File, func() ([]T, ReadStats, error) {
-		return readPartitionV3Once[T](dir, dm.PartitionMeta, c, windows, nil)
+	var recs []T
+	var boxes []index.Box
+	var st ReadStats
+	err := readWithRetry(dm.File, func() (err error) {
+		recs, boxes, st, err = readPartitionV3Once[T](dir, dm.PartitionMeta, c, windows, nil, boxOf)
+		return err
 	})
 	if err != nil {
-		return nil, ReadStats{}, err
+		return nil, nil, ReadStats{}, err
 	}
 	st.DeltaFiles, st.DeltasRead, st.DeltaRecords = 1, 1, int64(len(recs))
-	return recs, st, nil
+	return recs, boxes, st, nil
 }
 
 // boxIntersectsAny reports whether b intersects at least one window.
@@ -555,21 +576,22 @@ func boxIntersectsAny(b index.Box, windows []index.Box) bool {
 
 // readWithRetry re-runs read a bounded number of times while it fails with
 // a checksum mismatch (see maxPartitionReadAttempts); other errors return
-// immediately.
-func readWithRetry[T any](file string, read func() ([]T, ReadStats, error)) ([]T, ReadStats, error) {
+// immediately. read leaves its results with the caller, who keeps them
+// only when readWithRetry returns nil.
+func readWithRetry(file string, read func() error) error {
 	var lastErr error
 	for attempt := 0; attempt < maxPartitionReadAttempts; attempt++ {
-		out, st, err := read()
+		err := read()
 		if err == nil {
-			return out, st, nil
+			return nil
 		}
 		lastErr = err
 		var ce codec.ErrCorrupt
 		if !errors.As(err, &ce) {
-			return nil, ReadStats{}, err // I/O or structural error: retrying won't help
+			return err // I/O or structural error: retrying won't help
 		}
 	}
-	return nil, ReadStats{}, fmt.Errorf("storage: partition %s corrupt after %d reads: %w",
+	return fmt.Errorf("storage: partition %s corrupt after %d reads: %w",
 		file, maxPartitionReadAttempts, lastErr)
 }
 

@@ -118,7 +118,8 @@ func ReadPartitionBlocks[T any](
 		return nil, ReadStats{}, nil
 	}
 	// An out-of-range i falls through to readBase's range error.
-	return readBase(dir, meta, i, c, nil, want)
+	recs, _, st, err := readBase(dir, meta, i, c, nil, want, nil)
+	return recs, st, err
 }
 
 // BuildSummaries builds and commits summary sidecars for every base
@@ -158,7 +159,7 @@ func BuildSummaries[T any](
 		if err != nil {
 			return built, err
 		}
-		recs, _, err := ReadBase(dir, meta, i, c, nil)
+		recs, _, _, err := ReadBase(dir, meta, i, c, nil)
 		if err != nil {
 			return built, err
 		}
