@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"st4ml/internal/codec"
@@ -338,11 +339,18 @@ func payLenWrapSeed(t testing.TB, win []index.Box) []byte {
 	t.Helper()
 	raw, meta, recs := writeFuzzSeed(t, 3, false, 64)
 	lens := make([]int64, len(recs))
+	placed := false
 	for a := 0; a+4 <= len(recs); a++ {
 		if !boxIntersectsAny(recBox(recs[a]), win) && boxIntersectsAny(recBox(recs[a+1]), win) {
 			copy(lens[a:], []int64{1, math.MaxInt64, math.MaxInt64, 2})
+			placed = true
 			break
 		}
+	}
+	if !placed {
+		// All-zero lengths would fail on their sum alone, never reaching
+		// the wrap.
+		t.Fatal("no record win prunes is followed by one it keeps")
 	}
 	var cols []byte
 	if err := codec.Catch(func() {
@@ -360,6 +368,12 @@ func payLenWrapSeed(t testing.TB, win []index.Box) []byte {
 	}
 	lw := codec.NewWriter(0)
 	lw.PutInt64Col(lens)
+	var got []int64
+	if err := codec.Catch(func() {
+		got = codec.Int64Col(lw.Bytes(), len(lens), nil)
+	}); err != nil || !slices.Equal(got, lens) {
+		t.Fatalf("PayLen column decodes to %v (err %v), want %v", got, err, lens)
+	}
 	bw := codec.NewWriter(0)
 	bw.PutRaw(cols)
 	bw.PutFrame(lw.Bytes())
