@@ -26,8 +26,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -41,35 +43,62 @@ import (
 )
 
 func main() {
-	var (
-		dataset   = flag.String("dataset", "nyc", "dataset schema: "+strings.Join(stdata.SchemaNames(), "|"))
-		n         = flag.Int("n", 100_000, "record count when generating (events/trajectories/POIs)")
-		input     = flag.String("input", "", "CSV file to ingest instead of generating (nyc/porto schemas)")
-		out       = flag.String("out", "", "output dataset directory (required)")
-		gt        = flag.Int("gt", 16, "T-STR temporal granularity")
-		gs        = flag.Int("gs", 8, "T-STR spatial granularity")
-		seed      = flag.Int64("seed", 1, "generator seed")
-		blockRecs = flag.Int("block-records", 0, "records per storage block (0 = format default; smaller blocks prune harder on narrow queries)")
-		noCluster = flag.Bool("no-cluster", false, "skip the in-partition Z-order sort (blocks keep arrival order; pruning degrades)")
-		slots     = flag.Int("slots", 0, "executor slots (0 = GOMAXPROCS)")
-		traceFile = flag.String("trace", "", "write a Chrome trace-event dump of the ingest to this file")
-		appendTo  = flag.Bool("append", false, "append to the existing dataset at -out via the delta layer instead of rebuilding it")
-		batchID   = flag.String("batch", "", "idempotency id for -append: re-running with the same id is a no-op")
-		summaries = flag.Bool("summaries", false, "build approximate-query summary sidecars after writing (compaction keeps them current afterwards)")
-	)
-	flag.Parse()
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "stload: -out is required")
+	err := run(os.Args[1:], os.Stdout)
+	var usage usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &usage):
+		if usage != "" {
+			fmt.Fprintln(os.Stderr, "stload:", usage)
+		}
 		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "stload:", err)
+		os.Exit(1)
+	}
+}
+
+// usageError is a command line stload rejects before doing any work; it
+// exits 2, like a flag the parser refused (whose usageError is empty: the
+// parser already said what was wrong).
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// run parses args and performs one ingest or append, reporting to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	var (
+		dataset   = fs.String("dataset", "nyc", "dataset schema: "+strings.Join(stdata.SchemaNames(), "|"))
+		n         = fs.Int("n", 100_000, "record count when generating (events/trajectories/POIs)")
+		input     = fs.String("input", "", "CSV file to ingest instead of generating (nyc/porto schemas)")
+		out       = fs.String("out", "", "output dataset directory (required)")
+		gt        = fs.Int("gt", 16, "T-STR temporal granularity")
+		gs        = fs.Int("gs", 8, "T-STR spatial granularity")
+		seed      = fs.Int64("seed", 1, "generator seed")
+		blockRecs = fs.Int("block-records", 0, "records per storage block (0 = format default; smaller blocks prune harder on narrow queries)")
+		noCluster = fs.Bool("no-cluster", false, "skip the in-partition Z-order sort (blocks keep arrival order; pruning degrades)")
+		slots     = fs.Int("slots", 0, "executor slots (0 = GOMAXPROCS)")
+		traceFile = fs.String("trace", "", "write a Chrome trace-event dump of the ingest to this file")
+		appendTo  = fs.Bool("append", false, "append to the existing dataset at -out via the delta layer instead of rebuilding it")
+		batchID   = fs.String("batch", "", "idempotency id for -append: re-running with the same id is a no-op")
+		summaries = fs.Bool("summaries", false, "build approximate-query summary sidecars after writing (compaction keeps them current afterwards)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError("")
+	}
+	if *out == "" {
+		return usageError("-out is required")
 	}
 	sch, ok := stdata.Lookup(*dataset)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "stload: unknown dataset %q\n", *dataset)
-		os.Exit(2)
+		return usageError(fmt.Sprintf("unknown dataset %q", *dataset))
 	}
 	if *appendTo && *traceFile != "" {
-		fmt.Fprintln(os.Stderr, "stload: -trace cannot be combined with -append (an append runs outside the engine)")
-		os.Exit(2)
+		return usageError("-trace cannot be combined with -append (an append runs outside the engine)")
 	}
 	var tr *trace.Tracer
 	if *traceFile != "" {
@@ -89,58 +118,51 @@ func main() {
 	} else {
 		recs = generate(*dataset, *n, *seed)
 	}
+	if err != nil {
+		return err
+	}
 	if *appendTo {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stload:", err)
-			os.Exit(1)
-		}
 		gen, err := sch.Append(recs, *out, *batchID)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "stload:", err)
-			os.Exit(1)
+			return err
 		}
 		meta, err := storage.ReadMetadata(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "stload:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("stload: appended to %s (generation %d, %d records, %d live deltas)\n",
+		fmt.Fprintf(stdout, "stload: appended to %s (generation %d, %d records, %d live deltas)\n",
 			*out, gen, meta.TotalCount, meta.DeltaCount())
 		if *summaries {
-			buildSummaries(sch, *out)
+			return buildSummaries(stdout, sch, *out)
 		}
-		return
+		return nil
 	}
-	var meta *storage.Metadata
-	if err == nil {
-		meta, err = sch.Ingest(ctx, recs, *out, sch.DefaultPlanner(*gt, *gs), opts)
-	}
+	meta, err := sch.Ingest(ctx, recs, *out, sch.DefaultPlanner(*gt, *gs), opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stload:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("stload: wrote %d records in %d partitions to %s (v%d, %d records/block)\n",
+	fmt.Fprintf(stdout, "stload: wrote %d records in %d partitions to %s (v%d, %d records/block)\n",
 		meta.TotalCount, meta.NumPartitions(), *out, meta.Version, meta.BlockRecords)
 	if *summaries {
-		buildSummaries(sch, *out)
-	}
-	if *traceFile != "" {
-		if err := writeTrace(*traceFile, tr); err != nil {
-			fmt.Fprintln(os.Stderr, "stload:", err)
-			os.Exit(1)
+		if err := buildSummaries(stdout, sch, *out); err != nil {
+			return err
 		}
 	}
+	if *traceFile != "" {
+		return writeTrace(*traceFile, tr)
+	}
+	return nil
 }
 
 // buildSummaries backfills summary sidecars for the dataset and reports
 // how many partitions were summarized.
-func buildSummaries(sch stdata.Schema, dir string) {
+func buildSummaries(stdout io.Writer, sch stdata.Schema, dir string) error {
 	n, err := sch.BuildSummaries(dir, summary.Config{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stload:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("stload: summarized %d partitions (approximate queries answer from sidecars)\n", n)
+	fmt.Fprintf(stdout, "stload: summarized %d partitions (approximate queries answer from sidecars)\n", n)
+	return nil
 }
 
 // writeTrace dumps the tracer's spans as a Chrome trace file.

@@ -140,82 +140,74 @@ func main() {
 		Space: geom.Box(*minx, *miny, *maxx, *maxy),
 		Time:  tempo.New(*tstart, *tend),
 	}
-	if *pointpatS != "" {
-		err := runPointPat(os.Stdout, ctx, *dataset, *dir, w, pointPatOptions{
+	var err error
+	switch {
+	case *pointpatS != "":
+		err = runPointPat(os.Stdout, ctx, *dataset, *dir, w, pointPatOptions{
 			Stat: *pointpatS, Radii: *radii, Lags: *lags,
 			Partitions: *ppParts, Brute: *ppBrute,
 			Cells: *cells, TSlots: *tslots,
 			NbrCells: *nbrCells, NbrSlots: *nbrSlots, ZThresh: *zThresh,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stquery:", err)
-			os.Exit(1)
-		}
-		if *metrics {
-			fmt.Println(ctx.Metrics.Snapshot())
-		}
-		if *explain {
-			trace.Build(tr.Snapshot()).Fprint(os.Stdout)
-		}
-		if *traceFile != "" {
-			if err := writeTrace(*traceFile, tr); err != nil {
-				fmt.Fprintln(os.Stderr, "stquery:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if *approx {
-		env, err := queryApprox(ctx, *dataset, *dir, w, stdata.ApproxRequest{
+	case *approx:
+		var env *summary.Result
+		env, err = queryApprox(ctx, *dataset, *dir, w, stdata.ApproxRequest{
 			Agg: *agg, Q: *quantile, Res: *res, ScanBoundary: *approxScn,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stquery:", err)
-			os.Exit(1)
+		if err == nil {
+			printApprox(os.Stdout, env)
 		}
-		printApprox(os.Stdout, env)
-		if *metrics {
-			fmt.Println(ctx.Metrics.Snapshot())
+	default:
+		var stats selection.Stats
+		stats, err = query(ctx, *dataset, *dir, w, *full)
+		if err == nil {
+			printStats(os.Stdout, stats)
 		}
-		if *explain {
-			trace.Build(tr.Snapshot()).Fprint(os.Stdout)
-		}
-		if *traceFile != "" {
-			if err := writeTrace(*traceFile, tr); err != nil {
-				fmt.Fprintln(os.Stderr, "stquery:", err)
-				os.Exit(1)
-			}
-		}
-		return
 	}
-	stats, err := query(ctx, *dataset, *dir, w, *full)
+	if err == nil {
+		err = printEpilogue(os.Stdout, ctx, tr, *metrics, *explain, *traceFile)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stquery:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("partitions: %d/%d loaded\nrecords: %d loaded, %d selected\nbytes read: %d\n",
-		stats.LoadedPartitions, stats.TotalPartitions,
-		stats.LoadedRecords, stats.SelectedRecords, stats.LoadedBytes)
-	fmt.Printf("blocks: %d/%d scanned (%d pruned); %d bytes decompressed\n",
+}
+
+// printStats renders an exact selection's stats: what was loaded and
+// selected, then the block and columnar pruning behind it.
+func printStats(w io.Writer, stats selection.Stats) {
+	printLoaded(w, stats)
+	fmt.Fprintf(w, "blocks: %d/%d scanned (%d pruned); %d bytes decompressed\n",
 		stats.BlocksScanned, stats.BlocksTotal, stats.BlocksPruned, stats.DecompressedBytes)
 	if stats.RecordsPruned > 0 {
-		fmt.Printf("records pruned columnar: %d (v3 predicate, skipped before materialization)\n",
+		fmt.Fprintf(w, "records pruned columnar: %d (v3 predicate, skipped before materialization)\n",
 			stats.RecordsPruned)
 	}
-	if *metrics {
-		// Same counters the server's /metrics and stbench report, so every
-		// entry point speaks one metrics dialect.
-		fmt.Println(ctx.Metrics.Snapshot())
+}
+
+// printLoaded renders the partition, record and byte lines every exact
+// answer starts with, local or served.
+func printLoaded(w io.Writer, stats selection.Stats) {
+	fmt.Fprintf(w, "partitions: %d/%d loaded\nrecords: %d loaded, %d selected\nbytes read: %d\n",
+		stats.LoadedPartitions, stats.TotalPartitions,
+		stats.LoadedRecords, stats.SelectedRecords, stats.LoadedBytes)
+}
+
+// printEpilogue ends every local mode: the engine counter snapshot for
+// -metrics (the same counters the server's /metrics and stbench report, so
+// every entry point speaks one metrics dialect), the span-derived report
+// for -explain and the Chrome trace file for -trace.
+func printEpilogue(w io.Writer, ctx *engine.Context, tr *trace.Tracer, metrics, explain bool, traceFile string) error {
+	if metrics {
+		fmt.Fprintln(w, ctx.Metrics.Snapshot())
 	}
-	if *explain {
-		trace.Build(tr.Snapshot()).Fprint(os.Stdout)
+	if explain {
+		trace.Build(tr.Snapshot()).Fprint(w)
 	}
-	if *traceFile != "" {
-		if err := writeTrace(*traceFile, tr); err != nil {
-			fmt.Fprintln(os.Stderr, "stquery:", err)
-			os.Exit(1)
-		}
+	if traceFile != "" {
+		return writeTrace(traceFile, tr)
 	}
+	return nil
 }
 
 // queryServer runs the window against a serving daemon (or cluster router)
@@ -249,10 +241,7 @@ func queryServer(w io.Writer, base string, req serve.QueryRequest) error {
 	if resp.Approx != nil {
 		printApprox(w, resp.Approx)
 	} else {
-		stats := resp.Stats
-		fmt.Fprintf(w, "partitions: %d/%d loaded\nrecords: %d loaded, %d selected\nbytes read: %d\n",
-			stats.LoadedPartitions, stats.TotalPartitions,
-			stats.LoadedRecords, stats.SelectedRecords, stats.LoadedBytes)
+		printLoaded(w, resp.Stats)
 	}
 	resp.Explain.Fprint(w)
 	return nil

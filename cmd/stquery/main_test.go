@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -186,12 +187,12 @@ func TestExplainMatchesMetrics(t *testing.T) {
 		t.Fatalf("explain has %d stages, metrics %d", len(e.Stages), len(snap.Stages))
 	}
 	for _, ms := range snap.Stages {
-		es, ok := e.StageByName(ms.Name)
-		if !ok {
+		i := slices.IndexFunc(e.Stages, func(st trace.StageExplain) bool { return st.Name == ms.Name })
+		if i < 0 {
 			t.Errorf("stage %q missing from explain", ms.Name)
 			continue
 		}
-		if es.Tasks != int64(ms.Tasks) || es.Records != ms.Records {
+		if es := e.Stages[i]; es.Tasks != int64(ms.Tasks) || es.Records != ms.Records {
 			t.Errorf("stage %q: explain tasks/records %d/%d != metrics %d/%d",
 				ms.Name, es.Tasks, es.Records, ms.Tasks, ms.Records)
 		}

@@ -3,25 +3,15 @@
 // spatio-temporal data processing system for ML feature extraction built on
 // a three-stage Selection–Conversion–Extraction pipeline.
 //
-// The implementation lives under internal/:
+// The implementation lives in the packages under internal/, driven by the
+// command-line tools under cmd/ and the runnable apps under examples/.
+// ARCHITECTURE.md's package tour walks every one of them in dataflow order;
+// README.md has the quickstart, DESIGN.md the paper mapping and
+// substitution notes, and EXPERIMENTS.md the reproduced results.
 //
-//   - internal/engine     — the Spark-like dataflow substrate (lazy RDDs,
-//     shuffles with real serialization cost, broadcast, metrics)
-//   - internal/geom, internal/tempo — spatial & temporal primitives
-//   - internal/index      — R-tree (STR bulk load + dynamic) and Z-curves
-//   - internal/instance   — the five ST instances (§3.2.1)
-//   - internal/partition  — Hash/STR/Quadtree/T-balance/T-STR/KD/Grid
-//   - internal/storage    — partitioned on-disk store with ST metadata
-//   - internal/selection  — the Selection stage (§3.1, §4.1)
-//   - internal/convert    — instance conversions with §4.2 optimizations
-//   - internal/extract    — Table 3 extractors and Table 4 RDD APIs
-//   - internal/roadnet, internal/mapmatch — road graphs and HMM matching
-//   - internal/core       — the public pipeline facade (§3.4)
-//   - internal/baseline   — GeoSpark-like and GeoMesa-like comparators
-//   - internal/bench      — the experiment harness for every paper figure
-//
-// See README.md for a tour, DESIGN.md for the architecture and substitution
-// notes, and EXPERIMENTS.md for reproduced results.
+// testdata/surface.txt lists the exported names no production file calls,
+// each with the paper section it reproduces or the interface it satisfies;
+// surface_test.go keeps that list exact.
 package st4ml
 
 // Version identifies this reproduction release.

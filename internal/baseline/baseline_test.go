@@ -83,7 +83,7 @@ func TestGeoSparkLoadAndRangeQuery(t *testing.T) {
 	if err := gs.Load(dir, 16); err != nil {
 		t.Fatal(err)
 	}
-	if got := gs.Loaded().Count(); got != 3000 {
+	if got := gs.loaded.Count(); got != 3000 {
 		t.Fatalf("loaded = %d", got)
 	}
 	space := geom.Box(-74.0, 40.7, -73.9, 40.8)

@@ -75,9 +75,6 @@ func (g *GeoSpark) Load(dir string, numPartitions int) error {
 	return nil
 }
 
-// Loaded exposes the cached in-memory dataset.
-func (g *GeoSpark) Loaded() *engine.RDD[Feature] { return g.loaded }
-
 // RangeQuery selects the loaded features intersecting the ST window. The
 // spatial filter runs through a per-partition R-tree built on the fly; the
 // temporal filter parses every candidate's string timestamps.

@@ -88,19 +88,20 @@ func mix64(x uint64) uint64 {
 
 // ParseShards parses the -shards flag form: shards separated by ';',
 // replicas of one shard separated by ','. Shards are named s0, s1, … in
-// declaration order.
+// declaration order; empty groups are skipped and take no name, so
+// "a;;b" names the same shards as "a;b".
 //
 //	"http://a:7070,http://a2:7070;http://b:7070"
 //
 // declares two shards: s0 with two replicas and s1 with one.
 func ParseShards(spec string) (ShardMap, error) {
 	var m ShardMap
-	for i, group := range strings.Split(spec, ";") {
+	for _, group := range strings.Split(spec, ";") {
 		group = strings.TrimSpace(group)
 		if group == "" {
 			continue
 		}
-		sh := Shard{Name: fmt.Sprintf("s%d", i)}
+		sh := Shard{Name: fmt.Sprintf("s%d", len(m.Shards))}
 		for _, url := range strings.Split(group, ",") {
 			if url = strings.TrimSpace(url); url != "" {
 				sh.Replicas = append(sh.Replicas, url)

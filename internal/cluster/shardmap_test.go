@@ -87,6 +87,25 @@ func TestParseShards(t *testing.T) {
 	if _, err := ParseShards(""); err == nil {
 		t.Fatal("empty spec accepted")
 	}
+
+	// An empty group takes no name, so placement matches the spec
+	// without it.
+	gap, err := ParseShards("http://a:7070;;http://b:7070")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := ParseShards("http://a:7070;http://b:7070")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gap.Shards) != 2 || gap.Shards[0].Name != "s0" || gap.Shards[1].Name != "s1" {
+		t.Fatalf("empty group: %+v", gap.Shards)
+	}
+	for p := 0; p < 64; p++ {
+		if g, w := gap.Assign(p), plain.Assign(p); g != w {
+			t.Fatalf("partition %d on shard %d with an empty group, %d without", p, g, w)
+		}
+	}
 }
 
 func TestLoadShardMap(t *testing.T) {

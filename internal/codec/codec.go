@@ -5,7 +5,7 @@
 // the same reason they win on Spark.
 //
 // A Codec[T] is a pair of encode/decode functions over a byte buffer.
-// Codecs compose: PairOf, SliceOf, MapOf, and OptionOf build codecs for
+// Codecs compose: PairOf, SliceOf and MapOf build codecs for
 // aggregate types from element codecs, and domain packages (geom, instance)
 // export codecs for their types.
 package codec
@@ -58,12 +58,6 @@ func (w *Writer) PutBool(v bool) {
 func (w *Writer) PutString(s string) {
 	w.PutUvarint(uint64(len(s)))
 	w.buf = append(w.buf, s...)
-}
-
-// PutBytes appends a length-prefixed byte slice.
-func (w *Writer) PutBytes(b []byte) {
-	w.PutUvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
 }
 
 // PutRaw appends b verbatim, with no length prefix. Callers use it to move
@@ -161,18 +155,6 @@ func (r *Reader) String() string {
 	return s
 }
 
-// Bytes reads a length-prefixed byte slice (copied, safe to retain).
-func (r *Reader) Bytes() []byte {
-	n := int(r.Uvarint())
-	if n < 0 || r.off+n > len(r.b) {
-		r.corrupt()
-	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+n])
-	r.off += n
-	return out
-}
-
 // Codec serializes values of type T.
 type Codec[T any] struct {
 	Enc func(w *Writer, v T)
@@ -254,11 +236,6 @@ var (
 		Enc: func(w *Writer, v bool) { w.PutBool(v) },
 		Dec: func(r *Reader) bool { return r.Bool() },
 	}
-	// ByteSlice encodes length-prefixed raw bytes.
-	ByteSlice = Codec[[]byte]{
-		Enc: func(w *Writer, v []byte) { w.PutBytes(v) },
-		Dec: func(r *Reader) []byte { return r.Bytes() },
-	}
 )
 
 // Pair is a generic 2-tuple, the record type of keyed shuffles.
@@ -323,27 +300,6 @@ func MapOf[K comparable, V any](kc Codec[K], vc Codec[V]) Codec[map[K]V] {
 				m[k] = vc.Dec(r)
 			}
 			return m
-		},
-	}
-}
-
-// OptionOf builds a codec for pointers, encoding nil as absent.
-func OptionOf[T any](c Codec[T]) Codec[*T] {
-	return Codec[*T]{
-		Enc: func(w *Writer, v *T) {
-			if v == nil {
-				w.PutBool(false)
-				return
-			}
-			w.PutBool(true)
-			c.Enc(w, *v)
-		},
-		Dec: func(r *Reader) *T {
-			if !r.Bool() {
-				return nil
-			}
-			v := c.Dec(r)
-			return &v
 		},
 	}
 }

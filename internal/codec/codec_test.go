@@ -43,10 +43,6 @@ func TestPrimitiveRoundTrips(t *testing.T) {
 	if got := roundTrip(t, Uint64, uint64(math.MaxUint64)); got != math.MaxUint64 {
 		t.Errorf("uint64 max -> %d", got)
 	}
-	b := []byte{1, 2, 3}
-	if got := roundTrip(t, ByteSlice, b); !reflect.DeepEqual(got, b) {
-		t.Errorf("bytes %v -> %v", b, got)
-	}
 }
 
 func TestCompositeRoundTrips(t *testing.T) {
@@ -69,15 +65,6 @@ func TestCompositeRoundTrips(t *testing.T) {
 	m := map[string]float64{"a": 1.5, "b": -2}
 	if got := roundTrip(t, mc, m); !reflect.DeepEqual(got, m) {
 		t.Errorf("map %v -> %v", m, got)
-	}
-
-	oc := OptionOf(String)
-	v := "present"
-	if got := roundTrip(t, oc, &v); got == nil || *got != v {
-		t.Errorf("option -> %v", got)
-	}
-	if got := roundTrip(t, oc, nil); got != nil {
-		t.Errorf("nil option -> %v", got)
 	}
 }
 

@@ -42,60 +42,3 @@ var DurationC = Codec[tempo.Duration]{
 		return tempo.Duration{Start: r.Varint(), End: r.Varint()}
 	},
 }
-
-// LineStringC encodes a *geom.LineString as a length-prefixed point list.
-var LineStringC = Codec[*geom.LineString]{
-	Enc: func(w *Writer, l *geom.LineString) {
-		pts := l.Points()
-		w.PutUvarint(uint64(len(pts)))
-		for _, p := range pts {
-			w.PutFloat64(p.X)
-			w.PutFloat64(p.Y)
-		}
-	},
-	Dec: func(r *Reader) *geom.LineString {
-		n := int(r.Uvarint())
-		pts := make([]geom.Point, n)
-		for i := 0; i < n; i++ {
-			pts[i] = geom.Point{X: r.Float64(), Y: r.Float64()}
-		}
-		return geom.NewLineString(pts)
-	},
-}
-
-// PolygonC encodes a *geom.Polygon as its exterior ring plus holes.
-var PolygonC = Codec[*geom.Polygon]{
-	Enc: func(w *Writer, pg *geom.Polygon) {
-		encodeRing(w, pg.Exterior())
-		w.PutUvarint(uint64(pg.NumHoles()))
-		for i := 0; i < pg.NumHoles(); i++ {
-			encodeRing(w, pg.Hole(i))
-		}
-	},
-	Dec: func(r *Reader) *geom.Polygon {
-		ext := decodeRing(r)
-		n := int(r.Uvarint())
-		holes := make([][]geom.Point, n)
-		for i := 0; i < n; i++ {
-			holes[i] = decodeRing(r)
-		}
-		return geom.NewPolygon(ext, holes...)
-	},
-}
-
-func encodeRing(w *Writer, ring []geom.Point) {
-	w.PutUvarint(uint64(len(ring)))
-	for _, p := range ring {
-		w.PutFloat64(p.X)
-		w.PutFloat64(p.Y)
-	}
-}
-
-func decodeRing(r *Reader) []geom.Point {
-	n := int(r.Uvarint())
-	ring := make([]geom.Point, n)
-	for i := 0; i < n; i++ {
-		ring[i] = geom.Point{X: r.Float64(), Y: r.Float64()}
-	}
-	return ring
-}

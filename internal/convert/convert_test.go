@@ -120,9 +120,9 @@ func TestEventToSpatialMapIrregularPolygons(t *testing.T) {
 	r := engine.Parallelize(ctx, events, 4)
 	// Irregular cells: two overlapping districts and one far away.
 	cells := []*geom.Polygon{
-		geom.Rect(geom.Box(0, 0, 60, 60)),
-		geom.Rect(geom.Box(40, 40, 100, 100)),
-		geom.Rect(geom.Box(500, 500, 600, 600)),
+		geom.Box(0, 0, 60, 60).ToPolygon(),
+		geom.Box(40, 40, 100, 100).ToPolygon(),
+		geom.Box(500, 500, 600, 600).ToPolygon(),
 	}
 	tgt := CellsTarget(cells)
 	var results [][]int64

@@ -18,7 +18,6 @@ package core
 import (
 	"st4ml/internal/engine"
 	"st4ml/internal/geom"
-	"st4ml/internal/index"
 	"st4ml/internal/instance"
 	"st4ml/internal/partition"
 	"st4ml/internal/selection"
@@ -64,16 +63,6 @@ func (s *Session) TrajSelector(cfg selection.Config) *selection.Selector[stdata.
 	return selection.New(s.ctx, stdata.TrajRecC, stdata.TrajRec.Box, exact, cfg)
 }
 
-// AirSelector builds a selector over the air-quality schema.
-func (s *Session) AirSelector(cfg selection.Config) *selection.Selector[stdata.AirRec] {
-	return selection.New(s.ctx, stdata.AirRecC, stdata.AirRec.Box, nil, cfg)
-}
-
-// POISelector builds a selector over the POI schema.
-func (s *Session) POISelector(cfg selection.Config) *selection.Selector[stdata.POIRec] {
-	return selection.New(s.ctx, stdata.POIRecC, stdata.POIRec.Box, nil, cfg)
-}
-
 // IngestEvents T-STR-partitions event records and persists them with
 // metadata (the offline preparation of §4.1). planner defaults to
 // TSTR(8,8) when nil.
@@ -98,29 +87,6 @@ func (s *Session) IngestTrajs(
 	return selection.Ingest(r, dir, stdata.TrajRecC, stdata.TrajRec.Box, planner, opts)
 }
 
-// IngestAir T-STR-partitions air-quality records and persists them.
-func (s *Session) IngestAir(
-	recs []stdata.AirRec, dir string, planner partition.Planner, opts selection.IngestOptions,
-) (*storage.Metadata, error) {
-	if planner == nil {
-		planner = partition.TSTR{GT: 8, GS: 8}
-	}
-	r := engine.Parallelize(s.ctx, recs, 0)
-	return selection.Ingest(r, dir, stdata.AirRecC, stdata.AirRec.Box, planner, opts)
-}
-
-// IngestPOIs spatially partitions POI records (they carry no time) and
-// persists them. planner defaults to STR2D(64).
-func (s *Session) IngestPOIs(
-	recs []stdata.POIRec, dir string, planner partition.Planner, opts selection.IngestOptions,
-) (*storage.Metadata, error) {
-	if planner == nil {
-		planner = partition.STR2D{N: 64}
-	}
-	r := engine.Parallelize(s.ctx, recs, 0)
-	return selection.Ingest(r, dir, stdata.POIRecC, stdata.POIRec.Box, planner, opts)
-}
-
 // EventInstances parses selected event records into instance RDDs — the
 // parse step of the Selection stage's first Spark task (Fig. 2).
 func EventInstances(r *engine.RDD[stdata.EventRec]) *engine.RDD[instance.Event[geom.Point, string, int64]] {
@@ -132,17 +98,7 @@ func TrajInstances(r *engine.RDD[stdata.TrajRec]) *engine.RDD[instance.Trajector
 	return engine.Map(r, stdata.TrajRec.ToTrajectory)
 }
 
-// AirInstances parses air records into event instances carrying the six
-// indices.
-func AirInstances(r *engine.RDD[stdata.AirRec]) *engine.RDD[instance.Event[geom.Point, [6]float64, int64]] {
-	return engine.Map(r, stdata.AirRec.ToEvent)
-}
-
 // POIInstances parses POI records into event instances.
 func POIInstances(r *engine.RDD[stdata.POIRec]) *engine.RDD[instance.Event[geom.Point, string, int64]] {
 	return engine.Map(r, stdata.POIRec.ToEvent)
 }
-
-// BoxOfWindow converts a selection window to an index box (a convenience
-// for custom pruning logic).
-func BoxOfWindow(w selection.Window) index.Box { return w.Box() }

@@ -33,9 +33,6 @@ func TestWindowHelper(t *testing.T) {
 	if w.Space != geom.Box(0, 0, 1, 1) || w.Time != tempo.New(5, 10) {
 		t.Errorf("Window = %+v", w)
 	}
-	if BoxOfWindow(w) != w.Box() {
-		t.Error("BoxOfWindow mismatch")
-	}
 }
 
 // TestEndToEndPipeline runs the §3.4 example through the facade: ingest,
@@ -106,32 +103,16 @@ func TestTypedSelectorsAndIngests(t *testing.T) {
 		t.Error("event instances malformed")
 	}
 
-	// Air.
-	airDir := t.TempDir()
-	air := datagen.Air(3, 1, 1, 3600, 2)
-	if _, err := s.IngestAir(air, airDir, nil, selection.IngestOptions{Name: "air"}); err != nil {
-		t.Fatal(err)
-	}
-	airSel := s.AirSelector(selection.Config{})
-	airs, _, err := airSel.Select(airDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(airs.Count()) != len(air) {
-		t.Errorf("air selected = %d, want %d", airs.Count(), len(air))
-	}
-	airInst := AirInstances(airs).Collect()
-	if len(airInst) != len(air) {
-		t.Error("air instances malformed")
-	}
-
-	// POIs (no temporal dimension).
+	// POIs (no temporal dimension), stored and selected through the stage
+	// packages directly.
 	poiDir := t.TempDir()
 	pois, _ := datagen.OSM(600, 4, 3)
-	if _, err := s.IngestPOIs(pois, poiDir, nil, selection.IngestOptions{Name: "poi"}); err != nil {
+	if _, err := selection.Ingest(engine.Parallelize(s.Context(), pois, 0), poiDir,
+		stdata.POIRecC, stdata.POIRec.Box, partition.STR2D{N: 64},
+		selection.IngestOptions{Name: "poi"}); err != nil {
 		t.Fatal(err)
 	}
-	poiSel := s.POISelector(selection.Config{Index: true})
+	poiSel := selection.New(s.Context(), stdata.POIRecC, stdata.POIRec.Box, nil, selection.Config{Index: true})
 	sel, _, err := poiSel.SelectPruned(poiDir,
 		Window(datagen.WorldExtent, tempo.New(-1, 1)))
 	if err != nil {

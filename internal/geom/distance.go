@@ -29,24 +29,6 @@ func MetersToDegreesLon(m, lat float64) float64 {
 	return m / (EarthRadiusMeters * math.Cos(lat*math.Pi/180)) * 180 / math.Pi
 }
 
-// DegreesLatToMeters converts a latitude span in degrees to metres.
-func DegreesLatToMeters(deg float64) float64 {
-	return deg * math.Pi / 180 * EarthRadiusMeters
-}
-
-// GeometryDistance returns the planar distance between two geometries,
-// approximated via centroids for shape pairs without an exact kernel. Exact
-// for point-point, point-line, point-polygon (and the symmetric cases).
-func GeometryDistance(a, b Geometry) float64 {
-	if pa, ok := a.(Point); ok {
-		return b.DistanceTo(pa)
-	}
-	if pb, ok := b.(Point); ok {
-		return a.DistanceTo(pb)
-	}
-	return a.Centroid().DistanceTo(b.Centroid())
-}
-
 // GeometriesIntersect reports whether the two geometries share a point,
 // dispatching to the exact predicate where one exists and falling back to
 // MBR intersection otherwise.

@@ -36,13 +36,6 @@ func (p Point) DistanceTo(q Point) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// SquaredDistanceTo returns the squared planar distance to q, avoiding the
-// square root for comparison-only callers.
-func (p Point) SquaredDistanceTo(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // IntersectsBox reports whether the point lies inside (or on the border of) b.
 func (p Point) IntersectsBox(b MBR) bool { return b.ContainsPoint(p) }
 
@@ -90,9 +83,6 @@ func (b MBR) Height() float64 {
 
 // Area returns the area of the box (0 for empty boxes).
 func (b MBR) Area() float64 { return b.Width() * b.Height() }
-
-// Perimeter returns the box perimeter (0 for empty boxes).
-func (b MBR) Perimeter() float64 { return 2 * (b.Width() + b.Height()) }
 
 // Center returns the box center. Undefined for empty boxes.
 func (b MBR) Center() Point { return Point{X: (b.MinX + b.MaxX) / 2, Y: (b.MinY + b.MaxY) / 2} }

@@ -30,9 +30,6 @@ func NewLineString(pts []Point) *LineString {
 // Points returns the underlying vertices. The slice must not be mutated.
 func (l *LineString) Points() []Point { return l.points }
 
-// NumPoints returns the vertex count.
-func (l *LineString) NumPoints() int { return len(l.points) }
-
 // Point returns the i-th vertex.
 func (l *LineString) Point(i int) Point { return l.points[i] }
 
@@ -57,15 +54,6 @@ func (l *LineString) Centroid() Point {
 		return l.points[0]
 	}
 	return Point{X: cx / total, Y: cy / total}
-}
-
-// Length returns the planar length of the polyline.
-func (l *LineString) Length() float64 {
-	var sum float64
-	for i := 1; i < len(l.points); i++ {
-		sum += l.points[i-1].DistanceTo(l.points[i])
-	}
-	return sum
 }
 
 // LengthMeters returns the geodesic (haversine) length in metres, treating

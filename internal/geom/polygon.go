@@ -47,9 +47,6 @@ func dropClosingVertex(ring []Point) []Point {
 	return ring
 }
 
-// Rect returns the rectangular polygon covering b.
-func Rect(b MBR) *Polygon { return b.ToPolygon() }
-
 // Exterior returns the exterior ring vertices (not to be mutated).
 func (pg *Polygon) Exterior() []Point { return pg.exterior }
 

@@ -28,7 +28,7 @@ func TestWKTLineStringRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := g.(*LineString)
-	if !ok || got.NumPoints() != 3 {
+	if !ok || len(got.Points()) != 3 {
 		t.Fatalf("round trip = %v", g)
 	}
 	for i := 0; i < 3; i++ {
@@ -110,8 +110,8 @@ func TestWKTRandomizedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := g.(*LineString)
-		if got.NumPoints() != n {
-			t.Fatalf("lost points: %d", got.NumPoints())
+		if len(got.Points()) != n {
+			t.Fatalf("lost points: %d", len(got.Points()))
 		}
 		for j := range pts {
 			if !got.Point(j).Equal(pts[j]) {

@@ -35,13 +35,6 @@ func EmptyBox() Box {
 	return b
 }
 
-// Box1 embeds a temporal interval on the time axis; spatial axes are zero.
-func Box1(d tempo.Duration) Box {
-	var b Box
-	b.Min[2], b.Max[2] = float64(d.Start), float64(d.End)
-	return b
-}
-
 // Box2 embeds a spatial MBR; the time axis is zero.
 func Box2(m geom.MBR) Box {
 	var b Box

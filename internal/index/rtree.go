@@ -1,7 +1,6 @@
 package index
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 )
@@ -16,7 +15,7 @@ type Item[T any] struct {
 }
 
 // RTree is an in-memory R-tree over 3-d boxes (1-d and 2-d uses embed into
-// degenerate 3-d boxes, see Box1/Box2). It supports STR bulk loading —
+// degenerate 3-d boxes, see Box2). It supports STR bulk loading —
 // the mode ST4ML uses for per-partition on-the-fly indexes — and Guttman
 // quadratic-split insertion for incremental maintenance.
 //
@@ -336,45 +335,3 @@ func (t *RTree[T]) Count(query Box) int {
 	t.SearchFunc(query, func(T, Box) bool { c++; return true })
 	return c
 }
-
-// KNN returns up to k items nearest to point p by box distance, using
-// best-first traversal. Ties are broken arbitrarily.
-func (t *RTree[T]) KNN(p [Dims]float64, k int) []T {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	pq := &knnHeap[T]{}
-	heap.Push(pq, knnEntry[T]{dist: t.Bounds().DistanceSq(p), node: t.root})
-	out := make([]T, 0, k)
-	for pq.Len() > 0 && len(out) < k {
-		cur := heap.Pop(pq).(knnEntry[T])
-		if cur.node == nil {
-			out = append(out, cur.item)
-			continue
-		}
-		for _, e := range cur.node.entries {
-			ke := knnEntry[T]{dist: e.box.DistanceSq(p)}
-			if cur.node.leaf {
-				ke.item = e.item
-			} else {
-				ke.node = e.child
-			}
-			heap.Push(pq, ke)
-		}
-	}
-	return out
-}
-
-type knnEntry[T any] struct {
-	dist float64
-	node *rnode[T] // nil for item entries
-	item T
-}
-
-type knnHeap[T any] []knnEntry[T]
-
-func (h knnHeap[T]) Len() int           { return len(h) }
-func (h knnHeap[T]) Less(i, j int) bool { return h[i].dist < h[j].dist }
-func (h knnHeap[T]) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *knnHeap[T]) Push(x any)        { *h = append(*h, x.(knnEntry[T])) }
-func (h *knnHeap[T]) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }

@@ -150,9 +150,6 @@ func TestEmptyTree(t *testing.T) {
 	if got := tree.Search(Box2(geom.Box(0, 0, 1, 1))); len(got) != 0 {
 		t.Errorf("search on empty = %v", got)
 	}
-	if got := tree.KNN([3]float64{0, 0, 0}, 5); got != nil {
-		t.Errorf("knn on empty = %v", got)
-	}
 	empty := BulkLoadSTR[string](nil, 4)
 	if empty.Len() != 0 {
 		t.Error("bulk load of nil should be empty")
@@ -179,37 +176,6 @@ func TestCount(t *testing.T) {
 	q := Box3(geom.Box(0, 0, 500, 500), tempo.New(0, 500_000))
 	if got, want := tree.Count(q), len(bruteSearch(items, q)); got != want {
 		t.Errorf("Count = %d, want %d", got, want)
-	}
-}
-
-func TestKNNMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	items := make([]Item[int], 500)
-	for i := range items {
-		p := geom.Pt(rng.Float64()*100, rng.Float64()*100)
-		items[i] = Item[int]{Box: Box2(p.MBR()), Data: i}
-	}
-	tree := BulkLoadSTR(items, 8)
-	for q := 0; q < 20; q++ {
-		pt := [3]float64{rng.Float64() * 100, rng.Float64() * 100, 0}
-		k := 1 + rng.Intn(10)
-		got := tree.KNN(pt, k)
-		if len(got) != k {
-			t.Fatalf("KNN returned %d, want %d", len(got), k)
-		}
-		// The distance of the worst returned item must not exceed the k-th
-		// smallest brute-force distance.
-		dists := make([]float64, len(items))
-		for i, it := range items {
-			dists[i] = it.Box.DistanceSq(pt)
-		}
-		sort.Float64s(dists)
-		kth := dists[k-1]
-		for _, g := range got {
-			if d := items[g].Box.DistanceSq(pt); d > kth+1e-9 {
-				t.Fatalf("KNN item %d at distÂ²=%g beyond kth=%g", g, d, kth)
-			}
-		}
 	}
 }
 
@@ -240,16 +206,21 @@ func TestBulkLoadUtilization(t *testing.T) {
 }
 
 func TestDegenerate1DBoxes(t *testing.T) {
-	// Pure temporal index (Box1): spatial axes all zero.
+	// Pure temporal index: spatial axes all zero.
+	box1 := func(d tempo.Duration) Box {
+		var b Box
+		b.Min[2], b.Max[2] = float64(d.Start), float64(d.End)
+		return b
+	}
 	var items []Item[int]
 	for i := 0; i < 100; i++ {
 		items = append(items, Item[int]{
-			Box:  Box1(tempo.New(int64(i*10), int64(i*10+9))),
+			Box:  box1(tempo.New(int64(i*10), int64(i*10+9))),
 			Data: i,
 		})
 	}
 	tree := BulkLoadSTR(items, 4)
-	got := tree.Search(Box1(tempo.New(95, 125)))
+	got := tree.Search(box1(tempo.New(95, 125)))
 	sort.Ints(got)
 	if !equalInts(got, []int{9, 10, 11, 12}) {
 		t.Errorf("temporal search = %v", got)

@@ -29,9 +29,6 @@ func NewZCurve2D(domain geom.MBR, bits uint) *ZCurve2D {
 	return &ZCurve2D{domain: domain, bits: bits}
 }
 
-// Bits returns the per-dimension resolution.
-func (z *ZCurve2D) Bits() uint { return z.bits }
-
 // cells returns the number of grid cells per dimension.
 func (z *ZCurve2D) cells() uint64 { return 1 << z.bits }
 
@@ -55,19 +52,6 @@ func (z *ZCurve2D) cellIndex(v, lo, hi float64) uint64 {
 		f = 1 - 1e-12
 	}
 	return uint64(f * float64(z.cells()))
-}
-
-// CellBox returns the spatial extent of the cell holding key k.
-func (z *ZCurve2D) CellBox(k uint64) geom.MBR {
-	ix, iy := deinterleave2(k)
-	w := z.domain.Width() / float64(z.cells())
-	h := z.domain.Height() / float64(z.cells())
-	return geom.MBR{
-		MinX: z.domain.MinX + float64(ix)*w,
-		MinY: z.domain.MinY + float64(iy)*h,
-		MaxX: z.domain.MinX + float64(ix+1)*w,
-		MaxY: z.domain.MinY + float64(iy+1)*h,
-	}
 }
 
 // KeyRange is a closed interval of curve keys.
@@ -138,10 +122,6 @@ func interleave2(x, y uint64) uint64 {
 	return spread(x) | spread(y)<<1
 }
 
-func deinterleave2(k uint64) (x, y uint64) {
-	return compact(k), compact(k >> 1)
-}
-
 // spread inserts a zero bit between every bit of v.
 func spread(v uint64) uint64 {
 	v &= 0x7fffffff
@@ -150,17 +130,6 @@ func spread(v uint64) uint64 {
 	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
 	v = (v | v<<2) & 0x3333333333333333
 	v = (v | v<<1) & 0x5555555555555555
-	return v
-}
-
-// compact is the inverse of spread.
-func compact(v uint64) uint64 {
-	v &= 0x5555555555555555
-	v = (v | v>>1) & 0x3333333333333333
-	v = (v | v>>2) & 0x0f0f0f0f0f0f0f0f
-	v = (v | v>>4) & 0x00ff00ff00ff00ff
-	v = (v | v>>8) & 0x0000ffff0000ffff
-	v = (v | v>>16) & 0x00000000ffffffff
 	return v
 }
 

@@ -8,6 +8,36 @@ import (
 	"st4ml/internal/tempo"
 )
 
+// deinterleave2 inverts interleave2: the even bits of k go to x, the odd
+// bits to y.
+func deinterleave2(k uint64) (x, y uint64) {
+	return compact(k), compact(k >> 1)
+}
+
+// compact is the inverse of spread.
+func compact(v uint64) uint64 {
+	v &= 0x5555555555555555
+	v = (v | v>>1) & 0x3333333333333333
+	v = (v | v>>2) & 0x0f0f0f0f0f0f0f0f
+	v = (v | v>>4) & 0x00ff00ff00ff00ff
+	v = (v | v>>8) & 0x0000ffff0000ffff
+	v = (v | v>>16) & 0x00000000ffffffff
+	return v
+}
+
+// cellBox is the spatial extent of the cell holding key k.
+func cellBox(z *ZCurve2D, k uint64) geom.MBR {
+	ix, iy := deinterleave2(k)
+	w := z.domain.Width() / float64(z.cells())
+	h := z.domain.Height() / float64(z.cells())
+	return geom.MBR{
+		MinX: z.domain.MinX + float64(ix)*w,
+		MinY: z.domain.MinY + float64(iy)*h,
+		MaxX: z.domain.MinX + float64(ix+1)*w,
+		MaxY: z.domain.MinY + float64(iy+1)*h,
+	}
+}
+
 func TestInterleaveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
@@ -37,7 +67,7 @@ func TestZCurveKeyInCellBox(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		p := geom.Pt(rng.Float64()*20-10, rng.Float64()*20-10)
-		cell := z.CellBox(z.Key(p))
+		cell := cellBox(z, z.Key(p))
 		if !cell.Buffer(1e-9).ContainsPoint(p) {
 			t.Fatalf("point %v not in its cell %v", p, cell)
 		}

@@ -113,7 +113,7 @@ func onlyStructureColumns(t *testing.T, s string) *strings.Reader {
 
 func TestWriteSpatialMapAndTimeSeriesCSV(t *testing.T) {
 	sm := NewSpatialMap(
-		[]*geom.Polygon{geom.Rect(geom.Box(0, 0, 1, 1))},
+		[]*geom.Polygon{geom.Box(0, 0, 1, 1).ToPolygon()},
 		[]float64{2.5}, Unit{})
 	var sb strings.Builder
 	if err := WriteSpatialMapCSV(&sb, sm, func(v float64) string {

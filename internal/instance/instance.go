@@ -178,28 +178,6 @@ func (tr Trajectory[V, D]) AvgSpeedMps() float64 {
 	return tr.LengthMeters() / float64(secs)
 }
 
-// SegmentSpeedsMps returns the speed of each consecutive point pair in
-// metres/second (zero-duration segments report 0).
-func (tr Trajectory[V, D]) SegmentSpeedsMps() []float64 {
-	if len(tr.Entries) < 2 {
-		return nil
-	}
-	out := make([]float64, len(tr.Entries)-1)
-	for i := 1; i < len(tr.Entries); i++ {
-		a, b := tr.Entries[i-1], tr.Entries[i]
-		dt := b.Temporal.Start - a.Temporal.End
-		if dt <= 0 {
-			dt = b.Temporal.Center() - a.Temporal.Center()
-		}
-		if dt <= 0 {
-			out[i-1] = 0
-			continue
-		}
-		out[i-1] = geom.HaversineMeters(a.Spatial, b.Spatial) / float64(dt)
-	}
-	return out
-}
-
 // MapTrajData rewrites the instance-level data field.
 func MapTrajData[V, D, D2 any](tr Trajectory[V, D], f func(D) D2) Trajectory[V, D2] {
 	return Trajectory[V, D2]{Entries: tr.Entries, Data: f(tr.Data)}

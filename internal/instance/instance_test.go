@@ -86,10 +86,6 @@ func TestTrajectoryGeometry(t *testing.T) {
 	if math.Abs(speed-lm/3600) > 1e-9 {
 		t.Errorf("AvgSpeedMps = %g", speed)
 	}
-	speeds := tr.SegmentSpeedsMps()
-	if len(speeds) != 1 || math.Abs(speeds[0]-speed) > 1e-9 {
-		t.Errorf("SegmentSpeedsMps = %v", speeds)
-	}
 }
 
 func TestTrajectoryIntersectsExactSegments(t *testing.T) {
@@ -116,10 +112,6 @@ func TestTrajectoryZeroDtSpeed(t *testing.T) {
 	tr := NewTrajectory(trajEntries(
 		[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)},
 		[]int64{100, 100}), Unit{})
-	speeds := tr.SegmentSpeedsMps()
-	if len(speeds) != 1 || speeds[0] != 0 {
-		t.Errorf("zero-dt speed = %v", speeds)
-	}
 	if tr.AvgSpeedMps() != 0 {
 		t.Error("zero-duration avg speed should be 0")
 	}
@@ -151,8 +143,8 @@ func TestTimeSeriesLengthMismatchPanics(t *testing.T) {
 
 func TestSpatialMapConstruction(t *testing.T) {
 	cells := []*geom.Polygon{
-		geom.Rect(geom.Box(0, 0, 1, 1)),
-		geom.Rect(geom.Box(1, 0, 2, 1)),
+		geom.Box(0, 0, 1, 1).ToPolygon(),
+		geom.Box(1, 0, 2, 1).ToPolygon(),
 	}
 	sm := NewSpatialMap(cells, []int{10, 20}, Unit{})
 	if sm.Len() != 2 {
@@ -359,6 +351,13 @@ func TestTrajectoryCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// ringPolygonC encodes a hole-free polygon as its exterior ring, enough
+// to round-trip polygon cells through the collective codecs.
+var ringPolygonC = codec.Codec[*geom.Polygon]{
+	Enc: func(w *codec.Writer, pg *geom.Polygon) { codec.SliceOf(codec.PointC).Enc(w, pg.Exterior()) },
+	Dec: func(r *codec.Reader) *geom.Polygon { return geom.NewPolygon(codec.SliceOf(codec.PointC).Dec(r)) },
+}
+
 func TestCollectiveCodecsRoundTrip(t *testing.T) {
 	tsc := TimeSeriesCodec(codec.SliceOf(codec.Int64), codec.String)
 	ts := NewTimeSeries(
@@ -373,9 +372,9 @@ func TestCollectiveCodecsRoundTrip(t *testing.T) {
 		t.Errorf("time series round trip: %+v", gotTs)
 	}
 
-	smc := SpatialMapCodec(codec.PolygonC, codec.Int, UnitC)
+	smc := SpatialMapCodec(ringPolygonC, codec.Int, UnitC)
 	sm := NewSpatialMap(
-		[]*geom.Polygon{geom.Rect(geom.Box(0, 0, 1, 1))},
+		[]*geom.Polygon{geom.Box(0, 0, 1, 1).ToPolygon()},
 		[]int{7}, Unit{})
 	gotSm, err := codec.Unmarshal(smc, codec.Marshal(smc, sm))
 	if err != nil {

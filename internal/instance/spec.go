@@ -83,17 +83,6 @@ func (g SpatialGrid) Cells() []geom.MBR {
 	return out
 }
 
-// Polygons materializes all cells as polygons (for APIs that require
-// polygon-shaped cells).
-func (g SpatialGrid) Polygons() []*geom.Polygon {
-	cells := g.Cells()
-	out := make([]*geom.Polygon, len(cells))
-	for i, c := range cells {
-		out[i] = c.ToPolygon()
-	}
-	return out
-}
-
 // CellRange returns the inclusive index ranges [ix0,ix1] × [iy0,iy1] of
 // cells that may intersect box b, or ok=false when b misses every cell.
 // This is the regular-structure index derivation of §4.2. The range may

@@ -107,13 +107,6 @@ func (g *Graph) EdgeEndpoints(id EdgeID) (geom.Point, geom.Point) {
 	return g.nodes[e.From].Loc, g.nodes[e.To].Loc
 }
 
-// EdgeLineString returns the segment as a polyline (used when segments act
-// as spatial-map cells).
-func (g *Graph) EdgeLineString(id EdgeID) *geom.LineString {
-	a, b := g.EdgeEndpoints(id)
-	return geom.NewLineString([]geom.Point{a, b})
-}
-
 // EdgesNear returns the segments within radiusM metres of p (by segment
 // geometry, via the R-tree with a degree-buffered query box).
 func (g *Graph) EdgesNear(p geom.Point, radiusM float64) []EdgeID {

@@ -170,13 +170,10 @@ func TestAlongEdgeM(t *testing.T) {
 	}
 }
 
-func TestEdgeLineString(t *testing.T) {
+func TestEdgeEndpoints(t *testing.T) {
 	g := lineGraph(t)
-	ls := g.EdgeLineString(1)
-	if ls.NumPoints() != 2 {
-		t.Fatalf("points = %d", ls.NumPoints())
-	}
-	if ls.Point(0) != geom.Pt(0.01, 0) || ls.Point(1) != geom.Pt(0.02, 0) {
-		t.Errorf("linestring = %v", ls)
+	a, b := g.EdgeEndpoints(1)
+	if a != geom.Pt(0.01, 0) || b != geom.Pt(0.02, 0) {
+		t.Errorf("endpoints = %v, %v", a, b)
 	}
 }

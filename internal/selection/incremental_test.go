@@ -42,8 +42,17 @@ func TestIncrementalIngestAndMergedSelect(t *testing.T) {
 		metas[filepath.Join("batch", dayName(day))] = meta
 	}
 
-	// Merge the per-batch metadata into one index rooted at base.
-	merged := storage.MergeMetadata(metas)
+	// Merge the per-batch metadata into one index rooted at base: the
+	// partition lists concatenate, each file renamed under its batch dir.
+	merged := &storage.Metadata{Name: "merged"}
+	for dir, m := range metas {
+		merged.Framed, merged.Version, merged.BlockRecords = m.Framed, m.Version, m.BlockRecords
+		merged.TotalCount += m.TotalCount
+		for _, p := range m.Partitions {
+			p.File = filepath.Join(dir, p.File)
+			merged.Partitions = append(merged.Partitions, p)
+		}
+	}
 	if merged.TotalCount != int64(len(allData)) {
 		t.Fatalf("merged count = %d", merged.TotalCount)
 	}

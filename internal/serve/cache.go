@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -109,7 +110,9 @@ func (c *Cache) putLocked(key string, val any, bytes int64) {
 
 // GetOrLoad returns the cached value for key, or runs load to produce it.
 // Concurrent callers of the same cold key share one load; a load error is
-// returned to every waiter and nothing is cached.
+// returned to every waiter and nothing is cached. A load that panics
+// releases the key before the panic goes on up the loader's stack: its
+// waiters get an error and the next caller loads afresh.
 func (c *Cache) GetOrLoad(key string, load func() (val any, bytes int64, err error)) (any, error) {
 	c.lookups.Add(1)
 	c.mu.Lock()
@@ -138,6 +141,16 @@ func (c *Cache) GetOrLoad(key string, load func() (val any, bytes int64, err err
 	c.inflight[key] = fl
 	c.mu.Unlock()
 
+	defer func() {
+		if r := recover(); r != nil {
+			fl.err = fmt.Errorf("serve: loading %s panicked: %v", key, r)
+			c.mu.Lock()
+			delete(c.inflight, key)
+			c.mu.Unlock()
+			close(fl.done)
+			panic(r)
+		}
+	}()
 	fl.val, fl.bytes, fl.err = load()
 	c.mu.Lock()
 	delete(c.inflight, key)

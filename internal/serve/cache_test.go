@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -266,5 +267,71 @@ func TestCacheInflightJoinCountsMiss(t *testing.T) {
 	s := c.Stats()
 	if s.Lookups != 1+joiners || s.Misses != 1+joiners || s.Hits != 0 {
 		t.Errorf("stats = %+v, want %d lookups all misses", s, 1+joiners)
+	}
+}
+
+// TestCacheGetOrLoadPanicReleasesKey pins that a panicking load does not
+// wedge its key: the panic still reaches the loader, a caller that joined
+// the load gets an error, and a fresh caller runs its own load.
+func TestCacheGetOrLoadPanicReleasesKey(t *testing.T) {
+	c := NewCache(1000)
+	loading := make(chan struct{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.GetOrLoad("k", func() (any, int64, error) {
+			close(loading)
+			<-release
+			panic("decoder bug")
+		})
+	}()
+	<-loading
+
+	joined := make(chan error, 1)
+	go func() {
+		_, err := c.GetOrLoad("k", func() (any, int64, error) {
+			t.Error("joiner ran its own load")
+			return nil, 0, nil
+		})
+		joined <- err
+	}()
+	for c.Stats().Misses < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	deadline := time.After(2 * time.Second)
+	select {
+	case r := <-recovered:
+		if r != "decoder bug" {
+			t.Fatalf("loader recovered %v, want the load's panic", r)
+		}
+	case <-deadline:
+		t.Fatal("loader did not return")
+	}
+	select {
+	case err := <-joined:
+		if err == nil {
+			t.Fatal("joiner of a panicked load got no error")
+		}
+	case <-deadline:
+		t.Fatal("joiner of a panicked load still blocked")
+	}
+	fresh := make(chan error, 1)
+	go func() {
+		v, err := c.GetOrLoad("k", func() (any, int64, error) { return "v", 1, nil })
+		if err == nil && v != "v" {
+			err = fmt.Errorf("got %v", v)
+		}
+		fresh <- err
+	}()
+	select {
+	case err := <-fresh:
+		if err != nil {
+			t.Fatalf("fresh caller after a panicked load: %v", err)
+		}
+	case <-deadline:
+		t.Fatal("fresh caller after a panicked load still blocked")
 	}
 }

@@ -163,9 +163,6 @@ func (s *Server) SetDraining(v bool) {
 // Catalog exposes the server's dataset catalog.
 func (s *Server) Catalog() *Catalog { return s.catalog }
 
-// Engine exposes the shared execution context.
-func (s *Server) Engine() *engine.Context { return s.ctx }
-
 // AddDataset registers the dataset at dir under name, decoded by the named
 // stdata schema, and wires it into the subscription hub (commit hook +
 // notifier).

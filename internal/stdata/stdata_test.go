@@ -61,7 +61,7 @@ func TestPOIRecNoTime(t *testing.T) {
 }
 
 func TestAreaRecString(t *testing.T) {
-	a := AreaRec{ID: 7, Shape: geom.Rect(geom.Box(0, 0, 1, 1))}
+	a := AreaRec{ID: 7, Shape: geom.Box(0, 0, 1, 1).ToPolygon()}
 	if a.String() != "area-7" {
 		t.Errorf("String = %q", a.String())
 	}

@@ -587,50 +587,3 @@ func TestGCGraceKeepsRecentFiles(t *testing.T) {
 		t.Fatal("pinned pre-compaction view no longer readable")
 	}
 }
-
-// TestMergeMetadataCarriesDeltas pins that dataset unions rebase delta
-// partition indexes alongside the base partitions.
-func TestMergeMetadataCarriesDeltas(t *testing.T) {
-	rng := rand.New(rand.NewSource(121))
-	base := t.TempDir()
-	d1, d2 := filepath.Join(base, "a"), filepath.Join(base, "b")
-	p1, p2 := makeParts(rng, 2, 20), makeParts(rng, 2, 20)
-	if _, err := Write(d1, recC, p1, recBox, WriteOptions{BlockRecords: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Write(d2, recC, p2, recBox, WriteOptions{BlockRecords: 8}); err != nil {
-		t.Fatal(err)
-	}
-	extra := makeParts(rng, 1, 15)[0]
-	if _, err := AppendDelta(d2, recC, extra, recBox, AppendOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	m1, err := ReadMetadata(d1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := ReadMetadata(d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := MergeMetadata(map[string]*Metadata{"a": m1, "b": m2})
-	if merged.DeltaCount() != m2.DeltaCount() || merged.DeltaCount() == 0 {
-		t.Fatalf("merged deltas = %d, want %d", merged.DeltaCount(), m2.DeltaCount())
-	}
-	var got []rec
-	for pi := 0; pi < merged.NumPartitions(); pi++ {
-		recs, _, err := ReadPartitionPruned(base, merged, pi, recC, nil)
-		if err != nil {
-			t.Fatalf("merged partition %d: %v", pi, err)
-		}
-		got = append(got, recs...)
-	}
-	var want []rec
-	for _, p := range append(p1, p2...) {
-		want = append(want, p...)
-	}
-	want = append(want, extra...)
-	if !reflect.DeepEqual(canonical(got), canonical(want)) {
-		t.Fatalf("merged read %d records, want %d", len(got), len(want))
-	}
-}

@@ -140,17 +140,6 @@ func (m *Metadata) SummaryFor(i int) (SummaryMeta, bool) {
 	return sm, true
 }
 
-// SummaryCount returns how many partitions carry a live summary sidecar.
-func (m *Metadata) SummaryCount() int {
-	n := 0
-	for i := range m.Partitions {
-		if _, ok := m.SummaryFor(i); ok {
-			n++
-		}
-	}
-	return n
-}
-
 // DeltaCount returns the total number of live delta files across the view.
 func (m *Metadata) DeltaCount() int {
 	n := 0
@@ -593,43 +582,4 @@ func readWithRetry(file string, read func() error) error {
 	}
 	return fmt.Errorf("storage: partition %s corrupt after %d reads: %w",
 		file, maxPartitionReadAttempts, lastErr)
-}
-
-// MergeMetadata combines the partition lists of several dataset metadata
-// files that share one directory-of-directories layout — the paper's
-// periodic-reindex-and-merge workflow for continuously generated data.
-// Partition file names are rewritten as dir-prefixed relative paths; delta
-// attachments follow their partitions.
-func MergeMetadata(parts map[string]*Metadata) *Metadata {
-	out := &Metadata{Name: "merged"}
-	for dir, m := range parts {
-		out.Compressed = m.Compressed
-		out.Framed = m.Framed
-		out.Version = m.Version
-		out.BlockRecords = m.BlockRecords
-		out.TotalCount += m.TotalCount
-		for i, p := range m.Partitions {
-			p.File = filepath.Join(dir, p.File)
-			ds := m.Deltas(i)
-			if len(ds) > 0 {
-				if out.deltas == nil {
-					out.deltas = make([][]DeltaMeta, len(out.Partitions))
-				}
-				rebased := make([]DeltaMeta, len(ds))
-				for j, d := range ds {
-					d.Partition = len(out.Partitions)
-					d.File = filepath.Join(dir, d.File)
-					rebased[j] = d
-				}
-				out.deltas = append(out.deltas, rebased)
-			} else if out.deltas != nil {
-				out.deltas = append(out.deltas, nil)
-			}
-			out.Partitions = append(out.Partitions, p)
-		}
-	}
-	if out.deltas != nil && len(out.deltas) < len(out.Partitions) {
-		out.deltas = append(out.deltas, make([][]DeltaMeta, len(out.Partitions)-len(out.deltas))...)
-	}
-	return out
 }

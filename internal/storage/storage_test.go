@@ -217,39 +217,6 @@ func TestReadMetadataMissing(t *testing.T) {
 	}
 }
 
-func TestMergeMetadata(t *testing.T) {
-	base := t.TempDir()
-	rng := rand.New(rand.NewSource(6))
-	dirs := []string{"batch-1", "batch-2"}
-	metas := map[string]*Metadata{}
-	for i, d := range dirs {
-		full := filepath.Join(base, d)
-		parts := makeParts(rng, 2, 10+i)
-		m, err := Write(full, recC, parts, recBox, WriteOptions{Name: d})
-		if err != nil {
-			t.Fatal(err)
-		}
-		metas[d] = m
-	}
-	merged := MergeMetadata(metas)
-	if merged.NumPartitions() != 4 {
-		t.Fatalf("merged partitions = %d", merged.NumPartitions())
-	}
-	if merged.TotalCount != 2*10+2*11 {
-		t.Errorf("merged count = %d", merged.TotalCount)
-	}
-	// Merged file paths resolve from the base directory.
-	for i := range merged.Partitions {
-		got, err := ReadPartition(base, merged, i, recC)
-		if err != nil {
-			t.Fatalf("merged read %d: %v", i, err)
-		}
-		if len(got) == 0 {
-			t.Errorf("merged partition %d empty", i)
-		}
-	}
-}
-
 func TestCompressionShrinksRedundantData(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	parts := makeParts(rng, 1, 2000)

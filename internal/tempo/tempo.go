@@ -105,14 +105,6 @@ func (d Duration) Buffer(s int64) Duration {
 	return Duration{Start: d.Start - s, End: d.End + s}
 }
 
-// Shift translates the interval by s seconds.
-func (d Duration) Shift(s int64) Duration {
-	if d.IsEmpty() {
-		return d
-	}
-	return Duration{Start: d.Start + s, End: d.End + s}
-}
-
 // Split divides the interval into n consecutive sub-intervals of (nearly)
 // equal length covering d exactly. Consecutive slots share no interior;
 // slot i is [start_i, start_{i+1}) represented as closed [start_i,
@@ -201,9 +193,6 @@ func (d Duration) String() string {
 
 // HourOfDay returns the hour-of-day (0..23) of instant t in UTC.
 func HourOfDay(t int64) int { return int(t % 86400 / 3600) }
-
-// DayIndex returns the number of whole days since the Unix epoch for t.
-func DayIndex(t int64) int64 { return t / 86400 }
 
 func min64(a, b int64) int64 {
 	if a < b {

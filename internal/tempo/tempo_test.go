@@ -89,9 +89,6 @@ func TestBufferShift(t *testing.T) {
 	if got := d.Buffer(5); got != New(5, 25) {
 		t.Errorf("Buffer = %v", got)
 	}
-	if got := d.Shift(-10); got != New(0, 10) {
-		t.Errorf("Shift = %v", got)
-	}
 }
 
 func TestSplitCoversExactly(t *testing.T) {
@@ -189,9 +186,6 @@ func TestHourOfDayAndDayIndex(t *testing.T) {
 	ts := int64(86400 + 3*3600)
 	if got := HourOfDay(ts); got != 3 {
 		t.Errorf("HourOfDay = %d", got)
-	}
-	if got := DayIndex(ts); got != 1 {
-		t.Errorf("DayIndex = %d", got)
 	}
 }
 

@@ -532,13 +532,3 @@ func (e *Explain) Fprint(w io.Writer) {
 			width, st.Name, st.Tasks, st.Records, st.Retries, st.Speculative, st.WallMS)
 	}
 }
-
-// StageByName returns the first stage entry with the given name.
-func (e *Explain) StageByName(name string) (StageExplain, bool) {
-	for _, st := range e.Stages {
-		if st.Name == name {
-			return st, true
-		}
-	}
-	return StageExplain{}, false
-}

@@ -33,7 +33,6 @@ const (
 	kindInt attrKind = iota
 	kindStr
 	kindBool
-	kindFloat
 )
 
 // Attr is one typed key/value attribute on a span.
@@ -41,7 +40,6 @@ type Attr struct {
 	Key  string
 	kind attrKind
 	num  int64
-	f    float64
 	str  string
 }
 
@@ -60,9 +58,6 @@ func Bool(key string, v bool) Attr {
 	return Attr{Key: key, kind: kindBool, num: n}
 }
 
-// Float makes a float64 attribute.
-func Float(key string, v float64) Attr { return Attr{Key: key, kind: kindFloat, f: v} }
-
 // Value returns the attribute's payload as an any (for export layers).
 func (a Attr) Value() any {
 	switch a.kind {
@@ -70,8 +65,6 @@ func (a Attr) Value() any {
 		return a.str
 	case kindBool:
 		return a.num != 0
-	case kindFloat:
-		return a.f
 	default:
 		return a.num
 	}

@@ -216,7 +216,14 @@ func TestExplainRendering(t *testing.T) {
 	if e.TasksRun != 3 || e.TaskRetries != 1 {
 		t.Errorf("tasks = %d run %d retries", e.TasksRun, e.TaskRetries)
 	}
-	stg, ok := e.StageByName("load:nyc.cache")
+	var stg StageExplain
+	ok := false
+	for _, st := range e.Stages {
+		if st.Name == "load:nyc.cache" {
+			stg, ok = st, true
+			break
+		}
+	}
 	if !ok || stg.Records != 100 || stg.Retries != 1 {
 		t.Errorf("stage = %+v ok=%v", stg, ok)
 	}

@@ -11,12 +11,11 @@ import "time"
 // WireAttr is the JSON-transportable form of an Attr.
 type WireAttr struct {
 	Key string `json:"k"`
-	// Kind discriminates the payload: 0 int, 1 string, 2 bool, 3 float —
-	// the attrKind values.
-	Kind uint8   `json:"t"`
-	Num  int64   `json:"n,omitempty"`
-	F    float64 `json:"f,omitempty"`
-	Str  string  `json:"s,omitempty"`
+	// Kind discriminates the payload: 0 int, 1 string, 2 bool — the
+	// attrKind values.
+	Kind uint8  `json:"t"`
+	Num  int64  `json:"n,omitempty"`
+	Str  string `json:"s,omitempty"`
 }
 
 // WireSpan is the JSON-transportable form of a SpanRecord. IDs are only
@@ -48,7 +47,7 @@ func ToWire(spans []SpanRecord) []WireSpan {
 		if len(s.Attrs) > 0 {
 			w.Attrs = make([]WireAttr, len(s.Attrs))
 			for j, a := range s.Attrs {
-				w.Attrs[j] = WireAttr{Key: a.Key, Kind: uint8(a.kind), Num: a.num, F: a.f, Str: a.str}
+				w.Attrs[j] = WireAttr{Key: a.Key, Kind: uint8(a.kind), Num: a.num, Str: a.str}
 			}
 		}
 		out[i] = w
@@ -73,7 +72,7 @@ func FromWire(spans []WireSpan) []SpanRecord {
 		if len(w.Attrs) > 0 {
 			r.Attrs = make([]Attr, len(w.Attrs))
 			for j, a := range w.Attrs {
-				r.Attrs[j] = Attr{Key: a.Key, kind: attrKind(a.Kind), num: a.Num, f: a.F, str: a.Str}
+				r.Attrs[j] = Attr{Key: a.Key, kind: attrKind(a.Kind), num: a.Num, str: a.Str}
 			}
 		}
 		out[i] = r

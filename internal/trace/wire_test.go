@@ -11,7 +11,7 @@ func TestWireRoundTrip(t *testing.T) {
 	tr := New()
 	root := tr.StartSpan(0, "subquery", Str("shard", "s0"))
 	child := root.Child("partition:load", Int("partition", 7))
-	child.End(Int("records", 42), Bool("hit", true), Float("frac", 0.5))
+	child.End(Int("records", 42), Bool("hit", true))
 	root.End()
 
 	wire := ToWire(tr.Snapshot())
