@@ -71,7 +71,8 @@ docs:
 # the pre-merge gate gets real randomized coverage of the column codecs,
 # the v3 block reader, the block footer decoder every v3 read runs, the
 # legacy v1/v2 reader the migrating compaction pass runs on untrusted
-# bytes, the records' JSON wire form, and the JSON scanner and sub-query
+# bytes, the records' JSON wire form, the float writer's grid and strconv
+# paths, and the JSON scanner and sub-query
 # reply parser the router runs on shard replies, on top of the committed
 # corpora (which the plain test run already replays as regression
 # inputs). Every
@@ -87,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSubscriptionIndex$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/subscribe
 	$(GO) test -run='^$$' -fuzz='^FuzzSummarySidecar$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/summary
 	$(GO) test -run='^$$' -fuzz='^FuzzRecordJSON$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/stdata
+	$(GO) test -run='^$$' -fuzz='^FuzzAppendFloat$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/jsonenc
 	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/jsonenc
 	$(GO) test -run='^$$' -fuzz='^FuzzSubQueryResponse$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 

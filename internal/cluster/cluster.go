@@ -69,9 +69,16 @@ type Config struct {
 	MaxAttempts int
 	// MaxReplans bounds generation-conflict replans per query. 0 means 3.
 	MaxReplans int
-	// Client issues the shard RPCs. Nil builds a default.
+	// Client issues the shard RPCs. Nil builds a default that keeps up to
+	// shardIdleConns idle connections per shard replica.
 	Client *http.Client
 }
+
+// shardIdleConns is the default client's idle connections per shard
+// replica. net/http's default keeps 2, so a router serving more than two
+// concurrent queries per shard would dial a fresh connection for each one
+// past the second and close it again after.
+const shardIdleConns = 64
 
 // Router is the scatter-gather coordinator. It is stateless apart from
 // caches and counters: all routing state derives from the shard map and the
@@ -130,7 +137,9 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = shardIdleConns
+		client = &http.Client{Transport: tr}
 	}
 	maxReplans := cfg.MaxReplans
 	if maxReplans <= 0 {

@@ -161,6 +161,64 @@ func TestRouterReusesShardConnections(t *testing.T) {
 	}
 }
 
+// TestRouterDefaultClientPoolsShardConnections pins the default client a
+// router builds when Config.Client is nil: 8 concurrent callers over two
+// shards must find their connections in the keep-alive pool again. A
+// transport that keeps only net/http's default 2 idle connections per
+// host closes the rest after every burst and dials them again, once per
+// query past the second.
+func TestRouterDefaultClientPoolsShardConnections(t *testing.T) {
+	tc := newTestCluster(t, 2000, 0)
+	const shards, callers, queries = 2, 8, 400
+	var conns atomic.Int64
+	m := ShardMap{}
+	for i := 0; i < shards; i++ {
+		srv := serve.NewServer(serve.Config{Ctx: engine.New(engine.Config{Slots: 2}), ShardName: fmt.Sprintf("s%d", i)})
+		if err := srv.AddDataset("nyc", "nyc", tc.dir); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewUnstartedServer(srv.Handler())
+		ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+			if state == http.StateNew {
+				conns.Add(1)
+			}
+		}
+		ts.Start()
+		defer ts.Close()
+		m.Shards = append(m.Shards, Shard{Name: fmt.Sprintf("s%d", i), Replicas: []string{ts.URL}})
+	}
+	r := tc.router(t, shards, Config{Shards: m})
+	defer r.client.CloseIdleConnections()
+
+	windows := seededWindows(17, 8)
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < queries; i += callers {
+				if _, _, _, _, err := routeQuery(r, windows[i%len(windows)]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// Each caller holds at most one connection per shard at a time; a
+	// connection whose hand-back to the pool races the caller's next
+	// request can add a spare, so the bound allows twice that.
+	if n := conns.Load(); n > 2*shards*callers {
+		t.Fatalf("%d shard connections for %d queries from %d callers, want <= %d",
+			n, queries, callers, 2*shards*callers)
+	}
+}
+
 // TestRouterCachedReplyPinsOnlyKeptRecords pins that a merged reply the
 // cache keeps holds no more bytes than ResidentBytes charges for it. With
 // no limit the records keep aliasing the shards' reply bodies, which they

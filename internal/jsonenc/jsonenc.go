@@ -19,7 +19,21 @@ import (
 // form that round-trips, in 'f' notation, or 'e' below 1e-6 and from 1e21
 // up with a two-digit negative exponent shortened (e-09 → e-9). NaN and
 // ±Inf have no JSON form and fail with encoding/json's message.
+//
+// A value on the 1e-6 grid — every stored coordinate, which datagen and
+// GPS feeds snap there — is printed without strconv: for 1e-6 ≤ |f| < 1e9
+// and k = round(|f|·1e6), k/1e6 == |f| means f is the double nearest the
+// decimal k·1e-6, and that decimal is f's shortest form. Any other decimal
+// of at most six places lies ≥ 1e-6 from it, more than the ulp (≤ 2^-23)
+// below 1e9, so it names a different double, and a shorter decimal has
+// fewer places. k ≤ 1e15 < 2^53 is exact. The test is exact too, so a
+// value off the grid only falls through to strconv.
 func AppendFloat(dst []byte, f float64) ([]byte, error) {
+	if abs := math.Abs(f); abs >= 1e-6 && abs < 1e9 {
+		if k := math.Round(abs * 1e6); k/1e6 == abs {
+			return appendGrid(dst, f < 0, uint64(k)), nil
+		}
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return dst, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 	}
@@ -35,6 +49,40 @@ func AppendFloat(dst []byte, f float64) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// appendGrid appends the decimal k·1e-6, negated when neg: the integer
+// part, then '.' and the six fraction digits with trailing zeros trimmed,
+// and no '.' when the fraction is zero.
+func appendGrid(dst []byte, neg bool, k uint64) []byte {
+	var buf [24]byte // '-', 9 integer digits, '.', 6 fraction digits
+	i := len(buf)
+	if frac := k % 1e6; frac != 0 {
+		n := 6
+		for frac%10 == 0 {
+			frac /= 10
+			n--
+		}
+		for ; n > 0; n-- {
+			i--
+			buf[i] = byte('0' + frac%10)
+			frac /= 10
+		}
+		i--
+		buf[i] = '.'
+	}
+	for ip := k / 1e6; ; ip /= 10 {
+		i--
+		buf[i] = byte('0' + ip%10)
+		if ip < 10 {
+			break
+		}
+	}
+	if neg {
+		i--
+		buf[i] = '-'
+	}
+	return append(dst, buf[i:]...)
 }
 
 const hex = "0123456789abcdef"

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"sort"
 	"sync"
@@ -89,7 +90,10 @@ func TestCatalogDetectsInPlaceRewrite(t *testing.T) {
 // full corpus. Growth is checked in real-time order, across clients: a
 // request sent after any reply arrived must count at least that reply's
 // records. (Two requests in flight together may finish in either order,
-// so the order replies arrive in proves nothing by itself.)
+// so the order replies arrive in proves nothing by itself.) Every commit
+// is served: the writer waits, under a deadline, for a reply carrying each
+// append's count before the next append, and for a request sent after the
+// compaction to count the full corpus.
 func TestServedAcrossConcurrentCompaction(t *testing.T) {
 	ctx := engine.New(engine.Config{Slots: 4})
 	dir := ingestNYC(t, ctx, 3000)
@@ -114,6 +118,7 @@ func TestServedAcrossConcurrentCompaction(t *testing.T) {
 	var stopFlag atomic.Bool
 	var mu sync.Mutex
 	var seen []observed
+	arrived := make(chan struct{}, 1) // a reply was added to seen
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
@@ -130,8 +135,38 @@ func TestServedAcrossConcurrentCompaction(t *testing.T) {
 				mu.Lock()
 				seen = append(seen, observed{sent, replied, res.Stats.SelectedRecords})
 				mu.Unlock()
+				select {
+				case arrived <- struct{}{}:
+				default:
+				}
 			}
 		}()
+	}
+	stop := func() {
+		stopFlag.Store(true)
+		wg.Wait()
+	}
+	// waitReply blocks until a reply satisfies ok, and fails the test if
+	// none has within a bounded deadline: a commit the daemon never serves.
+	checked := 0
+	waitReply := func(what string, ok func(observed) bool) {
+		timeout := time.After(10 * time.Second)
+		for {
+			mu.Lock()
+			for ; checked < len(seen); checked++ {
+				if ok(seen[checked]) {
+					mu.Unlock()
+					return
+				}
+			}
+			mu.Unlock()
+			select {
+			case <-arrived:
+			case <-timeout:
+				stop()
+				t.Fatalf("no reply %s within 10s", what)
+			}
+		}
 	}
 
 	// Writer: stream appends, then compact, while the queriers hammer.
@@ -140,19 +175,24 @@ func TestServedAcrossConcurrentCompaction(t *testing.T) {
 		lo, hi := b*200, (b+1)*200
 		if _, err := storage.AppendDelta(dir, stdata.EventRecC, extra[lo:hi],
 			stdata.EventRec.Box, storage.AppendOptions{}); err != nil {
+			stop()
 			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		want := int64(3000 + hi)
+		waitReply(fmt.Sprintf("counting append %d's %d records", b, want),
+			func(o observed) bool { return o.count == want })
 	}
 	// Long GC grace keeps pre-compaction files for queries still holding
 	// the previous generation's view.
 	if _, err := storage.Compact(dir, stdata.EventRecC, stdata.EventRec.Box,
 		storage.CompactOptions{MinDeltas: 1, GCGrace: time.Hour}); err != nil {
+		stop()
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
-	stopFlag.Store(true)
-	wg.Wait()
+	compacted := time.Now()
+	waitReply("to a request sent after the compaction counting 4000 records",
+		func(o observed) bool { return o.sent.After(compacted) && o.count == 4000 })
+	stop()
 
 	// No torn states: counts come in batch-of-200 steps and never fall
 	// below a count some earlier reply already showed. byReply[i] is the

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 
 	"st4ml/internal/jsonenc"
@@ -28,15 +29,30 @@ import (
 // newline WriteJSON's encoder writes. The body is encoded in full before
 // the header goes out, so a value that fails to encode answers 500 with
 // the error body, counted in query_errors, instead of 200 with an empty
-// body.
+// body. encode appends into a buffer from replyBufs, which goes back to
+// the pool once Write returns: nothing may keep the body past that.
 func (f *Front) writeReply(w http.ResponseWriter, encode func([]byte) ([]byte, error)) {
-	body, err := encode(nil)
+	bp := replyBufs.Get().(*[]byte)
+	body, err := encode((*bp)[:0])
 	if err != nil {
 		f.fail(w, fmt.Errorf("serve: encode reply: %w", err))
-		return
+	} else {
+		body = append(body, '\n')
+		writeBody(w, http.StatusOK, body)
 	}
-	writeBody(w, http.StatusOK, append(body, '\n'))
+	// A body larger than maxPooledReply is dropped, so one huge answer
+	// does not stay pinned in the pool (fmt's printer pool does the same).
+	if cap(body) <= maxPooledReply {
+		*bp = body[:0]
+		replyBufs.Put(bp)
+	}
 }
+
+// replyBufs pools reply bodies across requests; maxPooledReply caps the
+// capacity a pooled body may keep.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledReply = 1 << 20
 
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")

@@ -335,7 +335,7 @@ func benchStores(b *testing.B) []benchStore {
 // probeLoop searches p b.N times, cycling over windows.
 func probeLoop[T any](b *testing.B, p Partition, windows []index.Box) {
 	m := p.(matcher[T])
-	out := make([]T, 0, 1024)
+	out := make([]*T, 0, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

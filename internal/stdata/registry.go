@@ -282,44 +282,49 @@ func (s schema[T]) ReadDelta(dir string, dm storage.DeltaMeta) ([]index.Box, []j
 		return nil, nil, err
 	}
 	d := p.(*segment[T])
-	raw, err := s.encode([][]T{d.recs}, len(d.recs))
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.idx.Boxes(), raw, nil
-}
-
-// encode appends the JSON wire form of the first n records of chunks,
-// taken in order, into one buffer and returns them as sub-slices of it:
-// the same few allocations whatever the record count. The first record's
-// size sizes the buffer for the rest, with an eighth to spare for the
-// variable-width numbers and strings; the sub-slices are cut once the
-// buffer stops moving, each capped at its own end so an append to one
-// record cannot overwrite the next.
-func (s schema[T]) encode(chunks [][]T, n int) ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, n)
-	ends := make([]int, n)
-	var buf []byte
-	i := 0
-	for _, chunk := range chunks {
-		for _, rec := range chunk[:min(len(chunk), n-i)] {
-			var err error
-			if buf, err = s.spec.AppendJSON(buf, rec); err != nil {
-				return nil, fmt.Errorf("stdata: schema %s: encode record: %w", s.spec.Name, err)
-			}
-			if i == 0 {
-				buf = slices.Grow(buf, len(buf)*(n-1)*9/8)
-			}
-			ends[i] = len(buf)
-			i++
+	e := encoded{ends: make([]int, 0, len(d.recs))}
+	for i := range d.recs {
+		if err := s.encodeRecord(&e, &d.recs[i]); err != nil {
+			return nil, nil, err
 		}
 	}
+	return d.idx.Boxes(), e.records(), nil
+}
+
+// encoded is a reply's records in their JSON wire form, appended into one
+// buffer — the same few allocations whatever the record count — with
+// where each record ends.
+type encoded struct {
+	buf  []byte
+	ends []int
+}
+
+// encodeRecord appends rec's wire form to e. The first record's size
+// sizes the buffer for the rest of cap(e.ends) records, with an eighth to
+// spare for the variable-width numbers and strings.
+func (s schema[T]) encodeRecord(e *encoded, rec *T) error {
+	var err error
+	if e.buf, err = s.spec.AppendJSON(e.buf, *rec); err != nil {
+		return fmt.Errorf("stdata: schema %s: encode record: %w", s.spec.Name, err)
+	}
+	if len(e.ends) == 0 {
+		e.buf = slices.Grow(e.buf, len(e.buf)*(cap(e.ends)-1)*9/8)
+	}
+	e.ends = append(e.ends, len(e.buf))
+	return nil
+}
+
+// records cuts e's buffer into its records, once it has stopped moving,
+// each capped at its own end so an append to one record cannot overwrite
+// the next.
+func (e *encoded) records() []json.RawMessage {
+	out := make([]json.RawMessage, len(e.ends))
 	start := 0
-	for i, end := range ends {
-		out[i] = buf[start:end:end]
+	for i, end := range e.ends {
+		out[i] = e.buf[start:end:end]
 		start = end
 	}
-	return out, nil
+	return out
 }
 
 func (s schema[T]) SelectPoints(
@@ -375,9 +380,9 @@ func (s schema[T]) pin(recs []T, boxes []index.Box, fileBytes int64, delta bool)
 func (g *segment[T]) Len() int         { return len(g.recs) }
 func (g *segment[T]) SizeBytes() int64 { return g.bytes }
 
-func (g *segment[T]) appendMatches(q index.Box, out []T) []T {
+func (g *segment[T]) appendMatches(q index.Box, out []*T) []*T {
 	g.idx.Search([]index.Box{q}, func(i, _ int) bool {
-		out = append(out, g.recs[i])
+		out = append(out, &g.recs[i])
 		return true
 	})
 	return out
@@ -404,7 +409,7 @@ func (v liveData[T]) SizeBytes() int64 {
 	return n
 }
 
-func (v liveData[T]) appendMatches(q index.Box, out []T) []T {
+func (v liveData[T]) appendMatches(q index.Box, out []*T) []*T {
 	for _, g := range v {
 		out = g.appendMatches(q, out)
 	}
@@ -416,8 +421,9 @@ func (v liveData[T]) appendMatches(q index.Box, out []T) []T {
 type matcher[T any] interface {
 	Partition
 	// appendMatches appends the records intersecting q to out in the
-	// merge-on-read order.
-	appendMatches(q index.Box, out []T) []T
+	// merge-on-read order, by reference: the pointers are into the pinned
+	// segments, which nothing writes once pinned.
+	appendMatches(q index.Box, out []*T) []*T
 }
 
 // pinOverheadBytes approximates the per-record cost of the pinned slice and
@@ -540,9 +546,9 @@ func (s schema[T]) ServeQuery(
 	// retry machinery. The stage is traced under the select span.
 	sctx := ctx.WithSpan(sp)
 	q := w.Box()
-	matched := make([][]T, len(ids))
+	matched := make([][]*T, len(ids))
 	err := engine.Try(func() {
-		rdd := engine.Generate(sctx, "serve:"+meta.Name, len(ids), func(p int) []T {
+		rdd := engine.Generate(sctx, "serve:"+meta.Name, len(ids), func(p int) []*T {
 			part, err := fetch(ids[p])
 			if err != nil {
 				panic(err)
@@ -551,9 +557,9 @@ func (s schema[T]) ServeQuery(
 			if !ok {
 				panic(fmt.Sprintf("stdata: schema %s: cached partition has type %T", s.spec.Name, part))
 			}
-			return m.appendMatches(q, make([]T, 0, 16))
+			return m.appendMatches(q, make([]*T, 0, 16))
 		})
-		rdd.ForeachPartition(func(p int, in []T) { matched[p] = in })
+		rdd.ForeachPartition(func(p int, in []*T) { matched[p] = in })
 	})
 	if err != nil {
 		sp.End(trace.Str("error", err.Error()))
@@ -577,9 +583,15 @@ func (s schema[T]) ServeQuery(
 	// Records are exactly these chunks flattened (Flatten(parts, limit)).
 	var recs []json.RawMessage
 	if opts.Records {
-		if recs, err = s.encode(matched, limit); err != nil {
-			return QueryResult{}, err
+		e := encoded{ends: make([]int, 0, limit)}
+		for _, part := range matched {
+			for _, rec := range part[:min(len(part), limit-len(e.ends))] {
+				if err := s.encodeRecord(&e, rec); err != nil {
+					return QueryResult{}, err
+				}
+			}
 		}
+		recs = e.records()
 	}
 	if !opts.PerPartition {
 		res.Records = recs

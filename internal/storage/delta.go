@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 
 	"st4ml/internal/codec"
@@ -124,17 +126,59 @@ func ReadManifest(dir string) (*Manifest, error) {
 
 // ManifestGeneration returns the dataset's current manifest generation
 // (0 when it has no manifest) — the revalidation probe the serving catalog
-// runs on every query. It is not cheap: it reads and parses the whole
-// manifest, which lists every live delta file, so its cost grows with the
-// deltas appended since the last compaction (~30 entries per append on a
-// 32-partition dataset). Readers that only need to learn what one append
-// committed should take the CommitEvent instead.
+// runs on every query. It reads only the manifest's head: writeManifest
+// writes the generation as the first field of an indented object, and the
+// rename commit means an open manifest is always one whole version, so
+// `{\n  "generation": <digits>,` at the start of the file names the
+// generation of the manifest the next ReadManifest would parse. Any other
+// head — another layout, a short or cut file, digits that are not a
+// canonical int64 — falls back to parsing the whole manifest, whose cost
+// grows with the deltas appended since the last compaction. A corrupt body
+// behind a valid head is not seen here; it fails the ReadMetadata that a
+// changed generation leads to.
 func ManifestGeneration(dir string) (int64, error) {
+	f, err := os.Open(filepath.Join(dir, ManifestFile))
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("storage: read manifest: %w", err)
+	}
+	// A short read only sends the probe down the full parse.
+	var head [manifestHeadBytes]byte
+	n, _ := f.Read(head[:])
+	f.Close()
+	if gen, ok := parseManifestHead(head[:n]); ok {
+		return gen, nil
+	}
 	mf, err := ReadManifest(dir)
 	if err != nil {
 		return 0, err
 	}
 	return mf.Generation, nil
+}
+
+// manifestHead is how json.MarshalIndent(mf, "", "  ") opens a manifest;
+// manifestHeadBytes holds it with 19 digits (MaxInt64) and the comma.
+const (
+	manifestHead      = "{\n  \"generation\": "
+	manifestHeadBytes = 64
+)
+
+// parseManifestHead returns the generation in a manifest head b when b
+// starts with manifestHead and a JSON integer that fits an int64 — digits
+// with no leading zero — followed by a comma.
+func parseManifestHead(b []byte) (int64, bool) {
+	rest, ok := bytes.CutPrefix(b, []byte(manifestHead))
+	if !ok {
+		return 0, false
+	}
+	digits, _, ok := bytes.Cut(rest, []byte{','})
+	if !ok || len(digits) == 0 || digits[0] < '0' || digits[0] > '9' || (digits[0] == '0' && len(digits) > 1) {
+		return 0, false
+	}
+	gen, err := strconv.ParseInt(string(digits), 10, 64)
+	return gen, err == nil
 }
 
 // writeManifest commits mf: marshal to a temp file, fsync, rename over
