@@ -41,6 +41,19 @@ func NewRuns(boxes []Box) *Runs {
 // them.
 func (x *Runs) Boxes() []Box { return x.boxes }
 
+// Bound returns the number of records in the runs whose box intersects q:
+// an upper bound on the hits Search reports for q alone, from one test per
+// run, which a caller collecting the hits sizes its slice with.
+func (x *Runs) Bound(q Box) int {
+	n := 0
+	for r := range x.runs {
+		if x.runs[r].Intersects(q) {
+			n += min((r+1)*runLen, len(x.boxes)) - r*runLen
+		}
+	}
+	return n
+}
+
 // Search calls fn(i, w) for every record i and window qs[w] whose boxes
 // intersect, in ascending record order and, within a record, ascending
 // window order. Once fn returns true for a record, the record's remaining

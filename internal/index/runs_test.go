@@ -128,6 +128,11 @@ func checkRuns(t *testing.T, name string, boxes []Box) {
 				t.Fatalf("%s, %s, window set %d %+v: run index called %v, linear scan %v",
 					name, fname, si, qs, got, want)
 			}
+			// Bound covers every hit of a single window and never exceeds
+			// the records.
+			if b := x.Bound(qs[0]); len(qs) == 1 && fname == "keep" && (b < len(want) || b > len(boxes)) {
+				t.Fatalf("%s, window %+v: Bound %d for %d hits of %d records", name, qs[0], b, len(want), len(boxes))
+			}
 		}
 	}
 }

@@ -283,13 +283,13 @@ func (s *Server) run(ectx *engine.Context, d *Dataset, v view, req SubQueryReque
 }
 
 // fetcher returns the cache-aware partition loader for one query. A
-// partition's live view is assembled from cached files: the base and each
-// attached delta (records, their boxes and one box per run of 16), each
-// keyed by its file
-// name, so an append costs a read of only the deltas it wrote and a
-// compaction only the bases it rewrote. Misses read the disk exactly once
-// per file even under concurrent identical queries. ectx carries the
-// request's trace scope.
+// partition's live view is assembled from cached segments: the base and
+// each attached delta (records, their boxes and one box per run of 16),
+// the base keyed by its file name and a delta by its file and run
+// (DeltaMeta.Key), so an append costs a read of only the deltas it wrote
+// and a compaction only the bases it rewrote. Misses read the disk exactly
+// once per segment even under concurrent identical queries. ectx carries
+// the request's trace scope.
 func (s *Server) fetcher(d *Dataset, v view, ectx *engine.Context) func(id int) (stdata.Partition, error) {
 	return func(id int) (stdata.Partition, error) {
 		fsp := ectx.StartSpan(trace.SpanPartitionFetch, trace.Int("partition", int64(id)))
@@ -337,7 +337,7 @@ func (s *Server) fetchLive(d *Dataset, v view, ectx *engine.Context, id int) (st
 	segs := make([]stdata.Partition, len(deltas))
 	var read storage.ReadStats // the delta files this fetch read from disk
 	for i, dm := range deltas {
-		seg, err := s.cache.GetOrLoad(partKey(d.Name, v.epoch, dm.File), func() (any, int64, error) {
+		seg, err := s.cache.GetOrLoad(partKey(d.Name, v.epoch, dm.Key()), func() (any, int64, error) {
 			p, rst, err := d.Schema.LoadDelta(d.Dir, dm)
 			if err != nil {
 				return nil, 0, err
@@ -364,18 +364,18 @@ func (s *Server) fetchLive(d *Dataset, v view, ectx *engine.Context, id int) (st
 	return d.Schema.LiveView(base.(stdata.Partition), segs)
 }
 
-// partKey is the cache key of one decoded partition file, base or delta,
-// of dataset name at an ingest epoch.
+// partKey is the cache key of one decoded segment — a base file, or a
+// delta's DeltaMeta.Key — of dataset name at an ingest epoch.
 func partKey(name string, epoch int64, file string) string {
 	return "part|" + name + "|" + strconv.FormatInt(epoch, 10) + "|" + file
 }
 
 // noteGeneration eagerly drops a dataset's stale cache entries when its
 // catalog generation moves (a re-ingest, delta append, or compaction was
-// detected): every cached result, and every cached partition file the new
-// view no longer references — folded-in deltas, superseded bases, anything
-// from an older ingest epoch. Files the view still references stay, so an
-// append evicts nothing. Without the drop, stale entries would linger in
+// detected): every cached result, and every cached base file or delta run
+// the new view no longer references — folded-in deltas, superseded bases,
+// anything from an older ingest epoch. Segments the view still references
+// stay, so an append evicts nothing. Without the drop, stale entries would linger in
 // the budget until LRU aged them out. A view older than one already noted
 // is ignored.
 func (s *Server) noteGeneration(d *Dataset, v view) {
@@ -395,7 +395,7 @@ func (s *Server) noteGeneration(d *Dataset, v view) {
 	for i, p := range v.meta.Partitions {
 		live[partKey(d.Name, v.epoch, p.File)] = true
 		for _, dm := range v.meta.Deltas(i) {
-			live[partKey(d.Name, v.epoch, dm.File)] = true
+			live[partKey(d.Name, v.epoch, dm.Key())] = true
 		}
 	}
 	s.cache.DropPrefixExcept("part|"+d.Name+"|", live)

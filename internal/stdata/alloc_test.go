@@ -13,14 +13,16 @@ import (
 )
 
 // Ceilings for one warm ServeQuery over pinned partitions that returns
-// its records, measured at 55 allocations and 182 KiB. The allocations are
+// its records, measured at 37 allocations and 192 KiB. The allocations are
 // the engine stage and its tasks, the select span, each partition's match
-// slice as it grows, and the encoded records' buffer, offsets and slice
-// headers; none is per record. The bytes are mostly the records' JSON and
-// their slice headers. Holding each match as a copy of its 48-byte row
-// rather than a reference into the pinned segment reads 342 KiB.
+// slice — one, sized by the run index's bound — and the encoded records'
+// buffer, offsets and slice headers; none is per record. Growing each
+// match slice from 16 by doubling reads 55 allocations. The bytes are
+// mostly the records' JSON and their slice headers. Holding each match as
+// a copy of its 48-byte row rather than a reference into the pinned
+// segment reads 342 KiB.
 const (
-	serveQueryAllocCeiling = 60
+	serveQueryAllocCeiling = 40
 	serveQueryByteCeiling  = 208 << 10
 )
 

@@ -81,13 +81,32 @@ func FuzzRecordJSON(f *testing.F) {
 	})
 }
 
+// onGrid snaps a coordinate to the 1e-6 grid every stored coordinate lies
+// on (datagen quantizes to it), whose values the JSON encoder prints
+// without strconv.
+func onGrid(v float64) float64 { return math.Round(v*1e6) / 1e6 }
+
+// gridEvents is randomEvents with its coordinates on the grid.
+func gridEvents(n int, seed int64) []EventRec {
+	out := randomEvents(n, seed)
+	for i := range out {
+		out[i].Loc = geom.Pt(onGrid(out[i].Loc.X), onGrid(out[i].Loc.Y))
+	}
+	return out
+}
+
 // jsonBenchRecords is one serve-corpus-like record of each schema, so a
-// record costs what a served one does.
+// record costs what a served one does: coordinates on the grid.
 func jsonBenchRecords(n int) ([]EventRec, []TrajRec, []AirRec, []POIRec) {
 	rng := rand.New(rand.NewSource(1))
-	lon := func() float64 { return -74.05 + rng.Float64()*0.3 }
-	lat := func() float64 { return 40.6 + rng.Float64()*0.3 }
+	lon := func() float64 { return onGrid(-74.05 + rng.Float64()*0.3) }
+	lat := func() float64 { return onGrid(40.6 + rng.Float64()*0.3) }
 	ev, tr, air, poi := make([]EventRec, n), randomTrajs(n, 1), make([]AirRec, n), make([]POIRec, n)
+	for i := range tr {
+		for j, p := range tr[i].Points {
+			tr[i].Points[j] = geom.Pt(onGrid(p.X), onGrid(p.Y))
+		}
+	}
 	for i := range ev {
 		ts := 1.7e9 + rng.Int63n(3e7)
 		ev[i] = EventRec{ID: int64(i), Loc: geom.Pt(lon(), lat()), Time: ts, Aux: []string{"pickup", "dropoff"}[i%2]}
@@ -133,12 +152,12 @@ func BenchmarkRecordJSON(b *testing.B) {
 }
 
 // BenchmarkServeQueryRecords measures a warm served query that returns its
-// records: one pinned 12.5k-event nyc partition and a window selecting
-// about 1k of them (16 % of the area × half the time range), reported per
-// record alongside allocs/op.
+// records: one pinned 12.5k-event nyc partition, coordinates on the grid,
+// and a window selecting about 1k of them (16 % of the area × half the
+// time range), reported per record alongside allocs/op.
 func BenchmarkServeQueryRecords(b *testing.B) {
 	nyc := registry["nyc"].(schema[EventRec])
-	dir, meta := pinStore(b, nyc, randomEvents(12500, 1), false)
+	dir, meta := pinStore(b, nyc, gridEvents(12500, 1), false)
 	fetch := cachedFetch(b, nyc, dir, meta)
 	ctx := engine.New(engine.Config{Slots: 1})
 	w := selection.Window{Space: geom.Box(3, 3, 7, 7), Time: tempo.New(25, 75)}

@@ -380,6 +380,8 @@ func (s schema[T]) pin(recs []T, boxes []index.Box, fileBytes int64, delta bool)
 func (g *segment[T]) Len() int         { return len(g.recs) }
 func (g *segment[T]) SizeBytes() int64 { return g.bytes }
 
+func (g *segment[T]) matchBound(q index.Box) int { return g.idx.Bound(q) }
+
 func (g *segment[T]) appendMatches(q index.Box, out []*T) []*T {
 	g.idx.Search([]index.Box{q}, func(i, _ int) bool {
 		out = append(out, &g.recs[i])
@@ -409,6 +411,14 @@ func (v liveData[T]) SizeBytes() int64 {
 	return n
 }
 
+func (v liveData[T]) matchBound(q index.Box) int {
+	n := 0
+	for _, g := range v {
+		n += g.matchBound(q)
+	}
+	return n
+}
+
 func (v liveData[T]) appendMatches(q index.Box, out []*T) []*T {
 	for _, g := range v {
 		out = g.appendMatches(q, out)
@@ -424,6 +434,9 @@ type matcher[T any] interface {
 	// merge-on-read order, by reference: the pointers are into the pinned
 	// segments, which nothing writes once pinned.
 	appendMatches(q index.Box, out []*T) []*T
+	// matchBound bounds the number of records appendMatches appends for q
+	// from the run index alone, so the match slice is allocated once.
+	matchBound(q index.Box) int
 }
 
 // pinOverheadBytes approximates the per-record cost of the pinned slice and
@@ -557,7 +570,7 @@ func (s schema[T]) ServeQuery(
 			if !ok {
 				panic(fmt.Sprintf("stdata: schema %s: cached partition has type %T", s.spec.Name, part))
 			}
-			return m.appendMatches(q, make([]*T, 0, 16))
+			return m.appendMatches(q, make([]*T, 0, m.matchBound(q)))
 		})
 		rdd.ForeachPartition(func(p int, in []*T) { matched[p] = in })
 	})

@@ -75,38 +75,57 @@ func capHint(n int64) int64 {
 	return n
 }
 
-// writePartitionV3 writes one base partition in the columnar layout.
+// writePartitionV3 writes part as one whole file under name — a base
+// partition or a compaction rewrite — and returns its metadata entry, whose
+// Bytes is the file's size.
 func writePartitionV3[T any](
-	dir string, i int, c codec.Codec[T], part []T,
-	boxOf func(T) index.Box, blockRecords int,
+	dir, name string, c codec.Codec[T], part []T,
+	boxOf func(T) index.Box, blockRecords int, sync bool,
 ) (PartitionMeta, error) {
-	return writePartitionV3File(dir, partitionFileName(i), c, part, boxOf, blockRecords, false)
+	runs, size, err := writePartitionV3File(dir, name, c, [][]T{part}, boxOf, blockRecords, sync)
+	if err != nil {
+		return PartitionMeta{}, err
+	}
+	pm := runs[0].PartitionMeta
+	pm.Bytes = size
+	return pm, nil
 }
 
-// writePartitionV3File writes one partition file under an explicit name —
-// the shared writer behind base partitions, delta files, and compaction
-// rewrites. sync forces the file to stable storage before returning; the
+// fileRun is one group's share of a written partition file: its records'
+// count and ST bounds, Bytes as the stored bytes of its blocks, and where
+// its run of blocks sits in the footer's block index.
+type fileRun struct {
+	PartitionMeta
+	run blockRun
+}
+
+// writePartitionV3File writes groups of records into one partition file
+// under name — the shared writer behind base partitions (one group), delta
+// files (one group per partition an append routes to), and compaction
+// rewrites — and returns one fileRun per group plus the file's size. Each
+// group starts a new block, so a group's records are exactly its run of
+// blocks. sync forces the file to stable storage before returning; the
 // delta layer requires it, because the manifest swap that makes a file
 // visible must never commit a file the disk does not yet hold. Codecs
 // carrying a Columnar schema get native column streams; any other codec
 // gets the generic layout (one frame of row encodings per block), so v3
 // never requires schema cooperation.
 func writePartitionV3File[T any](
-	dir, name string, c codec.Codec[T], part []T,
+	dir, name string, c codec.Codec[T], groups [][]T,
 	boxOf func(T) index.Box, blockRecords int, sync bool,
-) (PartitionMeta, error) {
+) ([]fileRun, int64, error) {
 	if blockRecords > maxBlockRecords {
 		blockRecords = maxBlockRecords
 	}
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: create partition: %w", err)
+		return nil, 0, fmt.Errorf("storage: create partition: %w", err)
 	}
 	defer f.Close()
 	out := bufio.NewWriterSize(f, 256<<10)
 	if _, err := out.WriteString(v3Magic); err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: write partition: %w", err)
+		return nil, 0, fmt.Errorf("storage: write partition: %w", err)
 	}
 	off := int64(blockHeaderLen)
 
@@ -130,7 +149,6 @@ func writePartitionV3File[T any](
 	}
 
 	var blocks []BlockMeta
-	bounds := index.EmptyBox()
 	flush := func(blockBounds index.Box, count int64) error {
 		if col != nil && (int64(len(cb.IDs)) != count || int64(len(cb.Lon)) != count ||
 			int64(len(cb.Lat)) != count || int64(len(cb.T)) != count ||
@@ -168,31 +186,40 @@ func writePartitionV3File[T any](
 		cb.Reset()
 		return nil
 	}
-	blockBounds := index.EmptyBox()
-	var blockCount int64
-	for _, rec := range part {
-		if col != nil {
-			col.Split(rec, cb)
-			cb.EndRecord()
-		} else {
-			c.Enc(&cb.Pay, rec)
-		}
-		b := boxOf(rec)
-		blockBounds = blockBounds.Union(b)
-		bounds = bounds.Union(b)
-		blockCount++
-		if blockCount >= int64(blockRecords) {
-			if err := flush(blockBounds, blockCount); err != nil {
-				return PartitionMeta{}, err
+	runs := make([]fileRun, len(groups))
+	for g, part := range groups {
+		first, runStart := len(blocks), off
+		bounds := index.EmptyBox()
+		blockBounds := index.EmptyBox()
+		var blockCount int64
+		for _, rec := range part {
+			if col != nil {
+				col.Split(rec, cb)
+				cb.EndRecord()
+			} else {
+				c.Enc(&cb.Pay, rec)
 			}
-			blockBounds = index.EmptyBox()
-			blockCount = 0
+			b := boxOf(rec)
+			blockBounds = blockBounds.Union(b)
+			bounds = bounds.Union(b)
+			blockCount++
+			if blockCount >= int64(blockRecords) {
+				if err := flush(blockBounds, blockCount); err != nil {
+					return nil, 0, err
+				}
+				blockBounds = index.EmptyBox()
+				blockCount = 0
+			}
 		}
-	}
-	if blockCount > 0 {
-		if err := flush(blockBounds, blockCount); err != nil {
-			return PartitionMeta{}, err
+		if blockCount > 0 {
+			if err := flush(blockBounds, blockCount); err != nil {
+				return nil, 0, err
+			}
 		}
+		r := &runs[g]
+		r.File, r.Count, r.Bytes = name, int64(len(part)), off-runStart
+		r.setBounds(bounds)
+		r.run = blockRun{first: first, num: len(blocks) - first}
 	}
 
 	footerOff := off
@@ -202,32 +229,26 @@ func writePartitionV3File[T any](
 	frameW.Reset()
 	frameW.PutFrame(blkW.Bytes())
 	if _, err := out.Write(frameW.Bytes()); err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: write footer: %w", err)
+		return nil, 0, fmt.Errorf("storage: write footer: %w", err)
 	}
 	var trailer [trailerLen]byte
 	binary.LittleEndian.PutUint64(trailer[:8], uint64(footerOff))
 	copy(trailer[8:], v3TrailerMagic)
 	if _, err := out.Write(trailer[:]); err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: write trailer: %w", err)
+		return nil, 0, fmt.Errorf("storage: write trailer: %w", err)
 	}
 	if err := out.Flush(); err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: flush partition: %w", err)
+		return nil, 0, fmt.Errorf("storage: flush partition: %w", err)
 	}
 	if sync {
 		if err := f.Sync(); err != nil {
-			return PartitionMeta{}, fmt.Errorf("storage: sync partition: %w", err)
+			return nil, 0, fmt.Errorf("storage: sync partition: %w", err)
 		}
 	}
 	if err := f.Close(); err != nil {
-		return PartitionMeta{}, fmt.Errorf("storage: close partition: %w", err)
+		return nil, 0, fmt.Errorf("storage: close partition: %w", err)
 	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return PartitionMeta{}, err
-	}
-	pm := PartitionMeta{File: name, Count: int64(len(part)), Bytes: st.Size()}
-	pm.setBounds(bounds)
-	return pm, nil
+	return runs, footerOff + int64(frameW.Len()) + trailerLen, nil
 }
 
 // readFooterV3 opens a v3 partition file and returns its verified profile
@@ -304,8 +325,13 @@ func pointInAny(lon, lat float64, t int64, windows []index.Box) bool {
 // (lon, lat, t) columns — the tuple the window test above already trusts
 // as the record's exact extent — and any other file from boxOf(rec) as
 // each record is built. A nil boxOf returns nil boxes.
+//
+// A non-zero run narrows the file to one delta entry's run of blocks
+// before any pruning: the block indexes of blockSet, the stats' Blocks and
+// the record-count checks then refer to the run, whose total count must
+// equal pm.Count on every read.
 func readPartitionV3Once[T any](
-	dir string, pm PartitionMeta, c codec.Codec[T], windows []index.Box,
+	dir string, pm PartitionMeta, run blockRun, c codec.Codec[T], windows []index.Box,
 	blockSet map[int]bool, boxOf func(T) index.Box,
 ) ([]T, []index.Box, ReadStats, error) {
 	f, profile, blocks, footerOff, size, err := readFooterV3(filepath.Join(dir, pm.File))
@@ -313,6 +339,11 @@ func readPartitionV3Once[T any](
 		return nil, nil, ReadStats{}, err
 	}
 	defer f.Close()
+	if run != (blockRun{}) {
+		if blocks, err = run.of(blocks, pm, footerOff); err != nil {
+			return nil, nil, ReadStats{}, err
+		}
+	}
 	native := profile&v3Native != 0
 	if native && profile != colProfile(c) {
 		// The columns a native file holds are the ones its writer's schema

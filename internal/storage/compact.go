@@ -96,11 +96,7 @@ func compactLocked[T any](
 	unlock := lockDir(dir)
 	defer unlock()
 
-	meta, err := ReadMetadata(dir)
-	if err != nil {
-		return CompactStats{}, false, err
-	}
-	mf, err := ReadManifest(dir)
+	meta, mf, err := readView(dir)
 	if err != nil {
 		return CompactStats{}, false, err
 	}
@@ -119,7 +115,7 @@ func compactLocked[T any](
 	}
 	if len(targets) == 0 {
 		if opts.GCGrace >= 0 {
-			st.FilesRemoved, err = collectGarbage(dir, meta, mf, opts.GCGrace)
+			st.FilesRemoved, err = collectGarbage(dir, mf, opts.GCGrace)
 		}
 		return st, false, err
 	}
@@ -142,7 +138,7 @@ func compactLocked[T any](
 			return st, false, fmt.Errorf("storage: compact partition %d: %w", pi, err)
 		}
 		ZCluster(recs, boxOf)
-		pm, err := writePartitionV3File(dir, compactedFileName(pi, gen), c, recs, boxOf,
+		pm, err := writePartitionV3(dir, compactedFileName(pi, gen), c, recs, boxOf,
 			blockRecords, true)
 		if err != nil {
 			sp.End(trace.Str("error", err.Error()))
@@ -199,12 +195,7 @@ func compactLocked[T any](
 	crash("compact:swapped")
 
 	if opts.GCGrace >= 0 {
-		// Rebuild the post-swap view for the referenced-file set.
-		view, err := ReadMetadata(dir)
-		if err != nil {
-			return st, true, err
-		}
-		st.FilesRemoved, err = collectGarbage(dir, view, mf, opts.GCGrace)
+		st.FilesRemoved, err = collectGarbage(dir, mf, opts.GCGrace)
 		if err != nil {
 			return st, true, err
 		}
@@ -212,30 +203,34 @@ func compactLocked[T any](
 	return st, true, nil
 }
 
-// collectGarbage removes partition/delta files that the committed view no
-// longer references and that are older than grace. The grace window is
-// what keeps concurrently executing readers safe: they resolved their file
-// set from a manifest committed strictly less than `grace` ago.
-func collectGarbage(dir string, view *Metadata, mf *Manifest, grace time.Duration) (int, error) {
-	referenced := map[string]bool{}
-	for i, p := range view.Partitions {
-		referenced[p.File] = true
-		for _, d := range view.Deltas(i) {
-			referenced[d.File] = true
-		}
-	}
-	for _, sm := range mf.Summaries {
-		referenced[sm.File] = true
-	}
+// collectGarbage removes partition/delta files that the committed
+// manifest mf and metadata.json no longer reference and that are older
+// than grace. The grace window is what keeps concurrently executing
+// readers safe: they resolved their file set from a manifest committed
+// strictly less than `grace` ago. A delta file shared by several deltas
+// stays while any of them is live.
+func collectGarbage(dir string, mf *Manifest, grace time.Duration) (int, error) {
 	// Files named by the raw metadata.json stay referenced even when a
 	// rewrite supersedes them in the merged view: metadata.json is never
 	// rewritten by the delta layer, so GC deleting its files would leave a
 	// dangling index if manifest.json were ever lost. Only superseded
 	// rewrite generations, folded-in deltas, and crash orphans are eligible.
-	if raw, err := readRawMetadata(dir); err == nil {
-		for _, p := range raw.Partitions {
-			referenced[p.File] = true
-		}
+	raw, err := readRawMetadata(dir)
+	if err != nil {
+		return 0, fmt.Errorf("storage: gc: %w", err)
+	}
+	referenced := map[string]bool{}
+	for _, p := range raw.Partitions {
+		referenced[p.File] = true
+	}
+	for _, p := range mf.Rewrites {
+		referenced[p.File] = true
+	}
+	for _, d := range mf.Deltas {
+		referenced[d.File] = true
+	}
+	for _, sm := range mf.Summaries {
+		referenced[sm.File] = true
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -16,12 +15,13 @@ import (
 
 // The delta layer turns the rebuild-the-world store into a continuously
 // ingesting one (see DESIGN.md "Delta layer & compaction"). New records are
-// not merged into the base partition files; they land in small immutable
-// delta files (the current block layout, Z-order clustered, CRC-framed) routed
-// to the base partition whose extent they enlarge least, and a manifest
-// file — swapped atomically via tmp+rename — records which delta files are
-// live. Readers union base + manifest-listed deltas (merge-on-read);
-// a background compactor folds deltas back into rewritten base files and
+// not merged into the base partition files; each is routed to the base
+// partition whose extent it enlarges least, and an append lands in one
+// small immutable delta file (the current block layout, CRC-framed) with
+// one Z-order clustered run of blocks per partition. A manifest file —
+// swapped atomically via tmp+rename — records which deltas are live.
+// Readers union base + manifest-listed deltas (merge-on-read); a
+// background compactor folds deltas back into rewritten base files and
 // swaps the manifest again. The manifest rename is the single commit point
 // of both operations:
 //
@@ -43,14 +43,59 @@ import (
 // directory. Absence means the dataset has no delta layer (generation 0).
 const ManifestFile = "manifest.json"
 
-// DeltaMeta describes one live delta file: which base partition it extends
-// plus the usual partition accounting (file, count, bytes, ST bounds).
+// DeltaMeta describes one live delta: which base partition it extends,
+// the usual partition accounting (file, count, bytes, ST bounds), and the
+// run of blocks within the file that holds its records. An append writes
+// one file for all the partitions it routes to, each partition's records
+// a run of blocks of their own; a delta committed before shared files
+// names no run and owns its whole file.
 type DeltaMeta struct {
 	// Partition is the base partition this delta extends.
 	Partition int `json:"partition"`
 	// Seq is the delta's unique, monotonically increasing sequence number.
 	Seq int64 `json:"seq"`
+	// PartitionMeta's Bytes is the stored bytes of the delta's run of
+	// blocks — the file's size when the delta owns the whole file.
 	PartitionMeta
+	// FirstBlock and NumBlocks name the delta's run in the file's block
+	// index; NumBlocks 0 means the whole file.
+	FirstBlock int `json:"first_block,omitempty"`
+	NumBlocks  int `json:"num_blocks,omitempty"`
+}
+
+// Key names the delta's records uniquely among every delta of a dataset:
+// its file, plus its run when it shares the file with other deltas.
+func (d DeltaMeta) Key() string {
+	if d.NumBlocks == 0 {
+		return d.File
+	}
+	return d.File + "#" + strconv.Itoa(d.FirstBlock) + "+" + strconv.Itoa(d.NumBlocks)
+}
+
+// blockRun is a run of num blocks from first in a file's block index; the
+// zero run is the whole file.
+type blockRun struct{ first, num int }
+
+func (d DeltaMeta) run() blockRun { return blockRun{first: d.FirstBlock, num: d.NumBlocks} }
+
+// of narrows a file's block index to the run and checks that the run holds
+// pm.Count records. A run the index does not hold — negative, empty, past
+// its end, or wrapping — is corruption, as is a count mismatch.
+func (r blockRun) of(blocks []BlockMeta, pm PartitionMeta, footerOff int64) ([]BlockMeta, error) {
+	if r.first < 0 || r.num <= 0 || r.first > len(blocks) || r.num > len(blocks)-r.first {
+		return nil, fmt.Errorf("storage: delta %s names blocks [%d,+%d) of %d: %w",
+			pm.File, r.first, r.num, len(blocks), codec.ErrCorrupt{Off: int(footerOff)})
+	}
+	blocks = blocks[r.first : r.first+r.num]
+	var n int64
+	for _, bm := range blocks {
+		n += bm.Count
+	}
+	if n != pm.Count {
+		return nil, fmt.Errorf("storage: delta %s blocks [%d,+%d) count %d records, manifest says %d: %w",
+			pm.File, r.first, r.num, n, pm.Count, codec.ErrCorrupt{Off: int(footerOff)})
+	}
+	return blocks, nil
 }
 
 // Manifest is the delta layer's commit record: the dataset generation,
@@ -242,9 +287,12 @@ type AppendOptions struct {
 	BatchID string
 }
 
-// deltaFileName names partition pi's delta with sequence seq.
-func deltaFileName(pi int, seq int64) string {
-	return fmt.Sprintf("delta-%05d-%08d.stp", pi, seq)
+// appendFileName names the delta file of an append whose first delta has
+// sequence seq. Deltas committed before shared files are named
+// delta-PPPPP-SSSSSSSS.stp after their partition and sequence; readers
+// take either name from the manifest.
+func appendFileName(seq int64) string {
+	return fmt.Sprintf("delta-%08d.stp", seq)
 }
 
 // compactedFileName names partition pi's base rewrite at generation gen.
@@ -257,13 +305,17 @@ func compactedFileName(pi int, gen int64) string {
 
 // AppendDelta appends recs to the live dataset at dir without rewriting
 // any base file: records are routed to the base partition whose ST extent
-// they enlarge least, Z-order clustered, written as per-partition delta
-// files in the current (v3 columnar) block layout, and committed
-// by an atomic manifest swap that bumps the dataset generation. Readers
-// that load metadata after the swap see the new records; readers that
-// loaded before keep a consistent pre-append view. Concurrent appends and
-// compactions of one directory serialize in-process; see the package
-// comment on delta.go for the crash-safety argument.
+// they enlarge least, and the partitions' groups, in ascending partition
+// id and each Z-order clustered, are written into one delta file in the
+// current (v3 columnar) block layout, one run of blocks per group. The
+// file is fsynced and committed by an atomic manifest swap that bumps the
+// dataset generation and lists one DeltaMeta per group, so an append costs
+// one file create and two fsyncs (delta file, manifest) however many
+// partitions it touches. Readers that load metadata after the swap see
+// the new records; readers that loaded before keep a consistent
+// pre-append view. Concurrent appends and compactions of one directory
+// serialize in-process; see the package comment on delta.go for the
+// crash-safety argument.
 //
 // After the swap, OnCommit hooks for dir run outside the writer lock; a
 // hook failure returns the committed manifest alongside a *HookError — the
@@ -285,23 +337,21 @@ func AppendDelta[T any](
 
 // appendDeltaLocked does the append under the directory writer lock and
 // returns the commit event to notify (nil when nothing committed: a
-// replayed batch or an empty record set).
+// replayed batch or an empty record set). Sequence numbers follow the
+// ascending partition order, so the same append into the same store
+// commits the same manifest and the same file bytes.
 func appendDeltaLocked[T any](
 	dir string, c codec.Codec[T], recs []T, boxOf func(T) index.Box, opts AppendOptions,
 ) (*Manifest, *CommitEvent, error) {
 	unlock := lockDir(dir)
 	defer unlock()
 
-	meta, err := ReadMetadata(dir)
+	meta, mf, err := readView(dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	if meta.NumPartitions() == 0 {
 		return nil, nil, fmt.Errorf("storage: append to %s: dataset has no partitions", dir)
-	}
-	mf, err := ReadManifest(dir)
-	if err != nil {
-		return nil, nil, err
 	}
 	if opts.BatchID != "" && mf.applied(opts.BatchID) {
 		return mf, nil, nil // committed by a previous attempt
@@ -314,35 +364,38 @@ func appendDeltaLocked[T any](
 	if blockRecords <= 0 {
 		blockRecords = DefaultBlockRecords
 	}
-	groups := routeToPartitions(meta, recs, boxOf)
-	var committed []DeltaMeta
-	for pi, group := range groups {
-		if len(group) == 0 {
-			continue
+	var parts []int
+	var groups [][]T
+	for pi, group := range routeToPartitions(meta, recs, boxOf) {
+		if len(group) > 0 {
+			ZCluster(group, boxOf)
+			parts = append(parts, pi)
+			groups = append(groups, group)
 		}
-		ZCluster(group, boxOf)
-		seq := mf.NextSeq
-		mf.NextSeq++
-		name := deltaFileName(pi, seq)
-		// Deltas are written in the current format regardless of the base
-		// dataset's: pm.Format records it, and the reader dispatches on it
-		// per delta file.
-		pm, err := writePartitionV3File(dir, name, c, group, boxOf, blockRecords, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		pm.Format = FormatVersion
-		dm := DeltaMeta{Partition: pi, Seq: seq, PartitionMeta: pm}
-		mf.Deltas = append(mf.Deltas, dm)
-		committed = append(committed, dm)
 	}
+	// Deltas are written in the current format regardless of the base
+	// dataset's: the entries' Format records it, and the reader dispatches
+	// on it per delta.
+	runs, _, err := writePartitionV3File(dir, appendFileName(mf.NextSeq), c, groups, boxOf, blockRecords, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	committed := make([]DeltaMeta, len(runs))
+	for k, r := range runs {
+		r.Format = FormatVersion
+		committed[k] = DeltaMeta{
+			Partition: parts[k], Seq: mf.NextSeq, PartitionMeta: r.PartitionMeta,
+			FirstBlock: r.run.first, NumBlocks: r.run.num,
+		}
+		mf.NextSeq++
+	}
+	mf.Deltas = append(mf.Deltas, committed...)
 	crash("append:delta-written")
 	mf.Generation++
 	mf.noteBatch(opts.BatchID)
 	if err := writeManifest(dir, mf); err != nil {
 		return nil, nil, err
 	}
-	sort.Slice(committed, func(i, j int) bool { return committed[i].Seq < committed[j].Seq })
 	ev := &CommitEvent{
 		Dir:        dir,
 		Kind:       CommitAppend,
@@ -357,8 +410,9 @@ func appendDeltaLocked[T any](
 // live extent (base ∪ attached deltas) grows least, in coordinates
 // normalized by the dataset's own extent so degrees and seconds weigh
 // comparably. Pure locality heuristic — pruning correctness rests on the
-// delta files' recorded bounds, not on where records are routed.
-func routeToPartitions[T any](meta *Metadata, recs []T, boxOf func(T) index.Box) map[int][]T {
+// deltas' recorded bounds, not on where records are routed. The result is
+// indexed by partition id; partitions no record routes to get nil.
+func routeToPartitions[T any](meta *Metadata, recs []T, boxOf func(T) index.Box) [][]T {
 	boxes := make([]index.Box, meta.NumPartitions())
 	all := index.EmptyBox()
 	for i, p := range meta.Partitions {
@@ -383,7 +437,7 @@ func routeToPartitions[T any](meta *Metadata, recs []T, boxOf func(T) index.Box)
 		}
 		return v
 	}
-	groups := map[int][]T{}
+	groups := make([][]T, len(boxes))
 	for _, rec := range recs {
 		rb := boxOf(rec)
 		best, bestCost := 0, 0.0

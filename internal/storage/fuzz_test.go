@@ -58,7 +58,7 @@ func readLegacyBytes(t testing.TB, meta *Metadata, data []byte) ([]rec, error) {
 	if err := os.WriteFile(filepath.Join(dir, meta.Partitions[0].File), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return readAnyFormat(dir, meta, meta.Partitions[0], meta.partitionFormat(0), recC)
+	return readAnyFormat(dir, meta, meta.Partitions[0], blockRun{}, meta.partitionFormat(0), recC)
 }
 
 // FuzzV2Partition throws arbitrary bytes at the legacy reader — the only
@@ -202,6 +202,8 @@ func FuzzV3Block(f *testing.F) {
 		Max: [index.Dims]float64{5, 5, 500},
 	}}
 	f.Add(payLenWrapSeed(f, win))
+	seedRuns, runs := multiRunFuzzSeed(f)
+	f.Add(seedRuns)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := readBytesAsPartition(t, metaNative, data, nil)
 		if err == nil && int64(len(out)) != metaNative.Partitions[0].Count {
@@ -247,6 +249,19 @@ func FuzzV3Block(f *testing.F) {
 		}
 		if bytes.Equal(data, seedExtBad) && err == nil {
 			t.Fatal("a stray byte in a pruned record's payload went undetected")
+		}
+		// The same bytes as an append's shared delta file: each entry's run
+		// reads without panicking, and a clean read returns exactly the
+		// entry's record count.
+		ddir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(ddir, runs[0].File), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, dm := range runs {
+			recs, _, _, err := ReadDelta(ddir, dm, recC, nil)
+			if err == nil && int64(len(recs)) != dm.Count {
+				t.Fatalf("clean run read returned %d records, manifest says %d", len(recs), dm.Count)
+			}
 		}
 	})
 }

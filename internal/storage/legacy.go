@@ -40,12 +40,12 @@ const (
 // then every attached delta in manifest order — whatever format each file
 // is in.
 func readForCompaction[T any](dir string, meta *Metadata, i int, c codec.Codec[T]) ([]T, error) {
-	out, err := readAnyFormat(dir, meta, meta.Partitions[i], meta.partitionFormat(i), c)
+	out, err := readAnyFormat(dir, meta, meta.Partitions[i], blockRun{}, meta.partitionFormat(i), c)
 	if err != nil {
 		return nil, err
 	}
 	for _, dm := range meta.Deltas(i) {
-		recs, err := readAnyFormat(dir, meta, dm.PartitionMeta, deltaFormat(dm), c)
+		recs, err := readAnyFormat(dir, meta, dm.PartitionMeta, dm.run(), deltaFormat(dm), c)
 		if err != nil {
 			return nil, err
 		}
@@ -55,14 +55,15 @@ func readForCompaction[T any](dir string, meta *Metadata, i int, c codec.Codec[T
 }
 
 // readAnyFormat decodes one whole base or delta file stored in format
-// version: v3 through the query path's reader, v2 and v1 through the
-// legacy readers. A checksum mismatch is retried like any partition read.
-func readAnyFormat[T any](dir string, meta *Metadata, pm PartitionMeta, version int, c codec.Codec[T]) ([]T, error) {
+// version — for a v3 delta, its run of blocks: v3 through the query path's
+// reader, v2 and v1 (which never share a file) through the legacy readers.
+// A checksum mismatch is retried like any partition read.
+func readAnyFormat[T any](dir string, meta *Metadata, pm PartitionMeta, run blockRun, version int, c codec.Codec[T]) ([]T, error) {
 	var recs []T
 	err := readWithRetry(pm.File, func() (err error) {
 		switch {
 		case version >= FormatVersion:
-			recs, _, _, err = readPartitionV3Once[T](dir, pm, c, nil, nil, nil)
+			recs, _, _, err = readPartitionV3Once[T](dir, pm, run, c, nil, nil, nil)
 		case version == 2:
 			recs, err = readV2[T](dir, meta.Compressed, pm, c)
 		default:

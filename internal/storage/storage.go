@@ -116,7 +116,7 @@ type Metadata struct {
 // NumPartitions returns the partition count.
 func (m *Metadata) NumPartitions() int { return len(m.Partitions) }
 
-// Deltas returns partition i's live delta files (nil when it has none).
+// Deltas returns partition i's live deltas (nil when it has none).
 func (m *Metadata) Deltas(i int) []DeltaMeta {
 	if m.deltas == nil || i < 0 || i >= len(m.deltas) {
 		return nil
@@ -140,7 +140,7 @@ func (m *Metadata) SummaryFor(i int) (SummaryMeta, bool) {
 	return sm, true
 }
 
-// DeltaCount returns the total number of live delta files across the view.
+// DeltaCount returns the total number of live deltas across the view.
 func (m *Metadata) DeltaCount() int {
 	n := 0
 	for _, ds := range m.deltas {
@@ -222,7 +222,7 @@ func Write[T any](
 	}
 	meta := &Metadata{Name: opts.Name, Framed: true, Version: FormatVersion, BlockRecords: blockRecords}
 	for i, part := range parts {
-		pm, err := writePartitionV3(dir, i, c, part, boxOf, blockRecords)
+		pm, err := writePartitionV3(dir, partitionFileName(i), c, part, boxOf, blockRecords, false)
 		if err != nil {
 			return nil, err
 		}
@@ -256,25 +256,34 @@ func writeMetadata(dir string, meta *Metadata) error {
 // reader — selection, the serving catalog, the CLIs — sees, so the delta
 // layer is merge-on-read everywhere without callers opting in.
 func ReadMetadata(dir string) (*Metadata, error) {
+	meta, _, err := readView(dir)
+	return meta, err
+}
+
+// readView is ReadMetadata that also returns the manifest it merged, so a
+// writer parses the manifest once per commit. The view holds copies of the
+// manifest's entries: the writer may change mf without touching it.
+func readView(dir string) (*Metadata, *Manifest, error) {
 	b, err := os.ReadFile(filepath.Join(dir, MetadataFile))
 	if err != nil {
-		return nil, fmt.Errorf("storage: read metadata: %w", err)
+		return nil, nil, fmt.Errorf("storage: read metadata: %w", err)
 	}
 	var meta Metadata
 	if err := json.Unmarshal(b, &meta); err != nil {
-		return nil, fmt.Errorf("storage: parse metadata: %w", err)
+		return nil, nil, fmt.Errorf("storage: parse metadata: %w", err)
 	}
 	mf, err := ReadManifest(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := meta.applyManifest(mf); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &meta, nil
+	return &meta, mf, nil
 }
 
-// applyManifest merges a manifest into the base metadata view.
+// applyManifest merges a manifest into the base metadata view, copying
+// its entries by value.
 func (m *Metadata) applyManifest(mf *Manifest) error {
 	if mf == nil || mf.Generation == 0 {
 		return nil
@@ -343,10 +352,11 @@ type ReadStats struct {
 	// Columnar.Extent computes. 0 on generic row-payload files, on schemas
 	// with neither, and on full reads.
 	RecordsPruned int64
-	// Delta-layer accounting: how many delta files the manifest attaches to
-	// the partition, how many were read versus skipped entirely because
-	// their manifest bounds miss every window, and the records they
-	// contributed. Zero on datasets without a delta layer.
+	// Delta-layer accounting: how many deltas (manifest entries; two runs
+	// of one shared file count two) the manifest attaches to the
+	// partition, how many were read versus skipped entirely because their
+	// manifest bounds miss every window, and the records they contributed.
+	// Zero on datasets without a delta layer.
 	DeltaFiles   int
 	DeltasRead   int
 	DeltasPruned int
@@ -443,7 +453,7 @@ func readBase[T any](
 	var boxes []index.Box
 	var st ReadStats
 	err := readWithRetry(pm.File, func() (err error) {
-		recs, boxes, st, err = readPartitionV3Once[T](dir, pm, c, windows, blockSet, boxOf)
+		recs, boxes, st, err = readPartitionV3Once[T](dir, pm, blockRun{}, c, windows, blockSet, boxOf)
 		return err
 	})
 	if err != nil {
@@ -520,19 +530,20 @@ func (m *Metadata) checkPartition(dir string, i int) error {
 	return nil
 }
 
-// ReadDelta decodes one committed delta file in full, in file order — the
-// unit the subscription notifier routes through its window index and the
-// serving cache pins under the file's name. It reads exactly like the
-// merge-on-read path, so a pushed record is byte-identical to the same
-// record surfaced by a batch query. The stats count the file as one delta
-// read. boxOf returns the records' boxes as in ReadBase.
+// ReadDelta decodes one committed delta in full — its run of blocks, or
+// its whole file when it names no run — in file order: the unit the
+// subscription notifier routes through its window index and the serving
+// cache pins under DeltaMeta.Key. It reads exactly like the merge-on-read
+// path, so a pushed record is byte-identical to the same record surfaced
+// by a batch query. The stats count one delta read. boxOf returns the
+// records' boxes as in ReadBase.
 func ReadDelta[T any](
 	dir string, dm DeltaMeta, c codec.Codec[T], boxOf func(T) index.Box,
 ) ([]T, []index.Box, ReadStats, error) {
 	return readDelta(dir, dm, c, nil, boxOf)
 }
 
-// readDelta decodes one delta file, pruning blocks against windows.
+// readDelta decodes one delta, pruning its blocks against windows.
 func readDelta[T any](
 	dir string, dm DeltaMeta, c codec.Codec[T], windows []index.Box, boxOf func(T) index.Box,
 ) ([]T, []index.Box, ReadStats, error) {
@@ -543,7 +554,7 @@ func readDelta[T any](
 	var boxes []index.Box
 	var st ReadStats
 	err := readWithRetry(dm.File, func() (err error) {
-		recs, boxes, st, err = readPartitionV3Once[T](dir, dm.PartitionMeta, c, windows, nil, boxOf)
+		recs, boxes, st, err = readPartitionV3Once[T](dir, dm.PartitionMeta, dm.run(), c, windows, nil, boxOf)
 		return err
 	})
 	if err != nil {

@@ -238,13 +238,13 @@ func TestSummaryGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	mf, _ := ReadManifest(dir)
-	if _, err := collectGarbage(dir, meta, mf, time.Hour); err != nil {
+	if _, err := collectGarbage(dir, mf, time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(orphan); err != nil {
 		t.Fatal("young orphan sidecar should survive grace window")
 	}
-	if _, err := collectGarbage(dir, meta, mf, 0); err != nil {
+	if _, err := collectGarbage(dir, mf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {

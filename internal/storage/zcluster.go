@@ -1,7 +1,8 @@
 package storage
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"st4ml/internal/geom"
 	"st4ml/internal/index"
@@ -44,7 +45,13 @@ func ZCluster[T any](recs []T, boxOf func(T) index.Box) {
 		c := boxOf(rec).Center()
 		order[i] = keyed{key: curve.Key(geom.Pt(c[0], c[1]), int64(c[2])), idx: i}
 	}
-	sort.SliceStable(order, func(i, j int) bool { return order[i].key < order[j].key })
+	// Indexes are unique, so ordering ties by index is the stable order.
+	slices.SortFunc(order, func(a, b keyed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 	sorted := make([]T, len(recs))
 	for i, k := range order {
 		sorted[i] = recs[k.idx]
