@@ -72,10 +72,9 @@ docs:
 # the v3 block reader, the block footer decoder every v3 read runs, the
 # legacy v1/v2 reader the migrating compaction pass runs on untrusted
 # bytes, the records' JSON wire form, the float writer's grid and strconv
-# paths, and the JSON scanner and sub-query
-# reply parser the router runs on shard replies, on top of the committed
-# corpora (which the plain test run already replays as regression
-# inputs). Every
+# paths, and the sub-reply frame parser the router runs on shard replies,
+# on top of the committed corpora (which the plain test run already
+# replays as regression inputs). Every
 # fuzzer caps minimization of each new-coverage input at 1s: the storage
 # fuzzers' kilobyte-sized file seeds otherwise spend the whole burst
 # minimizing the first interesting input and fuzz almost nothing, and an
@@ -89,8 +88,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSummarySidecar$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/summary
 	$(GO) test -run='^$$' -fuzz='^FuzzRecordJSON$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/stdata
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendFloat$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/jsonenc
-	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/jsonenc
-	$(GO) test -run='^$$' -fuzz='^FuzzSubQueryResponse$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzSubQueryFrame$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 
 # check is the full pre-merge gate: vet, the docs gate, build, the
 # race-enabled short suite (fast gate over every package — fuzz corpora,
@@ -104,7 +102,7 @@ fuzz-smoke:
 # and check a pruned query scatters to fewer shards than the map holds.
 # The column decode benchmarks, the pinned-partition load and probe
 # benchmarks (random-float and datagen.NYC stores), the record-encoding
-# benchmarks, the sub-reply parse benchmark, the trajectory conversion
+# benchmarks, the sub-reply frame parse benchmark, the trajectory conversion
 # benchmarks and the pruned-selection benchmarks run once each, so they
 # cannot rot.
 # Last, the benchmark module's own suite (benchmark/ is a separate Go
@@ -122,7 +120,7 @@ check:
 	$(GO) test -race -count=1 -run TestIngestSmoke ./cmd/stingest
 	$(GO) test -race -count=1 -run TestClusterSmoke ./cmd/strouter
 	$(GO) test -race -count=1 -run TestApproxBytesSmoke ./internal/stdata
-	$(GO) test -run '^$$' -bench 'ColumnDecode|LoadBase|BaseProbe|RecordJSON|ServeQueryRecords|ParseSubQueryResponse|TrajToSpatialMap|TrajToRaster|SelectPruned' -benchtime=1x ./internal/codec ./internal/stdata ./internal/serve ./internal/convert ./internal/selection
+	$(GO) test -run '^$$' -bench 'ColumnDecode|LoadBase|BaseProbe|RecordJSON|ServeQueryRecords|ParseSubQueryFrame|TrajToSpatialMap|TrajToRaster|SelectPruned' -benchtime=1x ./internal/codec ./internal/stdata ./internal/serve ./internal/convert ./internal/selection
 	$(GO) test -race -count=1 -run TestPointPatSmoke ./internal/pointpat
 	(cd benchmark && $(GO) test ./...)
 

@@ -34,6 +34,13 @@
 //     router replans from fresh metadata, so one merged response can never
 //     mix generations.
 //
+// A sub-query's reply crosses the hop as one CRC-framed binary frame
+// (serve.ParseSubQueryFrame): the records arrive as the bytes the shard's
+// encoder wrote behind a table of their lengths, and the router cuts them
+// out of the body without scanning them. A damaged frame, or the JSON
+// reply of a shard older than the router, is a failed attempt that fails
+// over to the next replica.
+//
 // Shard trace spans ship back inside sub-query responses and are grafted
 // under the router's RPC spans, so `stquery -explain` against the router
 // renders one stitched router→shard→partition:read tree.

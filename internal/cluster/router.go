@@ -393,7 +393,7 @@ func (r *Router) post(ctx context.Context, si, ri int, body []byte) (subReply, e
 		body, err := readBody(hresp.Body)
 		var out serve.SubQueryResponse
 		if err == nil {
-			out, err = serve.ParseSubQueryResponse(body)
+			out, err = serve.ParseSubQueryFrame(body)
 		}
 		if err != nil {
 			rep.errs.Add(1)

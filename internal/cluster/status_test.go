@@ -125,3 +125,26 @@ func TestRouterOversizedBody413(t *testing.T) {
 		t.Fatalf("oversized body answered %d, want 413", resp.StatusCode)
 	}
 }
+
+// TestRouterTrailingBytes400 pins that the router, like a daemon, answers
+// 400 to a request body with anything but whitespace after its JSON value.
+func TestRouterTrailingBytes400(t *testing.T) {
+	tc := newTestCluster(t, 200, 1)
+	ts := httptest.NewServer(tc.router(t, 1, Config{}).Handler())
+	defer ts.Close()
+	for trail, want := range map[string]int{
+		" garbage":          http.StatusBadRequest,
+		`{"dataset":"zzz"}`: http.StatusBadRequest,
+		"}":                 http.StatusBadRequest,
+		" \n":               http.StatusOK,
+	} {
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"dataset":"nyc"}`+trail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("body followed by %q answered %d, want %d", trail, resp.StatusCode, want)
+		}
+	}
+}

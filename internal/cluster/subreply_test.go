@@ -21,11 +21,12 @@ import (
 
 // TestRouterFailsOverOnBadReplyBody pins the router's reading of a 200
 // sub-reply whose body is broken: a truncated reply, invalid JSON, a
-// Content-Length past the bytes sent, and a terabyte Content-Length over a
-// ten-byte body. Each is a failed attempt counted against the replica that
-// sent it: the router fails over to the healthy replica and answers
-// byte-identically, and answers 502 when every replica is bad. It never
-// sizes a buffer from the header.
+// Content-Length past the bytes sent, a terabyte Content-Length over a
+// ten-byte body, a real frame with one bit of a record flipped, and the
+// JSON reply a shard older than the router writes. Each is a failed
+// attempt counted against the replica that sent it: the router fails over
+// to the healthy replica and answers byte-identically, and answers 502
+// when every replica is bad. It never sizes a buffer from the header.
 func TestRouterFailsOverOnBadReplyBody(t *testing.T) {
 	tc := newTestCluster(t, 2000, 1)
 	// realReply is the healthy shard's answer to a sub-query.
@@ -58,6 +59,14 @@ func TestRouterFailsOverOnBadReplyBody(t *testing.T) {
 		"huge": func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Length", "1099511627776")
 			_, _ = w.Write([]byte(`{"parts":[`))
+		},
+		"bitflip": func(w http.ResponseWriter, r *http.Request) {
+			b := realReply(r)
+			b[len(b)-1] ^= 0x10 // a record byte, which the router does not look at
+			_, _ = w.Write(b)
+		},
+		"json": func(w http.ResponseWriter, r *http.Request) {
+			_, _ = w.Write(jsonSubReply(t, realReply(r)))
 		},
 	}
 	q := seededWindows(5, 4)[3] // full extent
@@ -99,6 +108,27 @@ func TestRouterFailsOverOnBadReplyBody(t *testing.T) {
 			t.Fatalf("%s: no errors counted on the bad replicas", name)
 		}
 	}
+}
+
+// jsonSubReply is frame's reply in the JSON form /subquery answered with
+// before the frame: the envelope's fields and a parts array.
+func jsonSubReply(t *testing.T, frame []byte) []byte {
+	resp, err := serve.ParseSubQueryFrame(frame)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	env, err := json.Marshal(resp)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	parts, err := json.Marshal(resp.Parts)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	return append(append(append(env[:len(env)-1], `,"parts":`...), parts...), '}')
 }
 
 // TestRouterReusesShardConnections pins that the router reads every

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -52,6 +53,10 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// errTrailingData is the refusal of a body with more than whitespace after
+// its JSON value.
+var errTrailingData = errors.New("data after the top-level value")
+
 // errDraining is the refusal a draining daemon answers new work with.
 var errDraining = errors.New("serve: draining")
 
@@ -67,7 +72,7 @@ func WriteJSON(w http.ResponseWriter, status int, body any) {
 		status = http.StatusInternalServerError
 		b, _ = appendValue(nil, errorResponse{Error: fmt.Sprintf("serve: encode reply: %v", err)}) // a string always encodes
 	}
-	writeBody(w, status, append(b, '\n'))
+	writeBody(w, status, jsonReply.contentType, append(b, '\n'))
 }
 
 // Front is the request-side state both daemons share: the drain switch
@@ -95,7 +100,8 @@ func (f *Front) Counts() (queries, queryErrors int64) {
 }
 
 // decode admits one request: 503 while draining, then the JSON body —
-// bounded at MaxBodyBytes (413 past it, 400 if malformed) — into dst, and
+// bounded at MaxBodyBytes (413 past it, 400 if malformed or followed by
+// anything but whitespace) — into dst, and
 // ?explain=1 onto explain when non-nil. It writes any refusal itself and
 // reports whether to proceed.
 func (f *Front) decode(w http.ResponseWriter, r *http.Request, dst any, explain *bool) bool {
@@ -103,7 +109,19 @@ func (f *Front) decode(w http.ResponseWriter, r *http.Request, dst any, explain 
 		WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: errDraining.Error()})
 		return false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(dst); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	err := dec.Decode(dst)
+	if err == nil {
+		// A body is one value, as json.Unmarshal holds it: anything but
+		// whitespace after it is malformed.
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errTrailingData
+			if terr != nil {
+				err = fmt.Errorf("%w: %w", errTrailingData, terr)
+			}
+		}
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -151,7 +169,7 @@ func (f *Front) QueryHandler(run func(context.Context, QueryRequest) (QueryRespo
 			return
 		}
 		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-		f.writeReply(w, resp.appendJSON)
+		f.writeReply(w, jsonReply, resp.appendJSON)
 	}
 }
 

@@ -66,6 +66,7 @@ func TestStatusWall(t *testing.T) {
 		srv    *Server
 		edit   func(*SubQueryRequest)
 		body   string // raw body overriding the request
+		trail  string // bytes after the request's JSON value
 		drain  bool
 		sub    bool // /subquery only
 		approx bool // approx kinds only
@@ -74,6 +75,9 @@ func TestStatusWall(t *testing.T) {
 		{name: "ok", srv: open, want: http.StatusOK},
 		{name: "unknown-dataset", srv: open, edit: func(r *SubQueryRequest) { r.Dataset = "nope" }, want: http.StatusNotFound},
 		{name: "bad-body", srv: open, body: "{", want: http.StatusBadRequest},
+		{name: "trailing-bytes", srv: open, trail: ` garbage`, want: http.StatusBadRequest},
+		{name: "trailing-value", srv: open, trail: `{"dataset":"zzz"}`, want: http.StatusBadRequest},
+		{name: "trailing-space", srv: open, trail: " \r\n\t", want: http.StatusOK},
 		{name: "draining", srv: open, drain: true, want: http.StatusServiceUnavailable},
 		{name: "queue-full", srv: busy, want: http.StatusTooManyRequests},
 		{name: "deadline", srv: slow, want: http.StatusGatewayTimeout},
@@ -110,7 +114,7 @@ func TestStatusWall(t *testing.T) {
 				body := row.body
 				if body == "" {
 					b, _ := json.Marshal(req)
-					body = string(b)
+					body = string(b) + row.trail
 				}
 				if row.drain {
 					row.srv.SetDraining(true)

@@ -65,16 +65,19 @@ func (q SubQueryRequest) CacheKey(family string, gen int64) string {
 
 // SubQueryResponse is the POST /subquery reply: per-partition chunks at
 // the fenced generation, plus the shard's span dump when the request was
-// traced (the router grafts it under its RPC span). The shard writes it
-// with appendJSON and the router reads it with ParseSubQueryResponse, so
-// the records cross the hop as the bytes the shard's encoder wrote.
+// traced (the router grafts it under its RPC span). It crosses the hop as
+// one binary frame (frame.go): the shard writes it with appendFrame and
+// the router reads it with ParseSubQueryFrame, so the records arrive as
+// the bytes the shard's encoder wrote, cut out of the body by a table of
+// their lengths. The JSON tags shape the frame's envelope, which carries
+// every field but Parts.
 type SubQueryResponse struct {
 	Shard     string              `json:"shard,omitempty"`
 	Gen       int64               `json:"gen"`
 	Count     int64               `json:"count"`
 	Cache     string              `json:"cache"`
 	ElapsedMS float64             `json:"elapsed_ms"`
-	Parts     []stdata.PartResult `json:"parts"`
+	Parts     []stdata.PartResult `json:"-"`
 	// Approx is the shard's mergeable partial envelope (approx=true
 	// sub-queries); the router merges all shards' partials and finalizes.
 	Approx *summary.Partial `json:"approx,omitempty"`
@@ -97,5 +100,5 @@ func (s *Server) handleSubquery(w http.ResponseWriter, r *http.Request) {
 	resp.Shard, resp.Gen, resp.Count, resp.Cache = s.shardName, req.Gen, req.Count, cache
 	resp.Spans = trace.ToWire(tr.Snapshot())
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	s.writeReply(w, resp.appendJSON)
+	s.writeReply(w, frameReply, resp.appendFrame)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -44,7 +45,11 @@ func postSubquery(t *testing.T, url string, req SubQueryRequest) (*http.Response
 	defer resp.Body.Close()
 	var out SubQueryResponse
 	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		body, err := io.ReadAll(resp.Body)
+		if err == nil {
+			out, err = ParseSubQueryFrame(body)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
