@@ -33,24 +33,14 @@ import (
 	"st4ml/internal/serve"
 )
 
-// datasetFlags collects repeated -dataset specs.
-type datasetFlags []string
-
-func (d *datasetFlags) String() string     { return strings.Join(*d, ",") }
-func (d *datasetFlags) Set(v string) error { *d = append(*d, v); return nil }
-
 func main() {
-	var datasets datasetFlags
+	var datasets serve.DatasetFlags
 	var (
 		addr           = flag.String("addr", ":8080", "listen address")
 		shards         = flag.String("shards", "", "shard endpoints: ';' separates shards, ',' separates replicas")
 		shardMap       = flag.String("shard-map", "", "shard map JSON file (alternative to -shards)")
 		timeout        = flag.Duration("timeout", 30*time.Second, "per-query deadline")
-		shardTimeout   = flag.Duration("shard-timeout", 0, "per-sub-query attempt deadline (0 = -timeout)")
 		hedgeAfter     = flag.Duration("hedge-after", 0, "hedge a sub-query on another replica after this silence (0 disables)")
-		maxAttempts    = flag.Int("max-attempts", 0, "attempt bound per shard RPC (0 = 2x replicas)")
-		maxReplans     = flag.Int("max-replans", 0, "generation-conflict replan bound per query (0 = 3)")
-		cacheBytes     = flag.Int64("cache-bytes", 64<<20, "merged-result cache budget (negative disables)")
 		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "in-flight request budget after SIGTERM before connections close hard")
 		healthInterval = flag.Duration("health-interval", 5*time.Second, "replica readiness probe interval")
 	)
@@ -63,13 +53,9 @@ func main() {
 		os.Exit(2)
 	}
 	r, err := build(datasets, cluster.Config{
-		Shards:       m,
-		CacheBytes:   *cacheBytes,
-		Timeout:      *timeout,
-		ShardTimeout: *shardTimeout,
-		HedgeAfter:   *hedgeAfter,
-		MaxAttempts:  *maxAttempts,
-		MaxReplans:   *maxReplans,
+		Shards:     m,
+		Timeout:    *timeout,
+		HedgeAfter: *hedgeAfter,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "strouter:", err)
@@ -122,7 +108,7 @@ func build(datasets []string, cfg cluster.Config) (*cluster.Router, error) {
 		return nil, err
 	}
 	for _, spec := range datasets {
-		name, schema, dir, err := parseDatasetSpec(spec)
+		name, schema, dir, err := serve.ParseDatasetSpec(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -134,17 +120,4 @@ func build(datasets []string, cfg cluster.Config) (*cluster.Router, error) {
 		return nil, fmt.Errorf("nothing to route: pass -dataset name=dir")
 	}
 	return r, nil
-}
-
-// parseDatasetSpec splits "name=dir" or "name:schema=dir".
-func parseDatasetSpec(spec string) (name, schema, dir string, err error) {
-	key, dir, ok := strings.Cut(spec, "=")
-	if !ok || key == "" || dir == "" {
-		return "", "", "", fmt.Errorf("bad -dataset %q, want name=dir or name:schema=dir", spec)
-	}
-	name, schema, ok = strings.Cut(key, ":")
-	if !ok {
-		schema = name
-	}
-	return name, schema, dir, nil
 }

@@ -23,7 +23,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strings"
 	"time"
 
 	"st4ml/internal/datagen"
@@ -33,14 +32,8 @@ import (
 	"st4ml/internal/stdata"
 )
 
-// datasetFlags collects repeated -dataset specs.
-type datasetFlags []string
-
-func (d *datasetFlags) String() string     { return strings.Join(*d, ",") }
-func (d *datasetFlags) Set(v string) error { *d = append(*d, v); return nil }
-
 func main() {
-	var datasets datasetFlags
+	var datasets serve.DatasetFlags
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		demo         = flag.Int("demo", 0, "generate and serve a synthetic NYC dataset of this many events")
@@ -58,7 +51,7 @@ func main() {
 	flag.Var(&datasets, "dataset", "serve a dataset: name=dir or name:schema=dir (repeatable)")
 	flag.Parse()
 
-	srv, err := build(engine.New(engine.Config{Slots: *slots}), datasets, *demo, serve.Config{
+	srv, cleanup, err := build(engine.New(engine.Config{Slots: *slots}), datasets, *demo, serve.Config{
 		CacheBytes:     *cacheBytes,
 		MaxInFlight:    *inFlight,
 		MaxQueue:       *maxQueue,
@@ -90,13 +83,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "stserved: "+format+"\n", args...)
 	}
 	fmt.Printf("stserved: listening on %s\n", *addr)
-	if err := serve.Graceful(serve.GracefulConfig{
+	err = serve.Graceful(serve.GracefulConfig{
 		Addr:         *addr,
 		Handler:      srv.Handler(),
 		Drainer:      srv,
 		DrainTimeout: *drainTimeout,
 		Logf:         logf,
-	}); err != nil {
+	})
+	cleanup()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "stserved:", err)
 		os.Exit(1)
 	}
@@ -117,56 +112,53 @@ func debugMux() *http.ServeMux {
 
 // build assembles the server from the flag values. With demo > 0 it
 // ingests a synthetic NYC dataset into a temp directory and serves it as
-// "demo".
-func build(ctx *engine.Context, datasets []string, demo int, cfg serve.Config) (*serve.Server, error) {
+// "demo". The returned cleanup removes that directory; call it once the
+// server has drained. A failed build cleans up itself.
+func build(ctx *engine.Context, datasets []string, demo int, cfg serve.Config) (*serve.Server, func(), error) {
 	cfg.Ctx = ctx
 	srv := serve.NewServer(cfg)
+	cleanup := func() {}
+	fail := func(err error) (*serve.Server, func(), error) {
+		cleanup()
+		return nil, nil, err
+	}
 	if demo > 0 {
-		dir, err := ingestDemo(ctx, demo)
+		dir, err := os.MkdirTemp("", "stserved-demo-*")
 		if err != nil {
-			return nil, err
+			return fail(err)
+		}
+		cleanup = func() {
+			if err := os.RemoveAll(dir); err != nil {
+				fmt.Fprintln(os.Stderr, "stserved: removing the demo dataset:", err)
+			}
+		}
+		if err := ingestDemo(ctx, demo, dir); err != nil {
+			return fail(err)
 		}
 		if err := srv.AddDataset("demo", "nyc", dir); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 	for _, spec := range datasets {
-		name, schema, dir, err := parseDatasetSpec(spec)
+		name, schema, dir, err := serve.ParseDatasetSpec(spec)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if err := srv.AddDataset(name, schema, dir); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 	if len(srv.Catalog().List()) == 0 {
-		return nil, fmt.Errorf("nothing to serve: pass -dataset name=dir or -demo n")
+		return fail(fmt.Errorf("nothing to serve: pass -dataset name=dir or -demo n"))
 	}
-	return srv, nil
+	return srv, cleanup, nil
 }
 
-// parseDatasetSpec splits "name=dir" or "name:schema=dir".
-func parseDatasetSpec(spec string) (name, schema, dir string, err error) {
-	key, dir, ok := strings.Cut(spec, "=")
-	if !ok || key == "" || dir == "" {
-		return "", "", "", fmt.Errorf("bad -dataset %q, want name=dir or name:schema=dir", spec)
-	}
-	name, schema, ok = strings.Cut(key, ":")
-	if !ok {
-		schema = name
-	}
-	return name, schema, dir, nil
-}
-
-// ingestDemo writes a synthetic NYC event dataset to a temp directory.
-func ingestDemo(ctx *engine.Context, n int) (string, error) {
-	dir, err := os.MkdirTemp("", "stserved-demo-*")
-	if err != nil {
-		return "", err
-	}
+// ingestDemo writes a synthetic NYC event dataset of n events into dir.
+func ingestDemo(ctx *engine.Context, n int, dir string) error {
 	sch, _ := stdata.Lookup("nyc")
 	fmt.Fprintf(os.Stderr, "stserved: ingesting %d demo events into %s ...\n", n, dir)
-	_, err = sch.Ingest(ctx, datagen.NYC(n, 1), dir, sch.DefaultPlanner(8, 4),
+	_, err := sch.Ingest(ctx, datagen.NYC(n, 1), dir, sch.DefaultPlanner(8, 4),
 		selection.IngestOptions{Name: "demo", SampleFrac: 0.05, Seed: 1})
-	return dir, err
+	return err
 }

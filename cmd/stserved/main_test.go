@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -18,10 +19,11 @@ import (
 func TestServedSmoke(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir()) // the demo ingest dir dies with the test
 	ctx := engine.New(engine.Config{Slots: 2})
-	srv, err := build(ctx, nil, 2000, serve.Config{CacheBytes: 8 << 20, MaxInFlight: 4, MaxQueue: 8, Timeout: 10 * time.Second})
+	srv, cleanup, err := build(ctx, nil, 2000, serve.Config{CacheBytes: 8 << 20, MaxInFlight: 4, MaxQueue: 8, Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(cleanup)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -63,10 +65,11 @@ func TestServedSmoke(t *testing.T) {
 func TestServedExplain(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir())
 	ctx := engine.New(engine.Config{Slots: 2})
-	srv, err := build(ctx, nil, 2000, serve.Config{CacheBytes: 8 << 20, MaxInFlight: 4, MaxQueue: 8, Timeout: 10 * time.Second})
+	srv, cleanup, err := build(ctx, nil, 2000, serve.Config{CacheBytes: 8 << 20, MaxInFlight: 4, MaxQueue: 8, Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(cleanup)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -172,18 +175,36 @@ func TestDebugMux(t *testing.T) {
 	}
 }
 
-func TestParseDatasetSpec(t *testing.T) {
-	name, schema, dir, err := parseDatasetSpec("taxi:nyc=/data/taxi")
-	if err != nil || name != "taxi" || schema != "nyc" || dir != "/data/taxi" {
-		t.Errorf("got %q %q %q %v", name, schema, dir, err)
-	}
-	name, schema, _, err = parseDatasetSpec("porto=/data/porto")
-	if err != nil || name != "porto" || schema != "porto" {
-		t.Errorf("got %q %q %v", name, schema, err)
-	}
-	for _, bad := range []string{"", "nyc", "=dir", "nyc="} {
-		if _, _, _, err := parseDatasetSpec(bad); err == nil {
-			t.Errorf("spec %q should fail", bad)
+// TestDemoDirRemoved pins that -demo leaves nothing behind: the ingest
+// directory is gone once the cleanup that build returns has run, and
+// after a build that fails once the demo is ingested.
+func TestDemoDirRemoved(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	demoDirs := func() []string {
+		m, err := filepath.Glob(filepath.Join(tmp, "stserved-demo-*"))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return m
+	}
+	ctx := engine.New(engine.Config{Slots: 2})
+	_, cleanup, err := build(ctx, nil, 500, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(demoDirs()); n != 1 {
+		t.Fatalf("%d demo directories while serving, want 1", n)
+	}
+	cleanup()
+	if left := demoDirs(); len(left) != 0 {
+		t.Fatalf("demo directories left after cleanup: %v", left)
+	}
+
+	if _, _, err := build(ctx, []string{"bad"}, 500, serve.Config{}); err == nil {
+		t.Fatal("bad dataset spec accepted")
+	}
+	if left := demoDirs(); len(left) != 0 {
+		t.Fatalf("demo directories left after a failed build: %v", left)
 	}
 }

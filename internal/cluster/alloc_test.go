@@ -109,7 +109,7 @@ func gatherAllocs(t *testing.T, records int) float64 {
 			if err != nil {
 				t.Fatal(err)
 			}
-			outs[si] = shardOutcome{shard: si, subReply: subReply{resp, len(body)}}
+			outs[si] = shardOutcome{shard: si, resp: resp}
 		}
 		resp, err := r.gather(plan, ids, selection.Stats{}, outs)
 		if err != nil || len(resp.Records) != records {

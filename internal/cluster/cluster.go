@@ -26,7 +26,7 @@
 //     single node builds its records with, which is what makes the merged
 //     bytes identical. Approx queries gather shard partial envelopes
 //     instead and merge them; that gather is the only step the two kinds
-//     do not share (one replan loop, one scatter, one result cache).
+//     do not share (one replan loop, one scatter).
 //
 //   - Consistency is fenced, not locked. Every sub-query carries the
 //     dataset generation the router planned at; a shard whose view moved (a
@@ -61,21 +61,12 @@ type Config struct {
 	Catalog *serve.Catalog
 	// Shards is the cluster topology. Must validate.
 	Shards ShardMap
-	// CacheBytes budgets the merged-result cache. 0 means 64 MiB; negative
-	// disables caching.
-	CacheBytes int64
 	// Timeout bounds one routed query end to end. 0 means 30s.
 	Timeout time.Duration
-	// ShardTimeout bounds each sub-query attempt. 0 means Timeout.
-	ShardTimeout time.Duration
 	// HedgeAfter launches a duplicate attempt on another replica when a
 	// sub-query has not answered within this duration. 0 disables hedging
 	// (replicas then serve only as failover targets).
 	HedgeAfter time.Duration
-	// MaxAttempts bounds attempts per shard RPC. 0 means 2×replicas.
-	MaxAttempts int
-	// MaxReplans bounds generation-conflict replans per query. 0 means 3.
-	MaxReplans int
 	// Client issues the shard RPCs. Nil builds a default that keeps up to
 	// shardIdleConns idle connections per shard replica.
 	Client *http.Client
@@ -87,25 +78,24 @@ type Config struct {
 // past the second and close it again after.
 const shardIdleConns = 64
 
+// maxReplans bounds the planning rounds of one query: a generation that
+// moves under this many consecutive scatters answers 409.
+const maxReplans = 3
+
 // Router is the scatter-gather coordinator. It is stateless apart from
-// caches and counters: all routing state derives from the shard map and the
-// dataset metadata, so any number of routers can front the same fleet.
+// counters: all routing state derives from the shard map and the dataset
+// metadata, so any number of routers can front the same fleet. Answers are
+// cached only where the data lives, in each shard's sub-query cache.
 type Router struct {
-	catalog      *serve.Catalog
-	shards       ShardMap
-	replicas     [][]*replica // replicas[shard][i] tracks Shards[shard].Replicas[i]
-	cache        *serve.Cache
-	client       *http.Client
-	timeout      time.Duration
-	shardTimeout time.Duration
-	hedgeAfter   time.Duration
-	maxAttempts  int
-	maxReplans   int
-	started      time.Time
+	catalog    *serve.Catalog
+	shards     ShardMap
+	replicas   [][]*replica // replicas[shard][i] tracks Shards[shard].Replicas[i]
+	client     *http.Client
+	timeout    time.Duration
+	hedgeAfter time.Duration
+	started    time.Time
 
 	serve.Front
-	resultHits   atomic.Int64
-	resultMisses atomic.Int64
 	rpcs         atomic.Int64
 	hedges       atomic.Int64
 	failovers    atomic.Int64
@@ -130,17 +120,9 @@ func NewRouter(cfg Config) (*Router, error) {
 	if catalog == nil {
 		catalog = serve.NewCatalog()
 	}
-	cacheBytes := cfg.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = 64 << 20
-	}
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = 30 * time.Second
-	}
-	shardTimeout := cfg.ShardTimeout
-	if shardTimeout <= 0 {
-		shardTimeout = timeout
 	}
 	client := cfg.Client
 	if client == nil {
@@ -148,21 +130,13 @@ func NewRouter(cfg Config) (*Router, error) {
 		tr.MaxIdleConnsPerHost = shardIdleConns
 		client = &http.Client{Transport: tr}
 	}
-	maxReplans := cfg.MaxReplans
-	if maxReplans <= 0 {
-		maxReplans = 3
-	}
 	r := &Router{
-		catalog:      catalog,
-		shards:       cfg.Shards,
-		cache:        serve.NewCache(cacheBytes),
-		client:       client,
-		timeout:      timeout,
-		shardTimeout: shardTimeout,
-		hedgeAfter:   cfg.HedgeAfter,
-		maxAttempts:  cfg.MaxAttempts,
-		maxReplans:   maxReplans,
-		started:      time.Now(),
+		catalog:    catalog,
+		shards:     cfg.Shards,
+		client:     client,
+		timeout:    timeout,
+		hedgeAfter: cfg.HedgeAfter,
+		started:    time.Now(),
 	}
 	r.replicas = make([][]*replica, len(cfg.Shards.Shards))
 	for i, sh := range cfg.Shards.Shards {
@@ -192,8 +166,6 @@ type RouterStats struct {
 	Shards        int     `json:"shards"`
 	Queries       int64   `json:"queries"`
 	QueryErrors   int64   `json:"query_errors"`
-	ResultHits    int64   `json:"result_cache_hits"`
-	ResultMisses  int64   `json:"result_cache_misses"`
 	RPCs          int64   `json:"rpcs"`
 	Hedges        int64   `json:"hedges"`
 	Failovers     int64   `json:"failovers"`
@@ -215,8 +187,6 @@ func (r *Router) Stats() RouterStats {
 		Shards:        len(r.shards.Shards),
 		Queries:       queries,
 		QueryErrors:   queryErrors,
-		ResultHits:    r.resultHits.Load(),
-		ResultMisses:  r.resultMisses.Load(),
 		RPCs:          r.rpcs.Load(),
 		Hedges:        r.hedges.Load(),
 		Failovers:     r.failovers.Load(),

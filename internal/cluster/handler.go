@@ -21,7 +21,6 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, MetricsResponse{
 			Router: r.Stats(),
-			Cache:  r.cache.Stats(),
 			Shards: r.ShardStatuses(),
 		})
 	})
@@ -31,7 +30,6 @@ func (r *Router) Handler() http.Handler {
 
 // MetricsResponse is the router's GET /metrics body.
 type MetricsResponse struct {
-	Router RouterStats      `json:"router"`
-	Cache  serve.CacheStats `json:"cache"`
-	Shards []ShardStatus    `json:"shards"`
+	Router RouterStats   `json:"router"`
+	Shards []ShardStatus `json:"shards"`
 }

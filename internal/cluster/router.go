@@ -23,9 +23,9 @@ import (
 
 // Query routes one /query, exact or approx: plan against the pinned
 // metadata, scatter sub-queries over the owning shards, gather. Both kinds
-// share everything but the gather — the replan loop, the result cache, the
-// deadline and the status mapping. The returned error carries the HTTP
-// status (serve.StatusOf): a shard's 4xx comes back unchanged.
+// share everything but the gather — the replan loop, the deadline and the
+// status mapping. The returned error carries the HTTP status
+// (serve.StatusOf): a shard's 4xx comes back unchanged.
 func (r *Router) Query(ctx context.Context, req serve.QueryRequest) (serve.QueryResponse, error) {
 	d, ok := r.catalog.Get(req.Dataset)
 	if !ok {
@@ -39,13 +39,13 @@ func (r *Router) Query(ctx context.Context, req serve.QueryRequest) (serve.Query
 		tr = trace.New()
 	}
 	root := tr.StartSpan(0, "query", trace.Str("dataset", req.Dataset))
-	resp, cache, err := r.route(ctx, d, req, root)
+	resp, err := r.route(ctx, d, req, root)
 	if err != nil {
 		root.End(trace.Str("error", err.Error()))
 		return serve.QueryResponse{}, err
 	}
 	root.End()
-	resp.Dataset, resp.Cache, resp.Explain = req.Dataset, cache, trace.Build(tr.Snapshot())
+	resp.Dataset, resp.Explain = req.Dataset, trace.Build(tr.Snapshot())
 	return resp, nil
 }
 
@@ -53,58 +53,38 @@ func (r *Router) Query(ctx context.Context, req serve.QueryRequest) (serve.Query
 // the current metadata generation and scatters under that fence. A
 // generation conflict — some shard saw a compaction or append commit
 // mid-scatter — discards the round and replans from fresh metadata,
-// bounded by maxReplans. The merged-result cache key embeds the catalog
-// generation and the round's fence, so a shard that compacts can never
-// leave a mixed-generation entry behind and a replan stores under the new
-// fence.
-func (r *Router) route(reqCtx context.Context, d *serve.Dataset, req serve.QueryRequest, root *trace.Span) (serve.QueryResponse, string, error) {
+// bounded by maxReplans. The fence also keys each shard's sub-query
+// cache, so a replanned round never reads a chunk of the old generation.
+func (r *Router) route(reqCtx context.Context, d *serve.Dataset, req serve.QueryRequest, root *trace.Span) (serve.QueryResponse, error) {
 	ctx, cancel := context.WithTimeout(reqCtx, r.timeout)
 	defer cancel()
 	for replan := 0; ; replan++ {
-		meta, gen, err := d.Meta()
+		meta, _, err := d.Meta()
 		if err != nil {
-			return serve.QueryResponse{}, "", err
+			return serve.QueryResponse{}, err
 		}
 		plan := serve.SubQueryRequest{QueryRequest: req, Gen: meta.Generation, Count: meta.TotalCount}
-		key := plan.CacheKey("rq", gen)
-		if !req.NoCache {
-			lsp := root.Child(trace.SpanResultLookup)
-			v, ok := r.cache.Get(key)
-			lsp.End(trace.Bool("hit", ok))
-			if ok {
-				r.resultHits.Add(1)
-				return v.(serve.QueryResponse), "hit", nil
-			}
-		}
-		r.resultMisses.Add(1)
-
 		resp, err := r.scatter(ctx, meta, plan, root, replan)
 		if serve.StatusOf(err) == http.StatusConflict {
 			r.replans.Add(1)
-			if replan+1 < r.maxReplans {
+			if replan+1 < maxReplans {
 				continue
 			}
-			return serve.QueryResponse{}, "", serve.Errorf(http.StatusConflict,
+			return serve.QueryResponse{}, serve.Errorf(http.StatusConflict,
 				"cluster: generation moved %d times during one query: %w", replan+1, err)
 		}
 		if errors.Is(err, context.DeadlineExceeded) {
 			r.timeouts.Add(1)
 			err = &serve.StatusError{Status: http.StatusGatewayTimeout, Err: err}
 		}
-		if err != nil {
-			return serve.QueryResponse{}, "", err
-		}
-		if !req.NoCache {
-			r.cache.Put(key, resp, resp.ResidentBytes())
-		}
-		return resp, "miss", nil
+		return resp, err
 	}
 }
 
 // shardOutcome is one shard RPC's gathered result.
 type shardOutcome struct {
 	shard int
-	subReply
+	resp  serve.SubQueryResponse
 	stats engine.AttemptStats
 	err   error
 }
@@ -204,6 +184,18 @@ func (r *Router) scatter(ctx context.Context, meta *storage.Metadata,
 	if err != nil {
 		return serve.QueryResponse{}, err
 	}
+	// The merged answer is a cache hit when every touched shard served its
+	// part from its own sub-query cache; an empty scatter consulted none.
+	hits := 0
+	for _, out := range outs {
+		if out.resp.Cache == "hit" {
+			hits++
+		}
+	}
+	resp.Cache = "miss"
+	if hits > 0 && hits == len(outs) {
+		resp.Cache = "hit"
+	}
 	ssp.End(trace.Int("replans", int64(replan)))
 	return resp, nil
 }
@@ -261,36 +253,7 @@ func (r *Router) gather(plan serve.SubQueryRequest, ids []int, stats selection.S
 	if plan.Records {
 		res.Records = stdata.Flatten(ordered, plan.Limit)
 	}
-	resp := serve.QueryResponse{QueryResult: res}
-	// The records alias the shards' reply bodies, which also hold what the
-	// merge leaves behind: envelopes, spans, and records past the limit or
-	// in dropped duplicates. A reply the cache keeps must not pin more
-	// bytes than ResidentBytes charges for it, so when the bodies outweigh
-	// that charge the kept records move to one exact-size buffer.
-	if !plan.NoCache && len(res.Records) > 0 {
-		pinned := int64(0)
-		for _, out := range outs {
-			pinned += int64(out.bytes)
-		}
-		if pinned > resp.ResidentBytes() {
-			compactRecords(res.Records)
-		}
-	}
-	return resp, nil
-}
-
-// compactRecords moves recs into one buffer of their total size, in place.
-func compactRecords(recs []json.RawMessage) {
-	n := 0
-	for _, rec := range recs {
-		n += len(rec)
-	}
-	buf := make([]byte, 0, n)
-	for i, rec := range recs {
-		start := len(buf)
-		buf = append(buf, rec...)
-		recs[i] = buf[start:len(buf):len(buf)]
-	}
+	return serve.QueryResponse{QueryResult: res}, nil
 }
 
 // callShard issues one shard's sub-query as hedged attempts over its
@@ -313,18 +276,12 @@ func (r *Router) callShard(ctx context.Context, si int, parts []int,
 		trace.Int("partitions", int64(len(parts))))
 	r.rpcs.Add(1)
 
-	reply, ast, err := engine.Hedge(ctx, len(order),
-		engine.AttemptConfig{
-			MaxAttempts: r.maxAttempts,
-			HedgeAfter:  r.hedgeAfter,
-			Timeout:     r.shardTimeout,
-		},
-		func(ctx context.Context, cand, attempt int) (subReply, error) {
+	resp, ast, err := engine.Hedge(ctx, len(order), r.hedgeAfter,
+		func(ctx context.Context, cand, attempt int) (serve.SubQueryResponse, error) {
 			return r.post(ctx, si, order[cand], body)
 		})
 
-	resp := reply.resp
-	out := shardOutcome{shard: si, subReply: reply, stats: ast}
+	out := shardOutcome{shard: si, resp: resp, stats: ast}
 	winner := ""
 	if ast.Winner >= 0 {
 		winner = sh.Replicas[order[ast.Winner]]
@@ -371,13 +328,13 @@ func (r *Router) graft(spans []trace.WireSpan, rsp *trace.Span) {
 // and keeps the shard's status and message; anything else fails over.
 // Transport failures additionally mark the replica not-ready so later
 // queries prefer its peers until a probe revives it.
-func (r *Router) post(ctx context.Context, si, ri int, body []byte) (subReply, error) {
+func (r *Router) post(ctx context.Context, si, ri int, body []byte) (serve.SubQueryResponse, error) {
 	rep := r.replicas[si][ri]
 	rep.calls.Add(1)
 	url := rep.url + "/subquery"
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return subReply{}, err
+		return serve.SubQueryResponse{}, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	start := time.Now()
@@ -385,7 +342,7 @@ func (r *Router) post(ctx context.Context, si, ri int, body []byte) (subReply, e
 	if err != nil {
 		rep.errs.Add(1)
 		rep.ready.Store(false)
-		return subReply{}, err
+		return serve.SubQueryResponse{}, err
 	}
 	defer hresp.Body.Close()
 	switch code := hresp.StatusCode; {
@@ -397,27 +354,20 @@ func (r *Router) post(ctx context.Context, si, ri int, body []byte) (subReply, e
 		}
 		if err != nil {
 			rep.errs.Add(1)
-			return subReply{}, fmt.Errorf("decode %s: %w", url, err)
+			return serve.SubQueryResponse{}, fmt.Errorf("decode %s: %w", url, err)
 		}
 		rep.nanos.Add(time.Since(start).Nanoseconds())
-		return subReply{out, len(body)}, nil
+		return out, nil
 	case code >= 400 && code < 500:
 		rep.errs.Add(1)
-		return subReply{}, engine.Permanent(&serve.StatusError{
+		return serve.SubQueryResponse{}, engine.Permanent(&serve.StatusError{
 			Status: code, Err: errors.New(readErrorBody(hresp.Body)),
 		})
 	default:
 		rep.errs.Add(1)
-		return subReply{}, fmt.Errorf("%s: status %d: %s",
+		return serve.SubQueryResponse{}, fmt.Errorf("%s: status %d: %s",
 			url, hresp.StatusCode, readErrorBody(hresp.Body))
 	}
-}
-
-// subReply is one decoded sub-query reply and the size of the body its
-// records alias.
-type subReply struct {
-	resp  serve.SubQueryResponse
-	bytes int
 }
 
 // bodyBufs holds the scratch buffers sub-query replies are read into.

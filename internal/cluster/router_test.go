@@ -335,7 +335,7 @@ func TestRouterReplansOnCompactionRace(t *testing.T) {
 
 	// A generation that keeps moving past the replan budget surfaces as a
 	// conflict error instead of looping forever.
-	r2 := tc.router(t, 2, Config{Shards: r.shards, MaxReplans: 2})
+	r2 := tc.router(t, 2, Config{Shards: r.shards})
 	batch := 0
 	r2.testHookAfterPlan = func() {
 		batch++
@@ -348,9 +348,10 @@ func TestRouterReplansOnCompactionRace(t *testing.T) {
 	}
 }
 
-// TestRouterCacheKeyedByGeneration pins the satellite fix on the router
-// side: the merged-result cache key embeds the dataset generation, so an
-// append invalidates and the refreshed answer includes the new records.
+// TestRouterCacheKeyedByGeneration pins routed caching across an append:
+// a repeat is a hit from the shards' sub-query caches, and the shards'
+// keys embed the fence the router planned at, so an append invalidates
+// and the refreshed answer includes the new records.
 func TestRouterCacheKeyedByGeneration(t *testing.T) {
 	tc := newTestCluster(t, 1500, 2)
 	r := tc.router(t, 2, Config{})

@@ -148,3 +148,25 @@ func TestRouterTrailingBytes400(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterUnknownField400 pins that the router, like a daemon, refuses a
+// request naming a field the protocol does not have, and says which,
+// instead of answering a zero window with an empty 200.
+func TestRouterUnknownField400(t *testing.T) {
+	tc := newTestCluster(t, 200, 1)
+	ts := httptest.NewServer(tc.router(t, 1, Config{}).Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/query", "application/json",
+		strings.NewReader(`{"dataset":"nyc","min_x":-74.0,"records":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"min_x"`) {
+		t.Fatalf("unknown field answered %d %q, want 400 naming \"min_x\"", resp.StatusCode, e.Error)
+	}
+}

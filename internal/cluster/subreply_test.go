@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 
 	"st4ml/internal/engine"
 	"st4ml/internal/serve"
@@ -246,36 +244,5 @@ func TestRouterDefaultClientPoolsShardConnections(t *testing.T) {
 	if n := conns.Load(); n > 2*shards*callers {
 		t.Fatalf("%d shard connections for %d queries from %d callers, want <= %d",
 			n, queries, callers, 2*shards*callers)
-	}
-}
-
-// TestRouterCachedReplyPinsOnlyKeptRecords pins that a merged reply the
-// cache keeps holds no more bytes than ResidentBytes charges for it. With
-// no limit the records keep aliasing the shards' reply bodies, which they
-// all but fill; a limit that leaves most records behind moves the kept
-// ones into one buffer of their exact size.
-func TestRouterCachedReplyPinsOnlyKeptRecords(t *testing.T) {
-	tc := newTestCluster(t, 2000, 2)
-	r := tc.router(t, 2, Config{})
-	contiguous := func(recs []json.RawMessage) bool {
-		for k := 1; k < len(recs); k++ {
-			prev := unsafe.Pointer(unsafe.SliceData(recs[k-1]))
-			if unsafe.Add(prev, len(recs[k-1])) != unsafe.Pointer(unsafe.SliceData(recs[k])) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, limit := range []int{0, 5} {
-		q := seededWindows(3, 4)[3] // full extent: both shards
-		q.NoCache, q.Limit = false, limit
-		resp, err := r.Query(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameAnswer(t, fmt.Sprintf("limit=%d", limit), resp.QueryResult, tc.singleNode(t, q))
-		if got, want := contiguous(resp.Records), limit > 0; got != want {
-			t.Fatalf("limit=%d: records in one buffer %t, want %t", limit, got, want)
-		}
 	}
 }

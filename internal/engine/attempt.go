@@ -13,23 +13,9 @@ import (
 // tasks; Hedge applies the same rules to an arbitrary closure with several
 // interchangeable candidates (e.g. the replicas of a cluster shard): a
 // failed attempt fails over to the next candidate, a slow attempt gets a
-// hedged duplicate on the next candidate after HedgeAfter, and exactly one
+// hedged duplicate on the next candidate after hedgeAfter, and exactly one
 // result is committed — the first success — while every losing attempt is
 // canceled through its context.
-
-// AttemptConfig tunes one Hedge call. Zero values pick sane defaults.
-type AttemptConfig struct {
-	// MaxAttempts bounds the total attempts across all candidates.
-	// 0 means 2×candidates (each candidate once, then one retry round).
-	MaxAttempts int
-	// HedgeAfter launches a duplicate attempt on the next candidate when
-	// the running ones have not answered within this duration. 0 disables
-	// hedging (attempts then launch only on failure — pure failover).
-	HedgeAfter time.Duration
-	// Timeout bounds each individual attempt. 0 means no per-attempt bound
-	// beyond the caller's context.
-	Timeout time.Duration
-}
 
 // AttemptStats reports what one Hedge call did.
 type AttemptStats struct {
@@ -59,25 +45,24 @@ func Permanent(err error) error {
 	return &PermanentError{Err: err}
 }
 
-// Hedge runs run against up to MaxAttempts attempts spread over candidates
-// interchangeable candidates (attempt i targets candidate i%candidates) and
-// returns the first successful result. Exactly one result commits; when a
-// winner is chosen every other in-flight attempt's context is canceled.
-// Failed attempts fail over to the next candidate immediately; with
-// HedgeAfter set, silence launches a hedged duplicate
-// without waiting for a failure. A PermanentError from any attempt aborts
+// Hedge runs run against up to 2×candidates attempts (each candidate once,
+// then one retry round) spread over candidates interchangeable candidates
+// (attempt i targets candidate i%candidates) and returns the first
+// successful result. Exactly one result commits; when a winner is chosen
+// every other in-flight attempt's context is canceled. Failed attempts
+// fail over to the next candidate immediately; with hedgeAfter > 0,
+// silence for that long launches a hedged duplicate without waiting for a
+// failure (0 disables hedging: pure failover). A silent attempt is bounded
+// only by ctx and by hedging. A PermanentError from any attempt aborts
 // the call. The zero value of T and the stats so far are returned on error.
-func Hedge[T any](ctx context.Context, candidates int, cfg AttemptConfig,
+func Hedge[T any](ctx context.Context, candidates int, hedgeAfter time.Duration,
 	run func(ctx context.Context, candidate, attempt int) (T, error)) (T, AttemptStats, error) {
 	var zero T
 	st := AttemptStats{Winner: -1}
 	if candidates <= 0 {
 		return zero, st, errors.New("engine: Hedge needs at least one candidate")
 	}
-	max := cfg.MaxAttempts
-	if max <= 0 {
-		max = 2 * candidates
-	}
+	max := 2 * candidates
 	actx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 
@@ -94,13 +79,7 @@ func Hedge[T any](ctx context.Context, candidates int, cfg AttemptConfig,
 		cand := attempt % candidates
 		st.Attempts++
 		go func() {
-			rctx := actx
-			cancel := func() {}
-			if cfg.Timeout > 0 {
-				rctx, cancel = context.WithTimeout(actx, cfg.Timeout)
-			}
-			defer cancel()
-			v, err := run(rctx, cand, attempt)
+			v, err := run(actx, cand, attempt)
 			results <- outcome{v: v, cand: cand, err: err}
 		}()
 	}
@@ -110,8 +89,8 @@ func Hedge[T any](ctx context.Context, candidates int, cfg AttemptConfig,
 	var lastErr error
 	for {
 		var hedge <-chan time.Time
-		if cfg.HedgeAfter > 0 && st.Attempts < max {
-			t := time.NewTimer(cfg.HedgeAfter)
+		if hedgeAfter > 0 && st.Attempts < max {
+			t := time.NewTimer(hedgeAfter)
 			hedge = t.C
 			defer t.Stop()
 		}

@@ -54,8 +54,12 @@ type Metrics struct {
 	pairsTested  atomic.Int64
 	pairsCounted atomic.Int64
 
+	// stages is a ring of the most recent executed stages: it grows to
+	// maxStageStats, then stageNext is both the oldest entry and the slot
+	// the next stage overwrites.
 	stageMu       sync.Mutex
 	stages        []StageStat
+	stageNext     int
 	stagesDropped int64
 }
 
@@ -182,8 +186,8 @@ type Snapshot struct {
 // Snapshot returns a copy of the current counters.
 func (m *Metrics) Snapshot() Snapshot {
 	m.stageMu.Lock()
-	stages := make([]StageStat, len(m.stages))
-	copy(stages, m.stages)
+	stages := make([]StageStat, 0, len(m.stages))
+	stages = append(append(stages, m.stages[m.stageNext:]...), m.stages[:m.stageNext]...)
 	dropped := m.stagesDropped
 	m.stageMu.Unlock()
 	return Snapshot{
@@ -246,17 +250,19 @@ func (m *Metrics) Reset() {
 	m.pairsCounted.Store(0)
 	m.stageMu.Lock()
 	m.stages = nil
+	m.stageNext = 0
 	m.stagesDropped = 0
 	m.stageMu.Unlock()
 }
 
 func (m *Metrics) addStage(s StageStat) {
 	m.stageMu.Lock()
-	m.stages = append(m.stages, s)
-	if len(m.stages) > maxStageStats {
-		drop := len(m.stages) - maxStageStats
-		m.stages = append(m.stages[:0], m.stages[drop:]...)
-		m.stagesDropped += int64(drop)
+	if len(m.stages) < maxStageStats {
+		m.stages = append(m.stages, s)
+	} else {
+		m.stages[m.stageNext] = s
+		m.stageNext = (m.stageNext + 1) % maxStageStats
+		m.stagesDropped++
 	}
 	m.stageMu.Unlock()
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -81,5 +83,45 @@ func TestAddBlockReadAccumulates(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("Snapshot.String() missing %q: %s", want, s)
 		}
+	}
+}
+
+// TestStageRingMatchesSlice pins the stage ring against the slice it
+// replaced, which appended and shifted out the oldest entries past
+// maxStageStats: Snapshot returns the same stages, oldest first, and the
+// same dropped count at every fill level up to three full turns.
+func TestStageRingMatchesSlice(t *testing.T) {
+	var m Metrics
+	var ref []StageStat
+	var refDropped int64
+	for i := 1; i <= 3*maxStageStats; i++ {
+		s := StageStat{Name: strconv.Itoa(i), Tasks: i, Records: int64(i)}
+		m.addStage(s)
+		ref = append(ref, s)
+		if len(ref) > maxStageStats {
+			drop := len(ref) - maxStageStats
+			ref = append(ref[:0], ref[drop:]...)
+			refDropped += int64(drop)
+		}
+		if i == 1 || i%(maxStageStats/2) == 0 || i == maxStageStats+1 || i == 3*maxStageStats {
+			snap := m.Snapshot()
+			if !reflect.DeepEqual(snap.Stages, ref) || snap.StagesDropped != refDropped {
+				t.Fatalf("after %d stages: ring holds %d from %q (dropped %d), slice %d from %q (dropped %d)",
+					i, len(snap.Stages), snap.Stages[0].Name, snap.StagesDropped, len(ref), ref[0].Name, refDropped)
+			}
+		}
+	}
+}
+
+// TestStageRingFullAllocsNothing pins that recording a stage into a full
+// ring allocates nothing: it overwrites the oldest slot.
+func TestStageRingFullAllocsNothing(t *testing.T) {
+	var m Metrics
+	s := StageStat{Name: "stage", Tasks: 4}
+	for i := 0; i < maxStageStats; i++ {
+		m.addStage(s)
+	}
+	if n := testing.AllocsPerRun(1000, func() { m.addStage(s) }); n != 0 {
+		t.Fatalf("addStage on a full ring: %.1f allocs, want 0", n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -29,6 +30,27 @@ type Catalog struct {
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{datasets: map[string]*Dataset{}}
+}
+
+// DatasetFlags collects repeated -dataset flags, each a spec for
+// ParseDatasetSpec.
+type DatasetFlags []string
+
+func (d *DatasetFlags) String() string     { return strings.Join(*d, ",") }
+func (d *DatasetFlags) Set(v string) error { *d = append(*d, v); return nil }
+
+// ParseDatasetSpec splits a -dataset spec, "name=dir" (the schema is the
+// name) or "name:schema=dir", into Register's arguments.
+func ParseDatasetSpec(spec string) (name, schema, dir string, err error) {
+	key, dir, ok := strings.Cut(spec, "=")
+	if !ok || key == "" || dir == "" {
+		return "", "", "", fmt.Errorf("bad -dataset %q, want name=dir or name:schema=dir", spec)
+	}
+	name, schema, ok = strings.Cut(key, ":")
+	if !ok {
+		schema = name
+	}
+	return name, schema, dir, nil
 }
 
 // Register adds the dataset at dir under name, decoding its records with

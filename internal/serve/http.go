@@ -100,16 +100,19 @@ func (f *Front) Counts() (queries, queryErrors int64) {
 }
 
 // decode admits one request: 503 while draining, then the JSON body —
-// bounded at MaxBodyBytes (413 past it, 400 if malformed or followed by
-// anything but whitespace) — into dst, and
-// ?explain=1 onto explain when non-nil. It writes any refusal itself and
-// reports whether to proceed.
+// bounded at MaxBodyBytes (413 past it, 400 if malformed, naming a field
+// dst does not have, or followed by anything but whitespace) — into dst,
+// and ?explain=1 onto explain when non-nil. It writes any refusal itself
+// and reports whether to proceed.
 func (f *Front) decode(w http.ResponseWriter, r *http.Request, dst any, explain *bool) bool {
 	if f.draining.Load() {
 		WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: errDraining.Error()})
 		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	// A misspelt window field would otherwise decode as zero and answer an
+	// empty 200.
+	dec.DisallowUnknownFields()
 	err := dec.Decode(dst)
 	if err == nil {
 		// A body is one value, as json.Unmarshal holds it: anything but

@@ -403,3 +403,19 @@ func TestLimitCapsRecords(t *testing.T) {
 		t.Errorf("got %d records, want 3", len(res.Records))
 	}
 }
+
+func TestParseDatasetSpec(t *testing.T) {
+	name, schema, dir, err := ParseDatasetSpec("taxi:nyc=/data/taxi")
+	if err != nil || name != "taxi" || schema != "nyc" || dir != "/data/taxi" {
+		t.Errorf("got %q %q %q %v", name, schema, dir, err)
+	}
+	name, schema, _, err = ParseDatasetSpec("porto=/data/porto")
+	if err != nil || name != "porto" || schema != "porto" {
+		t.Errorf("got %q %q %v", name, schema, err)
+	}
+	for _, bad := range []string{"", "nyc", "=dir", "nyc="} {
+		if _, _, _, err := ParseDatasetSpec(bad); err == nil {
+			t.Errorf("spec %q should fail", bad)
+		}
+	}
+}

@@ -86,7 +86,8 @@ func badSpec(err error) error {
 // QueryResponse is the POST /query reply.
 type QueryResponse struct {
 	Dataset string `json:"dataset"`
-	// Cache is "hit" when the result came from the result cache.
+	// Cache is "hit" when the result came from the result cache; a routed
+	// answer is a hit when every touched shard's part was.
 	Cache     string  `json:"cache"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Explain is the aggregated execution report of a traced query.
@@ -186,8 +187,10 @@ func (s *Server) execute(reqCtx context.Context, req SubQueryRequest, sub bool) 
 	}
 	root := tr.StartSpan(0, span, attrs...)
 
-	key := req.CacheKey(family, v.gen)
+	// Only a cacheable request pays for its key.
+	var key string
 	if !req.NoCache {
+		key = req.CacheKey(family, v.gen)
 		lsp := root.Child(trace.SpanResultLookup)
 		hit, ok := s.cache.Get(key)
 		lsp.End(trace.Bool("hit", ok))

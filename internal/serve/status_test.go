@@ -67,6 +67,8 @@ func TestStatusWall(t *testing.T) {
 		edit   func(*SubQueryRequest)
 		body   string // raw body overriding the request
 		trail  string // bytes after the request's JSON value
+		extra  string // members spliced in before the request's first
+		errHas string // a refusal's error must contain this
 		drain  bool
 		sub    bool // /subquery only
 		approx bool // approx kinds only
@@ -78,6 +80,7 @@ func TestStatusWall(t *testing.T) {
 		{name: "trailing-bytes", srv: open, trail: ` garbage`, want: http.StatusBadRequest},
 		{name: "trailing-value", srv: open, trail: `{"dataset":"zzz"}`, want: http.StatusBadRequest},
 		{name: "trailing-space", srv: open, trail: " \r\n\t", want: http.StatusOK},
+		{name: "unknown-field", srv: open, extra: `"min_x":-74.0,`, errHas: `"min_x"`, want: http.StatusBadRequest},
 		{name: "draining", srv: open, drain: true, want: http.StatusServiceUnavailable},
 		{name: "queue-full", srv: busy, want: http.StatusTooManyRequests},
 		{name: "deadline", srv: slow, want: http.StatusGatewayTimeout},
@@ -113,8 +116,14 @@ func TestStatusWall(t *testing.T) {
 				}
 				body := row.body
 				if body == "" {
-					b, _ := json.Marshal(req)
-					body = string(b) + row.trail
+					// /query takes no partition list or fence.
+					var b []byte
+					if ep.path == "/query" {
+						b, _ = json.Marshal(req.QueryRequest)
+					} else {
+						b, _ = json.Marshal(req)
+					}
+					body = "{" + row.extra + string(b[1:]) + row.trail
 				}
 				if row.drain {
 					row.srv.SetDraining(true)
@@ -134,6 +143,9 @@ func TestStatusWall(t *testing.T) {
 					var e errorResponse
 					if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 						t.Fatalf("status %d without an error body (%v)", resp.StatusCode, err)
+					}
+					if !strings.Contains(e.Error, row.errHas) {
+						t.Fatalf("error %q does not name %s", e.Error, row.errHas)
 					}
 				}
 			})

@@ -39,13 +39,13 @@ type SubQueryRequest struct {
 	Count int64 `json:"count"`
 }
 
-// CacheKey is the one result-cache key builder, for every family: "res"
-// (a daemon's /query), "sub" (a shard's /subquery) and "rq" (a router's
-// merged answer). It embeds the catalog generation gen — bumped by any
-// observed reload — and the wire fence, so a shard that compacts
-// mid-stream can never serve a stale chunk and a router replan stores
-// under the new fence, plus everything that shapes the answer: window,
-// records and limit, the partition list's hash, and the approx spec.
+// CacheKey is the one result-cache key builder, for both families: "res"
+// (a daemon's /query) and "sub" (a shard's /subquery). It embeds the
+// catalog generation gen — bumped by any observed reload — and the wire
+// fence, so a shard that compacts mid-stream can never serve a stale chunk
+// and a router's replan reads under the new fence, plus everything that
+// shapes the answer: window, records and limit, the partition list's hash,
+// and the approx spec.
 func (q SubQueryRequest) CacheKey(family string, gen int64) string {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -277,10 +277,12 @@ func Build(spans []SpanRecord) *Explain {
 			e.PartitionLoads++
 			e.addBlockAttrs(s)
 		case s.Name == SpanResultLookup:
-			if s.BoolAttr("hit") {
-				e.ResultCache = "hit"
-			} else {
+			// A routed tree holds one probe per touched shard: the
+			// answer was a hit only if every probe was.
+			if !s.BoolAttr("hit") {
 				e.ResultCache = "miss"
+			} else if e.ResultCache == "" {
+				e.ResultCache = "hit"
 			}
 		case s.Name == SpanAdmission:
 			e.AdmissionWaitMS += float64(s.Duration.Microseconds()) / 1000

@@ -249,3 +249,29 @@ func TestBuildNil(t *testing.T) {
 	var e *Explain
 	e.Fprint(&bytes.Buffer{}) // must not panic
 }
+
+// TestExplainResultCacheFolds pins how a tree with one result-cache probe
+// per routed shard reads: a hit only when every probe hit, in any order.
+func TestExplainResultCacheFolds(t *testing.T) {
+	for _, c := range []struct {
+		hits []bool
+		want string
+	}{
+		{nil, ""},
+		{[]bool{true}, "hit"},
+		{[]bool{false}, "miss"},
+		{[]bool{true, true}, "hit"},
+		{[]bool{true, false}, "miss"},
+		{[]bool{false, true}, "miss"},
+	} {
+		tr := New()
+		root := tr.StartSpan(0, "query")
+		for _, hit := range c.hits {
+			root.Child(SpanResultLookup).End(Bool("hit", hit))
+		}
+		root.End()
+		if got := Build(tr.Snapshot()).ResultCache; got != c.want {
+			t.Errorf("probes %v: result cache %q, want %q", c.hits, got, c.want)
+		}
+	}
+}
