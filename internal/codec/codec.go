@@ -147,7 +147,7 @@ func (r *Reader) Bool() bool {
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	n := int(r.Uvarint())
-	if n < 0 || r.off+n > len(r.b) {
+	if n < 0 || n > r.Remaining() {
 		r.corrupt()
 	}
 	s := string(r.b[r.off : r.off+n])

@@ -30,7 +30,7 @@ func (w *Writer) PutFrame(payload []byte) {
 // with Catch).
 func (r *Reader) Frame() []byte {
 	n := int(r.Uvarint())
-	if n < 0 || r.off+4+n > len(r.b) {
+	if n < 0 || n > r.Remaining()-4 { // not r.off+4+n: a huge n wraps it negative
 		r.corrupt()
 	}
 	sum := binary.LittleEndian.Uint32(r.b[r.off:])

@@ -59,3 +59,21 @@ func TestFrameTruncated(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeLengthIsCorrupt pins the length checks of Frame and String
+// against a length prefix so large that adding it to the read offset
+// wraps negative: both must report ErrCorrupt, not index out of range.
+func TestHugeLengthIsCorrupt(t *testing.T) {
+	w := NewWriter(16)
+	w.PutUvarint(1<<63 - 1)
+	w.PutUvarint(0)
+	huge := w.Bytes()
+	for name, read := range map[string]func(r *Reader){
+		"Frame":  func(r *Reader) { r.Frame() },
+		"String": func(r *Reader) { _ = r.String() },
+	} {
+		if err := Catch(func() { read(NewReader(huge)) }); err == nil {
+			t.Errorf("%s: a length of 2^63-1 over %d bytes was accepted", name, len(huge))
+		}
+	}
+}

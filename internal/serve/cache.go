@@ -6,11 +6,15 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"st4ml/internal/stdata"
 )
 
 // Cache is a byte-budgeted LRU over opaque values: pinned partitions and
 // encoded query results share one budget, so a hot result set can push
-// cold partitions out and vice versa. Concurrent loads of the same key are
+// cold partitions out and vice versa. A pinned partition's charge can
+// grow after it is cached (its switch to a reply arena); the cache
+// recharges it on its next hit. Concurrent loads of the same key are
 // deduplicated — under a thundering herd of identical cold queries only one
 // goroutine reads the disk, everyone else waits for its entry.
 //
@@ -65,12 +69,28 @@ func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*cacheEntry).val, true
+		return c.hitLocked(el), true
 	}
 	c.misses.Add(1)
 	return nil, false
+}
+
+// hitLocked counts a hit on el, marks it most recently used and returns
+// its value. A pinned partition whose size grew since it was charged — a
+// segment that switched to its reply arena — is recharged, and entries are
+// evicted as Put does.
+func (c *Cache) hitLocked(el *list.Element) any {
+	c.order.MoveToFront(el)
+	c.hits.Add(1)
+	ent := el.Value.(*cacheEntry)
+	if p, ok := ent.val.(stdata.Partition); ok {
+		if n := p.SizeBytes(); n != ent.bytes {
+			c.used += n - ent.bytes
+			ent.bytes = n
+			c.evictLocked()
+		}
+	}
+	return ent.val
 }
 
 // Put inserts (or replaces) key with a value of the given resident size,
@@ -95,6 +115,11 @@ func (c *Cache) putLocked(key string, val any, bytes int64) {
 		c.items[key] = c.order.PushFront(&cacheEntry{key: key, val: val, bytes: bytes})
 		c.used += bytes
 	}
+	c.evictLocked()
+}
+
+// evictLocked evicts least-recently-used entries until the budget holds.
+func (c *Cache) evictLocked() {
 	for c.used > c.budget {
 		back := c.order.Back()
 		if back == nil {
@@ -117,9 +142,7 @@ func (c *Cache) GetOrLoad(key string, load func() (val any, bytes int64, err err
 	c.lookups.Add(1)
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		c.hits.Add(1)
-		val := el.Value.(*cacheEntry).val
+		val := c.hitLocked(el)
 		c.mu.Unlock()
 		return val, nil
 	}
@@ -198,20 +221,33 @@ type CacheStats struct {
 	Entries     int   `json:"entries"`
 	UsedBytes   int64 `json:"used_bytes"`
 	BudgetBytes int64 `json:"budget_bytes"`
+	// Segments counts the cached pinned segments; ArenaSegments those past
+	// break-even, serving from reply arenas of ArenaBytes in all.
+	Segments      int   `json:"segments"`
+	ArenaSegments int   `json:"arena_segments"`
+	ArenaBytes    int64 `json:"arena_bytes"`
 }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	entries, used := len(c.items), c.used
-	c.mu.Unlock()
-	return CacheStats{
+	st := CacheStats{
 		Lookups:     c.lookups.Load(),
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
 		Evictions:   c.evictions.Load(),
-		Entries:     entries,
-		UsedBytes:   used,
 		BudgetBytes: c.budget,
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st.Entries, st.UsedBytes = len(c.items), c.used
+	for _, el := range c.items {
+		if p, ok := el.Value.(*cacheEntry).val.(stdata.Partition); ok {
+			st.Segments++
+			if n := p.ArenaBytes(); n > 0 {
+				st.ArenaSegments++
+				st.ArenaBytes += n
+			}
+		}
+	}
+	return st
 }

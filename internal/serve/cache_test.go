@@ -335,3 +335,55 @@ func TestCacheGetOrLoadPanicReleasesKey(t *testing.T) {
 		t.Fatal("fresh caller after a panicked load still blocked")
 	}
 }
+
+// growingPart is a pinned partition whose charge grows once, as a segment
+// switching to its reply arena does.
+type growingPart struct{ size, arena atomic.Int64 }
+
+func (p *growingPart) Len() int          { return 1 }
+func (p *growingPart) SizeBytes() int64  { return p.size.Load() }
+func (p *growingPart) ArenaBytes() int64 { return p.arena.Load() }
+func (p *growingPart) grow(by int64)     { p.size.Add(by); p.arena.Add(by) }
+func newGrowingPart(size int64) *growingPart {
+	p := &growingPart{}
+	p.size.Store(size)
+	return p
+}
+
+// TestCacheRechargesGrownSegment pins the recharge: a cached partition
+// whose size grew is charged its new size on its next hit, by Get and by
+// GetOrLoad alike, and least-recently-used entries are evicted until the
+// budget holds again.
+func TestCacheRechargesGrownSegment(t *testing.T) {
+	c := NewCache(100)
+	seg := newGrowingPart(30)
+	load := func(v any, n int64) func() (any, int64, error) {
+		return func() (any, int64, error) { return v, n, nil }
+	}
+	if _, err := c.GetOrLoad("part|a", load(seg, seg.SizeBytes())); err != nil {
+		t.Fatal(err)
+	}
+	c.Put("res|old", 1, 30)
+	c.Put("res|new", 2, 30)
+	seg.grow(25)
+	if st := c.Stats(); st.UsedBytes != 90 || st.ArenaSegments != 1 || st.ArenaBytes != 25 || st.Segments != 1 {
+		t.Fatalf("before the hit: %+v, want 90 bytes charged and one switched segment of 25", st)
+	}
+	if _, err := c.GetOrLoad("part|a", load(nil, 0)); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.UsedBytes != 85 || st.Evictions != 1 || st.Entries != 2 {
+		t.Fatalf("after the hit: %+v, want 85 bytes in 2 entries after one eviction", st)
+	}
+	if _, ok := c.Get("res|old"); ok {
+		t.Error("the least recently used entry survived the recharge")
+	}
+	seg.grow(40)
+	if _, ok := c.Get("part|a"); !ok {
+		t.Fatal("grown segment missing")
+	}
+	if st := c.Stats(); st.UsedBytes != 95 || st.UsedBytes > st.BudgetBytes {
+		t.Fatalf("after a Get hit: %+v, want the segment's 95 bytes alone", st)
+	}
+}

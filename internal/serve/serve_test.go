@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"st4ml/internal/datagen"
 	"st4ml/internal/engine"
@@ -416,6 +418,126 @@ func TestParseDatasetSpec(t *testing.T) {
 	for _, bad := range []string{"", "nyc", "=dir", "nyc="} {
 		if _, _, _, err := ParseDatasetSpec(bad); err == nil {
 			t.Errorf("spec %q should fail", bad)
+		}
+	}
+}
+
+// TestMetricsReportArenas drives every segment of a served dataset past
+// break-even: /metrics counts the switched segments and their arena
+// bytes, and the cache charges each segment its arena plus 4 bytes a
+// record on its first hit after the switch, within the budget.
+func TestMetricsReportArenas(t *testing.T) {
+	ctx := engine.New(engine.Config{Slots: 2})
+	dir := ingestNYC(t, ctx, 3000)
+	srv := NewServer(Config{Ctx: ctx, SubscribePoll: -1})
+	defer srv.Close()
+	if err := srv.AddDataset("nyc", "nyc", dir); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	count := allNYC()
+	count.NoCache = true
+	all := count
+	all.Records = true
+	query := func(req QueryRequest) *QueryResponse {
+		t.Helper()
+		res, code := postQuery(t, ts.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("status %d", code)
+		}
+		return res
+	}
+	for i := 0; i < 3; i++ {
+		query(count) // counting encodes nothing, so it never switches a segment
+	}
+	res := query(all) // encodes every record once: each segment at break-even
+	before := getMetrics(t, ts.URL).Cache
+	if before.Segments == 0 || before.ArenaSegments != 0 || before.ArenaBytes != 0 {
+		t.Fatalf("before the switch: %+v, want cached segments and no arena", before)
+	}
+	query(all) // switches every segment
+	query(all) // hits every segment once more: the cache recharges them
+	after := getMetrics(t, ts.URL).Cache
+	if after.ArenaSegments != before.Segments || after.Segments != before.Segments {
+		t.Fatalf("after the switch %d of %d segments serve from arenas, want all %d",
+			after.ArenaSegments, after.Segments, before.Segments)
+	}
+	if after.ArenaBytes < int64(len(res.Records))*20 {
+		t.Fatalf("%d arena bytes for %d records", after.ArenaBytes, len(res.Records))
+	}
+	if want := before.UsedBytes + after.ArenaBytes + 4*res.Stats.SelectedRecords; after.UsedBytes != want {
+		t.Errorf("cache charges %d bytes after the switch, want %d (%d before, %d arena bytes, %d records)",
+			after.UsedBytes, want, before.UsedBytes, after.ArenaBytes, res.Stats.SelectedRecords)
+	}
+	if got := query(all); !equalRecords(got.Records, res.Records) {
+		t.Error("records served from the arenas differ from the encoded ones")
+	}
+}
+
+func equalRecords(a, b []json.RawMessage) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCachedReplyOwnsRecords pins that a reply kept in the result cache
+// copies its records out of the segments' arenas: a 10-record answer must
+// not keep whole arenas alive outside the budget. A no_cache reply, kept
+// by no one, aliases them.
+func TestCachedReplyOwnsRecords(t *testing.T) {
+	ctx := engine.New(engine.Config{Slots: 2})
+	dir := ingestNYC(t, ctx, 3000)
+	srv := NewServer(Config{Ctx: ctx, SubscribePoll: -1})
+	defer srv.Close()
+	if err := srv.AddDataset("nyc", "nyc", dir); err != nil {
+		t.Fatal(err)
+	}
+	req := allNYC()
+	req.Records, req.NoCache = true, true
+	for i := 0; i < 2; i++ { // the second query switches every segment
+		if _, err := srv.query(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aliased, err := srv.query(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.NoCache, req.Limit = false, 10
+	if _, err := srv.query(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	cached, err := srv.query(context.Background(), req)
+	if err != nil || cached.Cache != "hit" || len(cached.Records) != 10 {
+		t.Fatalf("repeat: cache %q, %d records, %v; want a 10-record hit", cached.Cache, len(cached.Records), err)
+	}
+	inArena := func(rec json.RawMessage) bool {
+		p := uintptr(unsafe.Pointer(unsafe.SliceData(rec)))
+		for _, a := range aliased.Records {
+			start := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+			if p >= start && p < start+uintptr(len(a)) {
+				return true
+			}
+		}
+		return false
+	}
+	if !inArena(aliased.Records[0]) {
+		t.Fatal("a no_cache reply's record lies outside the arena spans it was cut from")
+	}
+	for i, rec := range cached.Records {
+		if !bytes.Equal(rec, aliased.Records[i]) {
+			t.Fatalf("cached record %d differs from the arena's", i)
+		}
+		if inArena(rec) {
+			t.Fatalf("cached record %d lies in a segment's arena", i)
 		}
 	}
 }

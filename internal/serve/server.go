@@ -277,6 +277,9 @@ func (s *Server) run(ectx *engine.Context, d *Dataset, v view, req SubQueryReque
 	if err != nil {
 		return nil, 0, nil, err
 	}
+	if !req.NoCache {
+		res.Own() // cached past the query: no pinned arena stays alive for it
+	}
 	resp := QueryResponse{QueryResult: res}
 	if sub {
 		return SubQueryResponse{Parts: res.Parts}, resp.ResidentBytes(),

@@ -75,6 +75,7 @@ func (src subSource) Snapshot(w selection.Window, limit int) ([]stdata.PartResul
 		if err != nil {
 			return nil, 0, err
 		}
+		res.Own()
 		sn := subSnapshot{parts: res.Parts, gen: v.meta.Generation, nextSeq: v.meta.NextSeq}
 		return sn, snapshotBytes(sn.parts), nil
 	})

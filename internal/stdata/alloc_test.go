@@ -85,3 +85,77 @@ func TestServeQueryAllocs(t *testing.T) {
 			len(res.Records), b, serveQueryByteCeiling)
 	}
 }
+
+// Ceilings for the same warm query once every partition it touches has
+// switched to its reply arena, measured at 30 allocations and 52 KiB:
+// the engine stage and its tasks, the select span, each partition's hit
+// indices (4 bytes a hit) and the records' slice headers (24 bytes a
+// record), which point into the arenas. Nothing is encoded and no record
+// byte is copied.
+const (
+	arenaQueryAllocCeiling = 32
+	arenaQueryByteCeiling  = 56 << 10
+)
+
+// TestServeQueryArenaAllocs pins the allocations of TestServeQueryAllocs's
+// query after the break-even switch.
+func TestServeQueryArenaAllocs(t *testing.T) {
+	sch, _ := stdata.Lookup("nyc")
+	ctx := engine.New(engine.Config{Slots: 1})
+	dir := t.TempDir()
+	meta, err := sch.Ingest(ctx, datagen.NYC(20_000, 3), dir, sch.DefaultPlanner(4, 2),
+		selection.IngestOptions{Name: "nyc", SampleFrac: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := make([]stdata.Partition, meta.NumPartitions())
+	for id := range pinned {
+		if pinned[id], _, err = sch.LoadBase(dir, meta, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetch := func(id int) (stdata.Partition, error) { return pinned[id], nil }
+	ext, yr := datagen.NYCExtent, datagen.Year2013
+	w := selection.Window{
+		Space: geom.Box(ext.MinX+ext.Width()*0.4, ext.MinY+ext.Height()*0.4, ext.MinX+ext.Width()*0.6, ext.MinY+ext.Height()*0.6),
+		Time:  tempo.New(yr.Start, yr.Start+(yr.End-yr.Start)/2),
+	}
+	opts := stdata.QueryOptions{Records: true}
+	query := func() stdata.QueryResult {
+		res, err := sch.ServeQuery(ctx, dir, meta, fetch, w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// Each query encodes about an eighth of each partition it touches;
+	// the query after the one that reaches break-even switches them.
+	for i := 0; i < 16; i++ {
+		query()
+	}
+	res := query()
+	for _, id := range meta.Prune(w.Space, w.Time) {
+		if pinned[id].ArenaBytes() == 0 {
+			t.Fatalf("partition %d has not switched after 17 queries", id)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() { query() })
+	if allocs > arenaQueryAllocCeiling {
+		t.Errorf("switched ServeQuery of %d records: %.0f allocs per query, ceiling %d",
+			len(res.Records), allocs, arenaQueryAllocCeiling)
+	}
+	if raceEnabled {
+		return
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > arenaQueryByteCeiling {
+		t.Errorf("switched ServeQuery of %d records: %d bytes per query, ceiling %d",
+			len(res.Records), b, arenaQueryByteCeiling)
+	}
+}

@@ -154,24 +154,52 @@ func BenchmarkRecordJSON(b *testing.B) {
 // BenchmarkServeQueryRecords measures a warm served query that returns its
 // records: one pinned 12.5k-event nyc partition, coordinates on the grid,
 // and a window selecting about 1k of them (16 % of the area × half the
-// time range), reported per record alongside allocs/op.
+// time range), reported per record alongside allocs/op. The encode case
+// keeps the segment short of break-even, so each query encodes its rows;
+// the arena case serves spans of the switched segment's reply arena.
 func BenchmarkServeQueryRecords(b *testing.B) {
 	nyc := registry["nyc"].(schema[EventRec])
 	dir, meta := pinStore(b, nyc, gridEvents(12500, 1), false)
-	fetch := cachedFetch(b, nyc, dir, meta)
-	ctx := engine.New(engine.Config{Slots: 1})
 	w := selection.Window{Space: geom.Box(3, 3, 7, 7), Time: tempo.New(25, 75)}
-	res, err := nyc.ServeQuery(ctx, dir, meta, fetch, w, QueryOptions{Records: true})
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		arena bool
+	}{{"encode", false}, {"arena", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			p, _, err := nyc.LoadBase(dir, meta, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := p.(*segment[EventRec])
+			fetch := func(int) (Partition, error) { return g, nil }
+			ctx := engine.New(engine.Config{Slots: 1})
+			query := func() QueryResult {
+				if !c.arena {
+					g.served.Store(0)
+				}
+				res, err := nyc.ServeQuery(ctx, dir, meta, fetch, w, QueryOptions{Records: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res
+			}
+			if c.arena {
+				for g.ArenaBytes() == 0 {
+					query()
+				}
+			}
+			res := query()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query()
+			}
+			b.StopTimer()
+			if g.state.Load().switched() != c.arena {
+				b.Fatalf("%s: segment switched %v", c.name, !c.arena)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(res.Records)), "ns/record")
+			b.ReportMetric(float64(len(res.Records)), "records/op")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := nyc.ServeQuery(ctx, dir, meta, fetch, w, QueryOptions{Records: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(res.Records)), "ns/record")
-	b.ReportMetric(float64(len(res.Records)), "records/op")
 }

@@ -242,11 +242,28 @@ func checkRunIndex[T any](t *testing.T, name string, s schema[T], p Partition, r
 			}
 		}
 		wb, _ := json.Marshal(want)
-		gb, _ := json.Marshal(m.appendMatches(q, nil))
+		gb, _ := json.Marshal(matchedRows[T](m, q))
 		if !bytes.Equal(gb, wb) {
 			t.Fatalf("%s, window %d %+v: run index returned %s, linear scan %s", name, wi, q, gb, wb)
 		}
 	}
+}
+
+// matchedRows is the rows of m's hits for q, in hit order, read from its
+// segments' rows (nil with no hits).
+func matchedRows[T any](m matcher[T], q index.Box) []T {
+	segs, ok := m.(liveData[T])
+	if !ok {
+		segs = liveData[T]{m.(*segment[T])}
+	}
+	var rows, out []T
+	for _, g := range segs {
+		rows = append(rows, g.state.Load().rows...)
+	}
+	for _, i := range m.appendHits(q, nil) {
+		out = append(out, rows[i])
+	}
+	return out
 }
 
 // runIndexWall pins one store's base alone against its base file's records
@@ -335,11 +352,11 @@ func benchStores(b *testing.B) []benchStore {
 // probeLoop searches p b.N times, cycling over windows.
 func probeLoop[T any](b *testing.B, p Partition, windows []index.Box) {
 	m := p.(matcher[T])
-	out := make([]*T, 0, 1024)
+	out := make([]int32, 0, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = m.appendMatches(windows[i%len(windows)], out[:0])
+		out = m.appendHits(windows[i%len(windows)], out[:0])
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
+	"sync/atomic"
 
 	"st4ml/internal/codec"
 	"st4ml/internal/engine"
@@ -51,9 +51,13 @@ type Spec[T any] struct {
 
 // QueryOptions tunes one served query.
 type QueryOptions struct {
-	// Records returns the matching records (each in its JSON wire form,
-	// appended by the schema's AppendJSON into one buffer per reply) in
-	// addition to the stats. Limit caps how many (0 = all).
+	// Records returns the matching records, each in its JSON wire form, in
+	// addition to the stats; Limit caps how many (0 = all). A record from a
+	// segment past break-even is a span of the segment's reply arena, the
+	// rest are appended by the schema's AppendJSON into one buffer per
+	// reply. Either way the bytes are shared, never written: a caller that
+	// keeps a result past the query copies them out (QueryResult.Own).
+	// Without Records a query only counts the run index's hits.
 	Records bool
 	Limit   int
 	// Partitions, when non-nil, restricts the query to exactly these
@@ -95,8 +99,12 @@ type Partition interface {
 	// Len is the record count.
 	Len() int
 	// SizeBytes estimates the resident size, the unit of the serving
-	// cache's byte budget.
+	// cache's byte budget. It grows, once, when a segment switches to its
+	// reply arena: by the arena plus 4 bytes of offset per record.
 	SizeBytes() int64
+	// ArenaBytes is the size of the reply arenas the partition's segments
+	// have switched to; 0 before any has.
+	ArenaBytes() int64
 }
 
 // Querier runs one-shot window selections against an on-disk dataset, the
@@ -282,49 +290,14 @@ func (s schema[T]) ReadDelta(dir string, dm storage.DeltaMeta) ([]index.Box, []j
 		return nil, nil, err
 	}
 	d := p.(*segment[T])
-	e := encoded{ends: make([]int, 0, len(d.recs))}
-	for i := range d.recs {
-		if err := s.encodeRecord(&e, &d.recs[i]); err != nil {
+	rows := d.state.Load().rows
+	e := encoded{recs: make([]json.RawMessage, 0, len(rows))}
+	for i := range rows {
+		if err := s.encodeRecord(&e, &rows[i]); err != nil {
 			return nil, nil, err
 		}
 	}
 	return d.idx.Boxes(), e.records(), nil
-}
-
-// encoded is a reply's records in their JSON wire form, appended into one
-// buffer — the same few allocations whatever the record count — with
-// where each record ends.
-type encoded struct {
-	buf  []byte
-	ends []int
-}
-
-// encodeRecord appends rec's wire form to e. The first record's size
-// sizes the buffer for the rest of cap(e.ends) records, with an eighth to
-// spare for the variable-width numbers and strings.
-func (s schema[T]) encodeRecord(e *encoded, rec *T) error {
-	var err error
-	if e.buf, err = s.spec.AppendJSON(e.buf, *rec); err != nil {
-		return fmt.Errorf("stdata: schema %s: encode record: %w", s.spec.Name, err)
-	}
-	if len(e.ends) == 0 {
-		e.buf = slices.Grow(e.buf, len(e.buf)*(cap(e.ends)-1)*9/8)
-	}
-	e.ends = append(e.ends, len(e.buf))
-	return nil
-}
-
-// records cuts e's buffer into its records, once it has stopped moving,
-// each capped at its own end so an append to one record cannot overwrite
-// the next.
-func (e *encoded) records() []json.RawMessage {
-	out := make([]json.RawMessage, len(e.ends))
-	start := 0
-	for i, end := range e.ends {
-		out[i] = e.buf[start:end:end]
-		start = end
-	}
-	return out
 }
 
 func (s schema[T]) SelectPoints(
@@ -354,95 +327,6 @@ func (s schema[T]) ReadCSV(r io.Reader) (any, error) {
 	}
 	return s.spec.CSV(r)
 }
-
-// segment is the pinned form of one decoded base or delta file: its records
-// in file order and the run index over their boxes, whose hits equal a
-// linear scan in record order.
-type segment[T any] struct {
-	recs  []T
-	idx   *index.Runs
-	bytes int64
-	delta bool
-}
-
-// pin builds the segment over recs, a file of fileBytes encoded bytes, and
-// boxes, record i's box at boxes[i] — the boxes the storage reader returns
-// beside the records, so pinning calls no BoxOf.
-func (s schema[T]) pin(recs []T, boxes []index.Box, fileBytes int64, delta bool) *segment[T] {
-	return &segment[T]{
-		recs:  recs,
-		idx:   index.NewRuns(boxes),
-		bytes: fileBytes + int64(len(recs))*pinOverheadBytes,
-		delta: delta,
-	}
-}
-
-func (g *segment[T]) Len() int         { return len(g.recs) }
-func (g *segment[T]) SizeBytes() int64 { return g.bytes }
-
-func (g *segment[T]) matchBound(q index.Box) int { return g.idx.Bound(q) }
-
-func (g *segment[T]) appendMatches(q index.Box, out []*T) []*T {
-	g.idx.Search([]index.Box{q}, func(i, _ int) bool {
-		out = append(out, &g.recs[i])
-		return true
-	})
-	return out
-}
-
-// liveData is a partition's live view: a pinned base segment followed by
-// its pinned delta segments in manifest order. It shares, never copies,
-// their records.
-type liveData[T any] []*segment[T]
-
-func (v liveData[T]) Len() int {
-	n := 0
-	for _, g := range v {
-		n += g.Len()
-	}
-	return n
-}
-
-func (v liveData[T]) SizeBytes() int64 {
-	var n int64
-	for _, g := range v {
-		n += g.SizeBytes()
-	}
-	return n
-}
-
-func (v liveData[T]) matchBound(q index.Box) int {
-	n := 0
-	for _, g := range v {
-		n += g.matchBound(q)
-	}
-	return n
-}
-
-func (v liveData[T]) appendMatches(q index.Box, out []*T) []*T {
-	for _, g := range v {
-		out = g.appendMatches(q, out)
-	}
-	return out
-}
-
-// matcher is the searchable form of a fetched partition: a base alone or a
-// live view over it.
-type matcher[T any] interface {
-	Partition
-	// appendMatches appends the records intersecting q to out in the
-	// merge-on-read order, by reference: the pointers are into the pinned
-	// segments, which nothing writes once pinned.
-	appendMatches(q index.Box, out []*T) []*T
-	// matchBound bounds the number of records appendMatches appends for q
-	// from the run index alone, so the match slice is allocated once.
-	matchBound(q index.Box) int
-}
-
-// pinOverheadBytes approximates the per-record cost of the pinned slice and
-// its index (a record box plus its share of a run box) beyond the encoded
-// payload.
-const pinOverheadBytes = 64
 
 func (s schema[T]) LoadPartition(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error) {
 	base, st, err := s.LoadBase(dir, meta, id)
@@ -554,14 +438,16 @@ func (s schema[T]) ServeQuery(
 		return res, nil
 	}
 
-	// One engine task per surviving partition: fetch the pinned handle and
-	// search it. Fetch failures surface as task errors through the engine's
-	// retry machinery. The stage is traced under the select span.
+	// One engine task per surviving partition: fetch the pinned view and
+	// search its run index, for the hits' indices when the query returns
+	// records and for their count when it does not. Fetch failures surface
+	// as task errors through the engine's retry machinery. The stage is
+	// traced under the select span.
 	sctx := ctx.WithSpan(sp)
-	q := w.Box()
-	matched := make([][]*T, len(ids))
+	q, records := w.Box(), opts.Records
+	found := make([]partHits, len(ids))
 	err := engine.Try(func() {
-		rdd := engine.Generate(sctx, "serve:"+meta.Name, len(ids), func(p int) []*T {
+		rdd := engine.Generate(sctx, "serve:"+meta.Name, len(ids), func(p int) []int32 {
 			part, err := fetch(ids[p])
 			if err != nil {
 				panic(err)
@@ -570,38 +456,47 @@ func (s schema[T]) ServeQuery(
 			if !ok {
 				panic(fmt.Sprintf("stdata: schema %s: cached partition has type %T", s.spec.Name, part))
 			}
-			return m.appendMatches(q, make([]*T, 0, m.matchBound(q)))
+			if !records {
+				found[p].count.Store(int64(m.countHits(q)))
+				return nil
+			}
+			hits := m.appendHits(q, make([]int32, 0, m.matchBound(q)))
+			found[p].view.Store(part)
+			found[p].count.Store(int64(len(hits)))
+			return hits
 		})
-		rdd.ForeachPartition(func(p int, in []*T) { matched[p] = in })
+		rdd.ForeachPartition(func(p int, in []int32) { found[p].hits = in })
 	})
 	if err != nil {
 		sp.End(trace.Str("error", err.Error()))
 		return QueryResult{}, err
 	}
 
-	for _, part := range matched {
-		res.Stats.SelectedRecords += int64(len(part))
+	for p := range found {
+		res.Stats.SelectedRecords += found[p].count.Load()
 	}
 	sp.End(trace.Int("selected", res.Stats.SelectedRecords))
 	limit := opts.Limit
 	if limit <= 0 || int64(limit) > res.Stats.SelectedRecords {
 		limit = int(res.Stats.SelectedRecords)
 	}
-	// Per-partition chunks: Selected always counts every match; record
-	// encoding caps at limit across the chunks in order — a shard's stream
-	// is a subsequence of the global partition-ordered stream, so any
-	// record within the global limit survives the local cap and a
-	// scatter-gather merge stays byte-identical to single-node serving.
-	// The kept records are encoded together into one buffer, so the flat
-	// Records are exactly these chunks flattened (Flatten(parts, limit)).
+	// Per-partition chunks: Selected always counts every match; records
+	// cap at limit across the chunks in order — a shard's stream is a
+	// subsequence of the global partition-ordered stream, so any record
+	// within the global limit survives the local cap and a scatter-gather
+	// merge stays byte-identical to single-node serving. The kept records
+	// are gathered in one encoded reply, so the flat Records are exactly
+	// these chunks flattened (Flatten(parts, limit)).
 	var recs []json.RawMessage
 	if opts.Records {
-		e := encoded{ends: make([]int, 0, limit)}
-		for _, part := range matched {
-			for _, rec := range part[:min(len(part), limit-len(e.ends))] {
-				if err := s.encodeRecord(&e, rec); err != nil {
-					return QueryResult{}, err
-				}
+		e := encoded{recs: make([]json.RawMessage, 0, limit)}
+		for p := range found {
+			hits := found[p].hits[:min(len(found[p].hits), limit-len(e.recs))]
+			if len(hits) == 0 {
+				continue
+			}
+			if err := s.appendRecords(&e, found[p].view.Load().(matcher[T]), hits); err != nil {
+				return QueryResult{}, err
 			}
 		}
 		recs = e.records()
@@ -612,18 +507,60 @@ func (s schema[T]) ServeQuery(
 	}
 	res.Parts = make([]PartResult, len(ids))
 	for p, id := range ids {
-		res.Parts[p] = PartResult{ID: id, Selected: int64(len(matched[p]))}
-		if n := min(len(matched[p]), len(recs)); n > 0 {
+		res.Parts[p] = PartResult{ID: id, Selected: found[p].count.Load()}
+		if n := min(len(found[p].hits), len(recs)); n > 0 {
 			res.Parts[p].Records, recs = recs[:n:n], recs[n:]
 		}
 	}
 	return res, nil
 }
 
+// partHits is one partition's search outcome in a served query. Its task
+// stores view and count atomically, since a speculative duplicate of the
+// task may store the same values at once; hits is the committed task's.
+type partHits struct {
+	view  atomic.Value // the fetched Partition, which the records are read from
+	count atomic.Int64
+	hits  []int32
+}
+
+// Own copies r's records into one buffer of their own, in place, so a
+// result kept past its query — a cached reply — keeps no segment's reply
+// arena alive.
+func (r *QueryResult) Own() {
+	size := recordsLen(r.Records)
+	for _, pr := range r.Parts {
+		size += recordsLen(pr.Records)
+	}
+	buf := make([]byte, 0, size)
+	buf = ownRecords(buf, r.Records)
+	for _, pr := range r.Parts {
+		buf = ownRecords(buf, pr.Records)
+	}
+}
+
+func recordsLen(recs []json.RawMessage) int {
+	n := 0
+	for _, rec := range recs {
+		n += len(rec)
+	}
+	return n
+}
+
+// ownRecords appends recs to buf, which has room for them all, and points
+// each at its copy.
+func ownRecords(buf []byte, recs []json.RawMessage) []byte {
+	for i, rec := range recs {
+		start := len(buf)
+		buf = append(buf, rec...)
+		recs[i] = buf[start:len(buf):len(buf)]
+	}
+	return buf
+}
+
 // Flatten is the flat record stream of per-partition chunks: their records
 // concatenated in chunk order and cut at limit (<= 0: no cut). It copies
-// slice headers only; the records keep pointing into the replies' encoded
-// buffers. A single node's flat Records are its chunks' records encoded in
+// slice headers only; the records keep pointing where the replies' did. A single node's flat Records are its chunks' records encoded in
 // chunk order up to the limit — this stream — and a router's merge is its
 // shards' chunks flattened, so the two agree by construction.
 func Flatten(parts []PartResult, limit int) []json.RawMessage {
