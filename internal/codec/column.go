@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"st4ml/internal/index"
 )
@@ -367,22 +368,30 @@ func (w *Writer) PutStringCol(vals []string) {
 	}
 }
 
-// StringCol decodes a column of n strings from payload, appending into
-// dst's capacity. Panics ErrCorrupt on malformed input, including
+// StringCol decodes a column of n strings from payload as indexes into a
+// dictionary: it writes record i's index at dst[i], into dst's capacity as
+// the other column decoders do, and appends to dict the strings the column
+// holds that dict does not — a constant column's one value and a
+// dictionary-coded column's entries, found among dict's first few entries
+// when a column decoded before added them, so a reader decoding a file's
+// blocks into one dictionary allocates each repeated string once; a plain
+// column's values, one new entry each. It returns the indexes and the
+// grown dictionary. Panics ErrCorrupt on malformed input, including
 // out-of-range dictionary indexes.
-func StringCol(payload []byte, n int, dst []string) []string {
+func StringCol(payload []byte, n int, dst []uint32, dict []string) ([]uint32, []string) {
 	colCheckN(n)
 	if n == 0 {
 		if len(payload) != 0 {
 			panic(ErrCorrupt{Off: 0})
 		}
-		return dst[:0]
+		return dst[:0], dict
 	}
 	out := slices.Grow(dst[:0], n)[:n]
 	r := NewReader(payload)
 	switch r.colByte() {
 	case colConst:
-		v := r.String()
+		var v uint32
+		dict, v = internStr(dict, r.strBytes())
 		for i := range out {
 			out[i] = v
 		}
@@ -391,9 +400,9 @@ func StringCol(payload []byte, n int, dst []string) []string {
 		if dn <= 0 || dn > maxDictSize {
 			r.corrupt()
 		}
-		dict := make([]string, dn)
-		for i := range dict {
-			dict[i] = r.String()
+		var at [maxDictSize]uint32
+		for i := range dn {
+			dict, at[i] = internStr(dict, r.strBytes())
 		}
 		for i := range out {
 			// An index below 128 is one byte.
@@ -407,11 +416,12 @@ func StringCol(payload []byte, n int, dst []string) []string {
 			if di >= uint64(dn) {
 				r.corrupt()
 			}
-			out[i] = dict[di]
+			out[i] = at[di]
 		}
 	case colPlain:
 		for i := range out {
-			out[i] = r.String()
+			dict = appendStr(dict, string(r.strBytes()))
+			out[i] = uint32(len(dict) - 1)
 		}
 	default:
 		panic(ErrCorrupt{Off: 0})
@@ -419,19 +429,66 @@ func StringCol(payload []byte, n int, dst []string) []string {
 	if r.Remaining() != 0 {
 		r.corrupt()
 	}
-	return out
+	return out, dict
 }
 
-// ColBlock is the struct-of-arrays decomposition of one block of records:
-// the shared columns every ST schema has (id, lon, lat, t, one optional
-// string attribute) plus a residual payload stream holding whatever a
-// schema encodes beyond them. A writer fills it via Columnar.Split and
-// EndRecord; a reader rebuilds records via Columnar.Join.
+// internScan is how many leading dictionary entries internStr compares a
+// string with before it appends a new one: enough for the few categories
+// of a dictionary-friendly attribute, and a bound on the work a column of
+// many distinct strings costs.
+const internScan = 16
+
+// internStr returns dict holding s and s's index in it: one of dict's
+// first internScan entries when it equals s, else a new entry.
+func internStr(dict []string, s []byte) ([]string, uint32) {
+	for i, v := range dict[:min(len(dict), internScan)] {
+		if v == string(s) {
+			return dict, uint32(i)
+		}
+	}
+	dict = appendStr(dict, string(s))
+	return dict, uint32(len(dict) - 1)
+}
+
+// appendStr appends s to dict, whose indexes must fit a uint32.
+func appendStr(dict []string, s string) []string {
+	if len(dict) >= math.MaxUint32 {
+		panic(ErrCorrupt{Off: 0})
+	}
+	return append(dict, s)
+}
+
+// strBytes reads a length-prefixed string's bytes, aliasing the input.
+func (r *Reader) strBytes() []byte {
+	n := int(r.Uvarint())
+	if n < 0 || n > r.Remaining() {
+		r.corrupt()
+	}
+	b := r.b[r.off : r.off+n]
+	r.off += n
+	return b
+}
+
+// ColBlock is the struct-of-arrays decomposition of records: the shared
+// columns every ST schema has (id, lon, lat, t, one optional string
+// attribute) plus a residual payload stream holding whatever a schema
+// encodes beyond them. A writer fills one block via Columnar.Split and
+// EndRecord. A reader decodes a file's blocks into it — one block at a
+// time for a row read, or every block of the file appended back to back
+// (AppendPayload, AppendBlock), the columns a pinned segment holds — and
+// rebuilds records via Columnar.Join.
 type ColBlock struct {
 	IDs      []int64
 	Lon, Lat []float64
 	T        []int64
-	Str      []string
+	// Str is the write side's string column: Split appends one value per
+	// record.
+	Str []string
+	// StrIdx and Dict are the read side's string column (StringCol):
+	// record i's string is Dict[StrIdx[i]], which StrAt returns. The
+	// columns hold no per-record string header.
+	StrIdx []uint32
+	Dict   []string
 	// PayLen[i] is the byte length of record i's span in the payload
 	// stream (write side: closed by EndRecord; read side: decoded).
 	PayLen []int64
@@ -440,7 +497,9 @@ type ColBlock struct {
 	// payMark is where the current record's payload span began.
 	payMark int
 	// payBytes/payOff are the read side: the payload stream and the
-	// prefix offsets of each record's span within it.
+	// prefix offsets of each record's span within it. payOff stays nil
+	// while every span is empty, so a schema that keeps everything in the
+	// shared columns pays nothing per record for its payload.
 	payBytes []byte
 	payOff   []int64
 }
@@ -452,12 +511,18 @@ func (b *ColBlock) Reset() {
 	b.Lat = b.Lat[:0]
 	b.T = b.T[:0]
 	b.Str = b.Str[:0]
+	b.StrIdx = b.StrIdx[:0]
+	clear(b.Dict) // drop the strings; the next file's are its own
+	b.Dict = b.Dict[:0]
 	b.PayLen = b.PayLen[:0]
 	b.Pay.Reset()
 	b.payMark = 0
 	b.payBytes = nil
 	b.payOff = b.payOff[:0]
 }
+
+// StrAt returns record i's string attribute on the read side.
+func (b *ColBlock) StrAt(i int) string { return b.Dict[b.StrIdx[i]] }
 
 // EndRecord closes the current record's payload span: everything written
 // to Pay since the previous EndRecord belongs to it.
@@ -466,33 +531,107 @@ func (b *ColBlock) EndRecord() {
 	b.payMark = b.Pay.Len()
 }
 
-// SetPayload installs the read-side payload stream and its decoded span
-// lengths, validating that the spans exactly tile the stream. Panics
-// ErrCorrupt when they do not.
+// SetPayload installs one block's read-side payload stream and its decoded
+// span lengths, validating that the spans exactly tile the stream. The
+// block aliases stream. Panics ErrCorrupt when the spans do not tile it.
 func (b *ColBlock) SetPayload(stream []byte, lens []int64) {
-	b.payOff = b.payOff[:0]
-	off := int64(0)
-	b.payOff = append(b.payOff, 0)
-	for _, l := range lens {
-		// Compared against what is left, not as off+l, which a pair of
-		// huge lengths can wrap back into range.
-		if l < 0 || l > int64(len(stream))-off {
-			panic(ErrCorrupt{Off: int(off)})
-		}
-		off += l
-		b.payOff = append(b.payOff, off)
-	}
-	if off != int64(len(stream)) {
-		panic(ErrCorrupt{Off: int(off)})
-	}
+	b.payOff = appendSpans(append(b.payOff[:0], 0), stream, lens)
 	b.payBytes = stream
 	b.PayLen = append(b.PayLen[:0], lens...)
 }
 
+// AppendPayload appends the payload stream of the block whose columns were
+// just appended to b, and its decoded span lengths, validated as
+// SetPayload does: the spans continue b's, and b keeps a copy of stream.
+// Before the first non-empty stream b keeps no offsets at all.
+func (b *ColBlock) AppendPayload(stream []byte, lens []int64) {
+	if b.payOff == nil {
+		if len(stream) == 0 {
+			appendSpans(nil, stream, lens) // every span must be empty
+			return
+		}
+		// The records before this block all have empty spans. The columns
+		// are sized to the file's record count, which sizes the offsets,
+		// and the stream sizes the rest of the file's payload from this
+		// block's bytes per record, with an eighth to spare — up to
+		// maxPayReserve, so a corrupt block's outsized stream cannot
+		// drive the allocation; append grows past it.
+		at := len(b.IDs) - len(lens)
+		b.payOff = make([]int64, at+1, max(cap(b.IDs), len(b.IDs))+1)
+		rest := max(cap(b.IDs), len(b.IDs)) - at
+		b.payBytes = make([]byte, 0, min(len(stream)*rest/max(len(lens), 1)*9/8, maxPayReserve))
+	}
+	b.payOff = appendSpans(b.payOff, stream, lens)
+	b.payBytes = append(b.payBytes, stream...)
+}
+
+// maxPayReserve caps the payload capacity AppendPayload reserves from its
+// first non-empty stream.
+const maxPayReserve = 64 << 20
+
+// appendSpans appends to off, which ends at the stream's start within a
+// larger one, the end of each span of lens, and panics ErrCorrupt unless
+// the spans exactly tile stream.
+func appendSpans(off []int64, stream []byte, lens []int64) []int64 {
+	start := int64(0)
+	if len(off) > 0 {
+		start = off[len(off)-1]
+	}
+	at := int64(0)
+	for _, l := range lens {
+		// Compared against what is left, not as at+l, which a pair of
+		// huge lengths can wrap back into range.
+		if l < 0 || l > int64(len(stream))-at {
+			panic(ErrCorrupt{Off: int(at)})
+		}
+		at += l
+		if off != nil {
+			off = append(off, start+at)
+		}
+	}
+	if at != int64(len(stream)) {
+		panic(ErrCorrupt{Off: int(at)})
+	}
+	return off
+}
+
+// AppendBlock appends the records w holds on the write side — filled by
+// Split and EndRecord, one value per record in each column the schema
+// uses — to b's read-side columns: how a reader turns records it decoded
+// row by row into the columns a columnar file decodes to.
+func (b *ColBlock) AppendBlock(w *ColBlock) {
+	b.IDs = append(b.IDs, w.IDs...)
+	b.Lon = append(b.Lon, w.Lon...)
+	b.Lat = append(b.Lat, w.Lat...)
+	b.T = append(b.T, w.T...)
+	for _, s := range w.Str {
+		var i uint32
+		b.Dict, i = internStr(b.Dict, []byte(s))
+		b.StrIdx = append(b.StrIdx, i)
+	}
+	b.AppendPayload(w.Pay.Bytes(), w.PayLen)
+}
+
 // PaySpan returns record i's slice of the read-side payload stream. The
-// slice aliases the stream passed to SetPayload.
+// slice aliases the stream passed to SetPayload, or b's copy of the
+// streams passed to AppendPayload.
 func (b *ColBlock) PaySpan(i int) []byte {
+	if b.payOff == nil {
+		return nil
+	}
 	return b.payBytes[b.payOff[i]:b.payOff[i+1]]
+}
+
+// SizeBytes is the resident size of b's slices: the columns, the strings
+// of the dictionary, and the payload stream with its offsets.
+func (b *ColBlock) SizeBytes() int64 {
+	n := 8*int64(cap(b.IDs)+cap(b.Lon)+cap(b.Lat)+cap(b.T)+cap(b.PayLen)+cap(b.payOff)) +
+		4*int64(cap(b.StrIdx)) + int64(cap(b.payBytes)+cap(b.Pay.buf)) +
+		int64(unsafe.Sizeof(""))*int64(cap(b.Str)+cap(b.Dict))
+	for _, s := range b.Dict {
+		n += int64(len(s))
+	}
+	return n
 }
 
 // Columnar describes how a record type decomposes into a ColBlock — the
@@ -514,8 +653,10 @@ type Columnar[T any] struct {
 	// (IDs, Lon, Lat, T, and Str iff HasStr) and writes any residual
 	// fields to b.Pay. The caller closes the payload span with EndRecord.
 	Split func(rec T, b *ColBlock)
-	// Join rebuilds record i from the decoded columns; pay is positioned
-	// over the record's payload span and must be fully consumed.
+	// Join rebuilds record i from the read-side columns — its string
+	// attribute through StrAt — whether b holds one decoded block or a
+	// whole file's; pay is positioned over the record's payload span and
+	// must be fully consumed (Row checks it).
 	Join func(b *ColBlock, i int, pay *Reader) T
 	// Extent, optional for extended records (Point false), returns record
 	// i's exact ST box from the decoded columns and its payload span
@@ -524,6 +665,34 @@ type Columnar[T any] struct {
 	// misses every query window before Join, so Extent must equal, bit for
 	// bit, the box callers filter the joined record by.
 	Extent func(b *ColBlock, i int, pay *Reader) index.Box
+}
+
+// Row rebuilds record i of b's read-side columns with Join, positioning
+// pay over the record's payload span, and panics ErrCorrupt unless Join
+// consumed the span exactly; callers run under Catch.
+func (c *Columnar[T]) Row(b *ColBlock, i int, pay *Reader) T {
+	span := b.PaySpan(i)
+	pay.ResetBytes(span)
+	rec := c.Join(b, i, pay)
+	if pay.Remaining() != 0 {
+		panic(ErrCorrupt{Off: len(span)})
+	}
+	return rec
+}
+
+// Rows rebuilds every record of b's read-side columns, in order, with Row.
+func (c *Columnar[T]) Rows(b *ColBlock) (out []T, err error) {
+	err = Catch(func() {
+		out = make([]T, len(b.IDs))
+		var pay Reader
+		for i := range out {
+			out[i] = c.Row(b, i, &pay)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // colBlockPool recycles ColBlocks across partition writes and reads; the

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -54,7 +56,7 @@ func roundTripString(t *testing.T, vals []string) {
 	w := GetWriter()
 	defer PutWriter(w)
 	w.PutStringCol(vals)
-	got := StringCol(w.Bytes(), len(vals), nil)
+	got := stringColValues(w.Bytes(), len(vals))
 	if len(got) != len(vals) {
 		t.Fatalf("decoded %d values, want %d", len(got), len(vals))
 	}
@@ -63,6 +65,17 @@ func roundTripString(t *testing.T, vals []string) {
 			t.Fatalf("value %d: got %q, want %q", i, got[i], vals[i])
 		}
 	}
+}
+
+// stringColValues decodes a string column through StringCol's indexes
+// into a fresh dictionary and returns the strings they point at.
+func stringColValues(payload []byte, n int) []string {
+	idx, dict := StringCol(payload, n, nil, nil)
+	out := make([]string, len(idx))
+	for i, di := range idx {
+		out[i] = dict[di]
+	}
+	return out
 }
 
 func TestInt64ColRoundTrip(t *testing.T) {
@@ -245,8 +258,8 @@ func TestColumnDecodeRejectsMalformed(t *testing.T) {
 		"empty payload":     func() { Int64Col(nil, 3, nil) },
 		"float bad scale":   func() { Float64Col([]byte{colQuant, 200, 2}, 1, nil) },
 		"float bad mode":    func() { Float64Col([]byte{colDict, 0}, 1, nil) },
-		"string bad mode":   func() { StringCol([]byte{colQuant, 0}, 1, nil) },
-		"dict zero entries": func() { StringCol([]byte{colDict, 0}, 1, nil) },
+		"string bad mode":   func() { StringCol([]byte{colQuant, 0}, 1, nil, nil) },
+		"dict zero entries": func() { StringCol([]byte{colDict, 0}, 1, nil, nil) },
 		"dict index oob": func() {
 			dw := GetWriter()
 			defer PutWriter(dw)
@@ -254,7 +267,7 @@ func TestColumnDecodeRejectsMalformed(t *testing.T) {
 			dw.PutUvarint(1)
 			dw.PutString("only")
 			dw.PutUvarint(9) // index past the 1-entry dictionary
-			StringCol(dw.Bytes(), 1, nil)
+			StringCol(dw.Bytes(), 1, nil, nil)
 		},
 	}
 	for name, fn := range cases {
@@ -291,6 +304,102 @@ func TestColBlockPayloadSpans(t *testing.T) {
 	}
 }
 
+// TestStringColSharesDictionary pins the read side's string column: the
+// columns of several blocks decode into one dictionary, a dictionary or
+// constant column's strings are added once however many blocks repeat
+// them, and a plain column's values are added one each.
+func TestStringColSharesDictionary(t *testing.T) {
+	enc := func(vals []string) []byte {
+		w := NewWriter(0)
+		w.PutStringCol(vals)
+		return w.Bytes()
+	}
+	blocks := [][]string{
+		{"pickup", "dropoff", "pickup"},
+		{"dropoff", "dropoff", "pickup", "dropoff"},
+		{"pickup", "pickup"},
+	}
+	var idx []uint32
+	var dict []string
+	var want []string
+	for _, vals := range blocks {
+		at := len(idx)
+		idx = slices.Grow(idx, len(vals))[:at+len(vals)]
+		_, dict = StringCol(enc(vals), len(vals), idx[at:at+len(vals):at+len(vals)], dict)
+		want = append(want, vals...)
+	}
+	if len(dict) != 2 {
+		t.Fatalf("dictionary %q after three blocks of two strings, want 2 entries", dict)
+	}
+	for i, di := range idx {
+		if dict[di] != want[i] {
+			t.Fatalf("record %d: %q, want %q", i, dict[di], want[i])
+		}
+	}
+	plain := make([]string, maxDictSize+1)
+	for i := range plain {
+		plain[i] = fmt.Sprint("v", i)
+	}
+	pidx, pdict := StringCol(enc(plain), len(plain), nil, dict)
+	if len(pdict) != len(dict)+len(plain) || pdict[pidx[7]] != plain[7] {
+		t.Fatalf("plain column of %d values grew the dictionary to %d entries", len(plain), len(pdict))
+	}
+}
+
+// TestColBlockAppendPayload pins the file-wide payload: blocks whose
+// streams are empty keep no offsets, the first non-empty stream starts
+// them with the earlier records' empty spans, and every block's spans are
+// validated as SetPayload's are.
+func TestColBlockAppendPayload(t *testing.T) {
+	b := new(ColBlock)
+	addBlock := func(stream []byte, lens []int64) error {
+		for range lens {
+			b.IDs = append(b.IDs, 0)
+		}
+		return Catch(func() { b.AppendPayload(stream, lens) })
+	}
+	if err := addBlock(nil, []int64{0, 0}); err != nil || b.payOff != nil {
+		t.Fatalf("empty block: %v, %d offsets", err, len(b.payOff))
+	}
+	if err := addBlock([]byte{1, 2, 3}, []int64{0, 2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := addBlock(nil, []int64{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := addBlock([]byte{4}, []int64{1}); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]byte{nil, nil, nil, {1, 2}, {3}, nil, {4}}
+	for i, w := range want {
+		if got := b.PaySpan(i); !bytes.Equal(got, w) {
+			t.Fatalf("PaySpan(%d) = %v, want %v", i, got, w)
+		}
+	}
+	if err := addBlock([]byte{5}, []int64{2}); err == nil {
+		t.Fatal("a span past its block's stream was accepted")
+	}
+	if err := Catch(func() { (&ColBlock{IDs: []int64{0}}).AppendPayload(nil, []int64{1}) }); err == nil {
+		t.Fatal("a non-empty span over an empty stream was accepted")
+	}
+}
+
+// TestColBlockSizeBytes pins a read-side block's resident size: its
+// column slices, its dictionary's string headers and bytes, and its
+// payload stream and offsets.
+func TestColBlockSizeBytes(t *testing.T) {
+	b := &ColBlock{
+		IDs: make([]int64, 3, 4), Lon: make([]float64, 3), Lat: make([]float64, 3), T: make([]int64, 3),
+		StrIdx: make([]uint32, 3), Dict: []string{"pickup", "dropoff"},
+	}
+	b.AppendPayload([]byte{1, 2, 3}, []int64{1, 0, 2})
+	want := 8*int64(4+3+3+3) + 4*3 + 16*2 + int64(len("pickup")+len("dropoff")) +
+		int64(cap(b.payBytes)) + 8*int64(cap(b.payOff))
+	if got := b.SizeBytes(); got != want || len(b.payOff) != 4 {
+		t.Fatalf("SizeBytes = %d, want %d (%d offsets)", got, want, len(b.payOff))
+	}
+}
+
 // FuzzColumnCodecs drives all three column decoders plus the framed
 // round-trip from one corpus. Invariants: decoders never panic outside
 // Catch; each decoder returns what its per-value reference decoder
@@ -318,7 +427,7 @@ func FuzzColumnCodecs(f *testing.F) {
 			_ = err
 		}
 		_ = Catch(func() { Float64Col(data, n, nil) })
-		_ = Catch(func() { StringCol(data, n, nil) })
+		_ = Catch(func() { StringCol(data, n, nil, nil) })
 		checkColumnOracle(t, data, n)
 
 		// 2. Round-trip identity over values derived from the input.

@@ -172,7 +172,7 @@ func checkColumnOracle(t *testing.T, payload []byte, n int) {
 			func() string { return floatBits(Float64Col(payload, n, nil)) },
 			func() string { return floatBits(refFloat64Col(payload, n)) }},
 		{"StringCol",
-			func() string { return fmt.Sprintf("%q", StringCol(payload, n, nil)) },
+			func() string { return fmt.Sprintf("%q", stringColValues(payload, n)) },
 			func() string { return fmt.Sprintf("%q", refStringCol(payload, n)) }},
 	} {
 		if got, want := decodeOutcome(c.got), decodeOutcome(c.want); got != want {
@@ -314,7 +314,8 @@ func benchColumns() []benchColumn {
 	}
 	floats := make([]float64, 0, n)
 	ints := make([]int64, 0, n)
-	strOut := make([]string, 0, n)
+	strOut := make([]uint32, 0, n)
+	var dict []string
 	return []benchColumn{
 		{"quant", colQuant, enc(func(w *Writer) { w.PutFloat64Col(quant) }), n,
 			func(p []byte, n int) { floats = Float64Col(p, n, floats) }},
@@ -323,7 +324,7 @@ func benchColumns() []benchColumn {
 		{"delta", colDelta, enc(func(w *Writer) { w.PutInt64Col(ts) }), n,
 			func(p []byte, n int) { ints = Int64Col(p, n, ints) }},
 		{"dict", colDict, enc(func(w *Writer) { w.PutStringCol(strs) }), n,
-			func(p []byte, n int) { strOut = StringCol(p, n, strOut) }},
+			func(p []byte, n int) { strOut, dict = StringCol(p, n, strOut, dict[:0]) }},
 	}
 }
 

@@ -1,5 +1,7 @@
 package index
 
+import "unsafe"
+
 // runLen is the number of consecutive records one run box covers. Stores
 // are Z-clustered at ingest and compaction, so a run of neighbours has a
 // tight box and a window skips most runs on one test each.
@@ -35,6 +37,11 @@ func NewRuns(boxes []Box) *Runs {
 		x.runs = append(x.runs, run)
 	}
 	return x
+}
+
+// SizeBytes is the index's resident size: its record boxes and run boxes.
+func (x *Runs) SizeBytes() int64 {
+	return int64(unsafe.Sizeof(Box{})) * int64(cap(x.boxes)+cap(x.runs))
 }
 
 // Boxes returns the record boxes in record order; callers must not modify

@@ -13,8 +13,8 @@ import (
 // Cache is a byte-budgeted LRU over opaque values: pinned partitions and
 // encoded query results share one budget, so a hot result set can push
 // cold partitions out and vice versa. A pinned partition's charge can
-// grow after it is cached (its switch to a reply arena); the cache
-// recharges it on its next hit. Concurrent loads of the same key are
+// change after it is cached (a segment's switch from its columns to its
+// reply arena); the cache recharges it on its next hit. Concurrent loads of the same key are
 // deduplicated — under a thundering herd of identical cold queries only one
 // goroutine reads the disk, everyone else waits for its entry.
 //
@@ -76,9 +76,9 @@ func (c *Cache) Get(key string) (any, bool) {
 }
 
 // hitLocked counts a hit on el, marks it most recently used and returns
-// its value. A pinned partition whose size grew since it was charged — a
-// segment that switched to its reply arena — is recharged, and entries are
-// evicted as Put does.
+// its value. A pinned partition whose size changed since it was charged —
+// a segment that switched to its reply arena — is recharged, and entries
+// are evicted as Put does.
 func (c *Cache) hitLocked(el *list.Element) any {
 	c.order.MoveToFront(el)
 	c.hits.Add(1)

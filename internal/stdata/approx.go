@@ -210,7 +210,12 @@ func (s schema[T]) approxPartition(
 		if dm.Count == 0 || !dm.Box().Intersects(wb) {
 			continue // manifest bounds prove no record can match
 		}
-		recs, _, _, err := storage.ReadDelta(dir, dm, s.spec.Codec, nil)
+		cols, _, _, err := storage.ReadDelta(dir, dm, s.spec.Codec, nil)
+		if err != nil {
+			acc.EndPartition(nil)
+			return err
+		}
+		recs, err := s.spec.Codec.Col.Rows(cols)
 		if err != nil {
 			acc.EndPartition(nil)
 			return err

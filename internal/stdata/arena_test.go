@@ -175,7 +175,7 @@ func arenaQueries[T any](t *testing.T, s schema[T], dir string, meta *storage.Me
 func checkArena[T any](t *testing.T, name string, s schema[T], g *segment[T], rows []T) {
 	t.Helper()
 	st := g.state.Load()
-	if !st.switched() || st.rows != nil {
+	if !st.switched() || st.cols != nil {
 		t.Fatalf("%s: segment of %d records has not switched (served %d)", name, g.n, g.served.Load())
 	}
 	var want []byte
@@ -213,7 +213,7 @@ func arenaWall[T any](t *testing.T, name string, recs []T, deltas ...[]T) {
 	ps := pinAll(t, s, dir, meta)
 	rows := map[*segment[T]][]T{}
 	for _, g := range ps.segments() {
-		rows[g] = g.state.Load().rows
+		rows[g] = segRows(t, s, g)
 	}
 	live := ps.live(s)
 	check := func(stage string) {

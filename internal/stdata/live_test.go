@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"st4ml/internal/codec"
 	"st4ml/internal/engine"
 	"st4ml/internal/geom"
 	"st4ml/internal/index"
@@ -242,28 +243,46 @@ func checkRunIndex[T any](t *testing.T, name string, s schema[T], p Partition, r
 			}
 		}
 		wb, _ := json.Marshal(want)
-		gb, _ := json.Marshal(matchedRows[T](m, q))
+		gb, _ := json.Marshal(matchedRows(t, s, m, q))
 		if !bytes.Equal(gb, wb) {
 			t.Fatalf("%s, window %d %+v: run index returned %s, linear scan %s", name, wi, q, gb, wb)
 		}
 	}
 }
 
-// matchedRows is the rows of m's hits for q, in hit order, read from its
-// segments' rows (nil with no hits).
-func matchedRows[T any](m matcher[T], q index.Box) []T {
+// matchedRows is the rows of m's hits for q, in hit order, joined from
+// its segments' columns (nil with no hits).
+func matchedRows[T any](t testing.TB, s schema[T], m matcher[T], q index.Box) []T {
 	segs, ok := m.(liveData[T])
 	if !ok {
 		segs = liveData[T]{m.(*segment[T])}
 	}
 	var rows, out []T
 	for _, g := range segs {
-		rows = append(rows, g.state.Load().rows...)
+		rows = append(rows, segRows(t, s, g)...)
 	}
 	for _, i := range m.appendHits(q, nil) {
 		out = append(out, rows[i])
 	}
 	return out
+}
+
+// segRows is the records of g, which has not switched, joined from its
+// columns.
+func segRows[T any](t testing.TB, s schema[T], g *segment[T]) []T {
+	t.Helper()
+	return joinRows(t, s, g.state.Load().cols)
+}
+
+// joinRows is the one helper the walls read pinned records through: every
+// record of cols, rebuilt with the schema's Columnar.Rows.
+func joinRows[T any](t testing.TB, s schema[T], cols *codec.ColBlock) []T {
+	t.Helper()
+	rows, err := s.spec.Codec.Col.Rows(cols)
+	if err != nil {
+		t.Fatalf("%s: joining %d records: %v", s.spec.Name, len(cols.IDs), err)
+	}
+	return rows
 }
 
 // runIndexWall pins one store's base alone against its base file's records
@@ -274,11 +293,11 @@ func runIndexWall[T any](t *testing.T, name string, s schema[T], dir string, met
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRecs, _, _, err := storage.ReadBase(dir, meta, 0, s.spec.Codec, nil)
+	baseCols, _, _, err := storage.ReadBase(dir, meta, 0, s.spec.Codec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRunIndex(t, name+" base", s, base, baseRecs)
+	checkRunIndex(t, name+" base", s, base, joinRows(t, s, baseCols))
 	var deltas []Partition
 	for _, dm := range meta.Deltas(0) {
 		d, _, err := s.LoadDelta(dir, dm)
@@ -307,7 +326,7 @@ func runIndexWall[T any](t *testing.T, name string, s schema[T], dir string, met
 func TestSegmentMatchesLinearScan(t *testing.T) {
 	nyc := registry["nyc"].(schema[EventRec])
 	porto := registry["porto"].(schema[TrajRec])
-	checkRunIndex(t, "empty", nyc, nyc.pin(nil, nil, 0, false), []EventRec(nil))
+	checkRunIndex(t, "empty", nyc, nyc.pin(new(codec.ColBlock), nil, false), []EventRec(nil))
 	// 12500 records is a full partition of the benchmark's serve corpus.
 	for _, n := range []int{1, 15, 16, 17, 33, 12500} {
 		for _, noCluster := range []bool{false, true} {

@@ -76,10 +76,11 @@ func checkPinnedBoxes[T any](t *testing.T, s schema[T], layout string, c codec.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, boxes, _, err := storage.ReadBase(dir, meta, 0, s.spec.Codec, s.spec.BoxOf)
+	cols, boxes, _, err := storage.ReadBase(dir, meta, 0, s.spec.Codec, s.spec.BoxOf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := joinRows(t, s, cols)
 	checkBoxes(t, name+" base", got, boxes, s.spec.BoxOf)
 	// The base keeps the written order: its boxes are the written records'.
 	checkBoxes(t, name+" base vs written", recs[:half], boxes, s.spec.BoxOf)
@@ -92,10 +93,11 @@ func checkPinnedBoxes[T any](t *testing.T, s schema[T], layout string, c codec.C
 		t.Fatalf("%s: %d delta files, want 1", name, len(meta.Deltas(0)))
 	}
 	dm := meta.Deltas(0)[0]
-	drecs, dboxes, _, err := storage.ReadDelta(dir, dm, s.spec.Codec, s.spec.BoxOf)
+	dcols, dboxes, _, err := storage.ReadDelta(dir, dm, s.spec.Codec, s.spec.BoxOf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	drecs := joinRows(t, s, dcols)
 	if len(drecs) != len(recs)-half {
 		t.Fatalf("%s: delta holds %d records, want %d", name, len(drecs), len(recs)-half)
 	}

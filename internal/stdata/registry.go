@@ -98,9 +98,11 @@ type PartResult struct {
 type Partition interface {
 	// Len is the record count.
 	Len() int
-	// SizeBytes estimates the resident size, the unit of the serving
-	// cache's byte budget. It grows, once, when a segment switches to its
-	// reply arena: by the arena plus 4 bytes of offset per record.
+	// SizeBytes is the resident size, the unit of the serving cache's byte
+	// budget: per segment, its run index plus what it holds of its
+	// records — its decoded columns and their dictionary until it
+	// switches to its reply arena, the arena and 4 bytes of offset per
+	// record after. It changes once per segment, at the switch.
 	SizeBytes() int64
 	// ArenaBytes is the size of the reply arenas the partition's segments
 	// have switched to; 0 before any has.
@@ -155,9 +157,10 @@ type Schema interface {
 	// delta, uncached — plus the storage layer's block-granularity read
 	// accounting summed over every file it read.
 	LoadPartition(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error)
-	// LoadBase reads and decodes partition id's base file alone, pinned
-	// with its records' boxes and one box per run of 16 consecutive
-	// records (the file is Z-clustered, so run boxes are tight). Base files
+	// LoadBase reads and decodes partition id's base file alone into its
+	// columns, pinned with its records' boxes and one box per run of 16
+	// consecutive records (the file is Z-clustered, so run boxes are
+	// tight); no record is built until a query encodes it. Base files
 	// are immutable, so the serving cache keys the handle by file name and
 	// appends never evict it.
 	LoadBase(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error)
@@ -290,7 +293,10 @@ func (s schema[T]) ReadDelta(dir string, dm storage.DeltaMeta) ([]index.Box, []j
 		return nil, nil, err
 	}
 	d := p.(*segment[T])
-	rows := d.state.Load().rows
+	rows, err := s.spec.Codec.Col.Rows(d.state.Load().cols)
+	if err != nil {
+		return nil, nil, err
+	}
 	e := encoded{recs: make([]json.RawMessage, 0, len(rows))}
 	for i := range rows {
 		if err := s.encodeRecord(&e, &rows[i]); err != nil {
@@ -350,19 +356,19 @@ func (s schema[T]) LoadBase(dir string, meta *storage.Metadata, id int) (Partiti
 	// The pinned handle serves arbitrary later windows, so the whole file is
 	// decoded (no block pruning); the stats still report the block and byte
 	// volume the load cost.
-	recs, boxes, st, err := storage.ReadBase(dir, meta, id, s.spec.Codec, s.spec.BoxOf)
+	cols, boxes, st, err := storage.ReadBase(dir, meta, id, s.spec.Codec, s.spec.BoxOf)
 	if err != nil {
 		return nil, st, err
 	}
-	return s.pin(recs, boxes, meta.Partitions[id].Bytes, false), st, nil
+	return s.pin(cols, boxes, false), st, nil
 }
 
 func (s schema[T]) LoadDelta(dir string, dm storage.DeltaMeta) (Partition, storage.ReadStats, error) {
-	recs, boxes, st, err := storage.ReadDelta(dir, dm, s.spec.Codec, s.spec.BoxOf)
+	cols, boxes, st, err := storage.ReadDelta(dir, dm, s.spec.Codec, s.spec.BoxOf)
 	if err != nil {
 		return nil, st, err
 	}
-	return s.pin(recs, boxes, dm.Bytes, true), st, nil
+	return s.pin(cols, boxes, true), st, nil
 }
 
 func (s schema[T]) LiveView(base Partition, deltas []Partition) (Partition, error) {

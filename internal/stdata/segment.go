@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"st4ml/internal/codec"
 	"st4ml/internal/index"
 )
 
@@ -17,66 +18,61 @@ import (
 // segment is the pinned form of one decoded base or delta file: the run
 // index over its records' boxes, whose hits equal a linear scan in record
 // order, and its records in one of two forms (segState). It starts out
-// holding its typed rows and switches to its reply arena once the records
-// that queries have encoded from its rows add up to its record count —
-// the break-even point, past which one more encode of the segment would
-// cost more than building the arena once did (DESIGN.md, "Reply arenas").
+// holding the file's decoded columns, from which a query rebuilds each
+// record it encodes (Columnar.Row) and drops it, and switches to its reply
+// arena once the records that queries have encoded add up to its record
+// count — the break-even point, past which one more encode of the segment
+// would cost more than building the arena once did (DESIGN.md, "Reply
+// arenas").
 type segment[T any] struct {
 	idx   *index.Runs
 	n     int
-	bytes int64 // the charge at pin time; the arena adds to it
+	bytes int64 // the run index's charge; the records' form adds to it
 	delta bool
 	// state is published whole: a query loads it once and keeps it, so a
-	// switch that drops the rows cannot race with a query still reading
+	// switch that drops the columns cannot race with a query still reading
 	// them.
-	state atomic.Pointer[segState[T]]
-	// served adds up the records queries have encoded from the rows.
+	state atomic.Pointer[segState]
+	// served adds up the records queries have encoded from the columns.
 	served atomic.Int64
 	// switching is set by the one query that builds the arena. A build
 	// that fails leaves it set: the segment never switches.
 	switching atomic.Bool
 }
 
-// segState is a segment's records: the typed rows before the switch, the
-// reply arena after it — every record's AppendJSON bytes back to back,
-// record i at arena[off[i]:off[i+1]].
-type segState[T any] struct {
-	rows  []T
+// segState is a segment's records: the file's read-side columns before the
+// switch, the reply arena after it — every record's AppendJSON bytes back
+// to back, record i at arena[off[i]:off[i+1]].
+type segState struct {
+	cols  *codec.ColBlock
 	arena []byte
 	off   []uint32
 }
 
 // switched reports whether st is the arena form.
-func (st *segState[T]) switched() bool { return st.off != nil }
+func (st *segState) switched() bool { return st.off != nil }
 
-// pin builds the segment over recs, a file of fileBytes encoded bytes, and
-// boxes, record i's box at boxes[i] — the boxes the storage reader returns
-// beside the records, so pinning calls no BoxOf.
-func (s schema[T]) pin(recs []T, boxes []index.Box, fileBytes int64, delta bool) *segment[T] {
-	g := &segment[T]{
-		idx:   index.NewRuns(boxes),
-		n:     len(recs),
-		bytes: fileBytes + int64(len(recs))*pinOverheadBytes,
-		delta: delta,
-	}
-	g.state.Store(&segState[T]{rows: recs})
+// pin builds the segment over cols, a file's decoded columns, and boxes,
+// record i's box at boxes[i] — the boxes the storage reader returns beside
+// the columns, so pinning calls no BoxOf.
+func (s schema[T]) pin(cols *codec.ColBlock, boxes []index.Box, delta bool) *segment[T] {
+	g := &segment[T]{idx: index.NewRuns(boxes), n: len(cols.IDs), delta: delta}
+	g.bytes = g.idx.SizeBytes()
+	g.state.Store(&segState{cols: cols})
 	return g
 }
 
-// pinOverheadBytes approximates the per-record cost of the pinned slice and
-// its index (a record box plus its share of a run box) beyond the encoded
-// payload.
-const pinOverheadBytes = 64
-
 func (g *segment[T]) Len() int { return g.n }
 
-// SizeBytes is the pin-time charge, plus the arena and 4 bytes of offset
-// per record once the segment has switched.
+// SizeBytes is the run index plus what the segment holds of its records:
+// its columns and their dictionary before the switch, the arena and 4
+// bytes of offset per record after it.
 func (g *segment[T]) SizeBytes() int64 {
-	if st := g.state.Load(); st.switched() {
+	st := g.state.Load()
+	if st.switched() {
 		return g.bytes + int64(len(st.arena)) + 4*int64(g.n)
 	}
-	return g.bytes
+	return g.bytes + st.cols.SizeBytes()
 }
 
 func (g *segment[T]) ArenaBytes() int64 { return int64(len(g.state.Load().arena)) }
@@ -105,9 +101,10 @@ func (g *segment[T]) search(q index.Box, base int32, out []int32) []int32 {
 }
 
 // encode appends the records at hits, each less base, to e: spans of the
-// arena once the segment has switched, the rows' wire form encoded into
-// e's buffer until then. It checks the break-even point before it
-// encodes, so a segment queried once never builds an arena.
+// arena once the segment has switched, until then each record rebuilt
+// from the columns and its wire form encoded into e's buffer. It checks
+// the break-even point before it encodes, so a segment queried once never
+// builds an arena.
 func (g *segment[T]) encode(s schema[T], e *encoded, hits []int32, base int32) error {
 	if len(hits) == 0 {
 		return nil
@@ -123,46 +120,74 @@ func (g *segment[T]) encode(s schema[T], e *encoded, hits []int32, base int32) e
 		}
 		return nil
 	}
-	for _, i := range hits {
-		if err := s.encodeRecord(e, &st.rows[i-base]); err != nil {
-			return err
-		}
+	if err := s.encodeRows(e, st.cols, hits, base); err != nil {
+		return err
 	}
 	g.served.Add(int64(len(hits)))
 	return nil
 }
 
-// toArena switches g to the reply arena built from st's rows and returns
-// the state to copy from. Only the first caller builds; a caller that loses
-// the race, and every caller after a failed build, keeps st.
-func (g *segment[T]) toArena(s schema[T], st *segState[T]) *segState[T] {
+// encodeRows rebuilds the records of cols at hits, each less base, and
+// appends their wire form to e. The load walked every payload span, so a
+// Join that fails here is reported, not expected.
+func (s schema[T]) encodeRows(e *encoded, cols *codec.ColBlock, hits []int32, base int32) error {
+	if e.pay == nil {
+		e.pay = new(codec.Reader)
+	}
+	var err error
+	col := s.spec.Codec.Col
+	if cerr := codec.Catch(func() {
+		for _, i := range hits {
+			rec := col.Row(cols, int(i-base), e.pay)
+			if err = s.encodeRecord(e, &rec); err != nil {
+				return
+			}
+		}
+	}); cerr != nil {
+		return fmt.Errorf("stdata: schema %s: join record: %w", s.spec.Name, cerr)
+	}
+	return err
+}
+
+// toArena switches g to the reply arena built from st's columns and
+// returns the state to copy from. Only the first caller builds; a caller
+// that loses the race, and every caller after a failed build, keeps st.
+func (g *segment[T]) toArena(s schema[T], st *segState) *segState {
 	if !g.switching.CompareAndSwap(false, true) {
 		return st
 	}
-	arena, off, ok := s.buildArena(st.rows)
+	arena, off, ok := s.buildArena(st.cols)
 	if !ok {
 		return st
 	}
-	next := &segState[T]{arena: arena, off: off}
+	next := &segState{arena: arena, off: off}
 	g.state.Store(next)
 	return next
 }
 
-// buildArena encodes rows back to back into an exactly sized arena with
-// their end offsets. It fails when a row does not encode (NaN or ±Inf) or
-// the arena would outgrow a uint32 offset.
-func (s schema[T]) buildArena(rows []T) ([]byte, []uint32, bool) {
-	off := make([]uint32, len(rows)+1)
+// buildArena encodes the records of cols back to back into an exactly
+// sized arena with their end offsets. It fails when a record does not
+// encode (NaN or ±Inf) or the arena would outgrow a uint32 offset.
+func (s schema[T]) buildArena(cols *codec.ColBlock) ([]byte, []uint32, bool) {
+	n := len(cols.IDs)
+	off := make([]uint32, n+1)
 	var buf []byte
-	for i := range rows {
-		var err error
-		if buf, err = s.spec.AppendJSON(buf, rows[i]); err != nil || len(buf) > math.MaxUint32 {
-			return nil, nil, false
+	ok := true
+	col, pay := s.spec.Codec.Col, new(codec.Reader)
+	if codec.Catch(func() {
+		for i := range n {
+			var err error
+			if buf, err = s.spec.AppendJSON(buf, col.Row(cols, i, pay)); err != nil || len(buf) > math.MaxUint32 {
+				ok = false
+				return
+			}
+			if i == 0 {
+				buf = slices.Grow(buf, len(buf)*(n-1)*9/8)
+			}
+			off[i+1] = uint32(len(buf))
 		}
-		if i == 0 {
-			buf = slices.Grow(buf, len(buf)*(len(rows)-1)*9/8)
-		}
-		off[i+1] = uint32(len(buf))
+	}) != nil || !ok {
+		return nil, nil, false
 	}
 	if cap(buf) > len(buf) {
 		buf = append(make([]byte, 0, len(buf)), buf...)
@@ -279,6 +304,8 @@ type encoded struct {
 	// ends holds, per record, its end in buf, or -1 for an arena span; nil
 	// until the first record is encoded.
 	ends []int
+	// pay is the payload reader records are joined through, one per reply.
+	pay *codec.Reader
 }
 
 // span appends a record already in its wire form.

@@ -66,7 +66,7 @@ var EventRecC = codec.Codec[EventRec]{
 				ID:   b.IDs[i],
 				Loc:  geom.Pt(b.Lon[i], b.Lat[i]),
 				Time: b.T[i],
-				Aux:  b.Str[i],
+				Aux:  b.StrAt(i),
 			}
 		},
 	},
@@ -304,7 +304,7 @@ var POIRecC = codec.Codec[POIRec]{
 			b.Str = append(b.Str, p.Type)
 		},
 		Join: func(b *codec.ColBlock, i int, _ *codec.Reader) POIRec {
-			return POIRec{ID: b.IDs[i], Loc: geom.Pt(b.Lon[i], b.Lat[i]), Type: b.Str[i]}
+			return POIRec{ID: b.IDs[i], Loc: geom.Pt(b.Lon[i], b.Lat[i]), Type: b.StrAt(i)}
 		},
 	},
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"st4ml/internal/codec"
 	"st4ml/internal/geom"
@@ -150,15 +151,10 @@ func writePartitionV3File[T any](
 
 	var blocks []BlockMeta
 	flush := func(blockBounds index.Box, count int64) error {
-		if col != nil && (int64(len(cb.IDs)) != count || int64(len(cb.Lon)) != count ||
-			int64(len(cb.Lat)) != count || int64(len(cb.T)) != count ||
-			int64(len(cb.PayLen)) != count ||
-			(col.HasStr && int64(len(cb.Str)) != count) ||
-			(!col.HasStr && len(cb.Str) != 0)) {
-			return fmt.Errorf("storage: columnar Split for %s filled columns unevenly "+
-				"(%d records: %d ids, %d lon, %d lat, %d t, %d str, %d spans)",
-				name, count, len(cb.IDs), len(cb.Lon), len(cb.Lat), len(cb.T),
-				len(cb.Str), len(cb.PayLen))
+		if col != nil {
+			if err := checkSplit(name, col, cb, count); err != nil {
+				return err
+			}
 		}
 		blkW.Reset()
 		blkW.PutUvarint(uint64(count))
@@ -307,24 +303,125 @@ func pointInAny(lon, lat float64, t int64, windows []index.Box) bool {
 	return false
 }
 
-// readPartitionV3Once decodes one v3 partition file, skipping blocks
-// whose footer bounds miss every window, and skipping individual records
-// that miss every window before they are materialized: point schemas test
-// their (lon, lat, t) columns, extended schemas with a Columnar.Extent
-// test the box it computes from the columns and the record's payload
-// span. RecordsPruned in the returned stats counts the latter; RawBytes
-// counts decoded column bytes plus the payload spans read, once each:
-// every span an extent test walks, and for point schemas only the
-// surviving records' spans. A non-nil blockSet overrides
-// window pruning with an explicit block-index selection (the approximate
-// path's boundary-block scan); record counts are then not cross-checked
-// against metadata, since only a subset is read.
-//
-// A non-nil boxOf asks for each returned record's box as well, in a slice
-// parallel to the records: a native point file takes it from the decoded
-// (lon, lat, t) columns — the tuple the window test above already trusts
-// as the record's exact extent — and any other file from boxOf(rec) as
-// each record is built. A nil boxOf returns nil boxes.
+// openV3 opens pm's v3 file for a read of run — one delta entry's run of
+// blocks, or with the zero run the whole file — through c, and returns the
+// file, its layout profile, the blocks the read covers, the footer offset
+// and the read's stats so far. A native file must carry exactly the
+// column layout c's columnar schema writes.
+func openV3[T any](dir string, pm PartitionMeta, run blockRun, c codec.Codec[T]) (
+	*os.File, byte, []BlockMeta, int64, ReadStats, error,
+) {
+	f, profile, blocks, footerOff, size, err := readFooterV3(filepath.Join(dir, pm.File))
+	if err != nil {
+		return nil, 0, nil, 0, ReadStats{}, err
+	}
+	if run != (blockRun{}) {
+		if blocks, err = run.of(blocks, pm, footerOff); err != nil {
+			f.Close()
+			return nil, 0, nil, 0, ReadStats{}, err
+		}
+	}
+	if profile&v3Native != 0 && profile != colProfile(c) {
+		// The columns a native file holds are the ones its writer's schema
+		// split records into; any other schema would index columns that
+		// are not there.
+		f.Close()
+		return nil, 0, nil, 0, ReadStats{}, fmt.Errorf(
+			"storage: partition %s has column layout %#x, the codec's columnar schema writes %#x",
+			pm.File, profile, colProfile(c))
+	}
+	return f, profile, blocks, footerOff,
+		ReadStats{Blocks: len(blocks), BytesRead: blockHeaderLen + (size - footerOff)}, nil
+}
+
+// readBlockV3 reads block bm of pm's file f, checks its record count, and
+// runs decode under codec.Catch over the block payload after the count,
+// with the count n.
+func readBlockV3(f *os.File, pm PartitionMeta, bm BlockMeta, decode func(r *codec.Reader, n int)) error {
+	stored, raw, err := fetchBlock(f, bm)
+	if err == nil && int64(len(raw)) != bm.Raw {
+		codec.PutBuf(stored)
+		err = codec.ErrCorrupt{Off: int(bm.Offset)}
+	}
+	if err != nil {
+		return fmt.Errorf("storage: partition %s: %w", pm.File, err)
+	}
+	decErr := codec.Catch(func() {
+		r := codec.NewReader(raw)
+		n := int(r.Uvarint())
+		if n < 0 || int64(n) != bm.Count || n > maxBlockRecords {
+			panic(codec.ErrCorrupt{Off: 0})
+		}
+		decode(r, n)
+	})
+	codec.PutBuf(stored)
+	if decErr != nil {
+		return fmt.Errorf("storage: partition %s block at %d: %w", pm.File, bm.Offset, decErr)
+	}
+	return nil
+}
+
+// rowFrame returns a generic block's one frame of row encodings, which must
+// end the block payload r holds.
+func rowFrame(r *codec.Reader) *codec.Reader {
+	rows := r.Frame()
+	if r.Remaining() != 0 {
+		panic(codec.ErrCorrupt{Off: r.Remaining()})
+	}
+	return codec.NewReader(rows)
+}
+
+// decodeColumns is the one decoder of a native block: it decodes the n
+// records whose column frames r holds onto the end of cb's read-side
+// columns, each column in place in its slice, and returns the records'
+// payload span lengths, decoded into lens's capacity, and the payload
+// stream, which aliases r's bytes. A row read decodes each block into an
+// emptied cb; a column read appends a file's blocks back to back.
+func decodeColumns(r *codec.Reader, n int, hasStr bool, cb *codec.ColBlock, lens []int64) ([]int64, []byte) {
+	var ids, ts []int64
+	var lon, lat []float64
+	cb.IDs, ids = extend(cb.IDs, n)
+	cb.Lon, lon = extend(cb.Lon, n)
+	cb.Lat, lat = extend(cb.Lat, n)
+	cb.T, ts = extend(cb.T, n)
+	codec.Int64Col(r.Frame(), n, ids)
+	codec.Float64Col(r.Frame(), n, lon)
+	codec.Float64Col(r.Frame(), n, lat)
+	codec.Int64Col(r.Frame(), n, ts)
+	if hasStr {
+		var idx []uint32
+		cb.StrIdx, idx = extend(cb.StrIdx, n)
+		_, cb.Dict = codec.StringCol(r.Frame(), n, idx, cb.Dict)
+	}
+	lens = codec.Int64Col(r.Frame(), n, lens)
+	pay := r.Frame()
+	if r.Remaining() != 0 {
+		panic(codec.ErrCorrupt{Off: r.Remaining()})
+	}
+	return lens, pay
+}
+
+// extend grows s by n elements and returns it with its last n: a window of
+// exactly n slots, which a column decoder given it as its destination
+// fills in place.
+func extend[E any](s []E, n int) ([]E, []E) {
+	s = slices.Grow(s, n)
+	s = s[:len(s)+n]
+	return s, s[len(s)-n : len(s) : len(s)]
+}
+
+// readPartitionV3Once decodes one v3 partition file into records,
+// skipping blocks whose footer bounds miss every window, and skipping
+// individual records that miss every window before they are materialized:
+// point schemas test their (lon, lat, t) columns, extended schemas with a
+// Columnar.Extent test the box it computes from the columns and the
+// record's payload span. RecordsPruned in the returned stats counts the
+// latter; RawBytes counts decoded column bytes plus the payload spans
+// read, once each: every span an extent test walks, and for point schemas
+// only the surviving records' spans. A non-nil blockSet overrides window
+// pruning with an explicit block-index selection (the approximate path's
+// boundary-block scan); record counts are then not cross-checked against
+// metadata, since only a subset is read.
 //
 // A non-zero run narrows the file to one delta entry's run of blocks
 // before any pruning: the block indexes of blockSet, the stats' Blocks and
@@ -332,29 +429,13 @@ func pointInAny(lon, lat float64, t int64, windows []index.Box) bool {
 // equal pm.Count on every read.
 func readPartitionV3Once[T any](
 	dir string, pm PartitionMeta, run blockRun, c codec.Codec[T], windows []index.Box,
-	blockSet map[int]bool, boxOf func(T) index.Box,
-) ([]T, []index.Box, ReadStats, error) {
-	f, profile, blocks, footerOff, size, err := readFooterV3(filepath.Join(dir, pm.File))
+	blockSet map[int]bool,
+) ([]T, ReadStats, error) {
+	f, profile, blocks, footerOff, st, err := openV3(dir, pm, run, c)
 	if err != nil {
-		return nil, nil, ReadStats{}, err
+		return nil, ReadStats{}, err
 	}
 	defer f.Close()
-	if run != (blockRun{}) {
-		if blocks, err = run.of(blocks, pm, footerOff); err != nil {
-			return nil, nil, ReadStats{}, err
-		}
-	}
-	native := profile&v3Native != 0
-	if native && profile != colProfile(c) {
-		// The columns a native file holds are the ones its writer's schema
-		// split records into; any other schema would index columns that
-		// are not there.
-		return nil, nil, ReadStats{}, fmt.Errorf(
-			"storage: partition %s has column layout %#x, the codec's columnar schema writes %#x",
-			pm.File, profile, colProfile(c))
-	}
-
-	st := ReadStats{Blocks: len(blocks), BytesRead: blockHeaderLen + (size - footerOff)}
 	var scan []BlockMeta
 	var expect int64
 	for bi, bm := range blocks {
@@ -373,52 +454,26 @@ func readPartitionV3Once[T any](
 	}
 	st.BlocksScanned = len(scan)
 	if windows == nil && blockSet == nil && expect != pm.Count {
-		return nil, nil, ReadStats{}, fmt.Errorf(
-			"storage: partition %s footer counts %d records, metadata says %d: %w",
-			pm.File, expect, pm.Count, codec.ErrCorrupt{Off: int(footerOff)})
+		return nil, ReadStats{}, countMismatch(pm, expect, footerOff)
 	}
 
+	native := profile&v3Native != 0
 	point := native && profile&v3Point != 0
 	filter := point && len(windows) > 0
 	extent := native && !point && len(windows) > 0 && c.Col.Extent != nil
 	hasStr := profile&v3HasStr != 0
 	out := make([]T, 0, capHint(expect))
-	var boxes []index.Box
-	if boxOf != nil {
-		boxes = make([]index.Box, 0, capHint(expect))
-	}
 	var materialized int64
 	cb := codec.GetColBlock()
 	defer codec.PutColBlock(cb)
+	pr := codec.NewReader(nil)
 	for _, bm := range scan {
-		stored, raw, err := fetchBlock(f, bm)
-		if err == nil && int64(len(raw)) != bm.Raw {
-			codec.PutBuf(stored)
-			err = codec.ErrCorrupt{Off: int(bm.Offset)}
-		}
-		if err != nil {
-			return nil, nil, ReadStats{}, fmt.Errorf("storage: partition %s: %w", pm.File, err)
-		}
-		st.BytesRead += bm.Stored
-		decErr := codec.Catch(func() {
-			r := codec.NewReader(raw)
-			n := int(r.Uvarint())
-			if n < 0 || int64(n) != bm.Count || n > maxBlockRecords {
-				panic(codec.ErrCorrupt{Off: 0})
-			}
+		err := readBlockV3(f, pm, bm, func(r *codec.Reader, n int) {
 			if !native {
-				pay := r.Frame()
-				if r.Remaining() != 0 {
-					panic(codec.ErrCorrupt{Off: int(bm.Raw)})
-				}
+				rr := rowFrame(r)
 				st.RawBytes += bm.Raw
-				rr := codec.NewReader(pay)
 				for j := 0; j < n; j++ {
-					rec := c.Dec(rr)
-					out = append(out, rec)
-					if boxOf != nil {
-						boxes = append(boxes, boxOf(rec))
-					}
+					out = append(out, c.Dec(rr))
 				}
 				materialized += int64(n)
 				if rr.Remaining() != 0 {
@@ -427,21 +482,9 @@ func readPartitionV3Once[T any](
 				return
 			}
 			cb.Reset()
-			cb.IDs = codec.Int64Col(r.Frame(), n, cb.IDs)
-			cb.Lon = codec.Float64Col(r.Frame(), n, cb.Lon)
-			cb.Lat = codec.Float64Col(r.Frame(), n, cb.Lat)
-			cb.T = codec.Int64Col(r.Frame(), n, cb.T)
-			if hasStr {
-				cb.Str = codec.StringCol(r.Frame(), n, cb.Str)
-			}
-			lens := codec.Int64Col(r.Frame(), n, cb.PayLen)
-			pay := r.Frame()
-			if r.Remaining() != 0 {
-				panic(codec.ErrCorrupt{Off: int(bm.Raw)})
-			}
+			lens, pay := decodeColumns(r, n, hasStr, cb, cb.PayLen)
 			cb.SetPayload(pay, lens)
 			st.RawBytes += bm.Raw - int64(len(pay))
-			pr := codec.NewReader(nil)
 			for i := 0; i < n; i++ {
 				if filter && !pointInAny(cb.Lon[i], cb.Lat[i], cb.T[i], windows) {
 					st.RecordsPruned++
@@ -449,43 +492,188 @@ func readPartitionV3Once[T any](
 				}
 				span := cb.PaySpan(i)
 				st.RawBytes += int64(len(span))
-				if extent {
-					pr.ResetBytes(span)
-					box := c.Col.Extent(cb, i, pr)
-					if pr.Remaining() != 0 {
-						panic(codec.ErrCorrupt{Off: len(span)})
-					}
-					if !boxIntersectsAny(box, windows) {
-						st.RecordsPruned++
-						continue
-					}
+				if extent && !boxIntersectsAny(spanExtent(c.Col, cb, i, pr), windows) {
+					st.RecordsPruned++
+					continue
 				}
-				pr.ResetBytes(span)
-				rec := c.Col.Join(cb, i, pr)
-				out = append(out, rec)
+				out = append(out, c.Col.Row(cb, i, pr))
 				materialized++
-				if pr.Remaining() != 0 {
-					panic(codec.ErrCorrupt{Off: len(span)})
-				}
-				if boxOf != nil {
-					if point {
-						boxes = append(boxes, index.BoxOfPoint(geom.Pt(cb.Lon[i], cb.Lat[i]), cb.T[i]))
-					} else {
-						boxes = append(boxes, boxOf(rec))
-					}
-				}
 			}
 		})
-		codec.PutBuf(stored)
-		if decErr != nil {
-			return nil, nil, ReadStats{}, fmt.Errorf("storage: partition %s block at %d: %w",
-				pm.File, bm.Offset, decErr)
+		if err != nil {
+			return nil, ReadStats{}, err
 		}
+		st.BytesRead += bm.Stored
 	}
 	if windows == nil && blockSet == nil && materialized != pm.Count {
-		return nil, nil, ReadStats{}, fmt.Errorf(
+		return nil, ReadStats{}, fmt.Errorf(
 			"storage: partition %s decoded %d records, metadata says %d: %w",
 			pm.File, materialized, pm.Count, codec.ErrCorrupt{Off: 0})
 	}
-	return out, boxes, st, nil
+	return out, st, nil
+}
+
+// countMismatch is the error of a file whose footer counts expect records
+// where its metadata entry says pm.Count.
+func countMismatch(pm PartitionMeta, expect, footerOff int64) error {
+	return fmt.Errorf("storage: partition %s footer counts %d records, metadata says %d: %w",
+		pm.File, expect, pm.Count, codec.ErrCorrupt{Off: int(footerOff)})
+}
+
+// spanExtent is record i's box from col.Extent over its payload span,
+// which Extent must consume exactly.
+func spanExtent[T any](col *codec.Columnar[T], cb *codec.ColBlock, i int, pr *codec.Reader) index.Box {
+	span := cb.PaySpan(i)
+	pr.ResetBytes(span)
+	box := col.Extent(cb, i, pr)
+	if pr.Remaining() != 0 {
+		panic(codec.ErrCorrupt{Off: len(span)})
+	}
+	return box
+}
+
+// readColumnsV3Once decodes a whole v3 partition file, or one delta
+// entry's run of its blocks, into one ColBlock of read-side columns — the
+// form a pinned segment holds — building no record it keeps. A native
+// file's blocks decode straight into file-wide column slices, sized once
+// from the footer's counts, its string columns into one dictionary, and
+// its payload streams into one copy; a generic file's rows are decoded
+// with c.Dec and split into the same columns by c's columnar schema, which
+// the codec must therefore carry. Every native record's payload span is
+// walked here, once — by the schema's Extent when it has one, else by
+// Columnar.Row, whose record is dropped — and must be consumed exactly,
+// so a corrupt file fails this read and never a later Join of its
+// columns. The one exception is a point file's block whose payload stream
+// is empty, the block of a schema with no payload (nyc, osm): only its
+// first record is joined, which a schema that reads a payload fails on.
+//
+// A non-nil boxOf asks for each record's box as well, in a slice parallel
+// to the records: a native point file's come from its (lon, lat, t)
+// columns, a native file's with an Extent from the walk, any other file's
+// from boxOf of the record Dec or Row built. A nil boxOf returns nil
+// boxes.
+func readColumnsV3Once[T any](
+	dir string, pm PartitionMeta, run blockRun, c codec.Codec[T], boxOf func(T) index.Box,
+) (*codec.ColBlock, []index.Box, ReadStats, error) {
+	col := c.Col
+	if col == nil {
+		return nil, nil, ReadStats{}, fmt.Errorf(
+			"storage: partition %s: a column read needs a codec with a columnar schema", pm.File)
+	}
+	f, profile, blocks, footerOff, st, err := openV3(dir, pm, run, c)
+	if err != nil {
+		return nil, nil, ReadStats{}, err
+	}
+	defer f.Close()
+	var expect int64
+	for _, bm := range blocks {
+		expect += bm.Count
+	}
+	if expect != pm.Count {
+		return nil, nil, ReadStats{}, countMismatch(pm, expect, footerOff)
+	}
+	st.BlocksScanned = len(blocks)
+
+	native := profile&v3Native != 0
+	point := native && profile&v3Point != 0
+	hasStr := profile&v3HasStr != 0
+	hint := capHint(expect)
+	cols := &codec.ColBlock{
+		IDs: make([]int64, 0, hint),
+		Lon: make([]float64, 0, hint), Lat: make([]float64, 0, hint),
+		T: make([]int64, 0, hint),
+	}
+	if hasStr {
+		cols.StrIdx = make([]uint32, 0, hint)
+	}
+	var boxes []index.Box
+	if boxOf != nil {
+		boxes = make([]index.Box, 0, hint)
+	}
+	// scratch holds a native block's span lengths, and a generic block's
+	// records split into write-side columns.
+	scratch := codec.GetColBlock()
+	defer codec.PutColBlock(scratch)
+	pr := codec.NewReader(nil)
+	var splitErr error
+	for _, bm := range blocks {
+		err := readBlockV3(f, pm, bm, func(r *codec.Reader, n int) {
+			if !native {
+				rr := rowFrame(r)
+				scratch.Reset()
+				for j := 0; j < n; j++ {
+					rec := c.Dec(rr)
+					col.Split(rec, scratch)
+					scratch.EndRecord()
+					if boxOf != nil {
+						boxes = append(boxes, boxOf(rec))
+					}
+				}
+				if rr.Remaining() != 0 {
+					panic(codec.ErrCorrupt{Off: int(bm.Raw)})
+				}
+				if splitErr = checkSplit(pm.File, col, scratch, int64(n)); splitErr == nil {
+					cols.AppendBlock(scratch)
+				}
+				return
+			}
+			at := len(cols.IDs)
+			lens, pay := decodeColumns(r, n, hasStr, cols, scratch.PayLen)
+			scratch.PayLen = lens
+			cols.AppendPayload(pay, lens)
+			if point {
+				// A block whose payload stream is empty — every block of a
+				// schema that keeps all its fields in the shared columns —
+				// is probed with its first record alone, so a schema whose
+				// Join reads a payload fails on it as a walk would.
+				for i := at; i < at+n && (i == at || len(pay) > 0); i++ {
+					col.Row(cols, i, pr)
+				}
+				if boxOf != nil {
+					for i := at; i < at+n; i++ {
+						boxes = append(boxes, index.BoxOfPoint(geom.Pt(cols.Lon[i], cols.Lat[i]), cols.T[i]))
+					}
+				}
+				return
+			}
+			for i := at; i < at+n; i++ {
+				if col.Extent != nil {
+					box := spanExtent(col, cols, i, pr)
+					if boxOf != nil {
+						boxes = append(boxes, box)
+					}
+					continue
+				}
+				rec := col.Row(cols, i, pr)
+				if boxOf != nil {
+					boxes = append(boxes, boxOf(rec))
+				}
+			}
+		})
+		if err == nil {
+			err = splitErr
+		}
+		if err != nil {
+			return nil, nil, ReadStats{}, err
+		}
+		st.BytesRead += bm.Stored
+		st.RawBytes += bm.Raw
+	}
+	return cols, boxes, st, nil
+}
+
+// checkSplit fails unless col's Split filled each column of cb it uses with
+// exactly count values, and no other column.
+func checkSplit[T any](file string, col *codec.Columnar[T], cb *codec.ColBlock, count int64) error {
+	if int64(len(cb.IDs)) != count || int64(len(cb.Lon)) != count ||
+		int64(len(cb.Lat)) != count || int64(len(cb.T)) != count ||
+		int64(len(cb.PayLen)) != count ||
+		(col.HasStr && int64(len(cb.Str)) != count) ||
+		(!col.HasStr && len(cb.Str) != 0) {
+		return fmt.Errorf("storage: columnar Split for %s filled columns unevenly "+
+			"(%d records: %d ids, %d lon, %d lat, %d t, %d str, %d spans)",
+			file, count, len(cb.IDs), len(cb.Lon), len(cb.Lat), len(cb.T),
+			len(cb.Str), len(cb.PayLen))
+	}
+	return nil
 }

@@ -92,7 +92,7 @@ func TestAppendWritesOneFile(t *testing.T) {
 				t.Fatalf("append %d entry %d: %+v", b, k, dm)
 			}
 			next += dm.NumBlocks
-			recs, _, rst, err := ReadDelta(dir, dm, recC, nil)
+			recs, rst, err := readDeltaRows(dir, dm, recC)
 			if err != nil {
 				t.Fatal(err)
 			}

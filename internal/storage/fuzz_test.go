@@ -176,16 +176,62 @@ func TestV2TruncationsDetected(t *testing.T) {
 	}
 }
 
+// checkColumnsMatchRows reads pm's file — run's blocks of it, for a delta
+// entry — through the column reader and the row reader: both must fail,
+// or both succeed with the same records, compared by their encodings so
+// NaN fields compare by their bits, and the column reader's boxes must
+// equal boxOf of each record, bit for bit. It returns the column read's
+// error.
+func checkColumnsMatchRows[T any](t *testing.T, dir string, pm PartitionMeta, run blockRun,
+	c codec.Codec[T], boxOf func(T) index.Box) error {
+	t.Helper()
+	rows, _, rowErr := readPartitionV3Once(dir, pm, run, c, nil, nil)
+	cols, boxes, _, colErr := readColumnsV3Once(dir, pm, run, c, boxOf)
+	if (rowErr == nil) != (colErr == nil) {
+		t.Fatalf("%s run %+v: row read %v, column read %v", pm.File, run, rowErr, colErr)
+	}
+	if colErr != nil {
+		return colErr
+	}
+	joined, err := c.Col.Rows(cols)
+	if err != nil {
+		t.Fatalf("%s run %+v: columns loaded cleanly but do not join: %v", pm.File, run, err)
+	}
+	if len(joined) != len(rows) || len(boxes) != len(rows) {
+		t.Fatalf("%s run %+v: %d joined records and %d boxes, row read %d records",
+			pm.File, run, len(joined), len(boxes), len(rows))
+	}
+	for i := range rows {
+		if !bytes.Equal(codec.Marshal(c, joined[i]), codec.Marshal(c, rows[i])) {
+			t.Fatalf("%s run %+v: record %d joined as %+v, row read %+v", pm.File, run, i, joined[i], rows[i])
+		}
+		want := boxOf(rows[i])
+		for a := range want.Min {
+			if math.Float64bits(boxes[i].Min[a]) != math.Float64bits(want.Min[a]) ||
+				math.Float64bits(boxes[i].Max[a]) != math.Float64bits(want.Max[a]) {
+				t.Fatalf("%s run %+v: record %d box %+v, boxOf %+v", pm.File, run, i, boxes[i], want)
+			}
+		}
+	}
+	return nil
+}
+
 // FuzzV3Block throws arbitrary bytes at the v3 columnar reader as a whole
 // partition file, over both the native columnar path (recC carries a
 // Columnar schema) and the generic row fallback, and — as an
 // extended-record file — through the Columnar.Extent record test with
 // windows set. Same contract as FuzzV2Partition: never panic, and a clean
 // read returns exactly the promised record count. Corruption inside a
-// record the extent test prunes is still an error.
+// record the extent test prunes is still an error. The column reader
+// pinned segments load through must agree with the row reader on the same
+// bytes — as a base file of either schema and as each run of a shared
+// delta file — failing where it fails and returning the same records and
+// boxes where it does not (checkColumnsMatchRows); the stray-byte seed
+// fails the column read, so its bad record never reaches a later Join.
 func FuzzV3Block(f *testing.F) {
 	seedNative, metaNative, _ := writeFuzzSeed(f, 3, false, 8)
 	f.Add(seedNative)
+	f.Add(genericFuzzSeed(f))
 	f.Add([]byte{})
 	f.Add([]byte(v3Magic))
 	f.Add(append(append([]byte(v3Magic), make([]byte, 12)...), v3TrailerMagic...))
@@ -202,6 +248,7 @@ func FuzzV3Block(f *testing.F) {
 		Max: [index.Dims]float64{5, 5, 500},
 	}}
 	f.Add(payLenWrapSeed(f, win))
+	f.Add(strayPointPaySeed(f))
 	seedRuns, runs := multiRunFuzzSeed(f)
 	f.Add(seedRuns)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -250,6 +297,11 @@ func FuzzV3Block(f *testing.F) {
 		if bytes.Equal(data, seedExtBad) && err == nil {
 			t.Fatal("a stray byte in a pruned record's payload went undetected")
 		}
+		checkColumnsMatchRows(t, dir, metaNative.Partitions[0], blockRun{}, recC, recBox)
+		xerr := checkColumnsMatchRows(t, xdir, metaExt.Partitions[0], blockRun{}, xrecC, xrecBox)
+		if bytes.Equal(data, seedExtBad) && xerr == nil {
+			t.Fatal("a stray byte in a record's payload loaded into columns")
+		}
 		// The same bytes as an append's shared delta file: each entry's run
 		// reads without panicking, and a clean read returns exactly the
 		// entry's record count.
@@ -258,12 +310,30 @@ func FuzzV3Block(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, dm := range runs {
-			recs, _, _, err := ReadDelta(ddir, dm, recC, nil)
+			recs, _, err := readDeltaRows(ddir, dm, recC)
 			if err == nil && int64(len(recs)) != dm.Count {
 				t.Fatalf("clean run read returned %d records, manifest says %d", len(recs), dm.Count)
 			}
+			checkColumnsMatchRows(t, ddir, dm.PartitionMeta, dm.run(), recC, recBox)
 		}
 	})
+}
+
+// genericFuzzSeed is writeFuzzSeed's records as a v3 file in the generic
+// row layout, under the same file name and record count.
+func genericFuzzSeed(t testing.TB) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	parts := makeParts(rand.New(rand.NewSource(99)), 1, 50)
+	meta, err := Write(dir, recRowC, parts, recBox, WriteOptions{Name: "fuzz", BlockRecords: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, meta.Partitions[0].File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // TestV3EveryByteFlipDetected mirrors the v2 byte-flip wall for the
@@ -367,6 +437,26 @@ func payLenWrapSeed(t testing.TB, win []index.Box) []byte {
 		// the wrap.
 		t.Fatal("no record win prunes is followed by one it keeps")
 	}
+	return oneBlockSeed(t, raw, meta, recs, lens, []byte{0})
+}
+
+// strayPointPaySeed is writeFuzzSeed's native file rewritten as one block
+// in which record 5 — a point record, whose schema keeps no payload — has
+// a one-byte payload span, under valid CRCs: the row reader's Join leaves
+// the byte unread, and the column reader must fail on it at load too.
+func strayPointPaySeed(t testing.TB) []byte {
+	t.Helper()
+	raw, meta, recs := writeFuzzSeed(t, 3, false, 64)
+	lens := make([]int64, len(recs))
+	lens[5] = 1
+	return oneBlockSeed(t, raw, meta, recs, lens, []byte{7})
+}
+
+// oneBlockSeed rewrites raw, writeFuzzSeed's native file of recs in one
+// block, with its ids, lon, lat, t and str columns kept as written and
+// the given payload span lengths and payload stream.
+func oneBlockSeed(t testing.TB, raw []byte, meta *Metadata, recs []rec, lens []int64, pay []byte) []byte {
+	t.Helper()
 	var cols []byte
 	if err := codec.Catch(func() {
 		r := codec.NewReader(raw[blockHeaderLen:])
@@ -392,7 +482,7 @@ func payLenWrapSeed(t testing.TB, win []index.Box) []byte {
 	bw := codec.NewWriter(0)
 	bw.PutRaw(cols)
 	bw.PutFrame(lw.Bytes())
-	bw.PutFrame([]byte{0})
+	bw.PutFrame(pay)
 	block := bw.Bytes()
 	out := codec.NewWriter(0)
 	out.PutRaw([]byte(v3Magic))
@@ -424,5 +514,22 @@ func TestPayLenWrapRejected(t *testing.T) {
 		if _, err := readBytesAsPartition(t, meta, seed, w); !errors.As(err, new(codec.ErrCorrupt)) {
 			t.Fatalf("windows %v: read returned %v, want a corruption error", w, err)
 		}
+	}
+}
+
+// TestStrayPointPayloadRejected pins strayPointPaySeed's outcome: the row
+// reader's full read and the column reader's load both fail with a
+// corruption error, so the stray byte never reaches a later Join.
+func TestStrayPointPayloadRejected(t *testing.T) {
+	_, meta, _ := writeFuzzSeed(t, 3, false, 8)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, meta.Partitions[0].File), strayPointPaySeed(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadPartitionPruned(dir, meta, 0, recC, nil); !errors.As(err, new(codec.ErrCorrupt)) {
+		t.Fatalf("row read returned %v, want a corruption error", err)
+	}
+	if _, _, _, err := ReadBase(dir, meta, 0, recC, recBox); !errors.As(err, new(codec.ErrCorrupt)) {
+		t.Fatalf("column read returned %v, want a corruption error", err)
 	}
 }

@@ -73,7 +73,11 @@ func TestGoldenDeltaLayoutStillReads(t *testing.T) {
 		if dm.NumBlocks != 0 || !strings.HasPrefix(dm.File, "delta-") {
 			t.Fatalf("entry %d is not an old-layout delta: %+v", k, dm)
 		}
-		got, _, _, err := storage.ReadDelta(goldenDeltaDir, dm, stdata.EventRecC, nil)
+		cols, _, _, err := storage.ReadDelta(goldenDeltaDir, dm, stdata.EventRecC, nil)
+		if err != nil {
+			t.Fatalf("entry %d: %v", k, err)
+		}
+		got, err := stdata.EventRecC.Col.Rows(cols)
 		if err != nil {
 			t.Fatalf("entry %d: %v", k, err)
 		}

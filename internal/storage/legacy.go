@@ -63,7 +63,7 @@ func readAnyFormat[T any](dir string, meta *Metadata, pm PartitionMeta, run bloc
 	err := readWithRetry(pm.File, func() (err error) {
 		switch {
 		case version >= FormatVersion:
-			recs, _, _, err = readPartitionV3Once[T](dir, pm, run, c, nil, nil, nil)
+			recs, _, err = readPartitionV3Once[T](dir, pm, run, c, nil, nil)
 		case version == 2:
 			recs, err = readV2[T](dir, meta.Compressed, pm, c)
 		default:

@@ -401,7 +401,7 @@ func ReadPartition[T any](dir string, meta *Metadata, i int, c codec.Codec[T]) (
 func ReadPartitionPruned[T any](
 	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box,
 ) ([]T, ReadStats, error) {
-	out, _, st, err := readBase(dir, meta, i, c, windows, nil, nil)
+	out, st, err := readBase(dir, meta, i, c, windows, nil)
 	if err != nil {
 		return nil, ReadStats{}, err
 	}
@@ -411,7 +411,7 @@ func ReadPartitionPruned[T any](
 			st.DeltasPruned++
 			continue
 		}
-		drecs, _, dst, err := readDelta(dir, dm, c, windows, nil)
+		drecs, dst, err := readDelta(dir, dm, c, windows)
 		if err != nil {
 			return nil, ReadStats{}, err
 		}
@@ -424,42 +424,68 @@ func ReadPartitionPruned[T any](
 // ReadBase decodes partition i's base file alone, in full, without the
 // delta files the manifest attaches to it — the immutable half of the live
 // view, which the serving cache pins under the file's name so appends
-// never evict it. A non-nil boxOf also returns each record's box, in a
-// slice parallel to the records (the serving cache's pinned boxes): a
-// native point file's come from its decoded (lon, lat, t) columns, any
+// never evict it. It returns the file's records as read-side columns, not
+// rows: every block's columns back to back in one ColBlock, the string
+// attribute as indexes into one dictionary, and the payload in one stream
+// (readColumnsV3Once); c.Col.Row or Rows rebuilds records from them. The
+// codec must carry a columnar schema, which also splits a generic file's
+// rows into the same columns. A non-nil boxOf also returns each record's
+// box, in a slice parallel to the records (the serving cache's pinned
+// boxes): a native point file's come from its decoded (lon, lat, t)
+// columns, a native file's with a Columnar.Extent from the extent, any
 // other file's from boxOf. A nil boxOf returns nil boxes.
 func ReadBase[T any](
 	dir string, meta *Metadata, i int, c codec.Codec[T], boxOf func(T) index.Box,
-) ([]T, []index.Box, ReadStats, error) {
-	return readBase(dir, meta, i, c, nil, nil, boxOf)
-}
-
-// readBase reads partition i's base file, pruning blocks against windows,
-// or — when blockSet is non-nil — reading exactly the blocks it lists;
-// boxOf is readPartitionV3Once's.
-func readBase[T any](
-	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box,
-	blockSet map[int]bool, boxOf func(T) index.Box,
-) ([]T, []index.Box, ReadStats, error) {
-	if i < 0 || i >= len(meta.Partitions) {
-		return nil, nil, ReadStats{}, fmt.Errorf(
-			"storage: partition %d out of range [0,%d)", i, len(meta.Partitions))
-	}
-	pm := meta.Partitions[i]
-	if err := checkFormat(dir, pm.File, meta.partitionFormat(i)); err != nil {
+) (*codec.ColBlock, []index.Box, ReadStats, error) {
+	pm, err := meta.basePartition(dir, i)
+	if err != nil {
 		return nil, nil, ReadStats{}, err
 	}
-	var recs []T
+	var cols *codec.ColBlock
 	var boxes []index.Box
 	var st ReadStats
-	err := readWithRetry(pm.File, func() (err error) {
-		recs, boxes, st, err = readPartitionV3Once[T](dir, pm, blockRun{}, c, windows, blockSet, boxOf)
+	err = readWithRetry(pm.File, func() (err error) {
+		cols, boxes, st, err = readColumnsV3Once(dir, pm, blockRun{}, c, boxOf)
 		return err
 	})
 	if err != nil {
 		return nil, nil, ReadStats{}, err
 	}
-	return recs, boxes, st, nil
+	return cols, boxes, st, nil
+}
+
+// readBase reads partition i's base file into records, pruning blocks
+// against windows, or — when blockSet is non-nil — reading exactly the
+// blocks it lists.
+func readBase[T any](
+	dir string, meta *Metadata, i int, c codec.Codec[T], windows []index.Box,
+	blockSet map[int]bool,
+) ([]T, ReadStats, error) {
+	pm, err := meta.basePartition(dir, i)
+	if err != nil {
+		return nil, ReadStats{}, err
+	}
+	var recs []T
+	var st ReadStats
+	err = readWithRetry(pm.File, func() (err error) {
+		recs, st, err = readPartitionV3Once[T](dir, pm, blockRun{}, c, windows, blockSet)
+		return err
+	})
+	if err != nil {
+		return nil, ReadStats{}, err
+	}
+	return recs, st, nil
+}
+
+// basePartition returns partition i's metadata entry, failing when i is
+// out of range or its base file predates v3.
+func (m *Metadata) basePartition(dir string, i int) (PartitionMeta, error) {
+	if i < 0 || i >= len(m.Partitions) {
+		return PartitionMeta{}, fmt.Errorf(
+			"storage: partition %d out of range [0,%d)", i, len(m.Partitions))
+	}
+	pm := m.Partitions[i]
+	return pm, checkFormat(dir, pm.File, m.partitionFormat(i))
 }
 
 // partitionFormat returns the file format of partition i's base file: its
@@ -533,35 +559,50 @@ func (m *Metadata) checkPartition(dir string, i int) error {
 // ReadDelta decodes one committed delta in full — its run of blocks, or
 // its whole file when it names no run — in file order: the unit the
 // subscription notifier routes through its window index and the serving
-// cache pins under DeltaMeta.Key. It reads exactly like the merge-on-read
-// path, so a pushed record is byte-identical to the same record surfaced
-// by a batch query. The stats count one delta read. boxOf returns the
-// records' boxes as in ReadBase.
+// cache pins under DeltaMeta.Key. Like ReadBase it returns read-side
+// columns and, for a non-nil boxOf, the records' boxes; their records
+// equal, in order, the ones the merge-on-read path reads from the delta,
+// so a pushed record is byte-identical to the same record surfaced by a
+// batch query. The stats count one delta read.
 func ReadDelta[T any](
 	dir string, dm DeltaMeta, c codec.Codec[T], boxOf func(T) index.Box,
-) ([]T, []index.Box, ReadStats, error) {
-	return readDelta(dir, dm, c, nil, boxOf)
-}
-
-// readDelta decodes one delta, pruning its blocks against windows.
-func readDelta[T any](
-	dir string, dm DeltaMeta, c codec.Codec[T], windows []index.Box, boxOf func(T) index.Box,
-) ([]T, []index.Box, ReadStats, error) {
+) (*codec.ColBlock, []index.Box, ReadStats, error) {
 	if err := checkFormat(dir, dm.File, deltaFormat(dm)); err != nil {
 		return nil, nil, ReadStats{}, err
 	}
-	var recs []T
+	var cols *codec.ColBlock
 	var boxes []index.Box
 	var st ReadStats
 	err := readWithRetry(dm.File, func() (err error) {
-		recs, boxes, st, err = readPartitionV3Once[T](dir, dm.PartitionMeta, dm.run(), c, windows, nil, boxOf)
+		cols, boxes, st, err = readColumnsV3Once(dir, dm.PartitionMeta, dm.run(), c, boxOf)
 		return err
 	})
 	if err != nil {
 		return nil, nil, ReadStats{}, err
 	}
+	st.DeltaFiles, st.DeltasRead, st.DeltaRecords = 1, 1, int64(len(cols.IDs))
+	return cols, boxes, st, nil
+}
+
+// readDelta decodes one delta into records, pruning its blocks against
+// windows.
+func readDelta[T any](
+	dir string, dm DeltaMeta, c codec.Codec[T], windows []index.Box,
+) ([]T, ReadStats, error) {
+	if err := checkFormat(dir, dm.File, deltaFormat(dm)); err != nil {
+		return nil, ReadStats{}, err
+	}
+	var recs []T
+	var st ReadStats
+	err := readWithRetry(dm.File, func() (err error) {
+		recs, st, err = readPartitionV3Once[T](dir, dm.PartitionMeta, dm.run(), c, windows, nil)
+		return err
+	})
+	if err != nil {
+		return nil, ReadStats{}, err
+	}
 	st.DeltaFiles, st.DeltasRead, st.DeltaRecords = 1, 1, int64(len(recs))
-	return recs, boxes, st, nil
+	return recs, st, nil
 }
 
 // boxIntersectsAny reports whether b intersects at least one window.

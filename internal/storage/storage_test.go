@@ -39,9 +39,19 @@ var recC = codec.Codec[rec]{
 			b.Str = append(b.Str, v.S)
 		},
 		Join: func(b *codec.ColBlock, i int, pay *codec.Reader) rec {
-			return rec{P: geom.Pt(b.Lon[i], b.Lat[i]), T: b.T[i], S: b.Str[i]}
+			return rec{P: geom.Pt(b.Lon[i], b.Lat[i]), T: b.T[i], S: b.StrAt(i)}
 		},
 	},
+}
+
+// readDeltaRows is ReadDelta with its columns joined into records.
+func readDeltaRows[T any](dir string, dm DeltaMeta, c codec.Codec[T]) ([]T, ReadStats, error) {
+	cols, _, st, err := ReadDelta(dir, dm, c, nil)
+	if err != nil {
+		return nil, st, err
+	}
+	recs, err := c.Col.Rows(cols)
+	return recs, st, err
 }
 
 // recRowC is the same wire schema without a columnar description: v3 files

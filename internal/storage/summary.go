@@ -118,8 +118,7 @@ func ReadPartitionBlocks[T any](
 		return nil, ReadStats{}, nil
 	}
 	// An out-of-range i falls through to readBase's range error.
-	recs, _, st, err := readBase(dir, meta, i, c, nil, want, nil)
-	return recs, st, err
+	return readBase(dir, meta, i, c, nil, want)
 }
 
 // BuildSummaries builds and commits summary sidecars for every base
@@ -159,7 +158,7 @@ func BuildSummaries[T any](
 		if err != nil {
 			return built, err
 		}
-		recs, _, _, err := ReadBase(dir, meta, i, c, nil)
+		recs, _, err := readBase(dir, meta, i, c, nil, nil)
 		if err != nil {
 			return built, err
 		}
