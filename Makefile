@@ -70,8 +70,7 @@ docs:
 # fuzz-smoke runs each byte-format fuzzer for a short bounded burst, so
 # the pre-merge gate gets real randomized coverage of the column codecs,
 # the v3 block reader, the block footer decoder every v3 read runs, the
-# legacy v1/v2 reader the migrating compaction pass runs on untrusted
-# bytes, the records' JSON wire form, the float writer's grid and strconv
+# records' JSON wire form, the float writer's grid and strconv
 # paths, and the sub-reply frame parser the router runs on shard replies,
 # on top of the committed corpora (which the plain test run already
 # replays as regression inputs). Every
@@ -83,7 +82,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzColumnCodecs$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/codec
 	$(GO) test -run='^$$' -fuzz='^FuzzV3Block$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzBlockFooter$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
-	$(GO) test -run='^$$' -fuzz='^FuzzV2Partition$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzSubscriptionIndex$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/subscribe
 	$(GO) test -run='^$$' -fuzz='^FuzzSummarySidecar$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/summary
 	$(GO) test -run='^$$' -fuzz='^FuzzRecordJSON$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/stdata

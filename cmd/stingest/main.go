@@ -10,19 +10,20 @@
 //	stload -dataset nyc -n 500000 -out /data/nyc        # base ingest
 //	stingest -dataset nyc -dir /data/nyc -input feed.csv
 //	stingest -dataset nyc -dir /data/nyc -input feed.csv -once
-//	stingest -dataset nyc -dir /data/nyc -once          # compact (migrate) only
+//	stingest -dataset nyc -dir /data/nyc -once          # compact only
 //
 // Exactly-once: every batch carries an id derived from its byte range in
 // the input file, and the committed offset is persisted beside the dataset
 // after each append. A crash at any point replays at most the last batch,
 // which the manifest recognizes as already applied and drops. -once
 // processes the file's current contents and exits (batch pipelines,
-// tests); without it stingest polls for growth until interrupted.
+// tests); without it stingest polls for growth until interrupted. With
+// -once and no -input it ingests nothing and runs one compaction pass.
 //
-// Every compaction pass also rewrites any partition whose base or deltas
-// are in the legacy v1/v2 layouts as v3, the only layout readers take, so
-// `stingest -dir D -once` with no -input is the one-command migration of
-// a dataset written before v3: it ingests nothing and runs that one pass.
+// A dataset holding files in the legacy v1/v2 layouts is refused before
+// anything is appended or compacted, with storage.ErrLegacyFormat: no
+// reader takes those layouts, so such a dataset is re-ingested from its
+// source records with stload.
 package main
 
 import (
@@ -144,7 +145,11 @@ func run(cfg config) error {
 	if !ok {
 		return fmt.Errorf("unknown dataset schema %q", cfg.Schema)
 	}
-	if _, err := storage.ReadMetadata(cfg.Dir); err != nil {
+	meta, err := storage.ReadMetadata(cfg.Dir)
+	if err == nil {
+		err = meta.CheckFormat(cfg.Dir)
+	}
+	if err != nil {
 		return fmt.Errorf("dataset at %s: %w", cfg.Dir, err)
 	}
 	if cfg.BatchRecords <= 0 {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -157,19 +158,29 @@ func TestIngestSurfacesHookError(t *testing.T) {
 	}
 }
 
-// TestMigrateLegacyGoldens is the one-command migration, end to end, on
-// temp copies of the committed v1 and v2 golden datasets (both carry
-// summary sidecars). Before the pass every entry point refuses the
-// dataset with storage.ErrLegacyFormat — the four storage readers, the
-// summary backfill, the serving catalog, and the selection path stquery
-// -dir runs. `stingest -dir D -once` with no -input then rewrites every
-// partition as v3 and keeps the sidecars live; afterwards each entry point
-// answers, a second pass compacts nothing, and GC has kept the files
-// metadata.json names.
-func TestMigrateLegacyGoldens(t *testing.T) {
+// TestOnceOnLegacyAndMigratedGoldens drives `stingest -once` over temp
+// copies of the committed golden datasets. On the legacy v1 and v2 copies
+// it refuses with storage.ErrLegacyFormat — as a bare compaction pass and
+// with an -input feed alike — naming the re-ingest, and leaves every file
+// as it was: nothing is appended, compacted or collected. On the copies
+// the migrating compaction pass produced before v1/v2 support was dropped
+// (metadata.json still v1/v2, every partition rewritten as v3) it ingests
+// a feed and compacts it in, after which every entry point answers, the
+// sidecars stay live, a second pass compacts nothing, and GC has kept the
+// legacy files metadata.json still names.
+func TestOnceOnLegacyAndMigratedGoldens(t *testing.T) {
 	ctx := engine.New(engine.Config{Slots: 2})
 	sch, _ := stdata.Lookup("nyc")
 	all := selection.Window{Space: geom.Box(-180, -90, 180, 90), Time: tempo.New(0, 1<<60)}
+	feed := filepath.Join(t.TempDir(), "feed.csv")
+	var csv bytes.Buffer
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&csv, "%d,%v,%v,%d,feed\n", 50_000+i, -73.9+0.1*float64(i%8), 40.8, 100+600*i)
+	}
+	if err := os.WriteFile(feed, csv.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	for _, tc := range []struct {
 		golden  string
 		version int
@@ -178,23 +189,70 @@ func TestMigrateLegacyGoldens(t *testing.T) {
 		{"v2-golden", 2},
 	} {
 		dir := copyGolden(t, tc.golden)
+		before := readFiles(t, dir)
+		for _, input := range []string{"", feed} {
+			cfg := config{Schema: "nyc", Dir: dir, Input: input, Once: true, CompactDeltas: 1, GCGrace: 0}
+			var le storage.ErrLegacyFormat
+			err := run(cfg)
+			if !errors.As(err, &le) || le.Dir != dir || le.Version != tc.version {
+				t.Fatalf("%s -input %q: run returned %v, want ErrLegacyFormat v%d", tc.golden, input, err, tc.version)
+			}
+			if !strings.Contains(err.Error(), "stload -dataset <schema> -input") {
+				t.Fatalf("%s: refusal does not name the re-ingest: %v", tc.golden, err)
+			}
+			if after := readFiles(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("%s -input %q: the refused run changed the dataset's files", tc.golden, input)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		golden  string
+		version int
+	}{
+		{"v1-migrated-golden", 0},
+		{"v2-migrated-golden", 2},
+	} {
+		dir := copyGolden(t, tc.golden)
 		meta, err := storage.ReadMetadata(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A delta whose manifest entry has no format predates the columnar
-		// layout: the delta reader refuses it without opening the file.
-		legacyDelta := storage.DeltaMeta{PartitionMeta: meta.Partitions[0]}
+		if meta.Version != tc.version {
+			t.Fatalf("%s: metadata version %d, want %d", tc.golden, meta.Version, tc.version)
+		}
+		sidecars := summaryCount(meta)
+		if sidecars != meta.NumPartitions() {
+			t.Fatalf("%s: golden carries %d sidecars for %d partitions", tc.golden, sidecars, meta.NumPartitions())
+		}
+
+		var log bytes.Buffer
+		cfg := config{Schema: "nyc", Dir: dir, Input: feed, Once: true, CompactDeltas: 1, GCGrace: 0, Log: &log}
+		if err := run(cfg); err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		}
+		if !strings.Contains(log.String(), "compacted ") || strings.Contains(log.String(), "compacted 0 partitions") {
+			t.Fatalf("%s: log %q, want the feed compacted in", tc.golden, log.String())
+		}
+		meta, err = storage.ReadMetadata(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := meta.CheckFormat(dir); err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		}
+		if meta.TotalCount != 92 || meta.DeltaCount() != 0 {
+			t.Fatalf("%s: %d records and %d deltas after the run, want 92 and 0", tc.golden, meta.TotalCount, meta.DeltaCount())
+		}
+		if summaryCount(meta) != sidecars {
+			t.Fatalf("%s: %d live sidecars after the run, %d before", tc.golden, summaryCount(meta), sidecars)
+		}
 		entries := []struct {
 			name string
 			run  func() error
 		}{
 			{"ReadBase", func() error {
 				_, _, _, err := storage.ReadBase(dir, meta, 0, stdata.EventRecC, nil)
-				return err
-			}},
-			{"ReadDelta", func() error {
-				_, _, _, err := storage.ReadDelta(dir, legacyDelta, stdata.EventRecC, nil)
 				return err
 			}},
 			{"ReadPartitionPruned", func() error {
@@ -213,87 +271,60 @@ func TestMigrateLegacyGoldens(t *testing.T) {
 				_, err := serve.NewCatalog().Register("nyc", "nyc", dir)
 				return err
 			}},
-			{"stquery -dir", func() error {
-				_, err := sch.NewQuerier(ctx, selection.Config{}).SelectPruned(dir, all)
-				return err
-			}},
-		}
-		for _, e := range entries {
-			var le storage.ErrLegacyFormat
-			if err := e.run(); !errors.As(err, &le) || le.Dir != dir {
-				t.Fatalf("%s: %s returned %v, want ErrLegacyFormat for %s", tc.golden, e.name, err, dir)
-			}
-		}
-		if le := (storage.ErrLegacyFormat{Dir: dir, File: "f", Version: tc.version}); !strings.Contains(le.Error(), "-dir "+dir+" -once") {
-			t.Fatalf("legacy error does not name the migration: %v", le)
-		}
-		sidecars := summaryCount(meta)
-		if sidecars != meta.NumPartitions() {
-			t.Fatalf("%s: golden carries %d sidecars for %d partitions", tc.golden, sidecars, meta.NumPartitions())
-		}
-
-		// The migration: stingest -dir D -once.
-		var log bytes.Buffer
-		cfg := config{Schema: "nyc", Dir: dir, Once: true, CompactDeltas: 4, GCGrace: 0, Log: &log}
-		if err := run(cfg); err != nil {
-			t.Fatalf("%s: migration: %v", tc.golden, err)
-		}
-		if want := fmt.Sprintf("compacted %d partitions", meta.NumPartitions()); !strings.Contains(log.String(), want) {
-			t.Fatalf("%s: migration log %q, want %q", tc.golden, log.String(), want)
-		}
-		meta, err = storage.ReadMetadata(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := meta.CheckFormat(dir); err != nil {
-			t.Fatalf("%s: after migration: %v", tc.golden, err)
-		}
-		if summaryCount(meta) != sidecars {
-			t.Fatalf("%s: %d live sidecars after migration, %d before", tc.golden, summaryCount(meta), sidecars)
-		}
-		migratedDelta := storage.DeltaMeta{PartitionMeta: meta.Partitions[0]}
-		entries[1].run = func() error {
-			_, _, _, err := storage.ReadDelta(dir, migratedDelta, stdata.EventRecC, nil)
-			return err
 		}
 		for _, e := range entries {
 			if err := e.run(); err != nil {
-				t.Fatalf("%s: %s after migration: %v", tc.golden, e.name, err)
+				t.Fatalf("%s: %s: %v", tc.golden, e.name, err)
 			}
 		}
 		st, err := sch.NewQuerier(ctx, selection.Config{}).SelectPruned(dir, all)
-		if err != nil || st.SelectedRecords != 80 {
-			t.Fatalf("%s: migrated query selected %d records (%v), want 80", tc.golden, st.SelectedRecords, err)
+		if err != nil || st.SelectedRecords != 92 {
+			t.Fatalf("%s: query selected %d records (%v), want 92", tc.golden, st.SelectedRecords, err)
 		}
 		res, _, err := sch.ApproxQuery(ctx, dir, meta, all, stdata.ApproxRequest{Agg: summary.AggCount})
-		if err != nil || res.Fallback || !res.Exact || res.CountLo != 80 {
-			t.Fatalf("%s: migrated approx count = %+v (%v), want exactly 80 from sidecars", tc.golden, res, err)
+		if err != nil || res.Fallback || !res.Exact || res.CountLo != 92 {
+			t.Fatalf("%s: approx count = %+v (%v), want exactly 92 from sidecars", tc.golden, res, err)
 		}
 
-		// A second pass finds nothing to migrate or fold.
+		// A second pass finds nothing to fold.
 		log.Reset()
+		cfg.Input = ""
 		if err := run(cfg); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(log.String(), "compacted 0 partitions") {
 			t.Fatalf("%s: second pass log %q, want nothing compacted", tc.golden, log.String())
 		}
-		// GC (grace 0) reaped the superseded sidecars but kept the legacy
-		// base files metadata.json still names.
-		raw := readRawPartitionFiles(t, dir)
-		for _, f := range raw {
+		// GC (grace 0) kept the legacy base files metadata.json still names,
+		// though no reader opens them.
+		for _, f := range readRawPartitionFiles(t, dir) {
 			if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 				t.Fatalf("%s: GC removed %s, which metadata.json names: %v", tc.golden, f, err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, f+summary.Suffix)); !os.IsNotExist(err) {
-				t.Fatalf("%s: superseded sidecar of %s survived GC", tc.golden, f)
 			}
 		}
 	}
 }
 
+// readFiles returns the bytes of every file in dir by name.
+func readFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
+}
+
 // copyGolden copies a committed golden dataset into a temp directory, so
-// the migration never touches the committed files.
+// a run never touches the committed files.
 func copyGolden(t *testing.T, name string) string {
 	t.Helper()
 	src := filepath.Join("..", "..", "internal", "storage", "testdata", name)

@@ -65,13 +65,45 @@ func TestQueryAllSchemas(t *testing.T) {
 	}
 }
 
-// TestQueryServesCommittedV1Golden points stquery's query path at a copy
-// of the committed legacy-format dataset under internal/storage/testdata —
-// the end-to-end half of the migration guarantee: a v1 store is refused
-// with the error naming the migration, and after the one compaction pass
-// that `stingest -dir D -once` runs it answers with every record.
+// TestQueryServesCommittedV1Golden points stquery's query path at copies
+// of the committed v1 dataset under internal/storage/testdata: the legacy
+// copy is refused with the error naming the re-ingest, and the copy the
+// migrating compaction pass produced before v1/v2 support was dropped
+// (metadata.json still v1, every partition rewritten as v3) answers with
+// every record.
 func TestQueryServesCommittedV1Golden(t *testing.T) {
-	src := "../../internal/storage/testdata/v1-golden"
+	ctx := engine.New(engine.Config{Slots: 2})
+	w := selection.Window{
+		Space: geom.Box(-180, -90, 180, 90),
+		Time:  tempo.New(0, 1<<60),
+	}
+	var le storage.ErrLegacyFormat
+	if _, err := query(ctx, "nyc", copyGolden(t, "v1-golden"), w, false); !errors.As(err, &le) || le.Version != 1 {
+		t.Fatalf("v1 query returned %v, want storage.ErrLegacyFormat v1", err)
+	}
+	if !strings.Contains(le.Error(), "stload -dataset <schema> -input") {
+		t.Fatalf("legacy error does not name the re-ingest: %v", le)
+	}
+	stats, err := query(ctx, "nyc", copyGolden(t, "v1-migrated-golden"), w, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SelectedRecords != 80 {
+		t.Errorf("migrated v1 dataset served %d records, want 80", stats.SelectedRecords)
+	}
+	// Each migrated partition is one v3 block (a v1 dataset records no
+	// block size, so its rewrites took the 4096-record default), and the
+	// full window prunes none.
+	if stats.BlocksTotal != int64(stats.LoadedPartitions) || stats.BlocksPruned != 0 {
+		t.Errorf("migrated block accounting off: %+v", stats)
+	}
+}
+
+// copyGolden copies a committed golden dataset under
+// internal/storage/testdata into a temp directory.
+func copyGolden(t *testing.T, name string) string {
+	t.Helper()
+	src := filepath.Join("..", "..", "internal", "storage", "testdata", name)
 	dir := t.TempDir()
 	ents, err := os.ReadDir(src)
 	if err != nil {
@@ -86,35 +118,7 @@ func TestQueryServesCommittedV1Golden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctx := engine.New(engine.Config{Slots: 2})
-	w := selection.Window{
-		Space: geom.Box(-180, -90, 180, 90),
-		Time:  tempo.New(0, 1<<60),
-	}
-	var le storage.ErrLegacyFormat
-	if _, err := query(ctx, "nyc", dir, w, false); !errors.As(err, &le) {
-		t.Fatalf("v1 query returned %v, want storage.ErrLegacyFormat", err)
-	}
-	if !strings.Contains(le.Error(), "-dir "+dir+" -once") {
-		t.Fatalf("legacy error does not name the migration: %v", le)
-	}
-	sch, _ := stdata.Lookup("nyc")
-	if _, err := sch.Compact(dir, storage.CompactOptions{GCGrace: -1}); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := query(ctx, "nyc", dir, w, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SelectedRecords != 80 {
-		t.Errorf("migrated v1 dataset served %d records, want 80", stats.SelectedRecords)
-	}
-	// Each migrated partition is one v3 block (a v1 dataset records no
-	// block size, so its rewrites take the 4096-record default), and the
-	// full window prunes none.
-	if stats.BlocksTotal != int64(stats.LoadedPartitions) || stats.BlocksPruned != 0 {
-		t.Errorf("migrated block accounting off: %+v", stats)
-	}
+	return dir
 }
 
 // TestExplainMatchesMetrics is the acceptance check that the explain report

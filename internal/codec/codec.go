@@ -64,14 +64,6 @@ func (w *Writer) PutString(s string) {
 // already-encoded records between buffers.
 func (w *Writer) PutRaw(b []byte) { w.buf = append(w.buf, b...) }
 
-// Write implements io.Writer, appending p verbatim — so a Writer can sit
-// directly under a compressor (the legacy v2 fixture writer's per-block
-// gzip).
-func (w *Writer) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
 // Reader decodes values from a byte slice. Decoding past the end or reading
 // malformed data panics with ErrCorrupt; the engine recovers panics at task
 // boundaries, and the store converts them to errors via Catch.

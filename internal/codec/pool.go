@@ -15,8 +15,8 @@ import "sync"
 const maxPooledWriterCap = 1 << 20
 
 // maxPooledBufCap is the same bound for raw byte buffers, sized for the
-// storage layer's block payloads (blocks are ~tens of KiB; a whole legacy
-// partition can be a few MiB).
+// storage layer's block payloads (blocks are ~tens of KiB), with headroom
+// for files written with large blocks.
 const maxPooledBufCap = 8 << 20
 
 var writerPool = sync.Pool{

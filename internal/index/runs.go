@@ -44,10 +44,6 @@ func (x *Runs) SizeBytes() int64 {
 	return int64(unsafe.Sizeof(Box{})) * int64(cap(x.boxes)+cap(x.runs))
 }
 
-// Boxes returns the record boxes in record order; callers must not modify
-// them.
-func (x *Runs) Boxes() []Box { return x.boxes }
-
 // Bound returns the number of records in the runs whose box intersects q:
 // an upper bound on the hits Search reports for q alone, from one test per
 // run, which a caller collecting the hits sizes its slice with.

@@ -104,8 +104,8 @@ func linearCalls(boxes, qs []Box, fn func(i, w int) bool) [][2]int {
 func checkRuns(t *testing.T, name string, boxes []Box) {
 	t.Helper()
 	x := NewRuns(boxes)
-	if !reflect.DeepEqual(x.Boxes(), boxes) {
-		t.Fatalf("%s: index holds %d boxes, built over %d", name, len(x.Boxes()), len(boxes))
+	if !reflect.DeepEqual(x.boxes, boxes) {
+		t.Fatalf("%s: index holds %d boxes, built over %d", name, len(x.boxes), len(boxes))
 	}
 	windows := runWindows(append(append([]Box{}, boxes...), oddBoxes()...))
 	sets := make([][]Box, 0, 2*len(windows))

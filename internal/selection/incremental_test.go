@@ -46,7 +46,7 @@ func TestIncrementalIngestAndMergedSelect(t *testing.T) {
 	// partition lists concatenate, each file renamed under its batch dir.
 	merged := &storage.Metadata{Name: "merged"}
 	for dir, m := range metas {
-		merged.Framed, merged.Version, merged.BlockRecords = m.Framed, m.Version, m.BlockRecords
+		merged.Version, merged.BlockRecords = m.Version, m.BlockRecords
 		merged.TotalCount += m.TotalCount
 		for _, p := range m.Partitions {
 			p.File = filepath.Join(dir, p.File)

@@ -55,8 +55,8 @@ func ParseDatasetSpec(spec string) (name, schema, dir string, err error) {
 
 // Register adds the dataset at dir under name, decoding its records with
 // the named stdata schema. The metadata is read eagerly so registration of
-// a missing or broken dataset — or of one still holding v1/v2 files, which
-// fails with storage.ErrLegacyFormat naming the migration — fails at
+// a missing or broken dataset — or of one holding legacy v1/v2 files,
+// which fails with storage.ErrLegacyFormat naming the re-ingest — fails at
 // startup, not at first query.
 func (c *Catalog) Register(name, schemaName, dir string) (*Dataset, error) {
 	sch, ok := stdata.Lookup(schemaName)

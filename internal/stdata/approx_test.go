@@ -140,13 +140,15 @@ func checkContainment(t *testing.T, tag string, res *summary.Result, recs []Even
 }
 
 // TestApproxMetamorphicWall is the statistical test wall: planner layout ×
-// block size × window selectivity × aggregate, every combination through
-// the full on-disk ApproxQuery path, asserting
+// block size × boundary mode × window selectivity × aggregate, every
+// combination through the full on-disk ApproxQuery path, asserting
 // exact ∈ [estimate−bound, estimate+bound] and that per-partition
-// provenance sums to the result totals. 3 layouts × 6 windows × 3
-// aggregates = 54 seeded combinations. The v1/v2 half of the wall (same
-// corpus, same window seeds) is the storage package's
-// TestApproxLegacyMetamorphicWall, which owns the legacy fixture writer.
+// provenance sums to the result totals. Half the layouts are ingested
+// whole and backfilled; the other half take the corpus's last 100 records
+// as an append, so a compaction pass rewrites the partitions they reach
+// and rebuilds those sidecars over the rewrites (4096-record blocks —
+// one per partition here — 16, and 64 with boundary scans). 6 layouts ×
+// 6 windows × 3 aggregates = 108 seeded combinations.
 func TestApproxMetamorphicWall(t *testing.T) {
 	ctx := engine.New(engine.Config{Slots: 2})
 	sch, _ := Lookup("nyc")
@@ -158,17 +160,26 @@ func TestApproxMetamorphicWall(t *testing.T) {
 		blockRecords int
 		gt, gs       int
 		scanBoundary bool
+		compacted    bool
 	}{
-		{"v3-b16", 16, 3, 3, false},
-		{"v3-b64", 64, 2, 2, false},
-		{"v3-b32-scan", 32, 4, 4, true},
+		{"v3-b16", 16, 3, 3, false, false},
+		{"v3-b64", 64, 2, 2, false, false},
+		{"v3-b32-scan", 32, 4, 4, true, false},
+		{"compacted-b4096", 4096, 2, 2, false, true},
+		{"compacted-b16", 16, 2, 2, false, true},
+		{"compacted-b64-scan", 64, 3, 3, true, true},
 	}
 	fracs := []float64{0.05, 0.1, 0.2, 0.5, 0.8, 1.0}
 	aggs := []string{summary.AggCount, summary.AggHist, summary.AggQuantile}
 
+	combos := 0
 	for _, lay := range layouts {
 		dir := t.TempDir()
-		meta, err := sch.Ingest(ctx, recs, dir, sch.DefaultPlanner(lay.gt, lay.gs),
+		base := recs
+		if lay.compacted {
+			base = recs[:600]
+		}
+		meta, err := sch.Ingest(ctx, base, dir, sch.DefaultPlanner(lay.gt, lay.gs),
 			selection.IngestOptions{
 				Name: lay.name, SampleFrac: 0.5, Seed: 1,
 				BlockRecords: lay.blockRecords,
@@ -179,14 +190,28 @@ func TestApproxMetamorphicWall(t *testing.T) {
 		if n, err := sch.BuildSummaries(dir, summary.Config{}); err != nil || n != meta.NumPartitions() {
 			t.Fatalf("%s: BuildSummaries = (%d, %v), want %d", lay.name, n, err, meta.NumPartitions())
 		}
+		if lay.compacted {
+			if _, err := sch.Append(recs[600:], dir, ""); err != nil {
+				t.Fatal(err)
+			}
+			st, err := sch.Compact(dir, storage.CompactOptions{MinDeltas: 1, GCGrace: -1})
+			if err != nil || st.PartitionsCompacted == 0 || st.RecordsRewritten < 100 {
+				t.Fatalf("%s: Compact = (%+v, %v), want the appended records rewritten", lay.name, st, err)
+			}
+		}
 		meta, err = storage.ReadMetadata(dir)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if meta.DeltaCount() != 0 || summaryCount(meta) != meta.NumPartitions() {
+			t.Fatalf("%s: %d deltas and %d sidecars for %d partitions", lay.name,
+				meta.DeltaCount(), summaryCount(meta), meta.NumPartitions())
 		}
 		wrng := rand.New(rand.NewSource(int64(len(lay.name)) * 131))
 		for wi, f := range fracs {
 			w := approxWindow(wrng, f)
 			for _, agg := range aggs {
+				combos++
 				q := wrng.Float64()
 				res, _, err := sch.ApproxQuery(ctx, dir, meta, w, ApproxRequest{
 					Agg: agg, Q: q, Res: 3, ScanBoundary: lay.scanBoundary,
@@ -200,6 +225,9 @@ func TestApproxMetamorphicWall(t *testing.T) {
 				checkContainment(t, lay.name+"/"+agg, res, recs, w, q)
 			}
 		}
+	}
+	if combos != 108 {
+		t.Fatalf("%d combinations, want 108", combos)
 	}
 }
 

@@ -19,14 +19,16 @@ import (
 // The column ≡ row wall: a pinned segment holds its file's columns, and
 // the records it rebuilds from them must be the records the storage row
 // reader decodes from the same file, in the same order, with the boxes
-// the segment pinned equal to the schema's BoxOf of each, bit for bit —
+// the storage reader hands the segment equal to the schema's BoxOf of
+// each, bit for bit —
 // for every registered schema, in its native column layout and in the
 // generic row layout, in base and delta files.
 
 // checkColumnsMatchRows writes recs through c as one base partition of
 // 8-record blocks and appends each of deltas as a delta file, then
 // compares the records joined from every LoadBase and LoadDelta segment
-// with storage.ReadPartition's rows.
+// with storage.ReadPartition's rows, and the boxes ReadBase and ReadDelta
+// return for pinning with BoxOf of those rows.
 func checkColumnsMatchRows[T any](t *testing.T, s schema[T], layout string, c codec.Codec[T], recs []T, deltas ...[]T) {
 	t.Helper()
 	name := s.spec.Name + " " + layout
@@ -56,6 +58,10 @@ func checkColumnsMatchRows[T any](t *testing.T, s schema[T], layout string, c co
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, boxes, _, err := storage.ReadBase(dir, meta, 0, s.spec.Codec, s.spec.BoxOf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	segs := []*segment[T]{base.(*segment[T])}
 	for _, dm := range meta.Deltas(0) {
 		d, _, err := s.LoadDelta(dir, dm)
@@ -63,12 +69,15 @@ func checkColumnsMatchRows[T any](t *testing.T, s schema[T], layout string, c co
 			t.Fatal(err)
 		}
 		segs = append(segs, d.(*segment[T]))
+		_, dboxes, _, err := storage.ReadDelta(dir, dm, s.spec.Codec, s.spec.BoxOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boxes = append(boxes, dboxes...)
 	}
 	var got []T
-	var boxes []index.Box
 	for _, g := range segs {
 		got = append(got, segRows(t, s, g)...)
-		boxes = append(boxes, g.idx.Boxes()...)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%s: segments join %d records, the row reader reads %d", name, len(got), len(want))
@@ -126,7 +135,7 @@ func TestSegmentChargeMatchesSlices(t *testing.T) {
 	}
 	g := p.(*segment[EventRec])
 	n := int64(g.n)
-	runIndex := 48 * (int64(len(g.idx.Boxes())) + (n+15)/16)
+	runIndex := 48 * (n + (n+15)/16)
 	cols := g.state.Load().cols
 	// nyc keeps every field in the shared columns: 8 bytes each of id,
 	// lon, lat and t, and a 4-byte dictionary index a record, with no

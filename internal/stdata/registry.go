@@ -147,10 +147,11 @@ type Schema interface {
 	// push stream stay byte-identical to a batch re-query.
 	ReadDelta(dir string, dm storage.DeltaMeta) ([]index.Box, []json.RawMessage, error)
 	// Compact runs one compaction pass over the dataset at dir, folding
-	// delta files back into rewritten base partitions and rewriting legacy
-	// v1/v2 files as v3. Every rewritten partition that had a live summary
-	// sidecar gets a fresh one, built with the default summary config
-	// (opts.Summarizer is always the schema's).
+	// delta files back into rewritten base partitions; a dataset holding
+	// legacy v1/v2 files is refused with storage.ErrLegacyFormat. Every
+	// rewritten partition that had a live summary sidecar gets a fresh
+	// one, built with the default summary config (opts.Summarizer is
+	// always the schema's).
 	Compact(dir string, opts storage.CompactOptions) (storage.CompactStats, error)
 	// LoadPartition reads and decodes partition id of the dataset at dir as
 	// its live view — LiveView over LoadBase and a LoadDelta per attached
@@ -288,12 +289,11 @@ func (s schema[T]) Append(recs any, dir, batchID string) (int64, error) {
 }
 
 func (s schema[T]) ReadDelta(dir string, dm storage.DeltaMeta) ([]index.Box, []json.RawMessage, error) {
-	p, _, err := s.LoadDelta(dir, dm)
+	cols, boxes, _, err := storage.ReadDelta(dir, dm, s.spec.Codec, s.spec.BoxOf)
 	if err != nil {
 		return nil, nil, err
 	}
-	d := p.(*segment[T])
-	rows, err := s.spec.Codec.Col.Rows(d.state.Load().cols)
+	rows, err := s.spec.Codec.Col.Rows(cols)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -303,7 +303,7 @@ func (s schema[T]) ReadDelta(dir string, dm storage.DeltaMeta) ([]index.Box, []j
 			return nil, nil, err
 		}
 	}
-	return d.idx.Boxes(), e.records(), nil
+	return boxes, e.records(), nil
 }
 
 func (s schema[T]) SelectPoints(

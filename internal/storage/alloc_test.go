@@ -51,15 +51,15 @@ func flatBox(v flatRec) index.Box {
 	}
 }
 
-func flatDataset(t testing.TB, dir string, c codec.Codec[flatRec], version int, compress bool, n, blockRecords int) *Metadata {
+func flatDataset(t testing.TB, dir string, c codec.Codec[flatRec], n, blockRecords int) *Metadata {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	part := make([]flatRec, n)
 	for i := range part {
 		part[i] = flatRec{X: rng.Float64() * 100, Y: rng.Float64() * 100, T: int64(i)}
 	}
-	meta, err := WriteLegacy(dir, c, [][]flatRec{part}, flatBox, LegacyOptions{
-		Name: "alloc", Version: version, Compress: compress, BlockRecords: blockRecords,
+	meta, err := Write(dir, c, [][]flatRec{part}, flatBox, WriteOptions{
+		Name: "alloc", BlockRecords: blockRecords,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,54 +67,39 @@ func flatDataset(t testing.TB, dir string, c codec.Codec[flatRec], version int, 
 	return meta
 }
 
-// Alloc ceilings for one full read of 2048 records across 8 blocks: the
-// v3 query read, and the legacy v2 read of the compaction pass, plain and
-// gzip. The fixed costs are the result slice, file handle, footer index,
-// and a handful of error-path-free bookkeeping allocations; block payload
-// and decompression buffers come from the codec pools and must NOT scale
-// with record or block count. Ceilings are deliberately loose so the test
+// allocCeiling bounds one full read of 2048 records across 8 blocks, in
+// either v3 layout. The fixed costs are the result slice, file handle,
+// footer index, and a handful of error-path-free bookkeeping allocations;
+// block payload buffers come from the codec pools and must NOT scale with
+// record or block count. The ceiling is deliberately loose so the test
 // only fires on a real regression — e.g. losing pooling would add ~2
-// allocs per block and tens of KiB per read, blowing well past these
-// numbers.
-const (
-	allocCeilingPlain = 150
-	allocCeilingGzip  = 250
-)
+// allocs per block and tens of KiB per read, blowing well past it.
+const allocCeiling = 150
 
 func TestReadPartitionAllocCeiling(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		c        codec.Codec[flatRec]
-		version  int
-		compress bool
-		ceiling  float64
+		name string
+		c    codec.Codec[flatRec]
 	}{
-		// The legacy v2 reader compaction migrates with.
-		{"plain", flatC, 2, false, allocCeilingPlain},
-		{"gzip", flatC, 2, true, allocCeilingGzip},
-		// v3 native decodes pooled column slices; its ceiling matches plain.
-		{"v3", flatColC, 3, false, allocCeilingPlain},
+		// The generic row layout of a codec without a columnar schema.
+		{"plain", flatC},
+		// The native layout, decoding pooled column slices.
+		{"v3", flatColC},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			meta := flatDataset(t, dir, tc.c, tc.version, tc.compress, 2048, 256)
+			meta := flatDataset(t, dir, tc.c, 2048, 256)
 			read := func() {
-				var out []flatRec
-				var err error
-				if tc.version < FormatVersion {
-					out, err = readForCompaction(dir, meta, 0, tc.c)
-				} else {
-					out, err = ReadPartition(dir, meta, 0, tc.c)
-				}
+				out, err := ReadPartition(dir, meta, 0, tc.c)
 				if err != nil || len(out) != 2048 {
 					t.Fatalf("read: %d recs, %v", len(out), err)
 				}
 			}
 			read() // warm the pools so steady-state is what's measured
 			got := testing.AllocsPerRun(20, read)
-			if got > tc.ceiling {
+			if got > allocCeiling {
 				t.Errorf("ReadPartition (%s) allocs/op = %.0f, ceiling %v — pooled buffers regressed?",
-					tc.name, got, tc.ceiling)
+					tc.name, got, allocCeiling)
 			}
 		})
 	}
@@ -122,7 +107,7 @@ func TestReadPartitionAllocCeiling(t *testing.T) {
 
 func benchRead(b *testing.B, windows []index.Box) {
 	dir := b.TempDir()
-	meta := flatDataset(b, dir, flatColC, 3, false, 64<<10, 1024)
+	meta := flatDataset(b, dir, flatColC, 64<<10, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

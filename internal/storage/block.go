@@ -26,9 +26,8 @@ import (
 // Every frame is the codec package's uvarint(len) + CRC32-C + payload
 // envelope. The 12-byte trailer is a fixed-width pointer to the footer
 // frame plus a closing magic, distinct from the header magic so a
-// truncation that happens to end on the header still fails. v3 (blockv3.go)
-// is the layout every reader takes; the legacy v2 files of legacy.go share
-// the frame, footer, and trailer and differ only in the block payloads.
+// truncation that happens to end on the header still fails. blockv3.go
+// writes the block payloads as column streams.
 
 const (
 	// blockHeaderLen is the header magic length.
@@ -43,10 +42,11 @@ const (
 // the only one the query path reads.
 const FormatVersion = 3
 
-// DefaultBlockRecords was the v2 layout's records-per-block default. Appends
-// and compactions still use it on datasets whose metadata records no block
-// size (v1), so files they add keep the granularity those datasets always
-// had. New datasets default to the finer DefaultBlockRecordsV3.
+// DefaultBlockRecords is the records-per-block target of appends and
+// compactions on a dataset whose metadata records no block size: a store
+// first written in the v1 layout and migrated to v3 before v1/v2 support
+// was dropped keeps the 4096-record granularity its rewrites were given.
+// Write records its block size, whose default is DefaultBlockRecordsV3.
 const DefaultBlockRecords = 4096
 
 // BlockMeta describes one block of a partition file, as recorded in the
@@ -56,7 +56,8 @@ type BlockMeta struct {
 	Offset int64
 	// Stored is the framed length on disk (envelope included).
 	Stored int64
-	// Raw is the payload length (decompressed, on gzip v2 files).
+	// Raw is the block payload's length (the frame less its envelope),
+	// checked against the frame on every read.
 	Raw int64
 	// Count is the number of records encoded in the block.
 	Count int64
@@ -125,12 +126,12 @@ func decodeFooter(payload []byte, blockRegionEnd int64) []BlockMeta {
 	return blocks
 }
 
-// readFooter opens a block-layout file, checks its header and trailer
-// magics and the trailer's footer offset, and hands the CRC-verified
-// footer payload to parse (run under codec.Catch, so parse reports
-// corruption by panicking codec.ErrCorrupt). It returns the open file for
-// ReadAt, the footer offset, and the file size.
-func readFooter(path, magic, trailerMagic string, parse func(payload []byte, footerOff int64)) (*os.File, int64, int64, error) {
+// readFooter opens a v3 file, checks its header and trailer magics and
+// the trailer's footer offset, and hands the CRC-verified footer payload
+// to parse (run under codec.Catch, so parse reports corruption by
+// panicking codec.ErrCorrupt). It returns the open file for ReadAt, the
+// footer offset, and the file size.
+func readFooter(path string, parse func(payload []byte, footerOff int64)) (*os.File, int64, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("storage: open partition: %w", err)
@@ -152,7 +153,7 @@ func readFooter(path, magic, trailerMagic string, parse func(payload []byte, foo
 	if _, err := f.ReadAt(head[:], 0); err != nil {
 		return fail(fmt.Errorf("storage: read header: %w", err))
 	}
-	if string(head[:]) != magic {
+	if string(head[:]) != v3Magic {
 		return fail(fmt.Errorf("storage: partition %s: bad magic: %w", name, codec.ErrCorrupt{Off: 0}))
 	}
 	var trailer [trailerLen]byte
@@ -160,7 +161,7 @@ func readFooter(path, magic, trailerMagic string, parse func(payload []byte, foo
 		return fail(fmt.Errorf("storage: read trailer: %w", err))
 	}
 	footerOff := int64(binary.LittleEndian.Uint64(trailer[:8]))
-	if string(trailer[8:]) != trailerMagic || footerOff < blockHeaderLen || footerOff >= size-trailerLen {
+	if string(trailer[8:]) != v3TrailerMagic || footerOff < blockHeaderLen || footerOff >= size-trailerLen {
 		return fail(fmt.Errorf("storage: partition %s: bad trailer: %w",
 			name, codec.ErrCorrupt{Off: int(size - trailerLen)}))
 	}

@@ -54,9 +54,9 @@ const (
 
 // DefaultBlockRecordsV3 is the records-per-block target for v3 files.
 // Columnar framing costs a near-constant ~100 bytes per block (no gzip
-// stream to warm up), so v3 affords 4× finer blocks than the gzip v2
-// layout did — and with them 4× finer pruning granularity for small-range
-// queries.
+// stream to warm up), so v3 affords 4× finer blocks than the gzipped row
+// blocks before it (DefaultBlockRecords) — and with them 4× finer pruning
+// granularity for small-range queries.
 const DefaultBlockRecordsV3 = 1024
 
 // maxBlockRecords caps the record count a single block may claim; counts
@@ -253,7 +253,7 @@ func writePartitionV3File[T any](
 func readFooterV3(path string) (*os.File, byte, []BlockMeta, int64, int64, error) {
 	var profile byte
 	var blocks []BlockMeta
-	f, footerOff, size, err := readFooter(path, v3Magic, v3TrailerMagic, func(payload []byte, footerOff int64) {
+	f, footerOff, size, err := readFooter(path, func(payload []byte, footerOff int64) {
 		if len(payload) < 1 {
 			panic(codec.ErrCorrupt{Off: int(footerOff)})
 		}

@@ -18,8 +18,6 @@ import (
 type CompactOptions struct {
 	// MinDeltas is the size-tier trigger: only partitions carrying at least
 	// this many delta files are rewritten (0 means 1 — any delta compacts).
-	// A partition whose base or any delta is a legacy v1/v2 file is
-	// rewritten whatever MinDeltas says, so one pass migrates a dataset.
 	MinDeltas int
 	// Tracer, when non-nil, records one trace.SpanCompact span per
 	// rewritten partition.
@@ -58,16 +56,16 @@ type CompactStats struct {
 }
 
 // Compact is the background compactor's one pass over the dataset at dir:
-// every partition whose attached deltas meet the size-tier threshold, or
-// whose base or deltas are in a legacy v1/v2 layout, is rewritten — base +
-// deltas read whole, Z-order re-clustered, written as a fresh
-// generation-suffixed file in the current format (v3 columnar) — and the
-// whole pass commits with a single atomic manifest swap that bumps
-// the dataset generation. Readers are never blocked: the old base and
-// delta files stay on disk until the grace-bounded GC collects them, so a
-// reader holding the pre-compaction manifest keeps a complete, consistent
-// view (MVCC with files). Queries before and after the swap return
-// identical records; only the file layout changes.
+// every partition whose attached deltas meet the size-tier threshold is
+// rewritten — base + deltas read whole, Z-order re-clustered, written as a
+// fresh generation-suffixed v3 file — and the whole pass commits with a
+// single atomic manifest swap that bumps the dataset generation. A dataset
+// holding a legacy v1/v2 file is refused with ErrLegacyFormat before
+// anything is written or collected. Readers are never blocked: the old
+// base and delta files stay on disk until the grace-bounded GC collects
+// them, so a reader holding the pre-compaction manifest keeps a complete,
+// consistent view (MVCC with files). Queries before and after the swap
+// return identical records; only the file layout changes.
 //
 // After a committing pass, OnCommit hooks for dir run outside the writer
 // lock; a hook failure returns the pass's stats alongside a *HookError —
@@ -100,6 +98,9 @@ func compactLocked[T any](
 	if err != nil {
 		return CompactStats{}, false, err
 	}
+	if err := meta.CheckFormat(dir); err != nil {
+		return CompactStats{}, false, err
+	}
 	st := CompactStats{Generation: mf.Generation}
 
 	minDeltas := opts.MinDeltas
@@ -108,8 +109,7 @@ func compactLocked[T any](
 	}
 	var targets []int
 	for i := 0; i < meta.NumPartitions(); i++ {
-		// A partition holding a legacy file is due whatever its deltas.
-		if len(meta.Deltas(i)) >= minDeltas || meta.checkPartition(dir, i) != nil {
+		if len(meta.Deltas(i)) >= minDeltas {
 			targets = append(targets, i)
 		}
 	}
@@ -132,7 +132,7 @@ func compactLocked[T any](
 		sp := opts.Tracer.StartSpan(0, trace.SpanCompact,
 			trace.Int("partition", int64(pi)),
 			trace.Int("deltas", int64(len(meta.Deltas(pi)))))
-		recs, err := readForCompaction(dir, meta, pi, c)
+		recs, err := ReadPartition(dir, meta, pi, c)
 		if err != nil {
 			sp.End(trace.Str("error", err.Error()))
 			return st, false, fmt.Errorf("storage: compact partition %d: %w", pi, err)

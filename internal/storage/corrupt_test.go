@@ -1,15 +1,12 @@
 package storage
 
 import (
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-
-	"st4ml/internal/codec"
 )
 
 // TestBitFlipCorruptionDetected flips bytes in an on-disk partition file and
@@ -23,8 +20,8 @@ func TestBitFlipCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !meta.Framed {
-		t.Fatal("new datasets should be written framed")
+	if meta.Version != FormatVersion {
+		t.Fatalf("new datasets should be written as v%d, got v%d", FormatVersion, meta.Version)
 	}
 	path := filepath.Join(dir, meta.Partitions[0].File)
 	pristine, err := os.ReadFile(path)
@@ -78,55 +75,5 @@ func TestTruncatedPartitionDetected(t *testing.T) {
 	}
 	if _, err := ReadPartition(dir, meta, 0, recC); err == nil {
 		t.Fatal("truncated partition decoded silently")
-	}
-}
-
-// TestLegacyUnframedDatasetStillReads writes a bare (pre-framing) record
-// stream by hand under metadata with Framed=false — a dataset persisted
-// before checksums. The query path refuses it with ErrLegacyFormat; the
-// compaction pass migrates it to v3 with every record intact, while a
-// stream cut mid-record fails the pass with a corruption error and
-// commits nothing.
-func TestLegacyUnframedDatasetStillReads(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	part := makeParts(rng, 1, 30)[0]
-	w := codec.NewWriter(1 << 12)
-	for _, v := range part {
-		recC.Enc(w, v)
-	}
-	meta := &Metadata{
-		Name:       "legacy",
-		TotalCount: int64(len(part)),
-		Partitions: []PartitionMeta{{File: partitionFileName(0), Count: int64(len(part))}},
-	}
-	dir := t.TempDir()
-	if err := migrateBytes(t, dir, meta, w.Bytes()[:w.Len()-3]); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("cut stream: migration returned %v, want a corruption error", err)
-	}
-
-	dir = t.TempDir()
-	if err := writeMetadata(dir, meta); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, partitionFileName(0)), w.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var le ErrLegacyFormat
-	if _, err := ReadPartition(dir, meta, 0, recC); !errors.As(err, &le) || le.Version != 1 {
-		t.Fatalf("unframed read: %v, want ErrLegacyFormat v1", err)
-	}
-	if err := migrateBytes(t, dir, meta, w.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	migrated, err := ReadMetadata(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadPartition(dir, migrated, 0, recC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(canonical(got), canonical(part)) {
-		t.Error("legacy partition migrated incorrectly")
 	}
 }

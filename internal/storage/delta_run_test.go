@@ -210,7 +210,8 @@ func multiRunFuzzSeed(t testing.TB) ([]byte, []DeltaMeta) {
 // TestDeltaRunOutOfRange feeds the reader entries whose run the footer
 // does not hold — negative, empty, past the end, wrapping — or whose run
 // holds another record count: every read, through ReadDelta and through
-// the compaction reader, fails with a corruption error and none panics.
+// the merge-on-read reader compaction reads with, fails with a corruption
+// error and none panics.
 func TestDeltaRunOutOfRange(t *testing.T) {
 	dir, deltas := sharedStore(t)
 	total := 0
@@ -242,9 +243,7 @@ func TestDeltaRunOutOfRange(t *testing.T) {
 		if !errors.As(err, new(codec.ErrCorrupt)) {
 			t.Fatalf("%s: ReadDelta returned %v, want a corruption error", tc.name, err)
 		}
-		if perr := codec.Catch(func() {
-			_, err = readAnyFormat(dir, &Metadata{}, dm.PartitionMeta, dm.run(), deltaFormat(dm), recC)
-		}); perr != nil {
+		if perr := codec.Catch(func() { _, _, err = readDelta(dir, dm, recC, nil) }); perr != nil {
 			t.Fatalf("%s: compaction read panicked: %v", tc.name, perr)
 		}
 		if !errors.As(err, new(codec.ErrCorrupt)) {

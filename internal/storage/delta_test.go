@@ -186,33 +186,27 @@ func TestCompactFoldsDeltas(t *testing.T) {
 	}
 }
 
-// TestCompactV1Dataset pins the migration of a v1 dataset: it takes delta
-// appends (written as v3), the query path refuses it with ErrLegacyFormat,
-// and one compaction pass rewrites every partition — the delta-free ones
-// too, whatever MinDeltas says — as v3, after which the store reads back
-// base and appended records alike.
+// TestCompactV1Dataset pins the refusal of a v1 dataset that took delta
+// appends (written as v3): the query path refuses its base with
+// ErrLegacyFormat, and a compaction pass — whatever MinDeltas says —
+// refuses it too, before it writes, commits or collects anything, so the
+// directory stays byte-identical.
 func TestCompactV1Dataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	parts := makeParts(rng, 3, 50)
 	dir := t.TempDir()
-	if _, err := WriteLegacy(dir, recC, parts, recBox, LegacyOptions{Name: "v1", Version: 1}); err != nil {
+	if _, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "v1"}); err != nil {
 		t.Fatal(err)
 	}
-	var combined []rec
-	for _, p := range parts {
-		combined = append(combined, p...)
-	}
-	// Records clustered near partition 0's extent, so routing leaves other
-	// partitions delta-free.
 	extra := make([]rec, 20)
 	for i := range extra {
 		extra[i] = parts[0][i%len(parts[0])]
 		extra[i].T++
 	}
-	combined = append(combined, extra...)
 	if _, err := AppendDelta(dir, recC, extra, recBox, AppendOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	markLegacy(t, dir, 1)
 	meta, err := ReadMetadata(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -221,22 +215,19 @@ func TestCompactV1Dataset(t *testing.T) {
 	if _, _, err := ReadPartitionPruned(dir, meta, 0, recC, nil); !errors.As(err, &le) || le.Version != 1 {
 		t.Fatalf("v1 read: %v, want ErrLegacyFormat v1", err)
 	}
-	st, err := Compact(dir, recC, recBox, CompactOptions{MinDeltas: 100, GCGrace: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PartitionsCompacted != len(parts) {
-		t.Fatalf("migration rewrote %d of %d partitions", st.PartitionsCompacted, len(parts))
-	}
-	meta, err = ReadMetadata(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := meta.CheckFormat(dir); err != nil {
-		t.Fatalf("migrated store: %v", err)
-	}
-	if got := readAll(t, dir, nil); !reflect.DeepEqual(got, canonical(combined)) {
-		t.Fatal("v1 post-migration mismatch")
+	before := snapshotDir(t, dir)
+	for _, minDeltas := range []int{1, 100} {
+		st, err := Compact(dir, recC, recBox, CompactOptions{MinDeltas: minDeltas, GCGrace: 0})
+		if !errors.As(err, &le) || le.Dir != dir || le.File != meta.Partitions[0].File || le.Version != 1 {
+			t.Fatalf("MinDeltas %d: Compact returned %v, want ErrLegacyFormat naming %s v1",
+				minDeltas, err, meta.Partitions[0].File)
+		}
+		if st != (CompactStats{}) {
+			t.Fatalf("MinDeltas %d: refused pass reports %+v", minDeltas, st)
+		}
+		if !reflect.DeepEqual(snapshotDir(t, dir), before) {
+			t.Fatalf("MinDeltas %d: the refused pass changed the dataset's files", minDeltas)
+		}
 	}
 }
 
@@ -249,7 +240,7 @@ func TestMetamorphicDeltaEquivalence(t *testing.T) {
 	blockSizes := []int{7, 64}
 	batchCounts := []int{1, 3}
 	combos := 0
-	for _, lay := range v2Layouts() {
+	for _, lay := range storeLayouts() {
 		for _, bs := range blockSizes {
 			for _, nb := range batchCounts {
 				rng := rand.New(rand.NewSource(lay.seed * 100))
@@ -283,7 +274,7 @@ func TestMetamorphicDeltaEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				windows := v2Windows(rng, parts)
+				windows := windowKinds(rng, parts)
 				type state struct {
 					name string
 					dir  string
@@ -318,26 +309,20 @@ func TestMetamorphicDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// TestDeltaCrossFormatMerge pins the mixed-generation migration path: a
-// v2 gzip base takes delta appends (written in the current columnar
-// format) and carries one delta committed before the columnar layout (a
-// v2 file whose manifest entry has no format). The query path refuses
-// both legacy kinds with ErrLegacyFormat; one compaction pass with a
-// threshold no partition meets rewrites every partition as v3, and the
-// migrated store answers every window exactly like an in-memory filter of
-// all the records.
+// TestDeltaCrossFormatMerge pins merge-on-read across file formats: a v3
+// store takes delta appends (written in the current columnar format) and
+// carries one delta committed before the columnar layout (a manifest entry
+// with no format, which means a v2 file). Readers refuse that delta by
+// name — the delta reader, the merge-on-read path of its partition, and
+// CheckFormat — while partitions whose files are all v3 keep answering
+// every window exactly like an in-memory filter of their records; a
+// compaction pass refuses the store and leaves it byte-identical.
 func TestDeltaCrossFormatMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	parts := makeParts(rng, 3, 60)
 	dir := t.TempDir()
-	if _, err := WriteLegacy(dir, recC, parts, recBox, LegacyOptions{
-		Name: "xfmt", Version: 2, Compress: true, BlockRecords: 16,
-	}); err != nil {
+	if _, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "xfmt", BlockRecords: 16}); err != nil {
 		t.Fatal(err)
-	}
-	var combined []rec
-	for _, p := range parts {
-		combined = append(combined, p...)
 	}
 	for b := 0; b < 2; b++ {
 		extra := make([]rec, 25)
@@ -345,29 +330,24 @@ func TestDeltaCrossFormatMerge(t *testing.T) {
 			extra[i] = parts[0][(b*25+i)%len(parts[0])]
 			extra[i].T += int64(b + 1)
 		}
-		combined = append(combined, extra...)
 		if _, err := AppendDelta(dir, recC, extra, recBox, AppendOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A pre-columnar delta on partition 2: a v2 gzip file listed in the
-	// manifest without a format.
-	old := makeParts(rng, 1, 30)[0]
-	combined = append(combined, old...)
-	odir := t.TempDir()
-	om, err := WriteLegacy(odir, recC, [][]rec{old}, recBox, LegacyOptions{
-		Version: 2, Compress: true, BlockRecords: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A pre-columnar delta on partition 2: a manifest entry without a
+	// format. The refusal comes before the file is opened, so its bytes are
+	// a copy of partition 2's base.
 	mf, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm := DeltaMeta{Partition: 2, Seq: mf.NextSeq, PartitionMeta: om.Partitions[0]}
+	meta, err := ReadMetadata(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm := DeltaMeta{Partition: 2, Seq: mf.NextSeq, PartitionMeta: meta.Partitions[2]}
 	dm.File = deltaFileName(2, dm.Seq)
-	raw, err := os.ReadFile(filepath.Join(odir, om.Partitions[0].File))
+	raw, err := os.ReadFile(filepath.Join(dir, meta.Partitions[2].File))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,53 +361,59 @@ func TestDeltaCrossFormatMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	meta, err := ReadMetadata(dir)
-	if err != nil {
+	if meta, err = ReadMetadata(dir); err != nil {
 		t.Fatal(err)
 	}
-	if meta.Version != 2 {
-		t.Fatalf("base version = %d, want 2", meta.Version)
-	}
-	deltas := meta.DeltaCount()
 	var le ErrLegacyFormat
-	if _, _, err := ReadPartitionPruned(dir, meta, 0, recC, nil); !errors.As(err, &le) || le.Version != 2 {
-		t.Fatalf("v2 base read: %v, want ErrLegacyFormat v2", err)
-	}
 	if _, _, _, err := ReadDelta(dir, dm, recC, nil); !errors.As(err, &le) || le.File != dm.File || le.Version != 2 {
 		t.Fatalf("v2 delta read: %v, want ErrLegacyFormat naming %s", err, dm.File)
 	}
-	if err := meta.CheckFormat(dir); !errors.As(err, &le) {
-		t.Fatalf("CheckFormat: %v, want ErrLegacyFormat", err)
+	if _, _, err := ReadPartitionPruned(dir, meta, 2, recC, nil); !errors.As(err, &le) || le.File != dm.File {
+		t.Fatalf("partition 2 read: %v, want ErrLegacyFormat naming %s", err, dm.File)
 	}
-
-	st, err := Compact(dir, recC, recBox, CompactOptions{MinDeltas: 100, GCGrace: 0})
-	if err != nil {
-		t.Fatal(err)
+	if err := meta.CheckFormat(dir); !errors.As(err, &le) || le.File != dm.File {
+		t.Fatalf("CheckFormat: %v, want ErrLegacyFormat naming %s", err, dm.File)
 	}
-	if st.PartitionsCompacted != len(parts) || st.DeltasMerged != deltas {
-		t.Fatalf("migration compacted %d partitions and %d deltas, want %d and %d",
-			st.PartitionsCompacted, st.DeltasMerged, len(parts), deltas)
+	live := map[int][]rec{}
+	for pi := 0; pi < 2; pi++ {
+		if live[pi], err = ReadPartition(dir, meta, pi, recC); err != nil {
+			t.Fatalf("partition %d: %v", pi, err)
+		}
 	}
-	meta, err = ReadMetadata(dir)
-	if err != nil {
-		t.Fatal(err)
+	if len(live[0]) != len(parts[0])+50 || len(live[1]) != len(parts[1]) {
+		t.Fatalf("partitions hold %d and %d records, want %d and %d",
+			len(live[0]), len(live[1]), len(parts[0])+50, len(parts[1]))
 	}
-	if meta.DeltaCount() != 0 {
-		t.Fatalf("%d deltas survive compaction", meta.DeltaCount())
-	}
-	if err := meta.CheckFormat(dir); err != nil {
-		t.Fatalf("migrated store: %v", err)
-	}
-	for wname, win := range v2Windows(rng, parts) {
-		var want []rec
-		for _, r := range combined {
-			if recBox(r).Intersects(win) {
-				want = append(want, r)
+	for wname, win := range windowKinds(rng, parts) {
+		for pi, recs := range live {
+			var want []rec
+			for _, r := range recs {
+				if recBox(r).Intersects(win) {
+					want = append(want, r)
+				}
+			}
+			got, _, err := ReadPartitionPruned(dir, meta, pi, recC, []index.Box{win})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kept []rec
+			for _, r := range got {
+				if recBox(r).Intersects(win) {
+					kept = append(kept, r)
+				}
+			}
+			if !reflect.DeepEqual(canonical(kept), canonical(want)) {
+				t.Fatalf("%s: partition %d read %d records, want %d", wname, pi, len(kept), len(want))
 			}
 		}
-		if got := readAll(t, dir, []index.Box{win}); !reflect.DeepEqual(got, canonical(want)) {
-			t.Fatalf("%s: migrated read %d records, want %d", wname, len(got), len(want))
-		}
+	}
+
+	before := snapshotDir(t, dir)
+	if _, err := Compact(dir, recC, recBox, CompactOptions{MinDeltas: 1, GCGrace: 0}); !errors.As(err, &le) || le.File != dm.File {
+		t.Fatalf("Compact: %v, want ErrLegacyFormat naming %s", err, dm.File)
+	}
+	if !reflect.DeepEqual(snapshotDir(t, dir), before) {
+		t.Fatal("the refused pass changed the dataset's files")
 	}
 }
 

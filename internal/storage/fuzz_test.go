@@ -16,17 +16,14 @@ import (
 	"st4ml/internal/index"
 )
 
-// writeFuzzSeed produces the bytes of a small partition file of the given
-// format version plus its metadata, shared by the fuzz targets and the
-// byte-flip tests.
-func writeFuzzSeed(t testing.TB, version int, compress bool, blockRecords int) ([]byte, *Metadata, []rec) {
+// writeFuzzSeed produces the bytes of a small native v3 partition file
+// plus its metadata, shared by the fuzz targets and the byte-flip tests.
+func writeFuzzSeed(t testing.TB, blockRecords int) ([]byte, *Metadata, []rec) {
 	t.Helper()
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(99))
 	parts := makeParts(rng, 1, 50)
-	meta, err := WriteLegacy(dir, recC, parts, recBox, LegacyOptions{
-		Name: "fuzz", Version: version, Compress: compress, BlockRecords: blockRecords,
-	})
+	meta, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "fuzz", BlockRecords: blockRecords})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,49 +46,11 @@ func readBytesAsPartition(t testing.TB, meta *Metadata, data []byte, windows []i
 	return out, err
 }
 
-// readLegacyBytes writes data as partition 0 of a scratch dataset carrying
-// meta's shape and reads it back whole through the legacy reader
-// compaction uses.
-func readLegacyBytes(t testing.TB, meta *Metadata, data []byte) ([]rec, error) {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, meta.Partitions[0].File), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return readAnyFormat(dir, meta, meta.Partitions[0], blockRun{}, meta.partitionFormat(0), recC)
-}
-
-// FuzzV2Partition throws arbitrary bytes at the legacy reader — the only
-// parser of v1/v2 bytes left, run by the compaction pass that migrates
-// them — as a whole v2 file, plain and gzip, and as a whole framed v1
-// file, plain and gzip. The invariants: the reader never panics
-// (ErrCorrupt is always caught), and a read that succeeds returns exactly
-// the record count the metadata promises — arbitrary corruption must
-// surface as an error, never as silently wrong output.
-func FuzzV2Partition(f *testing.F) {
-	seedPlain, metaPlain, _ := writeFuzzSeed(f, 2, false, 8)
-	seedGzip, metaGzip, _ := writeFuzzSeed(f, 2, true, 8)
-	_, metaV1, _ := writeFuzzSeed(f, 1, false, 0)
-	_, metaV1Gzip, _ := writeFuzzSeed(f, 1, true, 0)
-	f.Add(seedPlain)
-	f.Add(seedGzip)
-	f.Add([]byte{})
-	f.Add([]byte(v2Magic))
-	f.Add(append(append([]byte(v2Magic), make([]byte, 12)...), v2TrailerMagic...))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, meta := range []*Metadata{metaPlain, metaGzip, metaV1, metaV1Gzip} {
-			out, err := readLegacyBytes(t, meta, data)
-			if err == nil && int64(len(out)) != meta.Partitions[0].Count {
-				t.Fatalf("clean v%d read returned %d records, metadata says %d",
-					meta.partitionFormat(0), len(out), meta.Partitions[0].Count)
-			}
-		}
-	})
-}
-
 // FuzzBlockFooter drives the footer decoder directly: any byte soup must
 // either decode or panic ErrCorrupt (converted by Catch), with the
-// entry-size guard preventing absurd pre-allocations.
+// entry-size guard preventing absurd pre-allocations. Besides hand-built
+// footers it is seeded with the block index of a native and a generic v3
+// file.
 func FuzzBlockFooter(f *testing.F) {
 	valid := codec.GetWriter()
 	encodeFooter(valid, []BlockMeta{
@@ -102,6 +61,13 @@ func FuzzBlockFooter(f *testing.F) {
 	codec.PutWriter(valid)
 	f.Add([]byte{}, int64(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, int64(1<<40))
+	// The block index of a real file of each v3 layout.
+	native, _, _ := writeFuzzSeed(f, 8)
+	for _, raw := range [][]byte{native, genericFuzzSeed(f)} {
+		footerOff := int64(binary.LittleEndian.Uint64(raw[len(raw)-trailerLen:]))
+		payload := codec.NewReader(raw[footerOff : len(raw)-trailerLen]).Frame()
+		f.Add(append([]byte{}, payload[1:]...), footerOff) // less the profile byte
+	}
 	f.Fuzz(func(t *testing.T, data []byte, regionEnd int64) {
 		err := codec.Catch(func() {
 			blocks := decodeFooter(data, regionEnd)
@@ -117,63 +83,6 @@ func FuzzBlockFooter(f *testing.F) {
 		})
 		_ = err
 	})
-}
-
-// migrateBytes writes data as partition 0 of a dataset carrying meta's
-// shape under dir and runs the compaction pass that migrates it. A failed
-// pass must commit no manifest.
-func migrateBytes(t testing.TB, dir string, meta *Metadata, data []byte) error {
-	t.Helper()
-	if err := writeMetadata(dir, meta); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, meta.Partitions[0].File), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Compact(dir, recC, recBox, CompactOptions{GCGrace: -1})
-	if _, serr := os.Stat(filepath.Join(dir, ManifestFile)); err != nil && !os.IsNotExist(serr) {
-		t.Fatalf("failed migration committed a manifest: %v", err)
-	}
-	return err
-}
-
-// TestV2EveryByteFlipDetected is the deterministic core of the fuzz
-// contract: every byte of a v2 partition file is protected — header and
-// trailer magics by explicit checks, the trailer offset by range
-// validation, and everything else by a CRC32C frame — so flipping ANY
-// single byte must fail the migration pass with a corruption error and
-// commit nothing.
-func TestV2EveryByteFlipDetected(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		raw, meta, _ := writeFuzzSeed(t, 2, compress, 8)
-		dir := t.TempDir()
-		for pos := 0; pos < len(raw); pos++ {
-			mut := append([]byte{}, raw...)
-			mut[pos] ^= 0x5a
-			err := migrateBytes(t, dir, meta, mut)
-			if !errors.As(err, new(codec.ErrCorrupt)) {
-				t.Fatalf("compress=%v: flip at byte %d/%d: migration returned %v, want a corruption error",
-					compress, pos, len(raw), err)
-			}
-		}
-		if err := migrateBytes(t, dir, meta, raw); err != nil {
-			t.Fatalf("compress=%v: pristine file failed to migrate: %v", compress, err)
-		}
-	}
-}
-
-// TestV2TruncationsDetected chops the file at every seventh length below
-// full and expects the migration pass to fail with a corruption error
-// each time.
-func TestV2TruncationsDetected(t *testing.T) {
-	raw, meta, _ := writeFuzzSeed(t, 2, true, 8)
-	dir := t.TempDir()
-	for n := 0; n < len(raw); n += 7 {
-		if err := migrateBytes(t, dir, meta, raw[:n]); !errors.As(err, new(codec.ErrCorrupt)) {
-			t.Fatalf("truncation to %d/%d bytes: migration returned %v, want a corruption error",
-				n, len(raw), err)
-		}
-	}
 }
 
 // checkColumnsMatchRows reads pm's file — run's blocks of it, for a delta
@@ -220,8 +129,9 @@ func checkColumnsMatchRows[T any](t *testing.T, dir string, pm PartitionMeta, ru
 // partition file, over both the native columnar path (recC carries a
 // Columnar schema) and the generic row fallback, and — as an
 // extended-record file — through the Columnar.Extent record test with
-// windows set. Same contract as FuzzV2Partition: never panic, and a clean
-// read returns exactly the promised record count. Corruption inside a
+// windows set. The reader never panics (ErrCorrupt is always caught), and
+// a clean read returns exactly the promised record count — arbitrary
+// corruption surfaces as an error, never as silently wrong output. Corruption inside a
 // record the extent test prunes is still an error. The column reader
 // pinned segments load through must agree with the row reader on the same
 // bytes — as a base file of either schema and as each run of a shared
@@ -229,7 +139,7 @@ func checkColumnsMatchRows[T any](t *testing.T, dir string, pm PartitionMeta, ru
 // boxes where it does not (checkColumnsMatchRows); the stray-byte seed
 // fails the column read, so its bad record never reaches a later Join.
 func FuzzV3Block(f *testing.F) {
-	seedNative, metaNative, _ := writeFuzzSeed(f, 3, false, 8)
+	seedNative, metaNative, _ := writeFuzzSeed(f, 8)
 	f.Add(seedNative)
 	f.Add(genericFuzzSeed(f))
 	f.Add([]byte{})
@@ -336,8 +246,8 @@ func genericFuzzSeed(t testing.TB) []byte {
 	return raw
 }
 
-// TestV3EveryByteFlipDetected mirrors the v2 byte-flip wall for the
-// columnar format: header and trailer magics are explicit, the footer
+// TestV3EveryByteFlipDetected is the deterministic core of the fuzz
+// contract: header and trailer magics are explicit, the footer
 // (including the layout profile byte) and every column stream are CRC
 // framed, so no single-byte flip may pass unnoticed.
 func TestV3EveryByteFlipDetected(t *testing.T) {
@@ -374,7 +284,7 @@ func TestV3EveryByteFlipDetected(t *testing.T) {
 // TestV3TruncationsDetected chops a v3 file at every length below full and
 // expects an error each time.
 func TestV3TruncationsDetected(t *testing.T) {
-	raw, meta, _ := writeFuzzSeed(t, 3, false, 8)
+	raw, meta, _ := writeFuzzSeed(t, 8)
 	for n := 0; n < len(raw); n++ {
 		if _, err := readBytesAsPartition(t, meta, raw[:n], nil); err == nil {
 			t.Fatalf("truncation to %d/%d bytes went undetected", n, len(raw))
@@ -422,7 +332,7 @@ func TestV3SchemaMismatchErrors(t *testing.T) {
 // with a negative bound on the kept record.
 func payLenWrapSeed(t testing.TB, win []index.Box) []byte {
 	t.Helper()
-	raw, meta, recs := writeFuzzSeed(t, 3, false, 64)
+	raw, meta, recs := writeFuzzSeed(t, 64)
 	lens := make([]int64, len(recs))
 	placed := false
 	for a := 0; a+4 <= len(recs); a++ {
@@ -446,7 +356,7 @@ func payLenWrapSeed(t testing.TB, win []index.Box) []byte {
 // the byte unread, and the column reader must fail on it at load too.
 func strayPointPaySeed(t testing.TB) []byte {
 	t.Helper()
-	raw, meta, recs := writeFuzzSeed(t, 3, false, 64)
+	raw, meta, recs := writeFuzzSeed(t, 64)
 	lens := make([]int64, len(recs))
 	lens[5] = 1
 	return oneBlockSeed(t, raw, meta, recs, lens, []byte{7})
@@ -507,7 +417,7 @@ func oneBlockSeed(t testing.TB, raw []byte, meta *Metadata, recs []rec, lens []i
 // TestPayLenWrapRejected pins payLenWrapSeed's outcome: both the whole
 // read and the windowed one fail with a corruption error.
 func TestPayLenWrapRejected(t *testing.T) {
-	_, meta, _ := writeFuzzSeed(t, 3, false, 8)
+	_, meta, _ := writeFuzzSeed(t, 8)
 	win := []index.Box{{Max: [index.Dims]float64{5, 5, 500}}}
 	seed := payLenWrapSeed(t, win)
 	for _, w := range [][]index.Box{nil, win} {
@@ -521,7 +431,7 @@ func TestPayLenWrapRejected(t *testing.T) {
 // reader's full read and the column reader's load both fail with a
 // corruption error, so the stray byte never reaches a later Join.
 func TestStrayPointPayloadRejected(t *testing.T) {
-	_, meta, _ := writeFuzzSeed(t, 3, false, 8)
+	_, meta, _ := writeFuzzSeed(t, 8)
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, meta.Partitions[0].File), strayPointPaySeed(t), 0o644); err != nil {
 		t.Fatal(err)

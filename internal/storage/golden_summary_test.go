@@ -2,9 +2,10 @@
 // datasets are themselves committed beside them, and every future decoder
 // must keep answering the same approximate envelopes from those bytes —
 // the approximate tier's byte-format contract, pinned the same way the
-// record formats are. Regenerate with
+// record formats are. Regenerate the v3 golden's with
 // `go test ./internal/storage -run TestGoldenSummary -update` only when
-// intentionally re-seeding.
+// intentionally re-seeding; the migrated goldens' sidecars are the ones
+// their migrating compaction pass built, and cannot be regenerated.
 package storage_test
 
 import (
@@ -76,12 +77,12 @@ var (
 // generation carries one per partition, the full-domain count answered
 // from them is exact and equals the committed record count, and a
 // boundary-straddling window still brackets the exact answer recomputed
-// from records.json. With -update the sidecars (and the manifest
-// referencing them) are rebuilt from the committed base files.
+// from records.json. With -update the v3 golden's sidecars (and the
+// manifest referencing them) are rebuilt from its committed base files.
 func TestGoldenSummarySidecarsServe(t *testing.T) {
 	sch, _ := stdata.Lookup("nyc")
-	for _, dir := range []string{goldenDir, goldenV2Dir, goldenV3Dir} {
-		if *updateGolden {
+	for _, dir := range []string{goldenV1MigratedDir, goldenV2MigratedDir, goldenV3Dir} {
+		if *updateGolden && dir == goldenV3Dir {
 			// Drop any stale committed sidecars first: BuildSummaries keys
 			// currency on the base file NAME, which regeneration reuses.
 			ents, err := os.ReadDir(dir)
@@ -150,13 +151,24 @@ func TestGoldenSummarySidecarsServe(t *testing.T) {
 // TestGoldenApproxCrossGeneration: the same logical dataset answers the
 // same approximate envelope from every generation's committed sidecars
 // wherever the block structure cannot differ — the full domain (all blocks
-// certain, so the envelope degenerates to the exact count) across v1, v2,
-// and v3, and the boundary window between v2 and v3, which share a block
-// size and so a per-block sketch structure.
+// certain, so the envelope degenerates to the exact count) across the
+// migrated v1 and v2 and the v3, and the boundary window between the
+// migrated v2 and a v3 store written fresh from its records in its order
+// and block size, so with its per-block sketch structure.
 func TestGoldenApproxCrossGeneration(t *testing.T) {
+	goldenDir, goldenV2Dir := goldenV1MigratedDir, goldenV2MigratedDir
+	fresh := t.TempDir()
+	if _, err := storage.Write(fresh, stdata.EventRecC, goldenWant(t, goldenV2Dir), stdata.EventRec.Box,
+		storage.WriteOptions{Name: "fresh", BlockRecords: 16}); err != nil {
+		t.Fatal(err)
+	}
+	sch, _ := stdata.Lookup("nyc")
+	if _, err := sch.BuildSummaries(fresh, summary.Config{}); err != nil {
+		t.Fatal(err)
+	}
 	full := map[string]*summary.Result{}
 	half := map[string]*summary.Result{}
-	for _, dir := range []string{goldenDir, goldenV2Dir, goldenV3Dir} {
+	for _, dir := range []string{goldenDir, goldenV2Dir, goldenV3Dir, fresh} {
 		full[dir], _ = goldenApprox(t, dir, goldenFullWindow, stdata.ApproxRequest{Agg: summary.AggCount})
 		half[dir], _ = goldenApprox(t, dir, goldenHalfWindow, stdata.ApproxRequest{Agg: summary.AggCount})
 	}
@@ -167,13 +179,15 @@ func TestGoldenApproxCrossGeneration(t *testing.T) {
 				full[goldenDir].CountLo, full[goldenDir].CountHi)
 		}
 	}
-	v2, v3 := half[goldenV2Dir], half[goldenV3Dir]
+	v2, v3 := half[goldenV2Dir], half[fresh]
 	if v2.CountLo != v3.CountLo || v2.CountHi != v3.CountHi {
-		t.Fatalf("boundary envelope differs across same-block-size generations: v2 [%d,%d], v3 [%d,%d]",
+		t.Fatalf("boundary envelope differs across same-block-layout generations: v2 [%d,%d], v3 [%d,%d]",
 			v2.CountLo, v2.CountHi, v3.CountLo, v3.CountHi)
 	}
-	// The v1 monolith has one block per partition, so its boundary envelope
-	// may be wider — but never narrower than what finer blocks certify.
+	// Migrated v1 has one block per partition (a v1 dataset records no
+	// block size, so its rewrites took DefaultBlockRecords), so its
+	// boundary envelope may be wider — but never narrower than what finer
+	// blocks certify.
 	v1 := half[goldenDir]
 	if v1.CountLo > v2.CountLo || v1.CountHi < v2.CountHi {
 		t.Fatalf("v1 envelope [%d,%d] narrower than blocked [%d,%d]",

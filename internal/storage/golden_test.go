@@ -1,11 +1,17 @@
-// Backward-compatibility golden test: the same dataset is committed under
-// testdata/ in all three on-disk generations. The v3 copy must keep
-// reading back exactly the records recorded beside it; the v1 and v2
-// copies must keep migrating — one compaction pass over a temp copy — to
-// the same records. Regenerate with
-// `go test ./internal/storage -run TestGolden -update` only when
+// Backward-compatibility golden tests. The same dataset is committed under
+// testdata/ in all three on-disk generations, plus the v1 and v2 copies as
+// the migrating compaction pass left them before v1/v2 support was
+// dropped (v1-migrated-golden, v2-migrated-golden: metadata.json still at
+// version 1 and 2 naming the legacy files, manifest rewrites at format 3).
+// The v3 copy must keep reading back exactly the records recorded beside
+// it; each migrated copy must keep reading back exactly its own
+// records.json (the pass Z-reordered records within each partition) and
+// keep working as a live store; the unmigrated v1 and v2 copies must be
+// refused with ErrLegacyFormat by every entry point. Regenerate the v3
+// copy with `go test ./internal/storage -run TestGolden -update` only when
 // intentionally re-seeding (the committed files are the contract;
-// regenerating weakens it to a self-test for one commit).
+// regenerating weakens it to a self-test for one commit). The legacy and
+// migrated copies cannot be regenerated: no code writes them any more.
 package storage_test
 
 import (
@@ -20,17 +26,23 @@ import (
 	"testing"
 
 	"st4ml/internal/codec"
+	"st4ml/internal/engine"
 	"st4ml/internal/geom"
+	"st4ml/internal/selection"
+	"st4ml/internal/serve"
 	"st4ml/internal/stdata"
 	"st4ml/internal/storage"
+	"st4ml/internal/summary"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden testdata")
 
 const (
-	goldenDir   = "testdata/v1-golden"
-	goldenV2Dir = "testdata/v2-golden"
-	goldenV3Dir = "testdata/v3-golden"
+	goldenDir           = "testdata/v1-golden"
+	goldenV2Dir         = "testdata/v2-golden"
+	goldenV3Dir         = "testdata/v3-golden"
+	goldenV1MigratedDir = "testdata/v1-migrated-golden"
+	goldenV2MigratedDir = "testdata/v2-migrated-golden"
 )
 
 // goldenRecords deterministically builds the dataset committed under
@@ -51,55 +63,49 @@ func goldenRecords() [][]stdata.EventRec {
 	return parts
 }
 
+// TestGoldenV1DatasetStillReads pins the v1 generation: the committed v1
+// dataset as the migrating compaction pass left it still reads back its
+// recorded records, holding the same records as the in-memory generator,
+// while the unmigrated copy is refused.
 func TestGoldenV1DatasetStillReads(t *testing.T) {
+	got := readGolden(t, goldenV1MigratedDir, 0)
 	parts := goldenRecords()
+	for p := range parts {
+		if !reflect.DeepEqual(encodedSet(got[p]), encodedSet(parts[p])) {
+			t.Fatalf("partition %d: goldenRecords() drifted from the committed records", p)
+		}
+	}
+	checkRefused(t, copyDataset(t, goldenDir), 1)
+}
+
+// TestGoldenV2DatasetStillReads pins the v2 generation the same way.
+func TestGoldenV2DatasetStillReads(t *testing.T) {
+	readGolden(t, goldenV2MigratedDir, 2)
+	checkRefused(t, copyDataset(t, goldenV2Dir), 2)
+}
+
+// TestGoldenV3DatasetStillReads pins the columnar layout: the committed
+// v3-golden files (native column streams, EventRec schema) must keep
+// decoding to the recorded records.
+func TestGoldenV3DatasetStillReads(t *testing.T) {
 	if *updateGolden {
-		if err := os.RemoveAll(goldenDir); err != nil {
+		parts := goldenRecords()
+		if err := os.RemoveAll(goldenV3Dir); err != nil {
 			t.Fatal(err)
 		}
-		// Version 1 pins the legacy monolithic layout — the whole point is
-		// that files written before the block format keep migrating.
-		_, err := storage.WriteLegacy(goldenDir, stdata.EventRecC, parts,
-			stdata.EventRec.Box,
-			storage.LegacyOptions{Name: "v1-golden", Compress: true, Version: 1})
-		if err != nil {
+		if _, err := storage.Write(goldenV3Dir, stdata.EventRecC, parts, stdata.EventRec.Box,
+			storage.WriteOptions{Name: "v3-golden", BlockRecords: 16}); err != nil {
 			t.Fatal(err)
 		}
 		b, err := json.MarshalIndent(parts, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(goldenDir, "records.json"), b, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(goldenV3Dir, "records.json"), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	readMigrated(t, goldenDir, 0)
-	// The in-memory generator still matches the committed records, so a
-	// future -update cannot silently change the dataset's content.
-	if !reflect.DeepEqual(parts, goldenWant(t, goldenDir)) {
-		t.Fatal("goldenRecords() drifted from committed records.json")
-	}
-}
-
-// writeGolden (re)generates one golden dataset directory for -update. The
-// legacy generations come from the fixture writer; Version 3 goes through
-// storage.Write, so the v3 golden pins what the product writes.
-func writeGolden(t *testing.T, dir string, opts storage.LegacyOptions) {
-	t.Helper()
-	parts := goldenRecords()
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := storage.WriteLegacy(dir, stdata.EventRecC, parts, stdata.EventRec.Box, opts); err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.MarshalIndent(parts, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "records.json"), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	readGolden(t, goldenV3Dir, 3)
 }
 
 // readGolden reads every partition of a committed golden dataset and
@@ -108,19 +114,12 @@ func readGolden(t *testing.T, dir string, wantVersion int) [][]stdata.EventRec {
 	t.Helper()
 	meta, err := storage.ReadMetadata(dir)
 	if err != nil {
-		t.Fatalf("golden dataset %s unreadable (run with -update to regenerate): %v", dir, err)
+		t.Fatalf("golden dataset %s unreadable: %v", dir, err)
 	}
 	if meta.Version != wantVersion {
 		t.Fatalf("%s: version = %d, want %d", dir, meta.Version, wantVersion)
 	}
-	var want [][]stdata.EventRec
-	b, err := os.ReadFile(filepath.Join(dir, "records.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := goldenWant(t, dir)
 	got := make([][]stdata.EventRec, meta.NumPartitions())
 	for i := range got {
 		recs, _, err := storage.ReadPartitionPruned(dir, meta, i, stdata.EventRecC, nil)
@@ -136,7 +135,7 @@ func readGolden(t *testing.T, dir string, wantVersion int) [][]stdata.EventRec {
 }
 
 // copyDataset copies the files of the dataset at src into a fresh temp
-// directory, so a migration never touches the committed golden files.
+// directory, so a test that writes never touches the committed files.
 func copyDataset(t *testing.T, src string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -156,47 +155,91 @@ func copyDataset(t *testing.T, src string) string {
 	return dir
 }
 
-// readMigrated migrates a temp copy of the committed legacy golden dataset
-// at src — the query path refuses it with ErrLegacyFormat until the one
-// compaction pass rewrites every partition as v3 — and returns each
-// partition's records, checked against records.json as a multiset
-// (compaction Z-reorders records within a partition).
-func readMigrated(t *testing.T, src string, wantVersion int) [][]stdata.EventRec {
+// snapshot returns the bytes of every file in dir by name.
+func snapshot(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
-	dir := copyDataset(t, src)
-	meta, err := storage.ReadMetadata(dir)
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("golden dataset %s unreadable (run with -update to regenerate): %v", src, err)
-	}
-	if meta.Version != wantVersion {
-		t.Fatalf("%s: version = %d, want %d", src, meta.Version, wantVersion)
-	}
-	var le storage.ErrLegacyFormat
-	if _, _, err := storage.ReadPartitionPruned(dir, meta, 0, stdata.EventRecC, nil); !errors.As(err, &le) {
-		t.Fatalf("%s: legacy read returned %v, want ErrLegacyFormat", src, err)
-	}
-	sch, _ := stdata.Lookup("nyc")
-	st, err := sch.Compact(dir, storage.CompactOptions{GCGrace: -1})
-	if err != nil {
-		t.Fatalf("%s: migrate: %v", src, err)
-	}
-	if st.PartitionsCompacted != meta.NumPartitions() {
-		t.Fatalf("%s: migration rewrote %d of %d partitions", src, st.PartitionsCompacted, meta.NumPartitions())
-	}
-	if meta, err = storage.ReadMetadata(dir); err != nil {
 		t.Fatal(err)
 	}
-	want := goldenWant(t, src)
-	got := make([][]stdata.EventRec, meta.NumPartitions())
-	for i := range got {
-		if got[i], err = storage.ReadPartition(dir, meta, i, stdata.EventRecC); err != nil {
-			t.Fatalf("%s partition %d after migration: %v", src, i, err)
+	out := map[string][]byte{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(encodedSet(got[i]), encodedSet(want[i])) {
-			t.Fatalf("%s partition %d: migrated records differ from committed golden set", src, i)
+		out[e.Name()] = b
+	}
+	return out
+}
+
+// checkRefused is the refusal wall on a copy of a committed legacy golden
+// dataset at dir: every storage, selection, serving, summary and
+// compaction entry point fails with ErrLegacyFormat naming the dataset's
+// first partition file and its version, and leaves every file of dir as it
+// was — the refused compaction and backfill commit nothing.
+func checkRefused(t *testing.T, dir string, version int) {
+	t.Helper()
+	meta, err := storage.ReadMetadata(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := meta.Partitions[0].File
+	before := snapshot(t, dir)
+	ctx := engine.New(engine.Config{Slots: 2})
+	sch, _ := stdata.Lookup("nyc")
+	all := selection.Window{Space: goldenFullWindow.Space, Time: goldenFullWindow.Time}
+	sel := selection.New(ctx, stdata.EventRecC, stdata.EventRec.Box, nil, selection.Config{})
+	// A delta whose manifest entry has no format predates the columnar
+	// layout: the delta reader refuses it as v2 without opening the file.
+	legacyDelta := storage.DeltaMeta{PartitionMeta: meta.Partitions[0]}
+	entries := []struct {
+		name    string
+		version int
+		run     func() error
+	}{
+		{"ReadPartitionPruned", version, func() error {
+			_, _, err := storage.ReadPartitionPruned(dir, meta, 0, stdata.EventRecC, nil)
+			return err
+		}},
+		{"ReadBase", version, func() error {
+			_, _, _, err := storage.ReadBase(dir, meta, 0, stdata.EventRecC, stdata.EventRec.Box)
+			return err
+		}},
+		{"ReadDelta", 2, func() error {
+			_, _, _, err := storage.ReadDelta(dir, legacyDelta, stdata.EventRecC, nil)
+			return err
+		}},
+		{"selection.Select", version, func() error {
+			_, _, err := sel.Select(dir, all)
+			return err
+		}},
+		{"selection.SelectPruned", version, func() error {
+			_, _, err := sel.SelectPruned(dir, all)
+			return err
+		}},
+		{"serve.Catalog.Register", version, func() error {
+			_, err := serve.NewCatalog().Register("nyc", "nyc", dir)
+			return err
+		}},
+		{"BuildSummaries", version, func() error {
+			_, err := sch.BuildSummaries(dir, summary.Config{})
+			return err
+		}},
+		{"Compact", version, func() error {
+			_, err := sch.Compact(dir, storage.CompactOptions{MinDeltas: 1, GCGrace: 0})
+			return err
+		}},
+	}
+	for _, e := range entries {
+		var le storage.ErrLegacyFormat
+		if err := e.run(); !errors.As(err, &le) || le.Dir != dir || le.File != file || le.Version != e.version {
+			t.Fatalf("%s: %s returned %v, want ErrLegacyFormat for %s v%d", dir, e.name, err, file, e.version)
 		}
 	}
-	return got
+	if !reflect.DeepEqual(snapshot(t, dir), before) {
+		t.Fatalf("%s: the refused entry points changed the dataset's files", dir)
+	}
 }
 
 // encodedSet returns recs' wire encodings, sorted: the multiset of bytes a
@@ -210,37 +253,14 @@ func encodedSet(recs []stdata.EventRec) []string {
 	return out
 }
 
-// TestGoldenV2DatasetStillReads pins the row-major gzip block layout: the
-// committed v2-golden files must keep migrating to the recorded records.
-func TestGoldenV2DatasetStillReads(t *testing.T) {
-	if *updateGolden {
-		writeGolden(t, goldenV2Dir, storage.LegacyOptions{
-			Name: "v2-golden", Compress: true, Version: 2, BlockRecords: 16,
-		})
-	}
-	readMigrated(t, goldenV2Dir, 2)
-}
-
-// TestGoldenV3DatasetStillReads pins the columnar layout: the committed
-// v3-golden files (native column streams, EventRec schema) must keep
-// decoding to the recorded records.
-func TestGoldenV3DatasetStillReads(t *testing.T) {
-	if *updateGolden {
-		writeGolden(t, goldenV3Dir, storage.LegacyOptions{
-			Name: "v3-golden", Version: 3, BlockRecords: 16,
-		})
-	}
-	readGolden(t, goldenV3Dir, 3)
-}
-
 // TestGoldenCrossGeneration is the compatibility matrix in executable
-// form: the same logical dataset committed under all three on-disk
-// generations materializes — v1 and v2 after migration — to byte-identical
-// records: every partition's records re-encoded through the wire codec
-// give the same multiset of bytes whichever format version stored them.
+// form: the same logical dataset committed in all three generations — v1
+// and v2 as migrated — materializes to byte-identical records: every
+// partition's records re-encoded through the wire codec give the same
+// multiset of bytes whichever generation first stored them.
 func TestGoldenCrossGeneration(t *testing.T) {
-	v1 := readMigrated(t, goldenDir, 0)
-	v2 := readMigrated(t, goldenV2Dir, 2)
+	v1 := readGolden(t, goldenV1MigratedDir, 0)
+	v2 := readGolden(t, goldenV2MigratedDir, 2)
 	v3 := readGolden(t, goldenV3Dir, 3)
 	if len(v1) != len(v3) || len(v2) != len(v3) {
 		t.Fatalf("partition counts differ: v1=%d v2=%d v3=%d", len(v1), len(v2), len(v3))
@@ -249,6 +269,74 @@ func TestGoldenCrossGeneration(t *testing.T) {
 		b3 := encodedSet(v3[p])
 		if !reflect.DeepEqual(encodedSet(v1[p]), b3) || !reflect.DeepEqual(encodedSet(v2[p]), b3) {
 			t.Fatalf("partition %d: re-encoded bytes differ across generations", p)
+		}
+	}
+}
+
+// TestMigratedGoldensKeepWorking runs a store migrated before v1/v2
+// support was dropped through the live write and read paths, on a temp
+// copy of each migrated golden: it takes an append, compacts it away,
+// backfills summaries, and answers both the exact serving path and the
+// approximate one, the exact count inside the approximate envelope.
+func TestMigratedGoldensKeepWorking(t *testing.T) {
+	ctx := engine.New(engine.Config{Slots: 2})
+	sch, _ := stdata.Lookup("nyc")
+	for _, src := range []string{goldenV1MigratedDir, goldenV2MigratedDir} {
+		dir := copyDataset(t, src)
+		want := goldenWant(t, src)
+		meta, err := storage.ReadMetadata(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			got, err := storage.ReadPartition(dir, meta, i, stdata.EventRecC)
+			if err != nil || !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("%s partition %d: ReadPartition differs from records.json (%v)", src, i, err)
+			}
+		}
+		extra := make([]stdata.EventRec, 10)
+		for i := range extra {
+			extra[i] = want[i%len(want)][i]
+			extra[i].ID += 10_000
+		}
+		if _, err := storage.AppendDelta(dir, stdata.EventRecC, extra, stdata.EventRec.Box,
+			storage.AppendOptions{BatchID: "extra"}); err != nil {
+			t.Fatalf("%s: AppendDelta: %v", src, err)
+		}
+		st, err := sch.Compact(dir, storage.CompactOptions{MinDeltas: 1, GCGrace: -1})
+		if err != nil || st.PartitionsCompacted == 0 || st.DeltasMerged == 0 {
+			t.Fatalf("%s: Compact = (%+v, %v), want the append folded in", src, st, err)
+		}
+		if _, err := sch.BuildSummaries(dir, summary.Config{}); err != nil {
+			t.Fatalf("%s: BuildSummaries: %v", src, err)
+		}
+		if meta, err = storage.ReadMetadata(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := meta.CheckFormat(dir); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		total := int64(len(extra))
+		for _, p := range want {
+			total += int64(len(p))
+		}
+		for wi, w := range []selection.Window{goldenFullWindow, goldenHalfWindow} {
+			res, err := sch.ServeQuery(ctx, dir, meta, nil, w, stdata.QueryOptions{Records: true})
+			if err != nil {
+				t.Fatalf("%s: ServeQuery: %v", src, err)
+			}
+			exact := res.Stats.SelectedRecords
+			if int64(len(res.Records)) != exact || (wi == 0 && exact != total) {
+				t.Fatalf("%s: ServeQuery selected %d records (%d returned), the store holds %d",
+					src, exact, len(res.Records), total)
+			}
+			approx, _, err := sch.ApproxQuery(ctx, dir, meta, w, stdata.ApproxRequest{Agg: summary.AggCount})
+			if err != nil || approx.Fallback {
+				t.Fatalf("%s: ApproxQuery = (%+v, %v), want an answer from sidecars", src, approx, err)
+			}
+			if exact < approx.CountLo || exact > approx.CountHi {
+				t.Fatalf("%s: exact %d outside approximate envelope [%d,%d]", src, exact, approx.CountLo, approx.CountHi)
+			}
 		}
 	}
 }

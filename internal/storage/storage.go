@@ -3,8 +3,8 @@
 // binary files (blocks of codec-encoded records, laid out as column
 // streams) plus a metadata.json indexing every partition with its ST
 // bounds — the on-disk indexing with metadata of §4.1. Every reader takes
-// the columnar v3 layout only; datasets written in the earlier v1 and v2
-// layouts get ErrLegacyFormat until one compaction pass migrates them.
+// the columnar v3 layout only; a dataset holding files in the earlier v1
+// or v2 layouts gets ErrLegacyFormat.
 //
 // The selection stage reads the metadata, prunes partitions whose bounds
 // miss the query window, and loads only the survivors (Fig. 4).
@@ -44,10 +44,10 @@ type PartitionMeta struct {
 	TEnd   int64   `json:"tend"`
 	// Format, when non-zero, overrides the dataset-level Version for this
 	// partition's file. Compaction writes it on every rewrite, which is how
-	// a migrated v1/v2 dataset's partitions read as v3 while metadata.json
-	// keeps its old Version; delta files carry the format they were
-	// appended in (absent means 2 — deltas predating the columnar layout
-	// were always the v2 block layout).
+	// a dataset migrated from v1/v2 before their readers were dropped reads
+	// as v3 while metadata.json keeps its old Version; delta files carry
+	// the format they were appended in (absent means 2 — deltas predating
+	// the columnar layout were always the v2 block layout).
 	Format int `json:"format,omitempty"`
 }
 
@@ -73,21 +73,15 @@ func (p PartitionMeta) Box() index.Box {
 // with its ST bounds, enabling partition pruning before any file is read.
 type Metadata struct {
 	Name string `json:"name"`
-	// Compressed marks a legacy dataset's gzip (whole-file on v1,
-	// per-block on v2); v3 files have none and ignore it.
-	Compressed bool `json:"compressed"`
-	// Framed marks partitions written as length+CRC32C frames; readers
-	// verify every frame and reject corrupt files instead of silently
-	// decoding garbage. Absent (false) on the oldest v1 datasets, bare
-	// record streams the legacy reader decodes unchecked.
-	Framed bool `json:"framed,omitempty"`
 	// Version is the partition file format: 3 is the columnar block layout
-	// of blockv3.go, the only one readers take; absent or 1 (monolithic)
-	// and 2 (row-major gzip blocks) are the legacy layouts of legacy.go,
-	// which only compaction reads — rewriting them as v3.
+	// of blockv3.go, the only one readers take. Absent or 1 (monolithic
+	// files) and 2 (row-major gzip blocks) are the legacy layouts; a file
+	// in one is refused with ErrLegacyFormat unless a manifest rewrite's
+	// PartitionMeta.Format says it was rewritten as v3.
 	Version int `json:"version,omitempty"`
 	// BlockRecords is the records-per-block target the dataset was written
-	// with (absent on v1; informational).
+	// with (absent on v1, where appends and compactions take
+	// DefaultBlockRecords).
 	BlockRecords int             `json:"block_records,omitempty"`
 	TotalCount   int64           `json:"total_count"`
 	Partitions   []PartitionMeta `json:"partitions"`
@@ -220,7 +214,7 @@ func Write[T any](
 	if blockRecords <= 0 {
 		blockRecords = DefaultBlockRecordsV3
 	}
-	meta := &Metadata{Name: opts.Name, Framed: true, Version: FormatVersion, BlockRecords: blockRecords}
+	meta := &Metadata{Name: opts.Name, Version: FormatVersion, BlockRecords: blockRecords}
 	for i, part := range parts {
 		pm, err := writePartitionV3(dir, partitionFileName(i), c, part, boxOf, blockRecords, false)
 		if err != nil {
@@ -378,10 +372,10 @@ func (s *ReadStats) Add(o ReadStats) {
 	s.DeltaRecords += o.DeltaRecords
 }
 
-// ReadPartition decodes one partition file in full. Framed datasets verify
-// every chunk's CRC32C before decoding and re-read the file a bounded
-// number of times on mismatch; corruption is always reported, never
-// silently decoded.
+// ReadPartition decodes one partition's live view in full. Every block's
+// CRC32C is verified before decoding and a file re-read a bounded number
+// of times on mismatch; corruption is always reported, never silently
+// decoded.
 func ReadPartition[T any](dir string, meta *Metadata, i int, c codec.Codec[T]) ([]T, error) {
 	out, _, err := ReadPartitionPruned(dir, meta, i, c, nil)
 	return out, err
@@ -507,8 +501,8 @@ func deltaFormat(dm DeltaMeta) int {
 }
 
 // ErrLegacyFormat reports a base or delta file stored in a layout older
-// than v3, which no reader takes. One compaction pass rewrites every such
-// file as v3; the error names the command that runs it.
+// than v3, which no reader (compaction included) takes. Such a dataset is
+// rebuilt from its source records; the error names the command that does.
 type ErrLegacyFormat struct {
 	// Dir is the dataset directory and File the legacy file within it.
 	Dir, File string
@@ -518,8 +512,9 @@ type ErrLegacyFormat struct {
 
 func (e ErrLegacyFormat) Error() string {
 	return fmt.Sprintf("storage: %s is a v%d file and readers take v3 only; "+
-		"migrate the dataset with `stingest -dataset <schema> -dir %s -once`",
-		filepath.Join(e.Dir, e.File), e.Version, e.Dir)
+		"re-ingest the dataset's source records into a new directory with "+
+		"`stload -dataset <schema> -input <file.csv> -out <dir>`",
+		filepath.Join(e.Dir, e.File), e.Version)
 }
 
 // checkFormat returns ErrLegacyFormat when file, stored in format version,
@@ -533,24 +528,17 @@ func checkFormat(dir, file string, version int) error {
 
 // CheckFormat returns ErrLegacyFormat for the first base or delta file of
 // the view that predates v3, or nil when every file is readable — the
-// up-front check a server runs before it serves the dataset at dir.
+// up-front check a server or a compaction runs before it touches the
+// dataset at dir.
 func (m *Metadata) CheckFormat(dir string) error {
 	for i := range m.Partitions {
-		if err := m.checkPartition(dir, i); err != nil {
+		if err := checkFormat(dir, m.Partitions[i].File, m.partitionFormat(i)); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// checkPartition is CheckFormat for partition i's base and delta files.
-func (m *Metadata) checkPartition(dir string, i int) error {
-	if err := checkFormat(dir, m.Partitions[i].File, m.partitionFormat(i)); err != nil {
-		return err
-	}
-	for _, dm := range m.Deltas(i) {
-		if err := checkFormat(dir, dm.File, deltaFormat(dm)); err != nil {
-			return err
+		for _, dm := range m.Deltas(i) {
+			if err := checkFormat(dir, dm.File, deltaFormat(dm)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

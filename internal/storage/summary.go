@@ -126,7 +126,7 @@ func ReadPartitionBlocks[T any](
 // ingested before the approximate tier existed (stload -summaries) and
 // for formats whose ingest never summarizes. Compaction keeps sidecars
 // current afterwards via CompactOptions.Summarizer. A dataset holding
-// v1/v2 files fails the pass with ErrLegacyFormat: migrate first. The
+// legacy v1/v2 files fails the pass with ErrLegacyFormat. The
 // pass commits with one atomic manifest swap bumping the dataset
 // generation; it returns how many sidecars it built (0 means everything
 // was already current and nothing committed).

@@ -32,28 +32,26 @@ var recSummarizer = summary.NewBuilder(recBox, recVal, recID, summary.Config{})
 
 // TestBuildSummaries: backfill writes one committed sidecar per partition,
 // aligned with the base file's block layout, and re-running is a no-op. A
-// v1/v2 dataset is refused with ErrLegacyFormat and nothing committed
-// until the compaction pass migrates it.
+// v1/v2 dataset is refused with ErrLegacyFormat and nothing committed.
 func TestBuildSummaries(t *testing.T) {
 	for _, version := range []int{1, 2, 3} {
 		rng := rand.New(rand.NewSource(42))
 		parts := makeParts(rng, 3, 90)
 		dir := t.TempDir()
-		if _, err := WriteLegacy(dir, recC, parts, recBox,
-			LegacyOptions{Name: "d", BlockRecords: 16, Version: version}); err != nil {
+		if _, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "d", BlockRecords: 16}); err != nil {
 			t.Fatal(err)
 		}
 		if version < FormatVersion {
+			markLegacy(t, dir, version)
 			var le ErrLegacyFormat
-			if n, err := BuildSummaries(dir, recC, recBox, recVal, recID, summary.Config{}); n != 0 || !errors.As(err, &le) {
-				t.Fatalf("v%d: BuildSummaries = (%d, %v), want ErrLegacyFormat", version, n, err)
+			if n, err := BuildSummaries(dir, recC, recBox, recVal, recID, summary.Config{}); n != 0 ||
+				!errors.As(err, &le) || le.Version != version {
+				t.Fatalf("v%d: BuildSummaries = (%d, %v), want ErrLegacyFormat v%d", version, n, err, version)
 			}
 			if _, err := os.Stat(filepath.Join(dir, ManifestFile)); !os.IsNotExist(err) {
 				t.Fatalf("v%d: refused backfill committed a manifest", version)
 			}
-			if _, err := Compact(dir, recC, recBox, CompactOptions{GCGrace: -1}); err != nil {
-				t.Fatalf("v%d: migrate: %v", version, err)
-			}
+			continue
 		}
 		n, err := BuildSummaries(dir, recC, recBox, recVal, recID, summary.Config{})
 		if err != nil {
@@ -81,13 +79,7 @@ func TestBuildSummaries(t *testing.T) {
 			if ps.Count != int64(len(parts[i])) {
 				t.Fatalf("v%d: summary count %d, want %d", version, ps.Count, len(parts[i]))
 			}
-			// A migrated v1 dataset records no block size, so its rewrites
-			// use DefaultBlockRecords: one block each here.
-			wantBlocks := 1
-			if version >= 2 {
-				wantBlocks = (len(parts[i]) + 15) / 16
-			}
-			if len(ps.Blocks) != wantBlocks {
+			if wantBlocks := (len(parts[i]) + 15) / 16; len(ps.Blocks) != wantBlocks {
 				t.Fatalf("v%d: %d summary blocks, want %d", version, len(ps.Blocks), wantBlocks)
 			}
 			// Block summaries mirror the file: scanning exactly block b's
