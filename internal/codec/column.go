@@ -640,9 +640,9 @@ type Columnar[T any] struct {
 	// Point marks that (Lon[i], Lat[i], T[i]) is record i's exact ST
 	// extent, so a reader may filter records against query windows on the
 	// decoded columns alone, before Join materializes them, and a pinned
-	// partition takes the record's box from the same columns — the box
-	// must equal, bit for bit, the one the schema's box function gives
-	// the joined record. Leave false for extended records (trajectories)
+	// partition's run index reads the record's box from the same columns —
+	// the box must equal, bit for bit, the one the schema's box function
+	// gives the joined record, in the native and the generic row layout. Leave false for extended records (trajectories)
 	// whose extent the columns only summarize; those filter through Extent
 	// instead.
 	Point bool

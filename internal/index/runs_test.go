@@ -107,6 +107,15 @@ func checkRuns(t *testing.T, name string, boxes []Box) {
 	if !reflect.DeepEqual(x.boxes, boxes) {
 		t.Fatalf("%s: index holds %d boxes, built over %d", name, len(x.boxes), len(boxes))
 	}
+	checkSearch(t, name, x, boxes)
+}
+
+// checkSearch holds x, an index over records whose boxes are boxes, to
+// linearCalls as checkRuns describes, and its Bound to the box form's
+// over the same boxes.
+func checkSearch(t *testing.T, name string, x *Runs, boxes []Box) {
+	t.Helper()
+	ref := NewRuns(boxes)
 	windows := runWindows(append(append([]Box{}, boxes...), oddBoxes()...))
 	sets := make([][]Box, 0, 2*len(windows))
 	for i := range windows {
@@ -133,6 +142,9 @@ func checkRuns(t *testing.T, name string, boxes []Box) {
 			if b := x.Bound(qs[0]); len(qs) == 1 && fname == "keep" && (b < len(want) || b > len(boxes)) {
 				t.Fatalf("%s, window %+v: Bound %d for %d hits of %d records", name, qs[0], b, len(want), len(boxes))
 			}
+			if b, rb := x.Bound(qs[0]), ref.Bound(qs[0]); b != rb {
+				t.Fatalf("%s, window %+v: Bound %d, box form's %d", name, qs[0], b, rb)
+			}
 		}
 	}
 }
@@ -142,10 +154,11 @@ func checkRuns(t *testing.T, name string, boxes []Box) {
 // around the run length, Z-clustered and unclustered orders, point and
 // extended boxes, windows on record faces and points, single windows and
 // window sets, a refining fn, and runs holding empty, NaN, infinite and
-// signed-zero boxes. The serving tier's pinned segments and selection's
-// filter run on this one search; stdata's segment wall checks the former
-// against storage's merge-on-read, selection's metamorphic suite the
-// latter against its linear scan.
+// signed-zero boxes; and the point form over coordinate columns, held to
+// the box form over the same points (pointRunsWall). The serving tier's
+// pinned segments and selection's filter run on this one search; stdata's
+// segment wall checks the former against storage's merge-on-read,
+// selection's metamorphic suite the latter against its linear scan.
 func TestRunIndexMatchesLinearScan(t *testing.T) {
 	checkRuns(t, "empty", nil)
 	// 12500 records is a full partition of the benchmark's serve corpus.
@@ -167,4 +180,110 @@ func TestRunIndexMatchesLinearScan(t *testing.T) {
 		}
 		checkRuns(t, fmt.Sprintf("odd n=%d", n), boxes)
 	}
+	pointRunsWall(t)
+}
+
+// pointEdgeCoords and pointEdgeTimes are the coordinates and times the
+// point form's comparisons and run folds treat specially: NaN, ±Inf,
+// signed zeros, the float extremes, and times a float64 cannot hold
+// exactly or that sit at the int64 extremes.
+var (
+	pointEdgeCoords = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		1.5, -74.000001, 40.7, math.MaxFloat64, -math.SmallestNonzeroFloat64}
+	pointEdgeTimes = []int64{0, 1_600_000_000, 1<<53 + 1, -(1<<53 + 3), math.MaxInt64, math.MinInt64,
+		math.MinInt64 + 1, -1}
+)
+
+// pointCols splits boxes, each a BoxOfPoint, into coordinate columns. A
+// box's time is the float64 of an int64 the caller chose, so converting
+// it back loses nothing for the times runBoxes draws; edge times are set
+// on the columns directly.
+func pointCols(boxes []Box) (lon, lat []float64, ts []int64) {
+	for _, b := range boxes {
+		lon = append(lon, b.Min[0])
+		lat = append(lat, b.Min[1])
+		ts = append(ts, int64(b.Min[2]))
+	}
+	return lon, lat, ts
+}
+
+// checkPointRuns builds the point form over the columns and holds it to
+// the box form over the records' BoxOfPoint boxes: run boxes equal bit
+// for bit on all six coordinates, and Search and Bound as checkSearch.
+func checkPointRuns(t *testing.T, name string, lon, lat []float64, ts []int64) {
+	t.Helper()
+	boxes := make([]Box, len(lon))
+	for i := range boxes {
+		boxes[i] = BoxOfPoint(geom.Pt(lon[i], lat[i]), ts[i])
+	}
+	x, ref := NewPointRuns(lon, lat, ts), NewRuns(boxes)
+	if x.boxes != nil || len(x.runs) != len(ref.runs) {
+		t.Fatalf("%s: point form holds %d record boxes and %d runs, box form %d runs",
+			name, len(x.boxes), len(x.runs), len(ref.runs))
+	}
+	for r := range ref.runs {
+		for a := 0; a < Dims; a++ {
+			got, want := x.runs[r], ref.runs[r]
+			if math.Float64bits(got.Min[a]) != math.Float64bits(want.Min[a]) ||
+				math.Float64bits(got.Max[a]) != math.Float64bits(want.Max[a]) {
+				t.Fatalf("%s: run %d box %+v, box form's %+v", name, r, got, want)
+			}
+		}
+	}
+	checkSearch(t, name, x, boxes)
+}
+
+// pointRunsWall is the run-index wall's point form: NewPointRuns over
+// coordinate columns gives NewRuns's run boxes over the records'
+// BoxOfPoint boxes bit for bit, and its Search and Bound equal a linear
+// Box.Intersects scan of those boxes, record by record, for single windows
+// and window sets — across sizes around the run length and a full serve
+// partition's (12500, not a multiple of 16), clustered and unclustered
+// points, records on NaN, ±Inf and signed-zero coordinates and
+// int64-extreme times, and runs whose box is one point.
+func pointRunsWall(t *testing.T) {
+	checkPointRuns(t, "empty", nil, nil, nil)
+	for _, n := range []int{1, 15, 16, 17, 33, 12500} {
+		for _, clustered := range []bool{true, false} {
+			lon, lat, ts := pointCols(runBoxes(n, int64(n), true, clustered))
+			checkPointRuns(t, fmt.Sprintf("n=%d clustered=%v", n, clustered), lon, lat, ts)
+		}
+	}
+	nc, nt := len(pointEdgeCoords), len(pointEdgeTimes)
+	for _, n := range []int{1, 16, 17, 40, 150} {
+		// Every third record on an edge pairing, the rest drawn.
+		lon, lat, ts := pointCols(runBoxes(n, 7, true, true))
+		for i := 0; i < n; i += 3 {
+			lon[i], lat[i] = pointEdgeCoords[i%nc], pointEdgeCoords[(i/nc+i)%nc]
+			ts[i] = pointEdgeTimes[i%nt]
+		}
+		checkPointRuns(t, fmt.Sprintf("edge n=%d", n), lon, lat, ts)
+		// Every record on an edge pairing.
+		for i := range lon {
+			lon[i], lat[i] = pointEdgeCoords[i%nc], pointEdgeCoords[(i/nc+i)%nc]
+			ts[i] = pointEdgeTimes[i%nt]
+		}
+		checkPointRuns(t, fmt.Sprintf("all-edge n=%d", n), lon, lat, ts)
+	}
+	// Runs whose box is one point: every record of a run on the same
+	// coordinates, a signed zero, NaN or an infinity among them.
+	for ci, c := range pointEdgeCoords {
+		n := 16*2 + 5
+		lon, lat, ts := make([]float64, n), make([]float64, n), make([]int64, n)
+		for i := range lon {
+			lon[i], lat[i], ts[i] = c, pointEdgeCoords[(ci+i/16)%nc], pointEdgeTimes[(ci+i/16)%nt]
+		}
+		checkPointRuns(t, fmt.Sprintf("flat runs at %v", c), lon, lat, ts)
+	}
+	// Runs mixing the two zeros, whose min and max differ only in sign.
+	n := 16*3 + 7
+	lon, lat, ts := make([]float64, n), make([]float64, n), make([]int64, n)
+	negZero := math.Copysign(0, -1)
+	for i := range lon {
+		lon[i], lat[i] = 0, negZero
+		if i%2 == 1 {
+			lon[i], lat[i] = negZero, 0
+		}
+	}
+	checkPointRuns(t, "signed zeros", lon, lat, ts)
 }

@@ -425,8 +425,8 @@ func TestParseDatasetSpec(t *testing.T) {
 // TestMetricsReportArenas drives every segment of a served dataset past
 // break-even: /metrics counts the switched segments and their arena
 // bytes, and the cache recharges each segment on its first hit after the
-// switch: its run index, arena and 4 bytes a record, no longer its
-// columns, within the budget.
+// switch: its run index (run boxes and the coordinates it reads), arena
+// and 4 bytes a record, no longer its other columns, within the budget.
 func TestMetricsReportArenas(t *testing.T) {
 	ctx := engine.New(engine.Config{Slots: 2})
 	dir := ingestNYC(t, ctx, 3000)
@@ -468,15 +468,16 @@ func TestMetricsReportArenas(t *testing.T) {
 	if after.ArenaBytes < int64(len(res.Records))*20 {
 		t.Fatalf("%d arena bytes for %d records", after.ArenaBytes, len(res.Records))
 	}
-	// A switched segment is charged its run index — a 48-byte box per
-	// record and per run of 16 — plus its arena and 4 bytes of offset a
-	// record; the columns it dropped are no longer charged.
+	// A switched segment is charged its run index — a 48-byte box per run
+	// of 16 records and the 24 bytes a record of coordinates it reads —
+	// plus its arena and 4 bytes of offset a record; the columns it
+	// dropped are no longer charged.
 	var idx int64
 	srv.cache.mu.Lock()
 	for _, el := range srv.cache.items {
 		if p, ok := el.Value.(*cacheEntry).val.(stdata.Partition); ok {
 			n := int64(p.Len())
-			idx += 48 * (n + (n+15)/16)
+			idx += 48*((n+15)/16) + 24*n
 		}
 	}
 	srv.cache.mu.Unlock()

@@ -60,6 +60,11 @@ func (s schema[T]) ApproxQuery(
 	ctx *engine.Context, dir string, meta *storage.Metadata,
 	w selection.Window, req ApproxRequest,
 ) (*summary.Result, *summary.Partial, error) {
+	// A legacy store is refused up front, as by every other entry point,
+	// rather than answered from its sidecars.
+	if err := meta.CheckFormat(dir); err != nil {
+		return nil, nil, err
+	}
 	spec := summary.Spec{Window: w.Box(), Agg: req.Agg, Q: req.Q, Res: req.Res}
 	if err := spec.Validate(s.spec.Value != nil); err != nil {
 		return nil, nil, err

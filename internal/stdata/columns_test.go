@@ -122,10 +122,12 @@ func columnRowWall[T any](t *testing.T, name string, recs []T) {
 	}
 }
 
-// TestSegmentChargeMatchesSlices pins what a segment is charged: its run
-// index — a 48-byte box per record and per run of 16 records — plus the
-// columns and dictionary it holds before the switch, and the arena plus 4
-// bytes of offset per record after it, when it no longer holds columns.
+// TestSegmentChargeMatchesSlices pins what a point segment is charged: its
+// run boxes — 48 bytes per run of 16 records, no box per record — plus the
+// columns and dictionary it holds before the switch; after it, when it
+// holds no columns, the 24 bytes a record of coordinates its run index
+// still reads, the arena and 4 bytes of offset per record. No byte is
+// counted twice.
 func TestSegmentChargeMatchesSlices(t *testing.T) {
 	nyc := registry["nyc"].(schema[EventRec])
 	dir, meta := pinStore(t, nyc, randomEvents(1000, 1), false)
@@ -135,7 +137,7 @@ func TestSegmentChargeMatchesSlices(t *testing.T) {
 	}
 	g := p.(*segment[EventRec])
 	n := int64(g.n)
-	runIndex := 48 * (n + (n+15)/16)
+	runBoxes := 48 * ((n + 15) / 16)
 	cols := g.state.Load().cols
 	// nyc keeps every field in the shared columns: 8 bytes each of id,
 	// lon, lat and t, and a 4-byte dictionary index a record, with no
@@ -147,9 +149,9 @@ func TestSegmentChargeMatchesSlices(t *testing.T) {
 	if len(cols.Dict) != 1 || cols.PaySpan(0) != nil {
 		t.Fatalf("columns hold a dictionary of %q and a %d-byte payload span", cols.Dict, len(cols.PaySpan(0)))
 	}
-	if got, want := g.SizeBytes(), runIndex+colBytes; got != want {
-		t.Fatalf("segment of %d records charged %d bytes before the switch, want %d (%d run index, %d columns)",
-			n, got, want, runIndex, colBytes)
+	if got, want := g.SizeBytes(), runBoxes+colBytes; got != want {
+		t.Fatalf("segment of %d records charged %d bytes before the switch, want %d (%d run boxes, %d columns)",
+			n, got, want, runBoxes, colBytes)
 	}
 	all := arenaQuery{allWindow, QueryOptions{Records: true}}
 	for range 2 {
@@ -159,9 +161,9 @@ func TestSegmentChargeMatchesSlices(t *testing.T) {
 	if !st.switched() || st.cols != nil {
 		t.Fatalf("segment has not switched (served %d of %d)", g.served.Load(), n)
 	}
-	if got, want := g.SizeBytes(), runIndex+int64(len(st.arena))+4*n; got != want {
-		t.Fatalf("switched segment charged %d bytes, want %d (%d run index, %d arena, %d offsets)",
-			got, want, runIndex, len(st.arena), len(st.off))
+	if got, want := g.SizeBytes(), runBoxes+24*n+int64(len(st.arena))+4*n; got != want {
+		t.Fatalf("switched segment charged %d bytes, want %d (%d run boxes, %d coordinates, %d arena, %d offsets)",
+			got, want, runBoxes, 24*n, len(st.arena), len(st.off))
 	}
 }
 

@@ -56,14 +56,16 @@ func BenchmarkLoadBaseNYC(b *testing.B) {
 	}
 }
 
-// Ceilings for pinning nycBaseFile's base file, measured at 50
-// allocations and 91 bytes a record (1.14 MB): 36 bytes of columns (id,
-// lon, lat and t, and a 4-byte dictionary index), the 48-byte box and a
-// run box per 16 records, and the file's read buffers. Segments that held
-// typed rows read 86 allocations and 102 bytes a record.
+// Ceilings for pinning nycBaseFile's base file, measured at 48
+// allocations and 42 bytes a record (0.53 MB): 36 bytes of columns (id,
+// lon, lat and t, and a 4-byte dictionary index), a 48-byte run box per
+// 16 records — the run index reads the coordinate columns, with no box
+// per record — and the file's read buffers. A 48-byte box per record read
+// 50 allocations and 91 bytes a record; segments that held typed rows, 86
+// allocations and 102 bytes a record.
 const (
-	loadBaseAllocCeiling       = 56
-	loadBaseBytesPerRecCeiling = 96
+	loadBaseAllocCeiling       = 52
+	loadBaseBytesPerRecCeiling = 46
 )
 
 // TestLoadBaseAllocs pins the allocations of one cold LoadBase.

@@ -12,12 +12,15 @@ import (
 )
 
 // The pinned-box wall: the boxes the storage reader returns beside a
-// file's columns — which pin hands the run index as they are, and the
-// push path returns with each pushed record — come from the decoded (lon,
-// lat, t) columns of a native point file and from the schema's BoxOf for
-// any other file, and must equal, bit for bit on all six coordinates, the
-// schema's BoxOf of the record the reader returned beside each, for every
-// registered schema, in both layouts, in base and delta files.
+// file's columns — which pin hands a trajectory segment's run index as
+// they are — come from a native trajectory file's Extent walk and from the
+// schema's BoxOf for any other file, and must equal, bit for bit on all
+// six coordinates, the schema's BoxOf of the record the reader returned
+// beside each, for every registered schema, in both layouts, in base and
+// delta files. A point schema's segment asks for no boxes: its run index
+// reads the columns, held to BoxOf by TestPointSegmentsMatchBoxOf. The
+// push path's boxes are BoxOf of each pushed record
+// (TestPushedBoxesMatchBoxOf).
 
 // pinEdgeCoords are the coordinates float comparisons treat specially,
 // plus ordinary and GPS-grid ones.
@@ -119,8 +122,7 @@ func pinBoxWall[T any](t *testing.T, name string, recs []T) {
 	checkPinnedBoxes(t, s, "rows", codec.Codec[T]{Enc: s.spec.Codec.Enc, Dec: s.spec.Codec.Dec}, recs)
 }
 
-// TestPinnedBoxesMatchBoxOf is the wall over every registered schema: nyc,
-// air and osm take their boxes from the point columns, porto from BoxOf.
+// TestPinnedBoxesMatchBoxOf is the wall over every registered schema.
 // osm's box is a Box2 (time 0) and its writer stores T = 0, so its column
 // box is the same Box2.
 func TestPinnedBoxesMatchBoxOf(t *testing.T) {
@@ -210,4 +212,90 @@ func TestPushedBoxesMatchBoxOf(t *testing.T) {
 		}
 	}
 	checkPushedBoxes(t, "porto", trajs)
+}
+
+// checkPointSegment holds g, a point schema's pinned segment over recs, to
+// the box form of the run index over BoxOf of each record: for the
+// all-covering window and every record's own box (NaN, ±Inf and signed
+// zeros among them), the same Bound, and the same hits, in order, as a
+// linear BoxOf scan.
+func checkPointSegment[T any](t *testing.T, name string, s schema[T], g *segment[T], recs []T) {
+	t.Helper()
+	boxes := make([]index.Box, len(recs))
+	for i, rec := range recs {
+		boxes[i] = s.spec.BoxOf(rec)
+	}
+	inf := math.Inf(1)
+	windows := append([]index.Box{{Min: [3]float64{-inf, -inf, -inf}, Max: [3]float64{inf, inf, inf}}}, boxes...)
+	ref := index.NewRuns(boxes)
+	for _, q := range windows {
+		if got, want := g.matchBound(q), ref.Bound(q); got != want {
+			t.Fatalf("%s, window %+v: Bound %d, box form's %d", name, q, got, want)
+		}
+		var want []int32
+		for i, b := range boxes {
+			if b.Intersects(q) {
+				want = append(want, int32(i))
+			}
+		}
+		if got := g.appendHits(q, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s, window %+v: hits %v, linear BoxOf scan %v", name, q, got, want)
+		}
+	}
+}
+
+// pointSegmentWall writes recs as checkPinnedBoxes does, in the schema's
+// native columns and in the generic row layout, and checks the base and
+// delta segments the schema pins from each with checkPointSegment: the
+// point index reads the columns whichever layout filled them.
+func pointSegmentWall[T any](t *testing.T, name string, recs []T) {
+	t.Helper()
+	s := registry[name].(schema[T])
+	if !s.spec.Codec.Col.Point {
+		t.Fatalf("%s is not a point schema", name)
+	}
+	noBox := func(T) index.Box { return index.Box{} }
+	for layout, c := range map[string]codec.Codec[T]{
+		"native": s.spec.Codec,
+		"rows":   {Enc: s.spec.Codec.Enc, Dec: s.spec.Codec.Dec},
+	} {
+		dir := t.TempDir()
+		half := len(recs) / 2
+		if _, err := storage.Write(dir, c, [][]T{recs[:half]}, noBox,
+			storage.WriteOptions{Name: name, BlockRecords: 8}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := storage.AppendDelta(dir, c, recs[half:], noBox, storage.AppendOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		meta, err := storage.ReadMetadata(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, _, err := s.LoadBase(dir, meta, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPointSegment(t, name+" "+layout+" base", s, base.(*segment[T]), recs[:half])
+		delta, _, err := s.LoadDelta(dir, meta.Deltas(0)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := delta.(*segment[T])
+		checkPointSegment(t, name+" "+layout+" delta", s, g, joinRows(t, s, g.state.Load().cols))
+	}
+}
+
+// TestPointSegmentsMatchBoxOf runs pointSegmentWall over the point schemas
+// on the pinned-box wall's edge records.
+func TestPointSegmentsMatchBoxOf(t *testing.T) {
+	pointSegmentWall(t, "nyc", pinEdgeRecs(150, func(i int, p geom.Point, ts int64) EventRec {
+		return EventRec{ID: int64(i), Loc: p, Time: ts, Aux: fmt.Sprint("kind-", i%3)}
+	}))
+	pointSegmentWall(t, "air", pinEdgeRecs(150, func(i int, p geom.Point, ts int64) AirRec {
+		return AirRec{StationID: int64(i % 7), Loc: p, Time: ts, Indices: [6]float64{float64(i), math.NaN()}}
+	}))
+	pointSegmentWall(t, "osm", pinEdgeRecs(150, func(i int, p geom.Point, _ int64) POIRec {
+		return POIRec{ID: int64(i), Loc: p, Type: fmt.Sprint("type-", i%4)}
+	}))
 }

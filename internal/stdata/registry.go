@@ -99,10 +99,13 @@ type Partition interface {
 	// Len is the record count.
 	Len() int
 	// SizeBytes is the resident size, the unit of the serving cache's byte
-	// budget: per segment, its run index plus what it holds of its
-	// records — its decoded columns and their dictionary until it
-	// switches to its reply arena, the arena and 4 bytes of offset per
-	// record after. It changes once per segment, at the switch.
+	// budget, with no byte counted twice: per segment, until it switches
+	// to its reply arena, its run boxes (and an extended schema's record
+	// boxes) plus its decoded columns and their dictionary; after the
+	// switch its run index — with the coordinate columns a point schema's
+	// index reads, all the segment keeps of its columns — plus the arena
+	// and 4 bytes of offset per record. It changes once per segment, at
+	// the switch.
 	SizeBytes() int64
 	// ArenaBytes is the size of the reply arenas the partition's segments
 	// have switched to; 0 before any has.
@@ -159,11 +162,13 @@ type Schema interface {
 	// accounting summed over every file it read.
 	LoadPartition(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error)
 	// LoadBase reads and decodes partition id's base file alone into its
-	// columns, pinned with its records' boxes and one box per run of 16
+	// columns, pinned with a run index of one box per run of 16
 	// consecutive records (the file is Z-clustered, so run boxes are
-	// tight); no record is built until a query encodes it. Base files
-	// are immutable, so the serving cache keys the handle by file name and
-	// appends never evict it.
+	// tight) that reads a point schema's records from their lon, lat and
+	// t columns and holds any other schema's record boxes, which the
+	// storage reader returns beside the columns; no record is built until
+	// a query encodes it. Base files are immutable, so the serving cache
+	// keys the handle by file name and appends never evict it.
 	LoadBase(dir string, meta *storage.Metadata, id int) (Partition, storage.ReadStats, error)
 	// LoadDelta decodes one committed delta file, pinned the same way as a
 	// base.
@@ -192,7 +197,8 @@ type Schema interface {
 	// deterministic error envelope (see internal/summary). Exactly one of
 	// the returns is non-nil on success: a finalized Result, or — when
 	// req.Partial — the mergeable Partial a cluster shard ships to its
-	// router.
+	// router. A dataset holding legacy v1/v2 files is refused with
+	// storage.ErrLegacyFormat, its sidecars unread.
 	ApproxQuery(ctx *engine.Context, dir string, meta *storage.Metadata,
 		w selection.Window, req ApproxRequest) (*summary.Result, *summary.Partial, error)
 	// BuildSummaries backfills summary sidecars for every base partition
@@ -288,8 +294,10 @@ func (s schema[T]) Append(recs any, dir, batchID string) (int64, error) {
 	return mf.Generation, err
 }
 
+// ReadDelta takes each pushed record's box from BoxOf of the row it
+// encodes, so the reader is asked for none.
 func (s schema[T]) ReadDelta(dir string, dm storage.DeltaMeta) ([]index.Box, []json.RawMessage, error) {
-	cols, boxes, _, err := storage.ReadDelta(dir, dm, s.spec.Codec, s.spec.BoxOf)
+	cols, _, _, err := storage.ReadDelta(dir, dm, s.spec.Codec, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -297,8 +305,10 @@ func (s schema[T]) ReadDelta(dir string, dm storage.DeltaMeta) ([]index.Box, []j
 	if err != nil {
 		return nil, nil, err
 	}
+	boxes := make([]index.Box, len(rows))
 	e := encoded{recs: make([]json.RawMessage, 0, len(rows))}
 	for i := range rows {
+		boxes[i] = s.spec.BoxOf(rows[i])
 		if err := s.encodeRecord(&e, &rows[i]); err != nil {
 			return nil, nil, err
 		}
@@ -356,7 +366,7 @@ func (s schema[T]) LoadBase(dir string, meta *storage.Metadata, id int) (Partiti
 	// The pinned handle serves arbitrary later windows, so the whole file is
 	// decoded (no block pruning); the stats still report the block and byte
 	// volume the load cost.
-	cols, boxes, st, err := storage.ReadBase(dir, meta, id, s.spec.Codec, s.spec.BoxOf)
+	cols, boxes, st, err := storage.ReadBase(dir, meta, id, s.spec.Codec, s.pinBoxOf())
 	if err != nil {
 		return nil, st, err
 	}
@@ -364,7 +374,7 @@ func (s schema[T]) LoadBase(dir string, meta *storage.Metadata, id int) (Partiti
 }
 
 func (s schema[T]) LoadDelta(dir string, dm storage.DeltaMeta) (Partition, storage.ReadStats, error) {
-	cols, boxes, st, err := storage.ReadDelta(dir, dm, s.spec.Codec, s.spec.BoxOf)
+	cols, boxes, st, err := storage.ReadDelta(dir, dm, s.spec.Codec, s.pinBoxOf())
 	if err != nil {
 		return nil, st, err
 	}

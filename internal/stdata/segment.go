@@ -16,14 +16,15 @@ import (
 // its deltas, and the one buffer a records query's reply is built in.
 
 // segment is the pinned form of one decoded base or delta file: the run
-// index over its records' boxes, whose hits equal a linear scan in record
-// order, and its records in one of two forms (segState). It starts out
-// holding the file's decoded columns, from which a query rebuilds each
-// record it encodes (Columnar.Row) and drops it, and switches to its reply
-// arena once the records that queries have encoded add up to its record
-// count — the break-even point, past which one more encode of the segment
-// would cost more than building the arena once did (DESIGN.md, "Reply
-// arenas").
+// index over its records, whose hits equal a linear scan in record order,
+// and its records in one of two forms (segState). A point schema's index
+// reads the file's own coordinate columns (index.NewPointRuns), any other
+// schema's holds a box per record. It starts out holding the file's
+// decoded columns, from which a query rebuilds each record it encodes
+// (Columnar.Row) and drops it, and switches to its reply arena once the
+// records that queries have encoded add up to its record count — the
+// break-even point, past which one more encode of the segment would cost
+// more than building the arena once did (DESIGN.md, "Reply arenas").
 type segment[T any] struct {
 	idx   *index.Runs
 	n     int
@@ -52,27 +53,46 @@ type segState struct {
 // switched reports whether st is the arena form.
 func (st *segState) switched() bool { return st.off != nil }
 
-// pin builds the segment over cols, a file's decoded columns, and boxes,
-// record i's box at boxes[i] — the boxes the storage reader returns beside
-// the columns, so pinning calls no BoxOf.
+// pin builds the segment over cols, a file's decoded columns. A point
+// schema's run index reads cols' (lon, lat, t) columns, its records'
+// whole extent, and boxes is unused (nil: the schema's loads ask the
+// reader for none); any other schema's is built over boxes, record i's
+// box at boxes[i] — the boxes the storage reader returns beside the
+// columns, so pinning calls no BoxOf.
 func (s schema[T]) pin(cols *codec.ColBlock, boxes []index.Box, delta bool) *segment[T] {
-	g := &segment[T]{idx: index.NewRuns(boxes), n: len(cols.IDs), delta: delta}
+	g := &segment[T]{n: len(cols.IDs), delta: delta}
+	if s.spec.Codec.Col.Point {
+		g.idx = index.NewPointRuns(cols.Lon, cols.Lat, cols.T)
+	} else {
+		g.idx = index.NewRuns(boxes)
+	}
 	g.bytes = g.idx.SizeBytes()
 	g.state.Store(&segState{cols: cols})
 	return g
+}
+
+// pinBoxOf is the box function the schema's loads hand the storage reader:
+// nil for a point schema, whose run index reads the columns instead.
+func (s schema[T]) pinBoxOf() func(T) index.Box {
+	if s.spec.Codec.Col.Point {
+		return nil
+	}
+	return s.spec.BoxOf
 }
 
 func (g *segment[T]) Len() int { return g.n }
 
 // SizeBytes is the run index plus what the segment holds of its records:
 // its columns and their dictionary before the switch, the arena and 4
-// bytes of offset per record after it.
+// bytes of offset per record after it. The coordinate columns a point
+// index reads are counted once: with the columns before the switch, with
+// the index after it, when they are all the segment keeps of its columns.
 func (g *segment[T]) SizeBytes() int64 {
 	st := g.state.Load()
 	if st.switched() {
 		return g.bytes + int64(len(st.arena)) + 4*int64(g.n)
 	}
-	return g.bytes + st.cols.SizeBytes()
+	return g.bytes - g.idx.ColumnBytes() + st.cols.SizeBytes()
 }
 
 func (g *segment[T]) ArenaBytes() int64 { return int64(len(g.state.Load().arena)) }

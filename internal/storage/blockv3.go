@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"st4ml/internal/codec"
-	"st4ml/internal/geom"
 	"st4ml/internal/index"
 )
 
@@ -548,10 +547,9 @@ func spanExtent[T any](col *codec.Columnar[T], cb *codec.ColBlock, i int, pr *co
 // first record is joined, which a schema that reads a payload fails on.
 //
 // A non-nil boxOf asks for each record's box as well, in a slice parallel
-// to the records: a native point file's come from its (lon, lat, t)
-// columns, a native file's with an Extent from the walk, any other file's
-// from boxOf of the record Dec or Row built. A nil boxOf returns nil
-// boxes.
+// to the records: a native file's with an Extent from the walk, any other
+// file's from boxOf of the record Dec or Row built, which a point file's
+// records are all joined for. A nil boxOf returns nil boxes.
 func readColumnsV3Once[T any](
 	dir string, pm PartitionMeta, run blockRun, c codec.Codec[T], boxOf func(T) index.Box,
 ) (*codec.ColBlock, []index.Box, ReadStats, error) {
@@ -621,18 +619,13 @@ func readColumnsV3Once[T any](
 			lens, pay := decodeColumns(r, n, hasStr, cols, scratch.PayLen)
 			scratch.PayLen = lens
 			cols.AppendPayload(pay, lens)
-			if point {
+			if point && boxOf == nil {
 				// A block whose payload stream is empty — every block of a
 				// schema that keeps all its fields in the shared columns —
 				// is probed with its first record alone, so a schema whose
 				// Join reads a payload fails on it as a walk would.
 				for i := at; i < at+n && (i == at || len(pay) > 0); i++ {
 					col.Row(cols, i, pr)
-				}
-				if boxOf != nil {
-					for i := at; i < at+n; i++ {
-						boxes = append(boxes, index.BoxOfPoint(geom.Pt(cols.Lon[i], cols.Lat[i]), cols.T[i]))
-					}
 				}
 				return
 			}

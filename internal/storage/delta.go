@@ -315,7 +315,8 @@ func compactedFileName(pi int, gen int64) string {
 // the new records; readers that loaded before keep a consistent
 // pre-append view. Concurrent appends and compactions of one directory
 // serialize in-process; see the package comment on delta.go for the
-// crash-safety argument.
+// crash-safety argument. A dataset holding a legacy v1/v2 file is refused
+// with ErrLegacyFormat before anything is written.
 //
 // After the swap, OnCommit hooks for dir run outside the writer lock; a
 // hook failure returns the committed manifest alongside a *HookError — the
@@ -350,6 +351,11 @@ func appendDeltaLocked[T any](
 	if err != nil {
 		return nil, nil, err
 	}
+	// A legacy store is refused before anything is written: no reader
+	// would take the view the append commits.
+	if err := meta.CheckFormat(dir); err != nil {
+		return nil, nil, err
+	}
 	if meta.NumPartitions() == 0 {
 		return nil, nil, fmt.Errorf("storage: append to %s: dataset has no partitions", dir)
 	}
@@ -373,9 +379,6 @@ func appendDeltaLocked[T any](
 			groups = append(groups, group)
 		}
 	}
-	// Deltas are written in the current format regardless of the base
-	// dataset's: the entries' Format records it, and the reader dispatches
-	// on it per delta.
 	runs, _, err := writePartitionV3File(dir, appendFileName(mf.NextSeq), c, groups, boxOf, blockRecords, true)
 	if err != nil {
 		return nil, nil, err

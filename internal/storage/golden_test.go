@@ -174,10 +174,11 @@ func snapshot(t *testing.T, dir string) map[string][]byte {
 }
 
 // checkRefused is the refusal wall on a copy of a committed legacy golden
-// dataset at dir: every storage, selection, serving, summary and
-// compaction entry point fails with ErrLegacyFormat naming the dataset's
-// first partition file and its version, and leaves every file of dir as it
-// was — the refused compaction and backfill commit nothing.
+// dataset at dir: every storage, selection, serving, summary, approximate,
+// append and compaction entry point fails with ErrLegacyFormat naming the
+// dataset's first partition file and its version, and leaves every file of
+// dir as it was — the refused compaction, backfill and append commit
+// nothing.
 func checkRefused(t *testing.T, dir string, version int) {
 	t.Helper()
 	meta, err := storage.ReadMetadata(dir)
@@ -228,6 +229,15 @@ func checkRefused(t *testing.T, dir string, version int) {
 		}},
 		{"Compact", version, func() error {
 			_, err := sch.Compact(dir, storage.CompactOptions{MinDeltas: 1, GCGrace: 0})
+			return err
+		}},
+		{"AppendDelta", version, func() error {
+			recs := []stdata.EventRec{{ID: 1, Loc: geom.Pt(-73.9, 40.8), Time: 10, Aux: "late"}}
+			_, err := storage.AppendDelta(dir, stdata.EventRecC, recs, stdata.EventRec.Box, storage.AppendOptions{})
+			return err
+		}},
+		{"ApproxQuery", version, func() error {
+			_, _, err := sch.ApproxQuery(ctx, dir, meta, all, stdata.ApproxRequest{})
 			return err
 		}},
 	}

@@ -424,10 +424,10 @@ func ReadPartitionPruned[T any](
 // (readColumnsV3Once); c.Col.Row or Rows rebuilds records from them. The
 // codec must carry a columnar schema, which also splits a generic file's
 // rows into the same columns. A non-nil boxOf also returns each record's
-// box, in a slice parallel to the records (the serving cache's pinned
-// boxes): a native point file's come from its decoded (lon, lat, t)
-// columns, a native file's with a Columnar.Extent from the extent, any
-// other file's from boxOf. A nil boxOf returns nil boxes.
+// box, in a slice parallel to the records (the boxes the serving cache
+// pins an extended schema's run index over): a native file's with a
+// Columnar.Extent from the extent, any other file's from boxOf. A nil
+// boxOf returns nil boxes.
 func ReadBase[T any](
 	dir string, meta *Metadata, i int, c codec.Codec[T], boxOf func(T) index.Box,
 ) (*codec.ColBlock, []index.Box, ReadStats, error) {
